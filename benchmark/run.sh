@@ -1,0 +1,13 @@
+#!/usr/bin/env bash
+# Builds the benchmark from source into .bench_build/ at the root of the
+# checkout and runs it there. Everything the Go toolchain writes (build
+# cache included) stays inside the checkout.
+set -euo pipefail
+here="$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)"
+root="$(dirname "$here")"
+build="$root/.bench_build"
+mkdir -p "$build"
+export GOCACHE="$build/gocache" GOPATH="$build/gopath" GOFLAGS=-mod=readonly GOTOOLCHAIN=local GOWORK=off
+(cd "$here" && go build -o "$build/aabench" .)
+cd "$root"
+exec "$build/aabench" "$@"
