@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet race chaos chaos-cluster bench bench-json bench-compare bench-paper obs-check obs-cluster-check transport-check clean
+.PHONY: check build test vet race kernel-check chaos chaos-cluster bench bench-json bench-compare bench-paper obs-check obs-cluster-check transport-check clean
 
-check: build test vet race transport-check chaos-cluster obs-cluster-check
+check: build test vet race kernel-check transport-check chaos-cluster obs-cluster-check
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,18 @@ vet:
 # engine underneath it are exercised under the race detector.
 race:
 	$(GO) test -race ./internal/serve ./internal/core
+
+# Kernel gate: the min-plus kernels have an AVX2 assembly body and a scalar
+# one (internal/kernel/minplus_*). vet's asmdecl pass checks the assembly's
+# frame layout against its Go declarations; the default-tag run holds the
+# vector body to the scalar one (fuzz seeds, body-selection test); the purego
+# run repeats the tile/worker/masked invariance and Runner==Engine tests on
+# the scalar body alone. -race builds select the scalar body through the
+# same build tag, so the race detector sees every row write.
+kernel-check:
+	$(GO) vet ./internal/kernel
+	$(GO) test -count=1 ./internal/kernel
+	$(GO) test -count=1 -tags purego ./internal/kernel ./internal/core ./internal/rank
 
 # Chaos soak: the seeded fault-injection sweep (crash timings × message-
 # fault mixes) plus the fault and cluster layers, under the race detector.
@@ -53,11 +65,13 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkRC|BenchmarkFig4|BenchmarkFig8|BenchmarkTransportRoundTrip|BenchmarkPaperScale' -benchtime $(BENCHTIME) -benchmem ./... \
 		| $(GO) run ./cmd/benchjson > BENCH_rc.json
 
-# Regression gate: rerun the RC relax/refine-phase benchmarks (plus the
-# tracer-enabled step benchmark) and fail if any ns/op regresses more than
-# 15% against the committed baseline.
+# Regression gate: rerun the kernel's per-call benchmarks (narrow delta
+# windows and one full row) and the RC relax/refine-phase benchmarks (plus
+# the tracer-enabled step benchmark) and fail if any ns/op regresses more
+# than 15% against the committed baseline, or if the baseline is unusable.
 bench-compare:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkRCRelaxPhase|BenchmarkRCRefinePhase|BenchmarkRCStepTraced' -benchmem ./internal/core ; \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkRCKernelHops' -benchmem ./internal/kernel ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkRCRelaxPhase|BenchmarkRCRefinePhase|BenchmarkRCStepTraced' -benchmem ./internal/core ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkTransportRoundTrip' -benchmem ./internal/transport ; } \
 		| $(GO) run ./cmd/benchjson -compare BENCH_rc.json
 

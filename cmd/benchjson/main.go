@@ -8,9 +8,11 @@
 // allocs/op, and custom metrics such as rowsshipped/step).
 //
 // With -compare BASELINE.json, the parsed run is instead checked against
-// an archived baseline: every RC relax/refine-phase benchmark present in
-// both runs must keep its ns/op within the regression threshold (15%), or
-// the command exits nonzero (see the bench-compare Makefile target).
+// an archived baseline: every gated benchmark (kernel per-call cost, RC
+// relax/refine phases, traced step, inproc round trip) present in both runs
+// must keep its ns/op within the regression threshold (15%), or the command
+// exits nonzero (see the bench-compare Makefile target). A baseline that is
+// missing, empty or unparseable fails the comparison outright.
 package main
 
 import (
@@ -60,12 +62,14 @@ func main() {
 }
 
 // gated reports whether a benchmark participates in the regression gate:
-// the RC relax-phase and refine-phase benchmarks plus the tracer-enabled
-// step benchmark, whose ns/op is the committed performance contract.
+// the min-plus kernel's per-call cost at narrow and full-row widths, the RC
+// relax-phase and refine-phase benchmarks plus the tracer-enabled step
+// benchmark, whose ns/op is the committed performance contract.
 func gated(name string) bool {
 	// The TCP round trip is archived but not gated: loopback RTTs are
 	// scheduler noise, not a performance contract.
-	return strings.HasPrefix(name, "BenchmarkRCRelaxPhase") ||
+	return strings.HasPrefix(name, "BenchmarkRCKernelHops/") ||
+		strings.HasPrefix(name, "BenchmarkRCRelaxPhase") ||
 		strings.HasPrefix(name, "BenchmarkRCRefinePhase") ||
 		strings.HasPrefix(name, "BenchmarkRCStepTraced") ||
 		strings.HasPrefix(name, "BenchmarkTransportRoundTripInproc")
@@ -76,13 +80,17 @@ func gated(name string) bool {
 // baseline (newly added) or from the run pass with a note; a gated ns/op
 // above baseline*(1+threshold) fails the whole comparison.
 func compare(run *document, baselinePath string, threshold float64) error {
+	const regenerate = "regenerate it with `make bench-json`"
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
-		return err
+		return fmt.Errorf("reading baseline: %w (%s)", err, regenerate)
 	}
 	var base document
 	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("parsing %s: %w", baselinePath, err)
+		return fmt.Errorf("baseline %s is empty or not benchjson output: %v (%s)", baselinePath, err, regenerate)
+	}
+	if len(base.Benchmarks) == 0 {
+		return fmt.Errorf("baseline %s holds no benchmarks (%s)", baselinePath, regenerate)
 	}
 	baseNS := map[string]float64{}
 	baseVirt := map[string]float64{}
@@ -119,7 +127,7 @@ func compare(run *document, baselinePath string, threshold float64) error {
 		old, ok := baseNS[b.Name]
 		delete(baseNS, b.Name)
 		if !ok {
-			fmt.Printf("  new  %-44s %14.0f ns/op (no baseline)%s\n", b.Name, ns, virt)
+			fmt.Printf("  new  %-44s %14.1f ns/op (no baseline)%s\n", b.Name, ns, virt)
 			continue
 		}
 		compared++
@@ -129,7 +137,7 @@ func compare(run *document, baselinePath string, threshold float64) error {
 			verdict = "FAIL"
 			failed++
 		}
-		fmt.Printf("  %-4s %-44s %14.0f ns/op  baseline %14.0f  %+6.1f%%%s\n",
+		fmt.Printf("  %-4s %-44s %14.1f ns/op  baseline %14.1f  %+6.1f%%%s\n",
 			verdict, b.Name, ns, old, 100*delta, virt)
 	}
 	for name := range baseNS {

@@ -6,15 +6,22 @@
 //
 //	dst[t] = min(dst[t], add + src[t]).
 //
-// The loops are written so the compiler can eliminate the per-iteration
-// bounds checks: every slice is re-sliced to the shared loop bound up
-// front, making the `range src` induction variable provably in range for
-// all of them.
+// MinPlusHops and MinPlus have two bodies behind one signature, chosen
+// once at package init: an 8-lane AVX2 sweep in Go assembly
+// (minplus_amd64.s, used when CPUID reports AVX2 and the OS saves the YMM
+// state) and the portable scalar loop (minplus_generic.go: other
+// architectures, -tags purego, -race, rows narrower than one vector, and
+// the n mod 8 tail). They produce identical dst, nh and changed windows,
+// so the choice changes wall-clock only — never an op count or a result.
 //
-// Distances use the engine-wide invariant that true distances stay far
-// below InfDist/2 (enforced by the generators keeping weights small
-// relative to n), so `add + src[t]` cannot overflow once both operands are
-// known finite.
+// The scalar loops are written so the compiler can eliminate the
+// per-iteration bounds checks: every slice is re-sliced to the shared loop
+// bound up front, making the `range src` induction variable provably in
+// range for all of them.
+//
+// Distances are non-negative and compared unsigned, so `add + src[t]`
+// cannot wrap and an InfDist operand can never improve a row; see
+// minplus_generic.go.
 package kernel
 
 import "anytime/internal/graph"
@@ -23,7 +30,7 @@ import "anytime/internal/graph"
 // for every index t, dst[t] = min(dst[t], add+src[t]), recording hop as
 // the next hop nh[t] whenever the composition improves. add is the
 // caller's distance to the pivot and must be finite; src entries equal to
-// InfDist are skipped. If src and dst lengths differ, the overlap is
+// InfDist never improve. If src and dst lengths differ, the overlap is
 // relaxed (shipped columns may trail the local width, and delta windows
 // start mid-row via pre-sliced dst/nh).
 //
@@ -34,24 +41,7 @@ func MinPlusHops(dst []graph.Dist, nh []int32, src []graph.Dist, add graph.Dist,
 	if len(dst) < n {
 		n = len(dst)
 	}
-	src = src[:n]
-	dst = dst[:n]
-	nh = nh[:n]
-	lo, hi = n, 0
-	for t, bt := range src {
-		if bt == graph.InfDist {
-			continue
-		}
-		if nd := add + bt; nd < dst[t] {
-			dst[t] = nd
-			nh[t] = hop
-			if lo > t {
-				lo = t
-			}
-			hi = t + 1
-		}
-	}
-	return lo, hi
+	return hopsBody(dst[:n], nh[:n], src[:n], add, hop)
 }
 
 // MinPlusTile relaxes dst through a tile of pivot rows resident in a flat
@@ -103,17 +93,13 @@ func MinPlus(dst, src []graph.Dist, add graph.Dist) bool {
 	if len(dst) < n {
 		n = len(dst)
 	}
-	src = src[:n]
-	dst = dst[:n]
-	changed := false
-	for t, bt := range src {
-		if bt == graph.InfDist {
-			continue
-		}
-		if nd := add + bt; nd < dst[t] {
-			dst[t] = nd
-			changed = true
-		}
-	}
-	return changed
+	return distBody(dst[:n], src[:n], add)
 }
+
+// hopsBody and distBody are the loop bodies behind MinPlusHops and MinPlus,
+// both taking slices already cut to one length: the scalar loops of
+// minplus_generic.go unless minplus_amd64.go's init found AVX2.
+var (
+	hopsBody = minPlusHopsGeneric
+	distBody = minPlusGeneric
+)
