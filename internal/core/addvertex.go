@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"anytime/internal/change"
-	"anytime/internal/graph"
 )
 
 // applyBatch incorporates one dynamic vertex-addition batch using the
@@ -26,88 +25,42 @@ func (e *Engine) applyBatch(b *change.VertexBatch) {
 		e.applyRepartition(b)
 		return
 	}
-	assign := e.assignProcessors(b, strat)
-	first := e.growGraph(b, assign)
-	// Owner processors create rows for their new vertices (D[v]=0, rest ∞).
-	for i := 0; i < b.NumVertices; i++ {
-		v := int32(first + i)
-		e.procs[assign[i]].table.AddRow(v)
+	place := e.assignRoundRobin
+	if strat == CutEdgePS {
+		place = e.assignCutEdge
+	}
+	res, err := e.log.apply(e.g, e.part, change.Event{Batch: b}, place)
+	if err != nil {
+		e.fail(err)
+		return
+	}
+	// Every table widens by the new columns; owner processors create rows
+	// for their new vertices (D[v]=0, rest ∞).
+	e.growAlive(res.count)
+	for _, p := range e.procs {
+		p.grow(res.first, res.count)
 	}
 	// Edge additions: each new edge broadcasts its endpoint rows and
 	// relaxes every processor's local rows against them (the anytime
 	// anywhere edge-addition algorithm the vertex addition builds on).
-	for _, ed := range e.resolveEdges(b, first) {
-		e.applyEdgeAdd(ed.u, ed.v, ed.w, true)
+	for _, ed := range res.edges {
+		e.absorbEdge(ed.u, ed.v, ed.w, true)
 	}
 	e.afterTopologyChange()
 	e.metrics.VerticesAdded += b.NumVertices
 }
 
-type resolvedEdge struct {
-	u, v int
-	w    graph.Weight
-}
-
-// resolveEdges converts a batch's edge lists to global vertex IDs, given
-// the first global ID assigned to the batch. Pending edges resolve through
-// the stream map.
-func (e *Engine) resolveEdges(b *change.VertexBatch, first int) []resolvedEdge {
-	out := make([]resolvedEdge, 0, b.NumEdges())
-	for _, ed := range b.Internal {
-		out = append(out, resolvedEdge{first + int(ed.A), first + int(ed.B), ed.Weight})
-	}
-	for _, ed := range b.External {
-		out = append(out, resolvedEdge{first + int(ed.New), int(ed.Existing), ed.Weight})
-	}
-	for _, ed := range b.Pending {
-		out = append(out, resolvedEdge{first + int(ed.New), int(e.streamMap[ed.EarlierBatchVertex]), ed.Weight})
-	}
-	return out
-}
-
-// growGraph adds the batch's vertices to the graph, the partition, the
-// per-processor masks and DV tables (column extension with amortized
-// doubling), and the stream map. Edges are NOT added here.
-func (e *Engine) growGraph(b *change.VertexBatch, assign []int32) int {
-	first := e.g.AddVertices(b.NumVertices)
-	e.part.Extend(assign)
-	for i := 0; i < b.NumVertices; i++ {
+// growAlive marks count freshly added vertices alive.
+func (e *Engine) growAlive(count int) {
+	for i := 0; i < count; i++ {
 		e.alive = append(e.alive, true)
-		e.streamMap = append(e.streamMap, int32(first+i))
-	}
-	for _, p := range e.procs {
-		// extend the local mask; membership is set by rebuildSubs later,
-		// but IsLocal must be sized for immediate use
-		mask := make([]bool, e.g.NumVertices())
-		copy(mask, p.sub.IsLocal)
-		p.sub.IsLocal = mask
-		p.table.ExtendCols(b.NumVertices)
-	}
-	for i := 0; i < b.NumVertices; i++ {
-		e.procs[assign[i]].sub.IsLocal[first+i] = true
-	}
-	return first
-}
-
-// assignProcessors runs the resolved processor-assignment strategy over a
-// batch and returns the processor of each new vertex.
-func (e *Engine) assignProcessors(b *change.VertexBatch, strat Strategy) []int32 {
-	switch strat {
-	case CutEdgePS:
-		return e.assignCutEdge(b)
-	default:
-		return e.assignRoundRobin(b)
 	}
 }
 
-// assignRoundRobin is RoundRobin-PS: new vertices go to processors in a
-// circular fashion. O(k) work, no communication.
+// assignRoundRobin is RoundRobin-PS (the log's cursor): O(k) work, no
+// communication.
 func (e *Engine) assignRoundRobin(b *change.VertexBatch) []int32 {
-	assign := make([]int32, b.NumVertices)
-	for i := range assign {
-		assign[i] = int32((e.rrNext + i) % e.opts.P)
-	}
-	e.rrNext = (e.rrNext + b.NumVertices) % e.opts.P
+	assign := e.log.roundRobin(b)
 	e.metrics.ChangeOps += int64(b.NumVertices)
 	e.chargeAll(int64(b.NumVertices) / int64(e.opts.P))
 	return assign
@@ -147,8 +100,7 @@ func (e *Engine) assignCutEdge(b *change.VertexBatch) []int32 {
 		aff[part.Part[ed.New]][e.part.Part[ed.Existing]]++
 	}
 	for _, ed := range b.Pending {
-		g := e.streamMap[ed.EarlierBatchVertex]
-		aff[part.Part[ed.New]][e.part.Part[g]]++
+		aff[part.Part[ed.New]][e.part.Part[e.log.streamMap[ed.EarlierBatchVertex]]]++
 	}
 	var procOf []int32
 	if e.opts.NaiveBatchMapping {

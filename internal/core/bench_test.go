@@ -7,201 +7,10 @@ import (
 
 	"anytime/internal/change"
 	"anytime/internal/cluster"
-	"anytime/internal/dv"
 	"anytime/internal/gen"
 	"anytime/internal/graph"
 	"anytime/internal/obs"
 )
-
-// ---------------------------------------------------------------------------
-// Pre-PR reference path: a faithful copy of the serial RC implementation this
-// PR replaced — full-row snapshots grouped through per-row maps, and fused
-// relax/refine loops without bounds-check-elimination hints or workers. Kept
-// test-only as the baseline the BenchmarkRCRelaxPhase* results are measured
-// against.
-// ---------------------------------------------------------------------------
-
-func (e *Engine) prePRShipBoundary() [][]cluster.Message {
-	P := e.opts.P
-	outbox := make([][]cluster.Message, P)
-	e.mach.Parallel(func(pid int) {
-		p := e.procs[pid]
-		var ops int64
-		groups := make(map[int][]*dv.Row)
-		for _, v := range p.sub.LocalBoundary {
-			r := p.table.Row(v)
-			if r == nil {
-				continue
-			}
-			if !r.Dirty && !e.opts.ShipAllBoundary {
-				continue
-			}
-			var snap *dv.Row
-			seen := map[int32]bool{}
-			for _, a := range e.g.Neighbors(int(v)) {
-				q := e.part.Part[a.To]
-				if int(q) == pid || seen[q] {
-					continue
-				}
-				seen[q] = true
-				if snap == nil {
-					snap = dv.CopyRow(r)
-					ops += int64(len(r.D))
-				}
-				groups[int(q)] = append(groups[int(q)], snap)
-			}
-		}
-		for q, rows := range groups {
-			outbox[pid] = append(outbox[pid], cluster.Message{
-				To:      q,
-				Tag:     cluster.TagBoundaryDV,
-				Bytes:   len(rows) * p.table.RowBytes(),
-				Payload: rows,
-			})
-		}
-		e.mach.Charge(pid, ops)
-	})
-	return outbox
-}
-
-func (p *proc) prePRRelaxViaExternal(br *dv.Row) {
-	b := br.Owner
-	bd := br.D
-	for i, u := range p.table.Rows() {
-		d := u.D[b]
-		if d == graph.InfDist {
-			continue
-		}
-		uD := u.D
-		uNH := u.NH
-		nhb := uNH[b]
-		rowChanged := false
-		for t, bt := range bd {
-			if bt == graph.InfDist {
-				continue
-			}
-			if nd := d + bt; nd < uD[t] {
-				uD[t] = nd
-				uNH[t] = nhb
-				rowChanged = true
-			}
-		}
-		p.stepOps += int64(len(bd))
-		if rowChanged {
-			u.Dirty = true
-			p.changed[i] = true
-		}
-	}
-}
-
-func (p *proc) prePRLocalRefine() {
-	rows := p.table.Rows()
-	for wi := range rows {
-		if !p.changed[wi] && !p.pivot[wi] {
-			continue
-		}
-		w := rows[wi]
-		wD := w.D
-		wOwner := w.Owner
-		for ui, u := range rows {
-			if ui == wi {
-				continue
-			}
-			d := u.D[wOwner]
-			if d == graph.InfDist {
-				continue
-			}
-			uD := u.D
-			uNH := u.NH
-			nhw := uNH[wOwner]
-			rowChanged := false
-			for t, wt := range wD {
-				if wt == graph.InfDist {
-					continue
-				}
-				if nd := d + wt; nd < uD[t] {
-					uD[t] = nd
-					uNH[t] = nhw
-					rowChanged = true
-				}
-			}
-			p.stepOps += int64(len(wD))
-			if rowChanged {
-				u.Dirty = true
-				p.changed[ui] = true
-			}
-		}
-	}
-}
-
-func (e *Engine) prePRRelaxAll(inbox [][]cluster.Message) {
-	refine := !e.opts.NoLocalRefine || e.forceRefine
-	e.mach.Parallel(func(pid int) {
-		p := e.procs[pid]
-		p.stepOps = 0
-		rows := p.table.Rows()
-		p.changed = resizeBools(p.changed, len(rows))
-		p.pivot = resizeBools(p.pivot, len(rows))
-		p.startDirty = resizeBools(p.startDirty, len(rows))
-		for i, r := range rows {
-			p.startDirty[i] = r.Dirty
-			p.pivot[i] = refine && r.Dirty
-		}
-		for _, msg := range inbox[pid] {
-			if msg.Tag != cluster.TagBoundaryDV {
-				continue
-			}
-			for _, br := range msg.Payload.([]*dv.Row) {
-				p.prePRRelaxViaExternal(br)
-			}
-		}
-		if refine {
-			p.prePRLocalRefine()
-		}
-		for i, r := range rows {
-			if p.startDirty[i] && !p.changed[i] {
-				r.ClearDirty()
-			}
-		}
-		p.hasUpdate = false
-		for _, v := range p.sub.LocalBoundary {
-			if r := p.table.Row(v); r != nil && r.Dirty {
-				p.hasUpdate = true
-				break
-			}
-		}
-		e.mach.Charge(pid, p.stepOps)
-		addOps(&e.metrics.RCOps, p.stepOps)
-	})
-	e.mach.Barrier()
-}
-
-// prePRStep mirrors Engine.Step over the reference path (no history/hooks),
-// additionally returning the number of boundary rows shipped.
-func (e *Engine) prePRStep() (cont bool, rows int) {
-	if e.Converged() {
-		return false, 0
-	}
-	outbox := e.prePRShipBoundary()
-	for _, msgs := range outbox {
-		for _, msg := range msgs {
-			rows += len(msg.Payload.([]*dv.Row))
-		}
-	}
-	inbox, err := e.mach.Exchange(outbox)
-	if err != nil {
-		panic(err)
-	}
-	e.prePRRelaxAll(inbox)
-	e.converged = e.reduceConvergence()
-	if len(e.queue) > 0 {
-		ev := e.queue[0]
-		e.queue = e.queue[1:]
-		e.applyEvent(ev)
-	}
-	e.step++
-	return !e.Converged(), rows
-}
 
 // ---------------------------------------------------------------------------
 // RC relax-phase benchmarks: virtual Fig. 4 scale (n=400 Barabási–Albert
@@ -251,7 +60,7 @@ func rcBenchSetup(b *testing.B, workers, batchSize int, noMask bool) (ckpt []byt
 	return buf.Bytes(), opts, batch
 }
 
-func benchRCRelaxPhase(b *testing.B, workers, batchSize int, noMask, prePR bool) {
+func benchRCRelaxPhase(b *testing.B, workers, batchSize int, noMask bool) {
 	ckpt, opts, batch := rcBenchSetup(b, workers, batchSize, noMask)
 	var steps, rows, shipBytes, relaxOps int64
 	b.ReportAllocs()
@@ -267,26 +76,12 @@ func benchRCRelaxPhase(b *testing.B, workers, batchSize int, noMask, prePR bool)
 		}
 		// The engine restores converged, so this first step ships nothing
 		// and applies the batch at its end (untimed change-incorporation
-		// work, identical on both paths).
-		if prePR {
-			e.prePRStep()
-		} else {
-			e.Step()
-		}
+		// work).
+		e.Step()
 		m0 := e.Metrics()
 		h0 := len(e.History())
 		b.StartTimer()
-		if prePR {
-			for {
-				cont, r := e.prePRStep()
-				rows += int64(r)
-				if !cont {
-					break
-				}
-			}
-		} else {
-			for e.Step() {
-			}
+		for e.Step() {
 		}
 		b.StopTimer()
 		m1 := e.Metrics()
@@ -308,17 +103,12 @@ func benchRCRelaxPhase(b *testing.B, workers, batchSize int, noMask, prePR bool)
 	}
 }
 
-// BenchmarkRCRelaxPhasePrePRSerial is the baseline: the pre-PR serial path.
-func BenchmarkRCRelaxPhasePrePRSerial(b *testing.B) {
-	benchRCRelaxPhase(b, 1, benchRCBatch, false, true)
-}
-
 func BenchmarkRCRelaxPhaseWorkers1(b *testing.B) {
-	benchRCRelaxPhase(b, 1, benchRCBatch, false, false)
+	benchRCRelaxPhase(b, 1, benchRCBatch, false)
 }
 
 func BenchmarkRCRelaxPhaseWorkers4(b *testing.B) {
-	benchRCRelaxPhase(b, 4, benchRCBatch, false, false)
+	benchRCRelaxPhase(b, 4, benchRCBatch, false)
 }
 
 // benchRCRelaxSparseEdges is the frontier masks' target regime: a batch of
@@ -412,7 +202,7 @@ func BenchmarkRCRelaxPhaseSparseNoMask(b *testing.B) { benchRCRelaxSparseEdges(b
 // measures how one processor's refine scales across its worker pool.
 // ---------------------------------------------------------------------------
 
-func benchRCRefinePhase(b *testing.B, workers, tile int, prePR bool) {
+func benchRCRefinePhase(b *testing.B, workers, tile int) {
 	g, err := gen.BarabasiAlbert(benchRCN, 3, gen.Weights{Min: 1, Max: 4}, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -454,14 +244,7 @@ func benchRCRefinePhase(b *testing.B, workers, tile int, prePR bool) {
 			for _, r := range rows {
 				r.FAll = true
 			}
-			var ops int64
-			if prePR {
-				p.stepOps = 0
-				p.prePRLocalRefine()
-				ops = p.stepOps
-			} else {
-				ops = p.relaxStep(nil, true, workers, e.opts.TileSize)
-			}
+			ops := p.relaxStep(nil, true, workers, e.opts.TileSize)
 			relaxOps += ops
 			// The engine's LogP charge for the relax phase: ops divided
 			// across the per-processor worker pool, slowest processor
@@ -477,31 +260,26 @@ func benchRCRefinePhase(b *testing.B, workers, tile int, prePR bool) {
 	b.ReportMetric(virt/float64(b.N), "virt-ms/op")
 }
 
-// BenchmarkRCRefinePhasePrePR is the pre-PR fused serial refine loop over
-// the same workload.
-func BenchmarkRCRefinePhasePrePR(b *testing.B) { benchRCRefinePhase(b, 1, 0, true) }
+func BenchmarkRCRefinePhaseWorkers1(b *testing.B) { benchRCRefinePhase(b, 1, 0) }
 
-func BenchmarkRCRefinePhaseWorkers1(b *testing.B) { benchRCRefinePhase(b, 1, 0, false) }
-
-func BenchmarkRCRefinePhaseWorkers4(b *testing.B) { benchRCRefinePhase(b, 4, 0, false) }
+func BenchmarkRCRefinePhaseWorkers4(b *testing.B) { benchRCRefinePhase(b, 4, 0) }
 
 // BenchmarkRCRefinePhaseUntiledWorkers4 spans all rows with one tile: phase
 // A (serial) covers everything, so this isolates what the tiling itself
 // buys the parallel pass.
 func BenchmarkRCRefinePhaseUntiledWorkers4(b *testing.B) {
-	benchRCRefinePhase(b, 4, 1<<30, false)
+	benchRCRefinePhase(b, 4, 1<<30)
 }
 
 // ---------------------------------------------------------------------------
 // Boundary-shipping benchmarks: steady-state ship of every boundary row with
-// a 32-column pending window. Comparing allocs/op against the pre-PR path
-// shows the per-row map and per-step group allocations are gone (what
-// remains is the unavoidable one snapshot slice per shipped row).
+// a 32-column pending window. allocs/op pins the Engine's ship-buffer reuse:
+// what remains is the unavoidable one snapshot slice per shipped row.
 // ---------------------------------------------------------------------------
 
 var benchOutboxSink [][]cluster.Message
 
-func benchShipBoundary(b *testing.B, prePR bool) {
+func BenchmarkRCShipBoundary(b *testing.B) {
 	g, err := gen.BarabasiAlbert(benchRCN, 3, gen.Weights{Min: 1, Max: 4}, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -525,17 +303,9 @@ func benchShipBoundary(b *testing.B, prePR bool) {
 				}
 			}
 		}
-		if prePR {
-			benchOutboxSink = e.prePRShipBoundary()
-		} else {
-			benchOutboxSink = e.shipBoundary()
-		}
+		benchOutboxSink = e.shipBoundary()
 	}
 }
-
-func BenchmarkRCShipBoundary(b *testing.B) { benchShipBoundary(b, false) }
-
-func BenchmarkRCShipBoundaryPrePR(b *testing.B) { benchShipBoundary(b, true) }
 
 // ---------------------------------------------------------------------------
 // Traced RC benchmark: the Workers1 relax cascade with the obs tracer (and

@@ -50,7 +50,7 @@ func probeSteps(t *testing.T, n int, p int, seed int64) int {
 // TestChaosSoak is the acceptance sweep: ≥3 crash timings × ≥4 message-
 // fault mixes, every plan reconverging exactly to the sequential Dijkstra
 // oracle, with anytime-snapshot monotonicity holding outside degraded
-// windows. Run it under -race (`make chaos`).
+// windows. Run it under -race (`make race`).
 func TestChaosSoak(t *testing.T) {
 	const n, P = 80, 4
 	const seed = 21

@@ -32,24 +32,14 @@ import (
 // are not serializable), which the caller supplies again at Restore and
 // which must use the same P.
 
-const (
-	// checkpointMagic is the current format (v6): the v5 arena layout plus
-	// each row's change-frontier state — an FAll flag and, when the row's
-	// frontier is tracked precisely, its bitmask words — appended per
-	// table, so a restored engine resumes masked min-plus sweeps without a
-	// conservative full-frontier epoch.
-	checkpointMagic = "AACKPT06"
-	// checkpointMagicV5 is the previous format: CRC-guarded with
-	// arena-style row layout (all headers, then every distance row back to
-	// back, then every next-hop row), no frontier section. Still readable;
-	// restored rows keep the conservative full frontier.
-	checkpointMagicV5 = "AACKPT05"
-	// checkpointMagicV4 is the older CRC-guarded format with
-	// interleaved per-row encoding, still readable.
-	checkpointMagicV4 = "AACKPT04"
-	// checkpointMagicV3 is the legacy unguarded format, still readable.
-	checkpointMagicV3 = "AACKPT03"
-)
+// checkpointMagic is the one readable format (v6): a CRC-guarded arena
+// layout — per table all row headers, then every distance row back to back,
+// then every next-hop row — followed by each row's change-frontier state
+// (an FAll flag and, when the row's frontier is tracked precisely, its
+// bitmask words), so a restored engine resumes masked min-plus sweeps
+// without a conservative full-frontier epoch. Any other AACKPT version is
+// refused by name (03–05 have no producer left).
+const checkpointMagic = "AACKPT06"
 
 // ErrCorruptCheckpoint reports a checkpoint whose CRC32 trailer does not
 // match its payload: the file was truncated or bit-flipped and must not be
@@ -97,12 +87,7 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 }
 
 // encodePayload writes everything between the magic and the CRC trailer.
-func (e *Engine) encodePayload(enc *binWriter) { e.encodePayloadVersion(enc, 6) }
-
-// encodePayloadVersion writes the payload in the current (v6) or a legacy
-// (v3/v4/v5) layout — the legacy paths only so tests can author old
-// streams and pin the compatibility reader.
-func (e *Engine) encodePayloadVersion(enc *binWriter, version int) {
+func (e *Engine) encodePayload(enc *binWriter) {
 	n := e.g.NumVertices()
 	enc.i64(int64(n))
 	enc.i64(int64(e.g.NumEdges()))
@@ -118,79 +103,60 @@ func (e *Engine) encodePayloadVersion(enc *binWriter, version int) {
 	enc.i64(int64(e.step))
 	enc.bool(e.converged)
 	enc.bool(e.forceRefine)
-	enc.i64(int64(e.rrNext))
+	enc.i64(int64(e.log.rrNext))
 	for _, p := range e.part.Part {
 		enc.i32(p)
 	}
-	enc.i64(int64(len(e.streamMap)))
-	for _, v := range e.streamMap {
+	enc.i64(int64(len(e.log.streamMap)))
+	for _, v := range e.log.streamMap {
 		enc.i32(v)
 	}
 	for _, p := range e.procs {
 		rows := p.table.Rows()
 		enc.i64(int64(len(rows)))
-		if version >= 5 {
-			// Arena layout: headers first, then the distance rows back to
-			// back, then the next-hop rows — three linear streams.
-			for _, r := range rows {
-				enc.i32(r.Owner)
-				enc.bool(r.Dirty)
-				all, lo, hi := r.PendingState()
-				enc.bool(all)
-				enc.i32(lo)
-				enc.i32(hi)
+		// Arena layout: headers first, then the distance rows back to
+		// back, then the next-hop rows — three linear streams.
+		for _, r := range rows {
+			enc.i32(r.Owner)
+			enc.bool(r.Dirty)
+			all, lo, hi := r.PendingState()
+			enc.bool(all)
+			enc.i32(lo)
+			enc.i32(hi)
+		}
+		for _, r := range rows {
+			for _, d := range r.D[:n] {
+				enc.i32(d)
 			}
-			for _, r := range rows {
-				for _, d := range r.D[:n] {
-					enc.i32(d)
-				}
+		}
+		for _, r := range rows {
+			for _, h := range r.NH[:n] {
+				enc.i32(h)
 			}
-			for _, r := range rows {
-				for _, h := range r.NH[:n] {
-					enc.i32(h)
-				}
+		}
+		// Change-frontier section: FAll flag per row, then the bitmask
+		// words of precisely-tracked rows. A masking-disabled engine has
+		// not maintained the bits, so its rows persist as FAll — the
+		// restored engine re-tracks from a conservative full frontier
+		// instead of trusting stale masks.
+		for _, r := range rows {
+			all := r.FAll || e.opts.NoFrontierMask
+			enc.bool(all)
+			if all {
+				continue
 			}
-			if version >= 6 {
-				// Change-frontier section: FAll flag per row, then the
-				// bitmask words of precisely-tracked rows. A masking-disabled
-				// engine has not maintained the bits, so its rows persist as
-				// FAll — the restored engine re-tracks from a conservative
-				// full frontier instead of trusting stale masks.
-				for _, r := range rows {
-					all := r.FAll || e.opts.NoFrontierMask
-					enc.bool(all)
-					if all {
-						continue
-					}
-					for _, w := range r.F {
-						enc.i64(int64(w))
-					}
-				}
-			}
-		} else {
-			for _, r := range rows {
-				enc.i32(r.Owner)
-				enc.bool(r.Dirty)
-				all, lo, hi := r.PendingState()
-				enc.bool(all)
-				enc.i32(lo)
-				enc.i32(hi)
-				for _, d := range r.D[:n] {
-					enc.i32(d)
-				}
-				for _, h := range r.NH[:n] {
-					enc.i32(h)
-				}
+			for _, w := range r.F {
+				enc.i64(int64(w))
 			}
 		}
 		enc.i64(p.table.ResizeCopies)
 	}
-	e.writeMetrics(enc, version >= 4)
+	e.writeMetrics(enc)
 }
 
-// writeMetrics serializes the cost counters; v4+ appends the
-// fault-injection and recovery counters the v3 format predates.
-func (e *Engine) writeMetrics(enc *binWriter, v4 bool) {
+// writeMetrics serializes the cost counters, the fault-injection and
+// recovery counters, and the degraded flag.
+func (e *Engine) writeMetrics(enc *binWriter) {
 	m := e.metrics
 	st := e.mach.Stats()
 	vals := []int64{
@@ -207,9 +173,6 @@ func (e *Engine) writeMetrics(enc *binWriter, v4 bool) {
 		enc.i64(ts.Messages)
 		enc.i64(ts.Bytes)
 	}
-	if !v4 {
-		return
-	}
 	for _, v := range []int64{
 		st.Resends, st.Dropped, st.Duplicated, st.Delayed, st.Corrupted,
 		st.Failed, st.DroppedDown,
@@ -220,12 +183,11 @@ func (e *Engine) writeMetrics(enc *binWriter, v4 bool) {
 	enc.bool(e.degraded)
 }
 
-// Restore reconstructs an engine from a checkpoint — current (AACKPT06,
-// CRC32-verified before any decoding: a flipped byte yields
-// ErrCorruptCheckpoint, never a silently wrong engine), the previous
-// CRC-guarded AACKPT05/AACKPT04, or legacy AACKPT03 (unguarded). opts
-// must use the same P as the checkpointed engine; the partitioners and
-// LogP model may differ (they affect only future events and accounting).
+// Restore reconstructs an engine from an AACKPT06 checkpoint, CRC32-verified
+// before any decoding: a flipped byte yields ErrCorruptCheckpoint, never a
+// silently wrong engine. opts must use the same P as the checkpointed
+// engine; the partitioners and LogP model may differ (they affect only
+// future events and accounting).
 func Restore(r io.Reader, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	var rm spanMark
@@ -237,35 +199,24 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("core: reading checkpoint magic: %w", err)
 	}
-	var dec *binReader
-	version := 0
-	switch string(magic) {
-	case checkpointMagic:
-		version = 6
-	case checkpointMagicV5:
-		version = 5
-	case checkpointMagicV4:
-		version = 4
-	case checkpointMagicV3:
-		version = 3
-		dec = &binReader{r: br}
-	default:
+	if string(magic) != checkpointMagic {
+		if bytes.HasPrefix(magic, []byte(checkpointMagic[:6])) {
+			return nil, fmt.Errorf("core: unsupported checkpoint version %s (this build reads %s only)", magic, checkpointMagic)
+		}
 		return nil, fmt.Errorf("core: not an engine checkpoint (magic %q)", magic)
 	}
-	if version >= 4 {
-		payload, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading checkpoint payload: %w", err)
-		}
-		if len(payload) < 8 {
-			return nil, ErrCorruptCheckpoint
-		}
-		body, tail := payload[:len(payload)-8], payload[len(payload)-8:]
-		if binary.LittleEndian.Uint64(tail) != uint64(crc32.ChecksumIEEE(body)) {
-			return nil, ErrCorruptCheckpoint
-		}
-		dec = &binReader{r: bytes.NewReader(body)}
+	payload, err := io.ReadAll(br)
+	if err != nil {
+		return nil, fmt.Errorf("core: reading checkpoint payload: %w", err)
 	}
+	if len(payload) < 8 {
+		return nil, ErrCorruptCheckpoint
+	}
+	body, tail := payload[:len(payload)-8], payload[len(payload)-8:]
+	if binary.LittleEndian.Uint64(tail) != uint64(crc32.ChecksumIEEE(body)) {
+		return nil, ErrCorruptCheckpoint
+	}
+	dec := &binReader{r: bytes.NewReader(body)}
 	n := int(dec.i64())
 	m := int(dec.i64())
 	if dec.err != nil || n < 0 || m < 0 || n > graph.MaxParseVertices ||
@@ -303,12 +254,12 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{opts: opts, g: g, mach: mach, alive: alive}
+	e := &Engine{opts: opts, g: g, mach: mach, alive: alive, log: NewEventLog(p)}
 	e.initFaults(inj)
 	e.step = int(dec.i64())
 	e.converged = dec.bool()
 	e.forceRefine = dec.bool()
-	e.rrNext = int(dec.i64())
+	e.log.rrNext = int(dec.i64())
 	part := &graph.Partition{Part: make([]int32, n), K: p}
 	for i := range part.Part {
 		part.Part[i] = dec.i32()
@@ -324,19 +275,19 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 	if dec.err != nil || sm < 0 || sm > n {
 		return nil, fmt.Errorf("core: corrupt checkpoint stream map")
 	}
-	e.streamMap = make([]int32, sm)
-	for i := range e.streamMap {
-		e.streamMap[i] = dec.i32()
+	e.log.streamMap = make([]int32, sm)
+	for i := range e.log.streamMap {
+		e.log.streamMap[i] = dec.i32()
 	}
-	e.procs = make([]*proc, p)
+	e.procs = make([]*Proc, p)
 	for pid := 0; pid < p; pid++ {
-		sub := graph.ExtractSub(g, part, int32(pid))
 		t := dv.NewMatrix(n)
 		rows := int(dec.i64())
 		if dec.err != nil || rows < 0 || rows > n {
 			return nil, fmt.Errorf("core: corrupt checkpoint table %d", pid)
 		}
-		readHeader := func() (*dv.Row, error) {
+		// Arena layout: all headers, then all D rows, then all NH rows.
+		for i := 0; i < rows; i++ {
 			owner := dec.i32()
 			dirty := dec.bool()
 			pendAll := dec.bool()
@@ -353,77 +304,45 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 			row := t.AddRow(owner)
 			row.Dirty = dirty
 			row.SetPendingState(pendAll, pendLo, pendHi)
-			return row, nil
 		}
-		fillD := func(row *dv.Row) error {
+		for _, row := range t.Rows() {
 			for j := 0; j < n; j++ {
 				row.D[j] = dec.i32()
 			}
 			if dec.err == nil && row.D[row.Owner] != 0 {
-				return fmt.Errorf("core: checkpoint row %d has nonzero self distance", row.Owner)
+				return nil, fmt.Errorf("core: checkpoint row %d has nonzero self distance", row.Owner)
 			}
-			return nil
 		}
-		fillNH := func(row *dv.Row) {
+		for _, row := range t.Rows() {
 			for j := 0; j < n; j++ {
 				row.NH[j] = dec.i32()
 			}
 		}
-		if version >= 5 {
-			// Arena layout: all headers, then all D rows, then all NH rows.
-			for i := 0; i < rows; i++ {
-				if _, err := readHeader(); err != nil {
-					return nil, err
-				}
+		// Frontier section. Rows flagged FAll keep the conservative full
+		// frontier AddRow installed; the rest restore their exact bitmask
+		// words.
+		words := kernel.BitsetWords(n)
+		for _, row := range t.Rows() {
+			if dec.bool() {
+				continue
 			}
-			for _, row := range t.Rows() {
-				if err := fillD(row); err != nil {
-					return nil, err
-				}
+			row.FAll = false
+			for wi := 0; wi < words; wi++ {
+				row.F[wi] = uint64(dec.i64())
 			}
-			for _, row := range t.Rows() {
-				fillNH(row)
-			}
-			if version >= 6 {
-				// Frontier section. Rows flagged FAll keep the conservative
-				// full frontier AddRow installed; the rest restore their
-				// exact bitmask words. Legacy streams (v3-v5) predate the
-				// section and fall through to FAll for every row — the only
-				// sound default for state checkpointed mid-convergence.
-				words := kernel.BitsetWords(n)
-				for _, row := range t.Rows() {
-					if dec.bool() {
-						continue
-					}
-					row.FAll = false
-					for wi := 0; wi < words; wi++ {
-						row.F[wi] = uint64(dec.i64())
-					}
-					if tail := uint(n & 63); tail != 0 {
-						// bits at or above the column count must stay zero
-						row.F[words-1] &= 1<<tail - 1
-					}
-				}
-				if dec.err != nil {
-					return nil, fmt.Errorf("core: corrupt checkpoint frontier in table %d", pid)
-				}
-			}
-		} else {
-			for i := 0; i < rows; i++ {
-				row, err := readHeader()
-				if err != nil {
-					return nil, err
-				}
-				if err := fillD(row); err != nil {
-					return nil, err
-				}
-				fillNH(row)
+			if tail := uint(n & 63); tail != 0 {
+				// bits at or above the column count must stay zero
+				row.F[words-1] &= 1<<tail - 1
 			}
 		}
+		if dec.err != nil {
+			return nil, fmt.Errorf("core: corrupt checkpoint frontier in table %d", pid)
+		}
 		t.ResizeCopies = dec.i64()
-		e.procs[pid] = &proc{id: pid, sub: sub, table: t, tr: opts.Obs, maskOff: opts.NoFrontierMask}
+		e.procs[pid] = e.newProc(pid)
+		e.procs[pid].table = t
 	}
-	e.readMetrics(dec, version >= 4)
+	e.readMetrics(dec)
 	if dec.err != nil {
 		return nil, fmt.Errorf("core: corrupt checkpoint: %w", dec.err)
 	}
@@ -448,7 +367,7 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-func (e *Engine) readMetrics(dec *binReader, v4 bool) {
+func (e *Engine) readMetrics(dec *binReader) {
 	virtual := dec.i64()
 	e.metrics.WallTime = time.Duration(dec.i64())
 	restored := cluster.Stats{
@@ -468,20 +387,18 @@ func (e *Engine) readMetrics(dec *binReader, v4 bool) {
 		restored.ByTag[i].Messages = dec.i64()
 		restored.ByTag[i].Bytes = dec.i64()
 	}
-	if v4 {
-		restored.Resends = dec.i64()
-		restored.Dropped = dec.i64()
-		restored.Duplicated = dec.i64()
-		restored.Delayed = dec.i64()
-		restored.Corrupted = dec.i64()
-		restored.Failed = dec.i64()
-		restored.DroppedDown = dec.i64()
-		e.metrics.Crashes = int(dec.i64())
-		e.metrics.Recoveries = int(dec.i64())
-		e.metrics.ShardsWritten = int(dec.i64())
-		e.metrics.ShardBytes = dec.i64()
-		e.degraded = dec.bool()
-	}
+	restored.Resends = dec.i64()
+	restored.Dropped = dec.i64()
+	restored.Duplicated = dec.i64()
+	restored.Delayed = dec.i64()
+	restored.Corrupted = dec.i64()
+	restored.Failed = dec.i64()
+	restored.DroppedDown = dec.i64()
+	e.metrics.Crashes = int(dec.i64())
+	e.metrics.Recoveries = int(dec.i64())
+	e.metrics.ShardsWritten = int(dec.i64())
+	e.metrics.ShardBytes = dec.i64()
+	e.degraded = dec.bool()
 	if dec.err == nil {
 		e.mach.Restore(time.Duration(virtual), restored)
 	}

@@ -3,9 +3,9 @@ package core
 import (
 	"bytes"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"anytime/internal/change"
@@ -198,42 +198,6 @@ func TestCheckpointWithDeletedVertex(t *testing.T) {
 	requireExact(t, r)
 }
 
-// writeCheckpointV3 authors a legacy AACKPT03 stream (no CRC trailer, no
-// fault counters) so the compatibility read path stays pinned.
-func writeCheckpointV3(t *testing.T, e *Engine) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	buf.WriteString(checkpointMagicV3)
-	enc := &binWriter{w: &buf}
-	e.encodePayloadVersion(enc, 3)
-	if enc.err != nil {
-		t.Fatal(enc.err)
-	}
-	return buf.Bytes()
-}
-
-// writeCheckpointV4 authors a legacy AACKPT04 stream (CRC trailer, fault
-// counters, interleaved per-row layout) so that compatibility path stays
-// pinned too.
-func writeCheckpointV4(t *testing.T, e *Engine) []byte {
-	t.Helper()
-	var payload bytes.Buffer
-	enc := &binWriter{w: &payload}
-	e.encodePayloadVersion(enc, 4)
-	if enc.err != nil {
-		t.Fatal(enc.err)
-	}
-	var buf bytes.Buffer
-	buf.WriteString(checkpointMagicV4)
-	buf.Write(payload.Bytes())
-	tail := &binWriter{w: &buf}
-	tail.i64(int64(crc32.ChecksumIEEE(payload.Bytes())))
-	if tail.err != nil {
-		t.Fatal(tail.err)
-	}
-	return buf.Bytes()
-}
-
 func checkpointTestEngine(t *testing.T) *Engine {
 	t.Helper()
 	e, err := New(testGraph(t, 60, 17), defaultTestOptions(4, 17))
@@ -247,7 +211,7 @@ func checkpointTestEngine(t *testing.T) *Engine {
 	return e
 }
 
-// TestCheckpointCorruptionDetected flips single bytes across an AACKPT04
+// TestCheckpointCorruptionDetected flips single bytes across a checkpoint
 // stream: every corruption must surface as ErrCorruptCheckpoint — never a
 // silently wrong engine — and truncation must fail too.
 func TestCheckpointCorruptionDetected(t *testing.T) {
@@ -274,56 +238,57 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestCheckpointLegacyV3Read pins the compatibility path: an unguarded
-// AACKPT03 stream still restores, distances intact.
-func TestCheckpointLegacyV3Read(t *testing.T) {
+// TestRestoreRejectsOldVersions: the AACKPT03–05 readers are gone (nothing
+// can produce those streams any more); an old magic fails with an error
+// naming the unsupported version instead of a generic "not a checkpoint".
+func TestRestoreRejectsOldVersions(t *testing.T) {
 	e := checkpointTestEngine(t)
-	v3 := writeCheckpointV3(t, e)
-	r, err := Restore(bytes.NewReader(v3), e.Options())
-	if err != nil {
-		t.Fatalf("legacy v3 restore: %v", err)
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
 	}
-	requireExact(t, r)
-	od, rd := e.Distances(), r.Distances()
-	for v := range od {
-		for u := range od[v] {
-			if od[v][u] != rd[v][u] {
-				t.Fatalf("v3 restore diverged at [%d][%d]", v, u)
-			}
+	for _, magic := range []string{"AACKPT03", "AACKPT04", "AACKPT05"} {
+		old := append([]byte(magic), buf.Bytes()[len(checkpointMagic):]...)
+		_, err := Restore(bytes.NewReader(old), e.Options())
+		if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version "+magic) {
+			t.Errorf("%s: got %v, want an error naming the unsupported version", magic, err)
 		}
-	}
-	if r.StepsTaken() != e.StepsTaken() {
-		t.Fatalf("v3 restore steps = %d, want %d", r.StepsTaken(), e.StepsTaken())
 	}
 }
 
-// TestCheckpointLegacyV4Read pins the previous CRC-guarded format: an
-// AACKPT04 stream with the interleaved per-row layout still restores,
-// distances intact, and its corruption detection still works.
-func TestCheckpointLegacyV4Read(t *testing.T) {
-	e := checkpointTestEngine(t)
-	v4 := writeCheckpointV4(t, e)
-	r, err := Restore(bytes.NewReader(v4), e.Options())
+// TestCheckpointGoldenV6 pins the on-disk format against a committed file
+// written by the commit before the placement cursor and stream map moved
+// into the event log: a small graph (n=24 + two 2-vertex round-robin
+// batches, P=3) checkpointed mid-convergence, so the stream map and cursor
+// are non-empty and rows carry dirty marks, pending windows and frontier
+// words. It must restore, re-encode byte-for-byte, and continue to the
+// exact oracle.
+func TestCheckpointGoldenV6(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "v6.ckpt"))
 	if err != nil {
-		t.Fatalf("legacy v4 restore: %v", err)
+		t.Fatal(err)
 	}
-	requireExact(t, r)
-	od, rd := e.Distances(), r.Distances()
-	for v := range od {
-		for u := range od[v] {
-			if od[v][u] != rd[v][u] {
-				t.Fatalf("v4 restore diverged at [%d][%d]", v, u)
-			}
-		}
+	o := defaultTestOptions(3, 5)
+	o.Strategy = RoundRobinPS
+	e, err := Restore(bytes.NewReader(golden), o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if r.StepsTaken() != e.StepsTaken() {
-		t.Fatalf("v4 restore steps = %d, want %d", r.StepsTaken(), e.StepsTaken())
+	if e.log.rrNext != 1 || len(e.log.streamMap) != 4 || e.log.streamMap[3] != 27 {
+		t.Fatalf("restored cursor=%d stream map=%v, want 1 and [24 25 26 27]", e.log.rrNext, e.log.streamMap)
 	}
-	bad := append([]byte(nil), v4...)
-	bad[len(bad)/2] ^= 0x01
-	if _, err := Restore(bytes.NewReader(bad), e.Options()); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("corrupt v4: got %v, want ErrCorruptCheckpoint", err)
+	if e.StepsTaken() != 2 || e.Converged() {
+		t.Fatalf("restored steps=%d converged=%v, want the mid-convergence state after 2 steps", e.StepsTaken(), e.Converged())
 	}
+	var buf bytes.Buffer
+	if err := e.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("re-encoded checkpoint differs from testdata/v6.ckpt (%d vs %d bytes): the AACKPT06 layout moved", buf.Len(), len(golden))
+	}
+	e.Run()
+	requireExact(t, e)
 }
 
 // TestCheckpointFileAtomic covers the atomic write path: a successful
@@ -382,7 +347,7 @@ func TestCheckpointFileAtomic(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripsFaultState pins the v4 extension: fault counters,
+// TestCheckpointRoundTripsFaultState pins the fault section: fault counters,
 // recovery metrics, and the degraded flag survive a checkpoint round trip.
 func TestCheckpointRoundTripsFaultState(t *testing.T) {
 	opts := defaultTestOptions(4, 11)
@@ -417,65 +382,6 @@ func TestCheckpointRoundTripsFaultState(t *testing.T) {
 		t.Fatalf("degraded flag diverged: %v vs %v", r.Degraded(), e.Degraded())
 	}
 	requireExact(t, r)
-}
-
-// writeCheckpointV5 authors a legacy AACKPT05 stream (arena row layout, no
-// frontier section) so that compatibility path stays pinned too.
-func writeCheckpointV5(t *testing.T, e *Engine) []byte {
-	t.Helper()
-	var payload bytes.Buffer
-	enc := &binWriter{w: &payload}
-	e.encodePayloadVersion(enc, 5)
-	if enc.err != nil {
-		t.Fatal(enc.err)
-	}
-	var buf bytes.Buffer
-	buf.WriteString(checkpointMagicV5)
-	buf.Write(payload.Bytes())
-	tail := &binWriter{w: &buf}
-	tail.i64(int64(crc32.ChecksumIEEE(payload.Bytes())))
-	if tail.err != nil {
-		t.Fatal(tail.err)
-	}
-	return buf.Bytes()
-}
-
-// TestCheckpointLegacyV5Read pins the pre-frontier format: an AACKPT05
-// stream still restores with distances intact, its corruption detection
-// still works, and — because the stream carries no frontier state — every
-// restored row starts from the conservative full frontier (FAll), the only
-// sound epoch for masks of unknown provenance.
-func TestCheckpointLegacyV5Read(t *testing.T) {
-	e := checkpointTestEngine(t)
-	v5 := writeCheckpointV5(t, e)
-	r, err := Restore(bytes.NewReader(v5), e.Options())
-	if err != nil {
-		t.Fatalf("legacy v5 restore: %v", err)
-	}
-	requireExact(t, r)
-	od, rd := e.Distances(), r.Distances()
-	for v := range od {
-		for u := range od[v] {
-			if od[v][u] != rd[v][u] {
-				t.Fatalf("v5 restore diverged at [%d][%d]", v, u)
-			}
-		}
-	}
-	if r.StepsTaken() != e.StepsTaken() {
-		t.Fatalf("v5 restore steps = %d, want %d", r.StepsTaken(), e.StepsTaken())
-	}
-	for _, p := range r.procs {
-		for _, row := range p.table.Rows() {
-			if !row.FAll {
-				t.Fatalf("v5-restored row %d lost the conservative full frontier", row.Owner)
-			}
-		}
-	}
-	bad := append([]byte(nil), v5...)
-	bad[len(bad)/2] ^= 0x01
-	if _, err := Restore(bytes.NewReader(bad), e.Options()); !errors.Is(err, ErrCorruptCheckpoint) {
-		t.Fatalf("corrupt v5: got %v, want ErrCorruptCheckpoint", err)
-	}
 }
 
 // TestCheckpointFrontierRoundTrip pins the v6 extension: mid-convergence

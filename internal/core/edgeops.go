@@ -8,27 +8,31 @@ import (
 	"anytime/internal/kernel"
 )
 
-// applyEdgeAdd incorporates one new edge {u,v} (Fig. 3 lines 19-44): the
-// rows of both endpoints are tree-broadcast, and — if the edge actually
-// shortens the u-v distance — every processor relaxes its local rows
-// through the new edge in both directions:
+// applyEdgeAdds incorporates an edge-addition event: the log resolves it
+// against the graph (new edges inserted, lighter duplicates lowered, heavier
+// ones dropped) and every edge that changed the graph is absorbed.
+func (e *Engine) applyEdgeAdds(ev change.Event) {
+	res, err := e.log.apply(e.g, e.part, ev, nil)
+	if err != nil {
+		e.fail(err)
+		return
+	}
+	for _, ed := range res.edges {
+		e.absorbEdge(ed.u, ed.v, ed.w, true)
+	}
+	e.afterTopologyChange()
+}
+
+// absorbEdge updates the DV state for an edge {u,v,w} that just entered the
+// graph or had its weight lowered to w (Fig. 3 lines 19-44): the rows of
+// both endpoints are tree-broadcast, and — if the edge actually shortens
+// the u-v distance — every processor relaxes its local rows through the new
+// edge in both directions:
 //
 //	D(x,t) = min(D(x,t), D(x,u)+w+D_v(t), D(x,v)+w+D_u(t))
 //
 // dynamicCut, when true, counts a created cut edge into the metrics.
-func (e *Engine) applyEdgeAdd(u, v int, w graph.Weight, dynamicCut bool) {
-	if e.g.HasEdge(u, v) {
-		// keep the better weight; a heavier duplicate is a no-op
-		if old, _ := e.g.EdgeWeight(u, v); w >= old {
-			return
-		}
-		if err := e.g.RemoveEdge(u, v); err != nil {
-			panic(err)
-		}
-	}
-	if err := e.g.AddEdge(u, v, w); err != nil {
-		panic(err)
-	}
+func (e *Engine) absorbEdge(u, v int, w graph.Weight, dynamicCut bool) {
 	e.metrics.EdgesAdded++
 	if dynamicCut && e.part.Part[u] != e.part.Part[v] {
 		e.metrics.NewCutEdges++
@@ -135,7 +139,7 @@ func relaxViaEdge(x *dv.Row, u, v int32, w graph.Weight, du, dvv []graph.Dist) i
 
 // afterTopologyChange rebuilds the per-processor boundary structures from
 // the mutated graph. The rows the change disturbed are already marked for
-// shipping at the mutation sites: applyEdgeAdd marks the edge endpoints
+// shipping at the mutation sites: absorbEdge marks the edge endpoints
 // ship-all (the only rows whose receiver set a new edge can extend) and
 // window-marks every row the relax pass improved; deletion paths rebuild
 // the tables outright (every fresh row ships in full).
@@ -148,7 +152,7 @@ func (e *Engine) afterTopologyChange() {
 // boundary, and local-boundary sets) after a topology or partition change.
 func (e *Engine) rebuildSubs() {
 	e.mach.Parallel(func(pid int) {
-		e.procs[pid].sub = graph.ExtractSub(e.g, e.part, int32(pid))
+		e.procs[pid].rebuild(e.part)
 	})
 }
 
@@ -197,15 +201,7 @@ func (e *Engine) applyVertexDel(v int32) {
 func (e *Engine) resetDVs() {
 	e.rebuildSubs()
 	e.mach.Parallel(func(pid int) {
-		p := e.procs[pid]
-		t := dv.NewMatrix(e.g.NumVertices())
-		for _, v := range p.sub.Local {
-			if e.alive[v] {
-				t.AddRow(v)
-			}
-		}
-		t.ResizeCopies = p.table.ResizeCopies
-		p.table = t
+		e.procs[pid].resetTable(e.alive)
 	})
 	e.initialApproximation()
 	// The reset invalidated the monotone upper-bound invariant for any
@@ -238,7 +234,10 @@ func (e *Engine) applyWeightChanges(chs []change.EdgeWeight) {
 			}
 			needReset = true
 		case c.Weight < old:
-			e.applyEdgeAdd(int(c.U), int(c.V), c.Weight, false)
+			if _, err := addOrLowerEdge(e.g, int(c.U), int(c.V), c.Weight); err != nil {
+				panic(err)
+			}
+			e.absorbEdge(int(c.U), int(c.V), c.Weight, false)
 		default:
 			// unchanged weight: nothing to do
 		}

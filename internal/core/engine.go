@@ -12,44 +12,7 @@ import (
 	"anytime/internal/fault"
 	"anytime/internal/graph"
 	"anytime/internal/obs"
-	"anytime/internal/sssp"
 )
-
-// proc is the per-processor private state: the local sub-graph membership,
-// the DV table for locally owned vertices, and per-step scratch.
-type proc struct {
-	id    int
-	sub   *graph.Sub
-	table *dv.Matrix
-
-	// per-step scratch, owned by this processor's goroutine
-	changed    []bool // parallel to table.Rows(): row improved this step
-	pivot      []bool // rows dirty at step start: un-propagated content
-	startDirty []bool
-	stepOps    int64
-	// stepMaskedOps is the subset of stepOps performed through masked
-	// sweeps (columns actually visited under a frontier mask).
-	stepMaskedOps int64
-	stepRows      int  // row count observed by the last relax phase
-	stepDirty     int  // rows still dirty after the last relax phase
-	hasUpdate     bool // a local-boundary row is dirty after this step
-	// maskOff mirrors Options.NoFrontierMask: full-row sweeps everywhere.
-	maskOff bool
-
-	// observability: the engine's span tracer (nil = disabled) and the RC
-	// step counter at the start of the current relax phase, for the tile-
-	// round spans emitted from inside the worker pool (parallel.go).
-	tr      *obs.Tracer
-	curStep int32
-
-	// boundary-shipping scratch, reused across steps: shipSeen is a stamp
-	// array over destination parts (shipSeen[q] == shipStamp means part q
-	// already gets this row), shipGroups collects each destination's
-	// deltas.
-	shipSeen   []int64
-	shipStamp  int64
-	shipGroups [][]*dv.Delta
-}
 
 // Engine is the anytime-anywhere closeness-centrality engine.
 //
@@ -66,12 +29,11 @@ type Engine struct {
 	part *graph.Partition
 	mach *cluster.Machine
 
-	procs []*proc
+	procs []*Proc
 	alive []bool // false for dynamically deleted vertices
 
-	queue     []change.Event
-	streamMap []int32 // stream-local new-vertex index -> global ID
-	rrNext    int     // RoundRobin-PS cursor
+	queue []change.Event
+	log   *EventLog // new-vertex ids, placement cursor, stream map
 
 	step        int
 	converged   bool
@@ -138,6 +100,7 @@ func newEngine(g *graph.Graph, opts Options, globalIA bool) (*Engine, error) {
 		g:     g.Clone(),
 		mach:  mach,
 		alive: make([]bool, g.NumVertices()),
+		log:   NewEventLog(opts.P),
 	}
 	e.initFaults(inj)
 	for i := range e.alive {
@@ -197,21 +160,23 @@ func (e *Engine) domainDecomposition() error {
 	return nil
 }
 
-// buildProcs (re)creates the per-processor sub-graph state and fresh DV
-// tables with one row per local vertex.
+// buildProcs (re)creates the per-processor units: sub-graph view plus a
+// fresh DV table with one row per live local vertex.
 func (e *Engine) buildProcs() {
-	n := e.g.NumVertices()
-	e.procs = make([]*proc, e.opts.P)
-	for p := 0; p < e.opts.P; p++ {
-		sub := graph.ExtractSub(e.g, e.part, int32(p))
-		t := dv.NewMatrix(n)
-		for _, v := range sub.Local {
-			if e.alive[v] {
-				t.AddRow(v)
-			}
-		}
-		e.procs[p] = &proc{id: p, sub: sub, table: t, tr: e.opts.Obs, maskOff: e.opts.NoFrontierMask}
+	e.procs = make([]*Proc, e.opts.P)
+	for pid := range e.procs {
+		e.procs[pid] = e.newProc(pid)
+		e.procs[pid].resetTable(e.alive)
 	}
+}
+
+// newProc builds processor pid's unit (no table yet) wired to the engine's
+// tracer and masking ablation.
+func (e *Engine) newProc(pid int) *Proc {
+	p := newProc(pid, e.g, e.part)
+	p.tr = e.opts.Obs
+	p.maskOff = e.opts.NoFrontierMask
+	return p
 }
 
 // initialApproximation runs the IA phase: every processor computes APSP
@@ -221,25 +186,7 @@ func (e *Engine) initialApproximation() {
 	e.mach.Parallel(func(pid int) {
 		im := e.markProc(pid)
 		p := e.procs[pid]
-		rows := p.table.Rows()
-		sources := make([]int32, len(rows))
-		slices := make([][]graph.Dist, len(rows))
-		hops := make([][]int32, len(rows))
-		for i, r := range rows {
-			sources[i] = r.Owner
-			slices[i] = r.D
-			hops[i] = r.NH
-		}
-		// A nil mask turns the per-row sweep into a full single-source
-		// search: with fresh (all-Inf) rows that is the exact global answer.
-		// It must happen on fresh rows — Dijkstra/BFS never re-expands an
-		// entry that already holds a finite (stale-but-correct) distance,
-		// so re-sweeping a local-IA table would NOT repair it.
-		mask := p.sub.IsLocal
-		if e.globalIA {
-			mask = nil
-		}
-		ops := e.multiSource(sources, slices, hops, mask)
+		ops := p.IA(p.table.Rows(), e.globalIA, e.unitWeight, e.opts.Workers)
 		// The paper's multithreaded IA: wall time divides over the worker
 		// threads of the processor.
 		e.mach.Charge(pid, ops/int64(e.opts.Workers))
@@ -251,19 +198,10 @@ func (e *Engine) initialApproximation() {
 	e.tracef("ia", "local APSP over %d processors", e.opts.P)
 }
 
-// multiSource is the IA sweep dispatcher: unit-weight graphs (detected at
-// construction and re-checked after every dynamic change) degenerate
-// Dijkstra to plain BFS, dropping the heap entirely.
-func (e *Engine) multiSource(sources []int32, dist [][]graph.Dist, hops [][]int32, mask []bool) int64 {
-	if e.unitWeight {
-		return sssp.MultiSourceHopsBFS(e.g, sources, dist, hops, mask, e.opts.Workers)
-	}
-	return sssp.MultiSourceHops(e.g, sources, dist, hops, mask, e.opts.Workers)
-}
-
 // refreshWeightProfile re-detects the unit-weight fast-path eligibility
-// from the current topology (an O(m) scan, negligible next to a relax
-// phase).
+// (IA runs BFS instead of Dijkstra) from the current topology — at
+// construction and after every dynamic change; an O(m) scan, negligible
+// next to a relax phase.
 func (e *Engine) refreshWeightProfile() {
 	e.unitWeight = graph.Stats(e.g).UnitWeights
 }
@@ -647,80 +585,18 @@ func (e *Engine) Run() int {
 }
 
 // shipBoundary builds the per-processor outboxes of (dirty) local-boundary
-// DV updates, grouped into one message per destination processor. Rows
-// ship as deltas: only the column window changed since the row's last ship
-// travels, with a full-row fallback for rows whose change extent is
-// unknown (fresh, migrated, or topology-disturbed rows) and for the
-// ship-all-boundary ablation. The per-proc stamp array and delta groups
-// are reused across steps so the hot path does not allocate per row.
+// DV updates, one message per destination processor (see Proc.Ship).
 func (e *Engine) shipBoundary() [][]cluster.Message {
-	P := e.opts.P
-	outbox := make([][]cluster.Message, P)
+	outbox := make([][]cluster.Message, e.opts.P)
 	e.mach.Parallel(func(pid int) {
 		if e.down(pid) {
 			return // crashed processor: ships nothing until it rejoins
 		}
 		shm := e.markProc(pid)
-		p := e.procs[pid]
-		if len(p.shipSeen) < P {
-			p.shipSeen = make([]int64, P)
-			p.shipGroups = make([][]*dv.Delta, P)
-			p.shipStamp = 0
-		}
-		for q := range p.shipGroups {
-			if e.inj != nil {
-				// The lossy network can hold a message payload across the
-				// step boundary (a delayed delivery releases at the NEXT
-				// exchange, after this truncation); the backing array must
-				// not be reused while such a message may still alias it.
-				p.shipGroups[q] = nil
-				continue
-			}
-			// Truncate, keeping capacity: the previous step's payloads were
-			// consumed by relaxAll within that step, so the backing arrays
-			// are free for reuse.
-			p.shipGroups[q] = p.shipGroups[q][:0]
-		}
-		var ops int64
-		for _, v := range p.sub.LocalBoundary {
-			r := p.table.Row(v)
-			if r == nil {
-				continue // deleted vertex
-			}
-			if !r.Dirty && !e.opts.ShipAllBoundary {
-				continue
-			}
-			// one snapshot shipped to every adjacent part; the dirty mark
-			// clears at the end of relaxAll (unless the row changes again),
-			// the pending window clears here, once the snapshot is taken
-			p.shipStamp++
-			var snap *dv.Delta
-			for _, a := range e.g.Neighbors(int(v)) {
-				q := e.part.Part[a.To]
-				if int(q) == pid || p.shipSeen[q] == p.shipStamp {
-					continue
-				}
-				p.shipSeen[q] = p.shipStamp
-				if snap == nil {
-					if e.opts.ShipAllBoundary {
-						snap = r.FullDelta()
-					} else {
-						snap = r.ShipDelta()
-					}
-					if p.maskOff {
-						// MinPlusHopsRec ran with rec == nil here, so the
-						// row's frontier bits are stale — never ship them.
-						snap.F = nil
-					}
-					ops += int64(len(snap.D))
-				}
-				p.shipGroups[q] = append(p.shipGroups[q], snap)
-			}
-			if snap != nil {
-				r.ClearPending()
-			}
-		}
-		for q, deltas := range p.shipGroups {
+		// Without an injector every payload is consumed by relaxAll within
+		// the step, so the group buffers are reused across steps.
+		groups, ops := e.procs[pid].Ship(e.opts.ShipAllBoundary, e.inj == nil)
+		for q, deltas := range groups {
 			if len(deltas) == 0 {
 				continue
 			}
@@ -742,13 +618,8 @@ func (e *Engine) shipBoundary() [][]cluster.Message {
 }
 
 // relaxAll applies the received boundary deltas on every processor and
-// runs the recombination strategy (local refinement), fanning the relax
-// work across opts.Workers goroutines per processor (see parallel.go).
-// Rows that entered the step dirty carry un-propagated content (just
-// shipped, or freshly disturbed by a dynamic change — including *interior*
-// rows such as a new vertex with no cut edge, which are never shipped):
-// with refinement enabled they are pivoted through the local rows, after
-// which their dirty mark is cleared unless they changed again.
+// runs the recombination strategy (see Proc.Relax), fanning the relax work
+// across opts.Workers goroutines per processor.
 func (e *Engine) relaxAll(inbox [][]cluster.Message) {
 	refine := !e.opts.NoLocalRefine || e.forceRefine
 	workers := e.opts.Workers
@@ -756,28 +627,13 @@ func (e *Engine) relaxAll(inbox [][]cluster.Message) {
 		workers = 1
 	}
 	e.mach.Parallel(func(pid int) {
+		p := e.procs[pid]
 		if e.down(pid) {
-			// Crashed processor: no relax work until it rejoins. Zero the
-			// telemetry scratch so the step's stats do not re-report the
-			// last pre-crash phase.
-			p := e.procs[pid]
-			p.stepOps = 0
-			p.stepMaskedOps = 0
-			p.stepRows = p.table.Len()
-			p.stepDirty = 0
+			p.skipStep() // crashed processor: no relax work until it rejoins
 			return
 		}
 		rm := e.markProc(pid)
-		p := e.procs[pid]
 		p.curStep = int32(e.step)
-		rows := p.table.Rows()
-		p.changed = resizeBools(p.changed, len(rows))
-		p.pivot = resizeBools(p.pivot, len(rows))
-		p.startDirty = resizeBools(p.startDirty, len(rows))
-		for i, r := range rows {
-			p.startDirty[i] = r.Dirty
-			p.pivot[i] = refine && r.Dirty
-		}
 		// flatten the received boundary deltas in delivery order
 		var ext []*dv.Delta
 		for _, msg := range inbox[pid] {
@@ -786,49 +642,14 @@ func (e *Engine) relaxAll(inbox [][]cluster.Message) {
 			}
 			ext = append(ext, msg.Payload.([]*dv.Delta)...)
 		}
-		p.stepOps = p.relaxStep(ext, refine, workers, e.opts.TileSize)
-		// startDirty rows were shipped (boundary) and/or locally pivoted:
-		// their content is propagated; keep the mark only if they changed
-		// again this step. The same pass counts the rows left dirty — the
-		// per-step convergence-quality telemetry.
-		dirty := 0
-		for i, r := range rows {
-			if p.startDirty[i] && !p.changed[i] {
-				r.ClearDirty()
-			}
-			if r.Dirty {
-				dirty++
-			}
-		}
-		p.stepRows = len(rows)
-		p.stepDirty = dirty
-		p.hasUpdate = false
-		for _, v := range p.sub.LocalBoundary {
-			if r := p.table.Row(v); r != nil && r.Dirty {
-				p.hasUpdate = true
-				break
-			}
-		}
+		ops := p.Relax(ext, refine, workers, e.opts.TileSize)
 		// The paper's OpenMP accounting: the relax wall-cost of the step
 		// divides over the processor's worker threads.
-		e.mach.Charge(pid, p.stepOps/int64(workers))
-		addOps(&e.metrics.RCOps, p.stepOps)
-		e.spanProc(obs.KindRCRelax, pid, rm, p.stepOps)
+		e.mach.Charge(pid, ops/int64(workers))
+		addOps(&e.metrics.RCOps, ops)
+		e.spanProc(obs.KindRCRelax, pid, rm, ops)
 	})
 	e.mach.Barrier()
-}
-
-// resizeBools returns a false-filled bool slice of length n, reusing the
-// capacity of b.
-func resizeBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
-	return b
 }
 
 // reduceConvergence performs the "no more updates in any processor"
@@ -868,10 +689,7 @@ func (e *Engine) applyEvent(ev change.Event) {
 			e.opts.Strategy, ev.Batch.NumVertices, ev.Batch.NumEdges())
 		e.applyBatch(ev.Batch)
 	case len(ev.EdgeAdds) > 0:
-		for _, a := range ev.EdgeAdds {
-			e.applyEdgeAdd(int(a.U), int(a.V), a.Weight, true)
-		}
-		e.afterTopologyChange()
+		e.applyEdgeAdds(ev)
 	case len(ev.EdgeDels) > 0:
 		e.applyEdgeDels(ev.EdgeDels)
 	case len(ev.WeightChanges) > 0:

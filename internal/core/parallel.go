@@ -131,7 +131,7 @@ const maskDensityCut = 4 // mask only below 25% density
 // pivotMask returns the frontier mask to use for pivot row pr, or nil when
 // a full sweep is required (masking off, unknown change extent, or density
 // above the cutover).
-func (p *proc) pivotMask(pr *dv.Row) kernel.Bitset {
+func (p *Proc) pivotMask(pr *dv.Row) kernel.Bitset {
 	if p.maskOff || pr.FAll {
 		return nil
 	}
@@ -149,7 +149,7 @@ func (p *proc) pivotMask(pr *dv.Row) kernel.Bitset {
 // is cheaper than bit-peeling). The per-row decision — whether the
 // receiving row's own distance to the sender moved — stays in the inner
 // loop, exactly like the pivot-tile kernel's rec.Get(owner) check.
-func (p *proc) extMasks(ext []*dv.Delta) []kernel.Bitset {
+func (p *Proc) extMasks(ext []*dv.Delta) []kernel.Bitset {
 	if p.maskOff {
 		return nil
 	}
@@ -176,7 +176,7 @@ func (p *proc) extMasks(ext []*dv.Delta) []kernel.Bitset {
 // followed (optionally) by tiled local refinement — across w worker
 // goroutines, returning the total relax ops. w == 1 runs inline with no
 // pool. tile is the pivot-tile edge (and external-relax delta chunk size).
-func (p *proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
+func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 	n := p.table.Len()
 	if w > n {
 		w = n
@@ -265,7 +265,7 @@ func (p *proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 // non-improving (see internal/kernel/masked.go). Improvements are recorded
 // into u's frontier either way — the exact (sparser) form of OR-ing the
 // received window in. Returns total ops and the masked-visit subtotal.
-func (p *proc) relaxExternalBlock(ext []*dv.Delta, masks []kernel.Bitset, lo, hi, tile int) (int64, int64) {
+func (p *Proc) relaxExternalBlock(ext []*dv.Delta, masks []kernel.Bitset, lo, hi, tile int) (int64, int64) {
 	rows := p.table.Rows()
 	var ops, maskedOps int64
 	for base := 0; base < len(ext); base += tile {
@@ -320,7 +320,7 @@ func (p *proc) relaxExternalBlock(ext []*dv.Delta, masks []kernel.Bitset, lo, hi
 // pivot — a row that changed this step or entered it with un-propagated
 // (dirty) content — or -1 when the pass is over. Single forward scan, as in
 // the serial pass.
-func (p *proc) nextPivot(from int) int {
+func (p *Proc) nextPivot(from int) int {
 	for wi := from; wi < len(p.changed); wi++ {
 		if p.changed[wi] || p.pivot[wi] {
 			return wi
@@ -339,7 +339,7 @@ func (p *proc) nextPivot(from int) int {
 // from the same frontier the diagonal pass used (and extended). Returns
 // the phase-A op count and its masked-visit subtotal; r.tLo is set to -1
 // when no active pivot remains.
-func (p *proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
+func (p *Proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
 	wi := p.nextPivot(from)
 	if wi < 0 {
 		r.tLo = -1
@@ -415,7 +415,7 @@ func (p *proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
 //
 // The pivot rows are streamed out of the arena; they are never written
 // here, so workers only need the one barrier that opened the round.
-func (p *proc) phaseB(r *refineRound, lo, hi int) (int64, int64) {
+func (p *Proc) phaseB(r *refineRound, lo, hi int) (int64, int64) {
 	rows := p.table.Rows()
 	arena, stride := p.table.Arena()
 	var ops, masked int64
@@ -444,7 +444,7 @@ func (p *proc) phaseB(r *refineRound, lo, hi int) (int64, int64) {
 
 // refineTiled is the w == 1 pass: the identical tile-round schedule run
 // inline, so worker counts cannot change results.
-func (p *proc) refineTiled(tile int) int64 {
+func (p *Proc) refineTiled(tile int) int64 {
 	var r refineRound
 	var ops int64
 	from := 0

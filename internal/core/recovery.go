@@ -99,8 +99,8 @@ func EncodeShard(t *dv.Matrix, step int) []byte {
 // written are skipped; a nil keep keeps everything). Columns added since
 // the shard stay at InfDist. It returns the matrix and the RC step the
 // shard captured. The caller owns the soundness repair that must follow a
-// restore: re-seeding every row's incident direct edges (see the comment
-// in restoreShard).
+// restore: re-seeding every row's incident direct edges (see
+// Proc.ReseedDirectEdges).
 func DecodeShard(blob []byte, n int, keep func(owner int32) bool) (*dv.Matrix, int, error) {
 	if len(blob) < len(shardMagic)+8 {
 		return nil, 0, fmt.Errorf("core: recovery shard truncated (%d bytes)", len(blob))
@@ -178,54 +178,6 @@ func (e *Engine) writeShards() {
 	e.metrics.ShardsWritten += e.opts.P
 }
 
-// restoreShard replaces processor pid's table with its last recovery shard,
-// reconciled against the current graph: shard rows still locally owned and
-// alive are installed (columns added since the shard stay at InfDist);
-// current local vertices missing from the shard (added or migrated in
-// during the shard interval) get fresh rows re-seeded with their direct
-// edges. Every resulting value is a valid upper bound, so the min-plus
-// relaxation reconverges from it.
-func (e *Engine) restoreShard(pid int) error {
-	shard := e.shards[pid]
-	if len(shard) == 0 {
-		return fmt.Errorf("core: processor %d has no recovery shard", pid)
-	}
-	p := e.procs[pid]
-	t, _, err := DecodeShard(shard, e.g.NumVertices(), func(owner int32) bool {
-		// Deleted or migrated away since the shard: skip its values.
-		return e.alive[owner] && e.part.Part[owner] == int32(pid)
-	})
-	if err != nil {
-		return fmt.Errorf("core: processor %d: %w", pid, err)
-	}
-	// Local vertices with no shard row: added or migrated in after the
-	// shard was written. They get fresh (all-InfDist) rows here and are
-	// seeded below with everything else.
-	for _, v := range p.sub.Local {
-		if e.alive[v] && !t.Has(v) {
-			t.AddRow(v)
-		}
-	}
-	// Re-seed every row's incident direct edges (the IA seed). This is
-	// what makes restore-from-shard sound: an edge added after the shard
-	// was written is represented in neither endpoint's restored row, and
-	// row-composition relaxation can never rediscover a direct edge on
-	// its own — relaxing through row v requires a finite D[v] first.
-	// Exactness of the min-plus fixed point needs every live edge
-	// represented in its endpoints' rows; one-hop re-seeding restores
-	// that invariant, and each seed is a valid upper bound.
-	var ops int64
-	for _, row := range t.Rows() {
-		for _, a := range e.g.Neighbors(int(row.Owner)) {
-			row.RelaxVia(a.To, a.Weight, a.To)
-			ops++
-		}
-	}
-	e.mach.Charge(pid, ops)
-	p.table = t
-	return nil
-}
-
 // applyFaultSchedule runs at the start of every RC step: due rejoins are
 // processed first, then crashes scheduled for this step.
 func (e *Engine) applyFaultSchedule() {
@@ -250,10 +202,14 @@ func (e *Engine) applyFaultSchedule() {
 func (e *Engine) crash(c fault.Crash) {
 	pid := c.Proc
 	km := e.mark()
-	if err := e.restoreShard(pid); err != nil {
+	// Reload the last shard (see Proc.RestoreShard), charging the
+	// direct-edge re-seed to the processor's clock.
+	ops, err := e.procs[pid].RestoreShard(e.shards[pid], e.alive)
+	if err != nil {
 		e.fail(err)
 		return
 	}
+	e.mach.Charge(pid, ops)
 	downFor := c.DownFor
 	if downFor <= 0 {
 		downFor = 1
@@ -288,35 +244,11 @@ func (e *Engine) rejoin(pid int) {
 	e.inj.SetDown(pid, false)
 	e.rejoinAt[pid] = -1
 	e.mach.Parallel(func(q int) {
-		p := e.procs[q]
-		var ops int64
 		if q == pid {
-			for _, r := range p.table.Rows() {
-				r.MarkShipAll()
-				ops++
-			}
-			p.hasUpdate = p.table.Len() > 0
+			e.mach.Charge(q, e.procs[q].MarkAllShipAll())
 		} else {
-			for _, v := range p.sub.LocalBoundary {
-				r := p.table.Row(v)
-				if r == nil {
-					continue
-				}
-				adjacent := false
-				for _, a := range e.g.Neighbors(int(v)) {
-					ops++
-					if e.part.Part[a.To] == int32(pid) {
-						adjacent = true
-						break
-					}
-				}
-				if adjacent {
-					r.MarkShipAll()
-					p.hasUpdate = true
-				}
-			}
+			e.mach.Charge(q, e.procs[q].MarkRejoinShipAll(int32(pid)))
 		}
-		e.mach.Charge(q, ops)
 	})
 	e.mach.Barrier()
 	e.forceRefine = true
@@ -336,12 +268,6 @@ func (e *Engine) handleFailedDeliveries() {
 		return
 	}
 	for _, msg := range e.mach.TakeFailed() {
-		p := e.procs[msg.From]
-		for _, d := range msg.Payload.([]*dv.Delta) {
-			if r := p.table.Row(d.Owner); r != nil {
-				r.MarkShipAll()
-				p.hasUpdate = true
-			}
-		}
+		e.procs[msg.From].ReMarkFailed(msg.Payload.([]*dv.Delta))
 	}
 }

@@ -35,21 +35,16 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 	cutBefore := graph.EdgeCut(e.g, e.part)
 	oldPart := e.part.Part // still sized for the old vertex set
 
-	// 1. Grow the topology: vertices and edges only, no DV updates.
-	first := e.g.AddVertices(b.NumVertices)
-	for i := 0; i < b.NumVertices; i++ {
-		e.alive = append(e.alive, true)
-		e.streamMap = append(e.streamMap, int32(first+i))
+	// 1. Grow the topology: vertices and edges only — no placement (the
+	// repartition below decides it) and no DV updates.
+	res, err := e.log.apply(e.g, nil, change.Event{Batch: b}, nil)
+	if err != nil {
+		e.fail(err)
+		return
 	}
-	for _, ed := range e.resolveEdges(b, first) {
-		if e.g.HasEdge(ed.u, ed.v) {
-			continue
-		}
-		if err := e.g.AddEdge(ed.u, ed.v, ed.w); err != nil {
-			panic(err)
-		}
-		e.metrics.EdgesAdded++
-	}
+	first := res.first
+	e.growAlive(res.count)
+	e.metrics.EdgesAdded += len(res.edges)
 	e.metrics.VerticesAdded += b.NumVertices
 
 	// 2. Repartition the entire graph. The default is adaptive
@@ -74,11 +69,7 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 		// to keeping the old assignment and placing new vertices round
 		// robin, which is always valid.
 		newPart = &graph.Partition{Part: append(append([]int32(nil), oldPart...),
-			make([]int32, b.NumVertices)...), K: e.opts.P}
-		for i := 0; i < b.NumVertices; i++ {
-			newPart.Part[first+i] = int32((e.rrNext + i) % e.opts.P)
-		}
-		e.rrNext = (e.rrNext + b.NumVertices) % e.opts.P
+			e.log.roundRobin(b)...), K: e.opts.P}
 	}
 	ops := partitionOps(e.g.NumVertices(), e.g.NumEdges())
 	e.metrics.ChangeOps += ops
@@ -129,13 +120,7 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 				// Treat it as a failed delivery: re-mark the sender's rows
 				// for a full re-ship (migrated rows are marked ship-all
 				// below regardless).
-				p := e.procs[msg.From]
-				for _, d := range msg.Payload.([]*dv.Delta) {
-					if r := p.table.Row(d.Owner); r != nil {
-						r.MarkShipAll()
-						p.hasUpdate = true
-					}
-				}
+				e.procs[msg.From].ReMarkFailed(msg.Payload.([]*dv.Delta))
 			}
 		}
 	}
@@ -143,9 +128,6 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 
 	// 4. Install the new partition and rebuild sub-graph structures.
 	e.part = newPart
-	for _, p := range e.procs {
-		p.sub.IsLocal = make([]bool, e.g.NumVertices()) // rebuilt below
-	}
 	e.rebuildSubs()
 
 	// nearDisturbed[v]: v neighbors a migrated or new vertex, so v's row
@@ -177,20 +159,9 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 				newRows = append(newRows, p.table.AddRow(v))
 			}
 		}
-		sources := make([]int32, len(newRows))
-		slices := make([][]graph.Dist, len(newRows))
-		hops := make([][]int32, len(newRows))
-		for i, r := range newRows {
-			sources[i] = r.Owner
-			slices[i] = r.D
-			hops[i] = r.NH
-		}
-		ops := e.multiSource(sources, slices, hops, p.sub.IsLocal)
+		ops := p.IA(newRows, false, e.unitWeight, e.opts.Workers)
+		ops += p.ReseedDirectEdges() // marks dirty on improvement
 		for _, r := range p.table.Rows() {
-			for _, a := range e.g.Neighbors(int(r.Owner)) {
-				r.RelaxVia(a.To, a.Weight, a.To) // marks dirty on improvement
-				ops++
-			}
 			if migrated[r.Owner] || nearDisturbed[r.Owner] {
 				// Full ship: the receiving side may never have seen any
 				// version of a migrated or disturbance-adjacent row.

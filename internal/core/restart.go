@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"anytime/internal/change"
 	"anytime/internal/graph"
 )
@@ -13,17 +11,18 @@ import (
 // metrics accumulate across restarts, which is what Fig. 4 and Fig. 8 plot
 // against the anytime-anywhere engine.
 type Restart struct {
-	opts      Options
-	g         *graph.Graph
-	engine    *Engine
-	streamMap []int32
-	metrics   Metrics
+	opts    Options
+	g       *graph.Graph
+	engine  *Engine
+	log     *EventLog // new-vertex ids and the stream map
+	metrics Metrics
 }
 
 // NewRestart builds the baseline over a snapshot of g and runs the first
 // full computation.
 func NewRestart(g *graph.Graph, opts Options) (*Restart, error) {
 	r := &Restart{opts: opts.withDefaults(), g: g.Clone()}
+	r.log = NewEventLog(r.opts.P)
 	if err := r.recompute(); err != nil {
 		return nil, err
 	}
@@ -45,29 +44,8 @@ func (r *Restart) recompute() error {
 // ApplyBatch incorporates a vertex-addition batch by mutating the graph
 // and restarting the analysis from scratch.
 func (r *Restart) ApplyBatch(b *change.VertexBatch) error {
-	if err := b.Validate(r.g.NumVertices()); err != nil {
+	if _, err := r.log.apply(r.g, nil, change.Event{Batch: b}, nil); err != nil {
 		return err
-	}
-	first := r.g.AddVertices(b.NumVertices)
-	for i := 0; i < b.NumVertices; i++ {
-		r.streamMap = append(r.streamMap, int32(first+i))
-	}
-	add := func(u, v int, w graph.Weight) {
-		if u != v && !r.g.HasEdge(u, v) {
-			r.g.MustAddEdge(u, v, w)
-		}
-	}
-	for _, ed := range b.Internal {
-		add(first+int(ed.A), first+int(ed.B), ed.Weight)
-	}
-	for _, ed := range b.External {
-		add(first+int(ed.New), int(ed.Existing), ed.Weight)
-	}
-	for _, ed := range b.Pending {
-		if int(ed.EarlierBatchVertex) >= len(r.streamMap) {
-			return fmt.Errorf("core: pending edge references unknown stream vertex %d", ed.EarlierBatchVertex)
-		}
-		add(first+int(ed.New), int(r.streamMap[ed.EarlierBatchVertex]), ed.Weight)
 	}
 	return r.recompute()
 }

@@ -432,19 +432,9 @@ func Rejoin(t transport.Transport, cfg Config) (*Runner, error) {
 		return nil, fmt.Errorf("rank: transport is not a rejoin endpoint")
 	}
 	g := cfg.Graph
-	if g == nil {
-		return nil, fmt.Errorf("rank: nil graph")
-	}
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("rank: invalid graph: %w", err)
-	}
-	P := t.Size()
-	part, err := cfg.Partitioner.Partition(g, P)
+	part, err := decompose(cfg, t.Size())
 	if err != nil {
-		return nil, fmt.Errorf("rank: DD partitioning: %w", err)
-	}
-	if err := part.Validate(g); err != nil {
-		return nil, fmt.Errorf("rank: DD partition invalid: %w", err)
+		return nil, err
 	}
 	wait := cfg.RejoinWait
 	if wait <= 0 {
@@ -478,39 +468,23 @@ func Rejoin(t transport.Transport, cfg Config) (*Runner, error) {
 		return nil, fmt.Errorf("rank %d: rejoin state checksum %x != coordinator %x (divergent graph, seed, or partitioner)",
 			t.Rank(), sum, wantSum)
 	}
-	me := int32(t.Rank())
-	sub := graph.ExtractSub(g, part, me)
-	n := g.NumVertices()
-
-	var table *dv.Matrix
+	r.rs = core.NewProc(t.Rank(), g, part)
+	restored := false
 	if blob, rerr := os.ReadFile(r.shardPath()); rerr == nil {
-		if tb, _, derr := core.DecodeShard(blob, n, func(owner int32) bool {
-			return part.Part[owner] == me
-		}); derr == nil {
-			table = tb
-		}
+		_, derr := r.rs.RestoreShard(blob, nil)
+		restored = derr == nil
 	}
-	fresh := table == nil
-	if fresh {
-		table = dv.NewMatrix(n)
-	}
-	for _, v := range sub.Local {
-		if !table.Has(v) {
-			table.AddRow(v)
-		}
-	}
-	if fresh {
+	if !restored {
 		// No shard survived: recompute the local-paths IA from scratch.
-		r.stats.IAOps = localIA(g, sub, table, cfg.Workers)
+		r.stats.IAOps = r.rs.IA(r.rs.Table().Rows(), false, graph.Stats(g).UnitWeights, cfg.Workers)
+		r.rs.ReseedDirectEdges()
 	}
-	core.ReseedDirectEdges(table, g)
-	r.rs = core.NewRankState(t.Rank(), g, part, sub, table, !cfg.NoLocalRefine, cfg.Workers, cfg.TileSize)
 	r.rs.MarkAllShipAll()
 	r.rejoinsN.Add(1)
 	r.span(obs.KindRejoin, t.Rank(), 1)
 	if r.slog != nil {
 		r.slog.Info("rejoined computation", "rank", t.Rank(), "step", r.stats.Steps,
-			"shard_restored", !fresh, "journal_events", len(journal))
+			"shard_restored", restored, "journal_events", len(journal))
 	}
 	return r, nil
 }

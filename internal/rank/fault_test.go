@@ -27,14 +27,13 @@ func testEvents(n int) []change.Event {
 	}
 }
 
-// Dynamic events queued at rank 0 must ship over the wire, apply at the
-// same boundary on every rank, and converge to the exact oracle of the
-// grown graph — bit-identical to the single-process engine on the same
-// final topology. Each rank owns a private graph copy (events mutate it),
-// exactly like separate OS processes.
-func TestRunnerInprocEventsMatchOracle(t *testing.T) {
-	const n, P, seed = 100, 3, 13
-	evs := testEvents(n)
+// runEventRanks runs P runners over the inproc fabric on the shared test
+// graph, queues evs at rank 0 before the first step, drives every rank to
+// convergence and returns rank 0's gathered matrix plus the runners. Each
+// rank owns a private graph copy (events mutate it), exactly like separate
+// OS processes.
+func runEventRanks(t *testing.T, n, P int, seed int64, evs []change.Event) ([][]graph.Dist, []*Runner) {
+	t.Helper()
 	group := inprocGroup(P)
 	var (
 		wg   sync.WaitGroup
@@ -85,6 +84,17 @@ func TestRunnerInprocEventsMatchOracle(t *testing.T) {
 	if fail != nil {
 		t.Fatal(fail)
 	}
+	return dist, runners
+}
+
+// Dynamic events queued at rank 0 must ship over the wire, apply at the
+// same boundary on every rank, and converge to the exact oracle of the
+// grown graph — bit-identical to the single-process engine on the same
+// final topology.
+func TestRunnerInprocEventsMatchOracle(t *testing.T) {
+	const n, P, seed = 100, 3, 13
+	evs := testEvents(n)
+	dist, runners := runEventRanks(t, n, P, seed, evs)
 	for i, r := range runners {
 		if r.Stats().EventsApplied != len(evs) {
 			t.Fatalf("rank %d applied %d events, want %d", i, r.Stats().EventsApplied, len(evs))
@@ -266,4 +276,48 @@ func TestRunnerInprocCrashRejoinBitIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// An edge addition that re-adds an existing edge with a lighter weight
+// lowers the weight — on both runtimes, through the one event resolver.
+// The Engine (P=2) and two Runners absorb the same event on the same base
+// graph; both must equal the oracle of the lowered-weight graph.
+func TestLighterDuplicateEdgeEngineMatchesRunner(t *testing.T) {
+	const n, P, seed = 60, 2, 29
+	g := testGraph(t, n, seed)
+	eu, ev := -1, -1
+	g.ForEachEdge(func(u, v int, w graph.Weight) {
+		if eu < 0 && w >= 2 {
+			eu, ev = u, v
+		}
+	})
+	if eu < 0 {
+		t.Fatal("test graph has no edge heavier than 1")
+	}
+	evs := []change.Event{{EdgeAdds: []change.EdgeAdd{{U: int32(eu), V: int32(ev), Weight: 1}}}}
+
+	lowered := g.Clone()
+	if err := lowered.RemoveEdge(eu, ev); err != nil {
+		t.Fatal(err)
+	}
+	lowered.MustAddEdge(eu, ev, 1)
+
+	opts := core.NewOptions()
+	opts.P = P
+	opts.Seed = seed
+	e, err := core.New(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.QueueEdgeAdds(evs[0].EdgeAdds...); err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	if !e.Converged() {
+		t.Fatal("engine did not converge")
+	}
+	requireOracle(t, lowered, e.Distances())
+
+	dist, _ := runEventRanks(t, n, P, seed, evs)
+	requireOracle(t, lowered, dist)
 }

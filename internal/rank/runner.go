@@ -2,8 +2,8 @@
 // multi-process run: each OS process owns exactly one of the P parts and
 // talks to its peers over a transport.Transport (the in-process test
 // fabric or the TCP mesh). The runner reuses the same DD partitioners,
-// IA sweeps, and RC relax/refine machinery as the in-process Engine
-// (through core.RankState), so a converged multi-process run produces the
+// IA sweeps, and RC ship/relax/refine machinery as the in-process Engine
+// (the same core.Proc unit), so a converged multi-process run produces the
 // exact APSP solution — bit-identical to the single-process engine.
 //
 // Every rank computes the partition deterministically from the shared
@@ -24,7 +24,6 @@ import (
 	"anytime/internal/graph"
 	"anytime/internal/obs"
 	"anytime/internal/partition"
-	"anytime/internal/sssp"
 	"anytime/internal/transport"
 )
 
@@ -121,7 +120,7 @@ type Runner struct {
 	cfg  Config
 	g    *graph.Graph
 	part *graph.Partition
-	rs   *core.RankState
+	rs   *core.Proc // this rank's per-processor unit
 
 	// carry holds boundary-DV deltas that surfaced outside the data
 	// exchange (a delayed delivery released during the convergence vote);
@@ -168,13 +167,30 @@ type Runner struct {
 func New(t transport.Transport, cfg Config) (*Runner, error) {
 	cfg = cfg.withDefaults()
 	g := cfg.Graph
+	part, err := decompose(cfg, t.Size())
+	if err != nil {
+		return nil, err
+	}
+	if err := verifyPartition(t, part); err != nil {
+		return nil, err
+	}
+	r := newRunner(t, cfg, g, part)
+	r.rs = core.NewProc(t.Rank(), g, part)
+	// IA: every local row's single-source distances over local-only paths.
+	r.stats.IAOps = r.rs.IA(r.rs.Table().Rows(), false, graph.Stats(g).UnitWeights, cfg.Workers)
+	return r, nil
+}
+
+// decompose is the DD phase shared by New and Rejoin: validate the input
+// graph and partition it deterministically into P parts.
+func decompose(cfg Config, P int) (*graph.Partition, error) {
+	g := cfg.Graph
 	if g == nil {
 		return nil, fmt.Errorf("rank: nil graph")
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("rank: invalid graph: %w", err)
 	}
-	P := t.Size()
 	if g.NumVertices() < P {
 		return nil, fmt.Errorf("rank: %d vertices < P=%d", g.NumVertices(), P)
 	}
@@ -185,20 +201,7 @@ func New(t transport.Transport, cfg Config) (*Runner, error) {
 	if err := part.Validate(g); err != nil {
 		return nil, fmt.Errorf("rank: DD partition invalid: %w", err)
 	}
-	if err := verifyPartition(t, part); err != nil {
-		return nil, err
-	}
-	r := newRunner(t, cfg, g, part)
-	sub := graph.ExtractSub(g, part, int32(t.Rank()))
-
-	n := g.NumVertices()
-	table := dv.NewMatrix(n)
-	for _, v := range sub.Local {
-		table.AddRow(v)
-	}
-	r.stats.IAOps = localIA(g, sub, table, cfg.Workers)
-	r.rs = core.NewRankState(t.Rank(), g, part, sub, table, !cfg.NoLocalRefine, cfg.Workers, cfg.TileSize)
-	return r, nil
+	return part, nil
 }
 
 // newRunner wires the shared runner state, discovering the transport's
@@ -212,24 +215,6 @@ func newRunner(t transport.Transport, cfg Config, g *graph.Graph, part *graph.Pa
 	r.live, _ = transport.AsLiveness(t)
 	r.stepper, _ = transport.AsStepReporter(t)
 	return r
-}
-
-// localIA computes the rank's initial approximation: every local row's
-// single-source distances restricted to local-only paths.
-func localIA(g *graph.Graph, sub *graph.Sub, table *dv.Matrix, workers int) int64 {
-	rows := table.Rows()
-	sources := make([]int32, len(rows))
-	slices := make([][]graph.Dist, len(rows))
-	hops := make([][]int32, len(rows))
-	for i, row := range rows {
-		sources[i] = row.Owner
-		slices[i] = row.D
-		hops[i] = row.NH
-	}
-	if graph.Stats(g).UnitWeights {
-		return sssp.MultiSourceHopsBFS(g, sources, slices, hops, sub.IsLocal, workers)
-	}
-	return sssp.MultiSourceHops(g, sources, slices, hops, sub.IsLocal, workers)
 }
 
 // verifyPartition checks that every process computed the same vertex
@@ -292,7 +277,9 @@ func (r *Runner) Step() (bool, error) {
 	stepW := tr.Now()
 	stepStart := time.Now()
 
-	groups, _ := r.rs.ShipDeltas()
+	// A fault wrapper may hold a payload across the step boundary, so the
+	// ship groups are allocated per step (no buffer reuse).
+	groups, _ := r.rs.Ship(false, false)
 	var out []transport.Message
 	shipBytes := 0
 	for q, deltas := range groups {
@@ -351,7 +338,7 @@ func (r *Runner) Step() (bool, error) {
 
 	relaxW := tr.Now()
 	relaxStart := time.Now()
-	ops := r.rs.RelaxPhase(ext)
+	ops := r.rs.Relax(ext, !r.cfg.NoLocalRefine, r.cfg.Workers, r.cfg.TileSize)
 	r.stats.RelaxOps += ops
 	relaxDur := time.Since(relaxStart)
 	if tr.Enabled() {
@@ -360,7 +347,11 @@ func (r *Runner) Step() (bool, error) {
 	}
 	if failed := r.t.TakeFailed(); len(failed) > 0 {
 		r.stats.Reships += len(failed)
-		r.rs.ReMarkFailed(failed)
+		for _, msg := range failed {
+			if deltas, ok := msg.Payload.([]*dv.Delta); ok {
+				r.rs.ReMarkFailed(deltas)
+			}
+		}
 	}
 	if len(events) > 0 {
 		// Every live rank received the identical list at this boundary;
@@ -416,15 +407,8 @@ func (r *Runner) Converged() bool { return r.converged }
 // Stats returns this rank's work counters.
 func (r *Runner) Stats() Stats { return r.stats }
 
-// Sub returns this rank's sub-graph structure (rebuilt after dynamic
-// events).
-func (r *Runner) Sub() *graph.Sub { return r.rs.Sub() }
-
 // Partition returns the (verified) vertex assignment.
 func (r *Runner) Partition() *graph.Partition { return r.part }
-
-// Table returns this rank's DV matrix (rows for local vertices only).
-func (r *Runner) Table() *dv.Matrix { return r.rs.Table() }
 
 // GatherDistances collects the full n x n distance matrix at rank 0
 // (rows indexed by global vertex ID); other ranks return nil. It is a

@@ -56,16 +56,8 @@ func (r *Runner) Telemetry() Telemetry {
 // scan allocates nothing (the zero-cost contract of the rank hot path —
 // see TestRankTelemetryZeroAlloc).
 func (r *Runner) updateTelemetry(busy, wall time.Duration) {
-	table := r.rs.Table()
-	rows := table.Len()
-	dirty := 0
-	for _, row := range table.Rows() {
-		if row.Dirty {
-			dirty++
-		}
-	}
-	_, bits := table.FrontierStats()
-	cols := table.Cols()
+	rows, dirty, bits := r.rs.Quality()
+	cols := r.rs.Table().Cols()
 	if r.degraded {
 		r.degradedSteps++
 	}

@@ -31,6 +31,9 @@ func TestHTTPEndpoints(t *testing.T) {
 	srv, c, shutdown := newTestServer(t)
 	defer shutdown()
 	ctx := context.Background()
+	// The endpoint comparisons below read the view twice; they only agree
+	// once the driver has stopped publishing new snapshots.
+	waitFor(t, "convergence", func() bool { return srv.View().Converged })
 
 	// healthz
 	resp, err := c.HTTPClient.Get(c.BaseURL + "/healthz")

@@ -270,7 +270,7 @@ func newServerMetrics(s *Server, p int) *serverMetrics {
 	m.stepWidth = reg.Gauge("aa_step_max_delta_width",
 		"Widest boundary delta shipped in the last RC step, in columns.", "")
 	m.frontierDensity = reg.Gauge("aa_frontier_density",
-		"Set change-frontier bits / total DV cells after the last RC step — the fraction the masked min-plus kernels' ~25% density cutover is judged against.", "")
+		"Change-frontier bit density within dirty rows after the last RC step (the masked-kernel cutover quantity); 0 when no row is dirty.", "")
 	m.maskedOps = reg.Gauge("aa_step_masked_ops",
 		"Relax/refine operations performed through frontier-masked sweeps in the last RC step.", "")
 
@@ -303,7 +303,15 @@ func (m *serverMetrics) observeStep(st core.StepStats) {
 	}
 	m.stepBoundGap.Set(st.FrontierDensity)
 	m.stepWidth.SetInt(int64(st.MaxDeltaWidth))
-	m.frontierDensity.Set(st.FrontierDensity)
+	// One quality triple (rows, dirty rows, frontier bits), two gauges:
+	// bound_gap is bits / all cells, frontier_density is bits / cells of the
+	// dirty rows only — the same pair aa_rank_bound_gap and
+	// aa_rank_frontier_density export per rank.
+	if st.DirtyRows > 0 {
+		m.frontierDensity.Set(st.FrontierDensity * float64(st.TotalRows) / float64(st.DirtyRows))
+	} else {
+		m.frontierDensity.Set(0)
+	}
 	m.maskedOps.SetInt(st.MaskedOps)
 	for i := range m.procRows {
 		if i >= len(st.ProcRows) {

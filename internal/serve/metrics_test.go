@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"anytime/internal/core"
 	"anytime/internal/obs"
 	"anytime/internal/stream"
 )
@@ -177,5 +178,32 @@ func TestMetricsMonotoneAcrossRestart(t *testing.T) {
 	check("after restart")
 	if m := scrape(t, srv); m["aa_engine_restarts_total"] != 1 {
 		t.Fatalf("aa_engine_restarts_total = %v, want 1", m["aa_engine_restarts_total"])
+	}
+}
+
+// TestFrontierDensityIsDirtyRowDensity: aa_step_bound_gap and
+// aa_frontier_density derive from one quality triple but mean different
+// things — frontier bits over all DV cells vs over the dirty rows' cells —
+// so on a partially dirty step they must differ, matching the
+// aa_rank_bound_gap / aa_rank_frontier_density pair.
+func TestFrontierDensityIsDirtyRowDensity(t *testing.T) {
+	srv, err := New(testEngine(t, testBase(t, 60, 7), 2, 7), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	waitFor(t, "convergence", func() bool { return srv.View().Converged })
+
+	m := srv.metrics
+	m.observeStep(core.StepStats{TotalRows: 60, DirtyRows: 15, FrontierDensity: 0.02})
+	if got := m.stepBoundGap.Load(); got != 0.02 {
+		t.Fatalf("aa_step_bound_gap = %g, want 0.02 (bits / all cells)", got)
+	}
+	if got, want := m.frontierDensity.Load(), 0.02*60/15; got != want {
+		t.Fatalf("aa_frontier_density = %g, want %g (bits / dirty-row cells)", got, want)
+	}
+	m.observeStep(core.StepStats{TotalRows: 60, DirtyRows: 0})
+	if got := m.frontierDensity.Load(); got != 0 {
+		t.Fatalf("aa_frontier_density = %g with no dirty row, want 0", got)
 	}
 }
