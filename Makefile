@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet race kernel-check bench-smoke chaos-cluster bench bench-json bench-compare bench-paper obs-cluster-check transport-check clean
+.PHONY: check build test vet race kernel-check bench-smoke examples-check chaos-cluster bench bench-json bench-compare bench-paper obs-cluster-check transport-check clean
 
-check: build test vet race kernel-check bench-smoke transport-check chaos-cluster obs-cluster-check
+check: build test vet race kernel-check bench-smoke examples-check transport-check chaos-cluster obs-cluster-check
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,13 @@ kernel-check:
 # (~10 s), so a refactor that breaks what the benchmark uses fails here.
 bench-smoke:
 	cd benchmark && $(GO) test -count=1 ./...
+
+# Examples gate: the fault-tolerance example is the one end-to-end driver
+# of the simulator's lossy links outside tests (~1 s). It checks itself —
+# checkpoint resume and the chaos run must both match the fault-free run,
+# else it exits non-zero.
+examples-check:
+	$(GO) run ./examples/faulttolerance
 
 # Cluster chaos gate: the real-OS-process robustness suite under the race
 # detector — SIGKILL one of three ranks mid-recombination (heartbeat

@@ -1,10 +1,17 @@
 // Package cluster simulates the paper's distributed-memory testbed inside
 // one process. Each of the P "processors" runs as a goroutine over its own
-// private state; messages move between per-processor mailboxes through the
-// paper's flood-avoiding personalized all-to-all schedule and a binomial
-// tree broadcast; and every message and unit of work is charged to a LogP
+// private state; messages move between them through the paper's
+// flood-avoiding personalized all-to-all schedule and a binomial tree
+// broadcast; and every message and unit of work is charged to a LogP
 // virtual clock so cluster-scale runtimes can be reported alongside real
 // wall-clock measurements.
+//
+// The package owns only what is LogP: the clocks, the round schedule and
+// its message-slot charges, and the traffic counters. Message vocabulary
+// and the lossy-link fault protocol (fates, resends, delays, abandoned
+// messages and their counters) belong to internal/transport, whose
+// FaultPlane each exchange runs; the Machine charges the slots the plane
+// reports.
 package cluster
 
 import (
@@ -17,78 +24,16 @@ import (
 	"anytime/internal/transport"
 )
 
-// The message-plane vocabulary (tags, messages, delivery fates, the fault
-// hook) is owned by internal/transport so that the simulator, the inproc
-// backend, and the TCP backend all speak one wire contract. The aliases
-// below keep the historical cluster.* names working for existing callers.
-
-// Tag distinguishes message kinds in the mailboxes.
-type Tag = transport.Tag
-
-const (
-	// TagBoundaryDV carries updated boundary distance vectors (RC phase).
-	TagBoundaryDV = transport.TagBoundaryDV
-	// TagNewVertexRow carries a new vertex's distance vector (vertex addition).
-	TagNewVertexRow = transport.TagNewVertexRow
-	// TagMigrateRows carries rows of vertices relocated by repartitioning.
-	TagMigrateRows = transport.TagMigrateRows
-	// TagControl carries small control/termination information.
-	TagControl = transport.TagControl
-)
-
-// Message is one logical message between processors. Payload stays
-// in-process (no serialization); Bytes is the accounted on-wire size and is
-// what the LogP clock charges.
-type Message = transport.Message
-
 // TagStats are per-message-kind counters.
 type TagStats struct {
 	Messages int64
 	Bytes    int64
 }
 
-// Fate is the outcome the fault layer assigns to one delivery attempt of a
-// message on a lossy link.
-type Fate = transport.Fate
-
-const (
-	// FateDeliver delivers the attempt normally.
-	FateDeliver = transport.FateDeliver
-	// FateDrop loses the attempt in the network; the sender's ack timeout
-	// triggers a retransmission (bounded by ResendBudget).
-	FateDrop = transport.FateDrop
-	// FateDuplicate delivers the message twice (a spurious retransmission
-	// after a lost ack). Receivers must be idempotent.
-	FateDuplicate = transport.FateDuplicate
-	// FateDelay holds the message in flight; it is delivered at the start
-	// of the next Exchange instead of this one.
-	FateDelay = transport.FateDelay
-	// FateCorrupt flips bits on the wire; the receiver's transport checksum
-	// detects it and nacks, triggering a retransmission like FateDrop.
-	FateCorrupt = transport.FateCorrupt
-)
-
-// FaultHook is consulted by Exchange for every delivery attempt, making the
-// simulated network lossy in a reproducible way. Implementations must be
-// deterministic functions of their arguments (the engine's results must not
-// depend on goroutine scheduling); internal/fault provides the seeded
-// reference implementation.
-//
-// Fault injection applies to the boundary-DV data plane only: Exchange asks
-// the hook for TagBoundaryDV messages, while migration/control traffic uses
-// reliable delivery regardless of the hook (their loss would tear engine
-// state rather than delay convergence, and real systems put them on a
-// reliable channel). Broadcast runs each per-destination copy through the
-// same per-message accounting as Exchange, so a boundary-tagged broadcast
-// is subject to the same fates.
-type FaultHook = transport.FaultHook
-
-// NumTags is the number of message kinds tracked in Stats.ByTag.
-const NumTags = transport.NumTags
-
 // Stats aggregates communication counters for reports and the analysis
 // benches. ByTag breaks traffic down by message kind (boundary DVs,
-// vertex-addition row broadcasts, migration, control).
+// vertex-addition row broadcasts, migration, control). The embedded fault
+// counters are the fault plane's (all zero on a perfect network).
 type Stats struct {
 	Messages   int64 // logical messages
 	Chunks     int64 // wire messages after MaxMsgBytes splitting
@@ -96,16 +41,8 @@ type Stats struct {
 	Broadcasts int64
 	Barriers   int64
 	Steps      int64
-	ByTag      [NumTags]TagStats
-
-	// Fault-injection counters (all zero on a perfect network).
-	Resends     int64 // retransmissions after drops/corruption
-	Dropped     int64 // attempts lost in the network
-	Duplicated  int64 // messages delivered twice
-	Delayed     int64 // messages deferred to the next exchange
-	Corrupted   int64 // attempts rejected by the receiver's checksum
-	Failed      int64 // messages abandoned after the resend budget
-	DroppedDown int64 // boundary messages addressed to a crashed processor
+	ByTag      [transport.NumTags]TagStats
+	transport.FaultStats
 }
 
 // Config configures a Machine.
@@ -119,40 +56,23 @@ type Config struct {
 	// (O(P^2) message slots). When false, the P-1 disjoint-pair rounds are
 	// charged in parallel per round.
 	Serialized bool
-	// Workers bounds the real goroutines used by Parallel (0 = P).
-	Workers int
-	// Fault, when non-nil, makes Exchange's boundary-DV data plane lossy:
-	// every delivery attempt consults the hook, lost attempts are resent up
-	// to the hook's budget with every attempt charged to the LogP clock,
-	// and abandoned messages surface through TakeFailed. nil = the perfect
-	// network (bit-identical to the pre-fault-layer path).
-	Fault FaultHook
+	// Fault, when non-nil, makes Exchange's boundary-DV traffic lossy
+	// through the transport fault plane; every attempt is charged to the
+	// LogP clock. nil = the perfect network.
+	Fault transport.FaultHook
 	// Obs, when non-nil, receives fault-retry spans (deliveries that needed
 	// retransmission, were delayed in flight, or exhausted the resend
 	// budget). nil = no tracing.
 	Obs *obs.Tracer
 }
 
-// delayedMsg is a message held in flight by FateDelay until a later
-// exchange.
-type delayedMsg struct {
-	release int64 // exchange number at which the message is delivered
-	msg     Message
-}
-
-// Machine is the simulated cluster. All deliveries flow through a
-// transport.Hub — the same in-process message plane backing the inproc
-// Transport backend — so the simulator and the real-transport runner share
-// one delivery fabric and one Message/Tag/Fate vocabulary.
+// Machine is the simulated cluster.
 type Machine struct {
-	cfg     Config
-	clocks  []*logp.Clock
-	hub     *transport.Hub
-	stats   Stats
-	mu      sync.Mutex
-	xid     int64        // exchange sequence number (fault determinism key)
-	delayed []delayedMsg // in-flight messages deferred by FateDelay
-	failed  []Message    // abandoned messages awaiting TakeFailed
+	cfg    Config
+	clocks []*logp.Clock
+	plane  *transport.FaultPlane
+	stats  Stats
+	mu     sync.Mutex
 }
 
 // New creates a machine with the given configuration.
@@ -166,16 +86,13 @@ func New(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:    cfg,
 		clocks: make([]*logp.Clock, cfg.Model.P),
-		hub:    transport.NewHub(cfg.Model.P),
+		plane:  transport.NewFaultPlane(cfg.Fault),
 	}
 	for i := range m.clocks {
 		m.clocks[i] = &logp.Clock{}
 	}
 	return m, nil
 }
-
-// Hub exposes the machine's delivery fabric (for transport-level metrics).
-func (m *Machine) Hub() *transport.Hub { return m.hub }
 
 // P returns the processor count.
 func (m *Machine) P() int { return m.cfg.Model.P }
@@ -186,8 +103,10 @@ func (m *Machine) Model() logp.Model { return m.cfg.Model }
 // Stats returns a snapshot of the counters.
 func (m *Machine) Stats() Stats {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+	st := m.stats
+	m.mu.Unlock()
+	st.FaultStats = m.plane.Stats()
+	return st
 }
 
 // VirtualTime returns the maximum processor clock: the simulated elapsed
@@ -238,26 +157,14 @@ func (m *Machine) Parallel(body func(p int)) {
 	m.mu.Lock()
 	m.stats.Steps++
 	m.mu.Unlock()
-	workers := m.cfg.Workers
-	if workers <= 0 || workers > m.P() {
-		workers = m.P()
-	}
-	if workers == 1 {
-		for p := 0; p < m.P(); p++ {
-			body(p)
-		}
+	if m.P() == 1 {
+		body(0)
 		return
 	}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
+	wg.Add(m.P())
 	for p := 0; p < m.P(); p++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(p int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			body(p)
-		}(p)
+		go func(p int) { defer wg.Done(); body(p) }(p)
 	}
 	wg.Wait()
 }
@@ -294,51 +201,51 @@ func (m *Machine) msgCost(bytes int) time.Duration {
 // charged one after another globally; otherwise each round is charged as P
 // concurrent pairwise transfers.
 //
-// With a FaultHook configured, each boundary-DV message runs the lossy-link
-// protocol: attempts are charged to the clock until one is delivered,
-// duplicated, or delayed, or the resend budget runs out (the message is
-// then abandoned and reported via TakeFailed). Messages delayed by a
-// previous exchange are delivered first, in their original order.
-func (m *Machine) Exchange(outbox [][]Message) ([][]Message, error) {
+// Every remote message goes through the fault plane, which reports how many
+// copies to deliver and how many message slots its attempts took; each
+// slot is charged one msgCost. Messages the plane delayed in the previous
+// exchange are delivered first, after the free local ones.
+func (m *Machine) Exchange(outbox [][]transport.Message) ([][]transport.Message, error) {
 	P := m.P()
-	// Validate and index outgoing by (from, to) before anything is
-	// delivered: an invalid destination must leave the hub untouched.
-	byDest := make([][][]Message, P)
-	var local []Message
+	// Validate and index outgoing by (from, to) before anything is sent:
+	// an invalid destination must deliver nothing.
+	byDest := make([][][]transport.Message, P)
+	inbox := make([][]transport.Message, P)
 	for p := 0; p < P; p++ {
-		byDest[p] = make([][]Message, P)
-		for i := range outbox[p] {
-			msg := outbox[p][i]
+		byDest[p] = make([][]transport.Message, P)
+		for _, msg := range outbox[p] {
 			msg.From = p
 			if msg.To < 0 || msg.To >= P {
 				return nil, fmt.Errorf("cluster: message from processor %d to invalid processor %d", p, msg.To)
 			}
 			if msg.To == p {
 				// local delivery, no network cost
-				local = append(local, msg)
+				inbox[p] = append(inbox[p], msg)
 				continue
 			}
 			byDest[p][msg.To] = append(byDest[p][msg.To], msg)
 		}
 	}
-	for _, msg := range local {
-		m.hub.Deliver(msg)
+	xid, released := m.plane.Begin()
+	for _, msg := range released {
+		inbox[msg.To] = append(inbox[msg.To], msg)
 	}
-	m.xid++
-	m.releaseDelayed()
 	start := m.Barrier() // exchange begins when every processor arrives
 	var serialClock time.Duration
 	for r := 1; r < P; r++ {
 		var roundMax time.Duration
 		for p := 0; p < P; p++ {
 			q := (p + r) % P
-			msgs := byDest[p][q]
-			if len(msgs) == 0 {
-				continue
-			}
 			var cost time.Duration
-			for mi, msg := range msgs {
-				cost += m.transmit(msg, mi)
+			for _, msg := range byDest[p][q] {
+				d := m.plane.Send(msg)
+				m.account(msg, d.Copies)
+				for c := 0; c < d.Copies && !d.Held; c++ {
+					inbox[q] = append(inbox[q], msg)
+				}
+				slots := time.Duration(d.Slots) * m.msgCost(msg.Bytes)
+				m.recordRetry(xid, msg, d.Slots, slots)
+				cost += slots
 			}
 			if m.cfg.Serialized {
 				serialClock += cost
@@ -353,170 +260,57 @@ func (m *Machine) Exchange(outbox [][]Message) ([][]Message, error) {
 	for _, c := range m.clocks {
 		c.AdvanceTo(start + serialClock)
 	}
-	inbox := make([][]Message, P)
-	for q := 0; q < P; q++ {
-		inbox[q] = m.hub.Collect(q)
-	}
 	return inbox, nil
 }
 
-// account records one delivered copy of msg in the counters.
-func (m *Machine) account(msg Message) {
+// account records n delivered copies of msg in the counters.
+func (m *Machine) account(msg transport.Message, n int) {
+	if n == 0 {
+		return
+	}
+	c := int64(n)
 	m.mu.Lock()
-	m.stats.Messages++
-	m.stats.Chunks += m.chunks(msg.Bytes)
-	m.stats.Bytes += int64(msg.Bytes)
-	m.stats.ByTag[msg.Tag].Messages++
-	m.stats.ByTag[msg.Tag].Bytes += int64(msg.Bytes)
+	m.stats.Messages += c
+	m.stats.Chunks += c * m.chunks(msg.Bytes)
+	m.stats.Bytes += c * int64(msg.Bytes)
+	m.stats.ByTag[msg.Tag].Messages += c
+	m.stats.ByTag[msg.Tag].Bytes += c * int64(msg.Bytes)
 	m.mu.Unlock()
-}
-
-// transmit moves one logical message across its link — delivering through
-// the hub — and returns the virtual cost charged to the link's message
-// slot. Without a fault hook it is a single delivered attempt. With one,
-// boundary-DV messages run the ack/retry protocol; all other tags stay on
-// the reliable plane.
-func (m *Machine) transmit(msg Message, msgIndex int) time.Duration {
-	base := m.msgCost(msg.Bytes)
-	hook := m.cfg.Fault
-	if hook == nil || msg.Tag != TagBoundaryDV {
-		m.account(msg)
-		m.hub.Deliver(msg)
-		return base
-	}
-	if hook.Down(msg.To) {
-		// Dead receiver: the send is charged (the sender cannot know), the
-		// payload is lost, and the rejoin protocol re-ships later.
-		m.mu.Lock()
-		m.stats.DroppedDown++
-		m.mu.Unlock()
-		return base
-	}
-	budget := hook.ResendBudget()
-	if budget < 1 {
-		budget = 1
-	}
-	var cost time.Duration
-	for attempt := 0; attempt < budget; attempt++ {
-		cost += base
-		if attempt > 0 {
-			m.mu.Lock()
-			m.stats.Resends++
-			m.mu.Unlock()
-		}
-		switch hook.Fate(m.xid, msg.From, msg.To, msgIndex, attempt, msg.Tag) {
-		case FateDeliver:
-			m.account(msg)
-			m.hub.Deliver(msg)
-			m.recordRetry(msg, attempt+1, cost)
-			return cost
-		case FateDuplicate:
-			// Lost ack: the retransmission delivers a second copy.
-			cost += base
-			m.account(msg)
-			m.account(msg)
-			m.mu.Lock()
-			m.stats.Duplicated++
-			m.mu.Unlock()
-			m.hub.Deliver(msg)
-			m.hub.Deliver(msg)
-			m.recordRetry(msg, attempt+2, cost)
-			return cost
-		case FateDelay:
-			// Held in flight; delivered at the start of the next exchange.
-			m.mu.Lock()
-			m.stats.Delayed++
-			m.mu.Unlock()
-			m.account(msg)
-			m.delayed = append(m.delayed, delayedMsg{release: m.xid + 1, msg: msg})
-			m.recordRetry(msg, attempt+1, cost)
-			return cost
-		case FateDrop:
-			m.mu.Lock()
-			m.stats.Dropped++
-			m.mu.Unlock()
-		case FateCorrupt:
-			m.mu.Lock()
-			m.stats.Corrupted++
-			m.mu.Unlock()
-		}
-	}
-	m.mu.Lock()
-	m.stats.Failed++
-	m.mu.Unlock()
-	m.failed = append(m.failed, msg)
-	m.recordRetry(msg, budget, cost)
-	return cost
 }
 
 // recordRetry emits a fault-retry span for a lossy-link delivery that took
-// more than one attempt (or was abandoned). Called from Exchange's single
-// accounting goroutine, so reading the sender's clock is race-free.
-func (m *Machine) recordRetry(msg Message, attempts int, cost time.Duration) {
-	if m.cfg.Obs == nil || attempts <= 1 {
+// more than one message slot (or was abandoned). Called from Exchange's
+// single accounting goroutine, so reading the sender's clock is race-free.
+func (m *Machine) recordRetry(xid int64, msg transport.Message, slots int, cost time.Duration) {
+	if m.cfg.Obs == nil || slots <= 1 {
 		return
 	}
 	m.cfg.Obs.Record(obs.Span{
 		Kind:    obs.KindFaultRetry,
 		Proc:    int32(msg.From),
-		Step:    int32(m.xid),
+		Step:    int32(xid),
 		Wall:    m.cfg.Obs.Now(),
 		Virt:    m.clocks[msg.From].Now(),
 		VirtDur: cost,
-		Value:   int64(attempts),
+		Value:   int64(slots),
 	})
-}
-
-// releaseDelayed delivers messages whose delay has elapsed into the hub
-// (before this exchange's own traffic — they are older). Messages to a
-// processor that crashed in the meantime are lost.
-func (m *Machine) releaseDelayed() {
-	if len(m.delayed) == 0 {
-		return
-	}
-	keep := m.delayed[:0]
-	for _, dm := range m.delayed {
-		if dm.release > m.xid {
-			keep = append(keep, dm)
-			continue
-		}
-		if m.cfg.Fault != nil && m.cfg.Fault.Down(dm.msg.To) {
-			m.mu.Lock()
-			m.stats.DroppedDown++
-			m.mu.Unlock()
-			continue
-		}
-		m.hub.Deliver(dm.msg)
-	}
-	m.delayed = keep
 }
 
 // InFlight returns the number of delayed messages not yet delivered. The
 // engine must not declare convergence while messages are in flight.
-func (m *Machine) InFlight() int { return len(m.delayed) }
+func (m *Machine) InFlight() int { return m.plane.InFlight() }
 
 // TakeFailed returns the messages abandoned after the resend budget since
 // the last call, and clears the list. The sender uses it to re-mark the
 // affected rows for re-shipping.
-func (m *Machine) TakeFailed() []Message {
-	f := m.failed
-	m.failed = nil
-	return f
-}
+func (m *Machine) TakeFailed() []transport.Message { return m.plane.TakeFailed() }
 
 // Broadcast charges a binomial-tree broadcast of a payload of the given
-// size from root to all other processors and returns the per-processor
-// copies of the message. ceil(log2 P) rounds, each a point-to-point
-// message cost. An out-of-range root is an error.
-//
-// Each per-destination copy goes through the same transmit path as
-// Exchange, so counters and fault fates are accounted per message rather
-// than in bulk. In practice broadcasts carry control/row tags, which ride
-// the reliable plane regardless of the fault hook; a boundary-tagged
-// broadcast is subject to the same per-copy fates as exchanged traffic,
-// with retry costs added on top of the tree cost (retries serialize on the
-// affected link) and abandoned copies surfacing through TakeFailed.
-func (m *Machine) Broadcast(root int, msg Message) ([][]Message, error) {
+// size from root to all other processors — ceil(log2 P) rounds of one
+// message cost each — and returns the per-processor copies of the message.
+// Broadcasts ride the reliable plane: every copy is delivered and counted.
+// An out-of-range root is an error.
+func (m *Machine) Broadcast(root int, msg transport.Message) ([][]transport.Message, error) {
 	P := m.P()
 	if root < 0 || root >= P {
 		return nil, fmt.Errorf("cluster: broadcast from invalid processor %d", root)
@@ -527,37 +321,21 @@ func (m *Machine) Broadcast(root int, msg Message) ([][]Message, error) {
 		rounds++
 	}
 	start := m.Barrier()
-	base := m.msgCost(msg.Bytes)
-	cost := time.Duration(rounds) * base
-	for q := 0; q < P; q++ {
-		if q == root {
-			continue
-		}
-		mq := msg
-		mq.To = q
-		if extra := m.transmit(mq, q) - base; extra > 0 {
-			cost += extra
-		}
-	}
 	for _, c := range m.clocks {
-		c.AdvanceTo(start + cost)
+		c.AdvanceTo(start + time.Duration(rounds)*m.msgCost(msg.Bytes))
 	}
+	out := make([][]transport.Message, P)
+	for q := range out {
+		if q != root {
+			msg.To = q
+			out[q] = []transport.Message{msg}
+		}
+	}
+	m.account(msg, P-1)
 	m.mu.Lock()
 	m.stats.Broadcasts++
 	m.mu.Unlock()
-	out := make([][]Message, P)
-	for q := 0; q < P; q++ {
-		out[q] = m.hub.Collect(q)
-	}
 	return out, nil
-}
-
-// ResetClocks zeroes all virtual clocks (used by the baseline-restart
-// comparator between runs while keeping cumulative stats).
-func (m *Machine) ResetClocks() {
-	for i := range m.clocks {
-		m.clocks[i] = &logp.Clock{}
-	}
 }
 
 // Restore sets every clock to the given virtual time and replaces the
@@ -568,8 +346,7 @@ func (m *Machine) Restore(virtual time.Duration, st Stats) {
 	for _, c := range m.clocks {
 		c.AdvanceTo(virtual)
 	}
-	m.delayed = nil
-	m.failed = nil
+	m.plane.Restore(st.FaultStats)
 	m.mu.Lock()
 	m.stats = st
 	m.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 
 	"anytime/internal/logp"
 	"anytime/internal/obs"
+	"anytime/internal/transport"
 )
 
 func testMachine(t *testing.T, p int, serialized bool, maxMsg int) *Machine {
@@ -67,11 +68,11 @@ func TestChargeAndBarrier(t *testing.T) {
 func TestExchangeDelivery(t *testing.T) {
 	P := 4
 	m := testMachine(t, P, true, 0)
-	outbox := make([][]Message, P)
+	outbox := make([][]transport.Message, P)
 	for p := 0; p < P; p++ {
 		for q := 0; q < P; q++ {
-			outbox[p] = append(outbox[p], Message{
-				To: q, Tag: TagControl, Bytes: 4, Payload: p*10 + q,
+			outbox[p] = append(outbox[p], transport.Message{
+				To: q, Tag: transport.TagControl, Bytes: 4, Payload: p*10 + q,
 			})
 		}
 	}
@@ -111,11 +112,11 @@ func TestExchangeDeterministicOrder(t *testing.T) {
 	P := 5
 	run := func() []int {
 		m := testMachine(t, P, true, 0)
-		outbox := make([][]Message, P)
+		outbox := make([][]transport.Message, P)
 		for p := 0; p < P; p++ {
 			for q := 0; q < P; q++ {
 				if q != p {
-					outbox[p] = append(outbox[p], Message{To: q, Bytes: 1, Payload: p})
+					outbox[p] = append(outbox[p], transport.Message{To: q, Bytes: 1, Payload: p})
 				}
 			}
 		}
@@ -142,11 +143,11 @@ func TestExchangeDeterministicOrder(t *testing.T) {
 func TestSerializedCostsMore(t *testing.T) {
 	traffic := func(m *Machine) time.Duration {
 		P := m.P()
-		outbox := make([][]Message, P)
+		outbox := make([][]transport.Message, P)
 		for p := 0; p < P; p++ {
 			for q := 0; q < P; q++ {
 				if q != p {
-					outbox[p] = append(outbox[p], Message{To: q, Bytes: 1000})
+					outbox[p] = append(outbox[p], transport.Message{To: q, Bytes: 1000})
 				}
 			}
 		}
@@ -166,8 +167,8 @@ func TestSerializedCostsMore(t *testing.T) {
 // logical message count.
 func TestMaxMsgBytesChunking(t *testing.T) {
 	m := testMachine(t, 2, true, 100)
-	outbox := make([][]Message, 2)
-	outbox[0] = []Message{{To: 1, Bytes: 950}}
+	outbox := make([][]transport.Message, 2)
+	outbox[0] = []transport.Message{{To: 1, Bytes: 950}}
 	if _, err := m.Exchange(outbox); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestMaxMsgBytesChunking(t *testing.T) {
 
 func TestBroadcast(t *testing.T) {
 	m := testMachine(t, 8, true, 0)
-	out, err := m.Broadcast(3, Message{Tag: TagNewVertexRow, Bytes: 64, Payload: "row"})
+	out, err := m.Broadcast(3, transport.Message{Tag: transport.TagNewVertexRow, Bytes: 64, Payload: "row"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,61 +209,52 @@ func TestBroadcast(t *testing.T) {
 	}
 }
 
-func TestResetClocks(t *testing.T) {
-	m := testMachine(t, 2, true, 0)
-	m.Charge(0, 1000)
-	m.ResetClocks()
-	if m.VirtualTime() != 0 {
-		t.Fatalf("virtual = %v after reset", m.VirtualTime())
-	}
-}
-
 func TestExchangeErrorsOnBadDestination(t *testing.T) {
 	m := testMachine(t, 2, true, 0)
-	inbox, err := m.Exchange([][]Message{{{To: 5}}, nil})
+	inbox, err := m.Exchange([][]transport.Message{{{To: 5}}, nil})
 	if err == nil {
 		t.Fatal("expected an error for an out-of-range destination")
 	}
 	if inbox != nil {
 		t.Fatal("a failed exchange must deliver nothing")
 	}
-	if _, err := m.Exchange([][]Message{{{To: -1}}, nil}); err == nil {
+	if _, err := m.Exchange([][]transport.Message{{{To: -1}}, nil}); err == nil {
 		t.Fatal("expected an error for a negative destination")
 	}
 }
 
 func TestBroadcastErrorsOnBadRoot(t *testing.T) {
 	m := testMachine(t, 2, true, 0)
-	if _, err := m.Broadcast(2, Message{Tag: TagControl}); err == nil {
+	if _, err := m.Broadcast(2, transport.Message{Tag: transport.TagControl}); err == nil {
 		t.Fatal("expected an error for an out-of-range root")
 	}
-	if _, err := m.Broadcast(-1, Message{Tag: TagControl}); err == nil {
+	if _, err := m.Broadcast(-1, transport.Message{Tag: transport.TagControl}); err == nil {
 		t.Fatal("expected an error for a negative root")
 	}
 }
 
 func TestPerTagAccounting(t *testing.T) {
 	m := testMachine(t, 3, true, 0)
-	outbox := make([][]Message, 3)
-	outbox[0] = []Message{
-		{To: 1, Tag: TagBoundaryDV, Bytes: 100},
-		{To: 2, Tag: TagMigrateRows, Bytes: 50},
+	outbox := make([][]transport.Message, 3)
+	outbox[0] = []transport.Message{
+		{To: 1, Tag: transport.TagBoundaryDV, Bytes: 100},
+		{To: 2, Tag: transport.TagMigrateRows, Bytes: 50},
 	}
 	if _, err := m.Exchange(outbox); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Broadcast(1, Message{Tag: TagNewVertexRow, Bytes: 10}); err != nil {
+	if _, err := m.Broadcast(1, transport.Message{Tag: transport.TagNewVertexRow, Bytes: 10}); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats()
-	if st.ByTag[TagBoundaryDV].Bytes != 100 || st.ByTag[TagBoundaryDV].Messages != 1 {
-		t.Fatalf("boundary tag stats = %+v", st.ByTag[TagBoundaryDV])
+	if st.ByTag[transport.TagBoundaryDV].Bytes != 100 || st.ByTag[transport.TagBoundaryDV].Messages != 1 {
+		t.Fatalf("boundary tag stats = %+v", st.ByTag[transport.TagBoundaryDV])
 	}
-	if st.ByTag[TagMigrateRows].Bytes != 50 {
-		t.Fatalf("migrate tag stats = %+v", st.ByTag[TagMigrateRows])
+	if st.ByTag[transport.TagMigrateRows].Bytes != 50 {
+		t.Fatalf("migrate tag stats = %+v", st.ByTag[transport.TagMigrateRows])
 	}
-	if st.ByTag[TagNewVertexRow].Messages != 2 || st.ByTag[TagNewVertexRow].Bytes != 20 {
-		t.Fatalf("broadcast tag stats = %+v", st.ByTag[TagNewVertexRow])
+	if st.ByTag[transport.TagNewVertexRow].Messages != 2 || st.ByTag[transport.TagNewVertexRow].Bytes != 20 {
+		t.Fatalf("broadcast tag stats = %+v", st.ByTag[transport.TagNewVertexRow])
 	}
 	total := int64(0)
 	for _, ts := range st.ByTag {
@@ -273,18 +265,18 @@ func TestPerTagAccounting(t *testing.T) {
 	}
 }
 
-// scriptHook is a test FaultHook that replays a fixed fate sequence for
+// scriptHook is a test transport.FaultHook that replays a fixed fate sequence for
 // boundary-DV attempts (then delivers), with a configurable down set.
 type scriptHook struct {
-	fates  []Fate
+	fates  []transport.Fate
 	next   int
 	budget int
 	down   map[int]bool
 }
 
-func (h *scriptHook) Fate(xid int64, from, to, msgIndex, attempt int, tag Tag) Fate {
-	if tag != TagBoundaryDV || h.next >= len(h.fates) {
-		return FateDeliver
+func (h *scriptHook) Fate(xid int64, from, to, k, attempt int) transport.Fate {
+	if h.next >= len(h.fates) {
+		return transport.FateDeliver
 	}
 	f := h.fates[h.next]
 	h.next++
@@ -300,7 +292,7 @@ func (h *scriptHook) ResendBudget() int {
 	return h.budget
 }
 
-func faultMachine(t *testing.T, p int, hook FaultHook) *Machine {
+func faultMachine(t *testing.T, p int, hook transport.FaultHook) *Machine {
 	t.Helper()
 	m, err := New(Config{
 		Model:      logp.Model{L: 100, O: 10, G: 1, P: p, Compute: 1},
@@ -313,15 +305,15 @@ func faultMachine(t *testing.T, p int, hook FaultHook) *Machine {
 	return m
 }
 
-func boundaryOutbox(p int) [][]Message {
-	outbox := make([][]Message, p)
-	outbox[0] = []Message{{To: 1, Tag: TagBoundaryDV, Bytes: 40, Payload: "dv"}}
+func boundaryOutbox(p int) [][]transport.Message {
+	outbox := make([][]transport.Message, p)
+	outbox[0] = []transport.Message{{To: 1, Tag: transport.TagBoundaryDV, Bytes: 40, Payload: "dv"}}
 	return outbox
 }
 
 // A dropped attempt must cost a full message slot and be retransmitted.
 func TestFaultDropRetriesAndCharges(t *testing.T) {
-	hook := &scriptHook{fates: []Fate{FateDrop, FateDrop, FateDeliver}}
+	hook := &scriptHook{fates: []transport.Fate{transport.FateDrop, transport.FateDrop, transport.FateDeliver}}
 	m := faultMachine(t, 2, hook)
 	inbox, err := m.Exchange(boundaryOutbox(2))
 	if err != nil {
@@ -343,7 +335,7 @@ func TestFaultDropRetriesAndCharges(t *testing.T) {
 
 // A duplicated message must arrive twice (receivers are idempotent).
 func TestFaultDuplicateDeliversTwice(t *testing.T) {
-	hook := &scriptHook{fates: []Fate{FateDuplicate}}
+	hook := &scriptHook{fates: []transport.Fate{transport.FateDuplicate}}
 	m := faultMachine(t, 2, hook)
 	inbox, err := m.Exchange(boundaryOutbox(2))
 	if err != nil {
@@ -361,7 +353,7 @@ func TestFaultDuplicateDeliversTwice(t *testing.T) {
 // A delayed message must miss its exchange, count as in flight, and arrive
 // at the start of the next one.
 func TestFaultDelayDefersToNextExchange(t *testing.T) {
-	hook := &scriptHook{fates: []Fate{FateDelay}}
+	hook := &scriptHook{fates: []transport.Fate{transport.FateDelay}}
 	m := faultMachine(t, 2, hook)
 	inbox, err := m.Exchange(boundaryOutbox(2))
 	if err != nil {
@@ -373,7 +365,7 @@ func TestFaultDelayDefersToNextExchange(t *testing.T) {
 	if m.InFlight() != 1 {
 		t.Fatalf("InFlight = %d, want 1", m.InFlight())
 	}
-	inbox, err = m.Exchange(make([][]Message, 2))
+	inbox, err = m.Exchange(make([][]transport.Message, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +380,7 @@ func TestFaultDelayDefersToNextExchange(t *testing.T) {
 // Exhausting the resend budget must abandon the message and surface it
 // through TakeFailed.
 func TestFaultBudgetExhaustionSurfacesFailure(t *testing.T) {
-	hook := &scriptHook{fates: []Fate{FateDrop, FateCorrupt, FateDrop}, budget: 3}
+	hook := &scriptHook{fates: []transport.Fate{transport.FateDrop, transport.FateCorrupt, transport.FateDrop}, budget: 3}
 	m := faultMachine(t, 2, hook)
 	inbox, err := m.Exchange(boundaryOutbox(2))
 	if err != nil {
@@ -415,10 +407,10 @@ func TestFaultBudgetExhaustionSurfacesFailure(t *testing.T) {
 func TestFaultDownReceiverDropsBoundaryOnly(t *testing.T) {
 	hook := &scriptHook{down: map[int]bool{1: true}}
 	m := faultMachine(t, 3, hook)
-	outbox := make([][]Message, 3)
-	outbox[0] = []Message{
-		{To: 1, Tag: TagBoundaryDV, Bytes: 8},
-		{To: 2, Tag: TagBoundaryDV, Bytes: 8},
+	outbox := make([][]transport.Message, 3)
+	outbox[0] = []transport.Message{
+		{To: 1, Tag: transport.TagBoundaryDV, Bytes: 8},
+		{To: 2, Tag: transport.TagBoundaryDV, Bytes: 8},
 	}
 	inbox, err := m.Exchange(outbox)
 	if err != nil {
@@ -438,7 +430,7 @@ func TestFaultDownReceiverDropsBoundaryOnly(t *testing.T) {
 // With a hook that always delivers, stats and costs must be bit-identical
 // to the no-hook machine (the zero-fault plan property at cluster level).
 func TestFaultZeroPlanBitIdentical(t *testing.T) {
-	run := func(hook FaultHook) (Stats, time.Duration) {
+	run := func(hook transport.FaultHook) (Stats, time.Duration) {
 		m, err := New(Config{
 			Model:      logp.Model{L: 100, O: 10, G: 1, P: 4, Compute: 1},
 			Serialized: true,
@@ -447,11 +439,11 @@ func TestFaultZeroPlanBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outbox := make([][]Message, 4)
+		outbox := make([][]transport.Message, 4)
 		for p := 0; p < 4; p++ {
 			for q := 0; q < 4; q++ {
 				if q != p {
-					outbox[p] = append(outbox[p], Message{To: q, Tag: TagBoundaryDV, Bytes: 100})
+					outbox[p] = append(outbox[p], transport.Message{To: q, Tag: transport.TagBoundaryDV, Bytes: 100})
 				}
 			}
 		}
@@ -496,14 +488,13 @@ func TestBusyTimeImbalanceFixture(t *testing.T) {
 	}
 }
 
-// A boundary-tagged broadcast must route every per-destination copy through
-// the same fate/ack accounting as Exchange: fates are consulted per copy,
-// retries are counted and charged on top of the tree cost, and deliveries
-// land in per-processor inboxes.
+// A boundary-tag broadcast is accounted like any other broadcast: a scripted
+// drop is never drawn, so there are no drops or resends, every copy arrives
+// once, and the charge is the tree cost alone.
 func TestBroadcastBoundaryTagFaultAccounting(t *testing.T) {
-	hook := &scriptHook{fates: []Fate{FateDrop, FateDeliver, FateDeliver, FateDeliver}}
+	hook := &scriptHook{fates: []transport.Fate{transport.FateDrop, transport.FateDeliver, transport.FateDeliver, transport.FateDeliver}}
 	m := faultMachine(t, 4, hook)
-	out, err := m.Broadcast(0, Message{Tag: TagBoundaryDV, Bytes: 40, Payload: "dv"})
+	out, err := m.Broadcast(0, transport.Message{Tag: transport.TagBoundaryDV, Bytes: 40, Payload: "dv"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,63 +504,48 @@ func TestBroadcastBoundaryTagFaultAccounting(t *testing.T) {
 		}
 	}
 	st := m.Stats()
-	if st.Broadcasts != 1 || st.Messages != 3 || st.Dropped != 1 || st.Resends != 1 {
+	if st.Broadcasts != 1 || st.Messages != 3 || st.Dropped != 0 || st.Resends != 0 || st.Failed != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	// ceil(log2 4) = 2 tree rounds at one message slot each, plus one extra
-	// attempt for the dropped copy.
+	if hook.next != 0 {
+		t.Fatalf("fault hook consulted %d times for a broadcast", hook.next)
+	}
+	// ceil(log2 4) = 2 tree rounds at one message slot each, no extra attempts.
 	perAttempt := time.Duration(1)*(10+100+10) + 40*1
-	if want := 3 * perAttempt; m.VirtualTime() != want {
+	if want := 2 * perAttempt; m.VirtualTime() != want {
 		t.Fatalf("virtual = %v, want %v", m.VirtualTime(), want)
 	}
 }
 
-// A broadcast copy that exhausts its resend budget must surface through
-// TakeFailed like any abandoned exchange message.
-func TestBroadcastBudgetExhaustionSurfacesFailure(t *testing.T) {
-	hook := &scriptHook{fates: []Fate{FateDrop, FateDrop}, budget: 2}
-	m := faultMachine(t, 2, hook)
-	out, err := m.Broadcast(0, Message{Tag: TagBoundaryDV, Bytes: 40, Payload: "dv"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out[1]) != 0 {
-		t.Fatal("abandoned broadcast copy was delivered")
-	}
-	st := m.Stats()
-	if st.Failed != 1 || st.Dropped != 2 {
-		t.Fatalf("stats = %+v", st)
-	}
-	failed := m.TakeFailed()
-	if len(failed) != 1 || failed[0].From != 0 || failed[0].To != 1 || failed[0].Tag != TagBoundaryDV {
-		t.Fatalf("TakeFailed = %+v", failed)
-	}
-}
-
-// Reliable-plane broadcasts (control, row migration) must not consult the
-// fault hook at all, and their per-copy accounting must match the historic
-// bulk accounting.
+// Broadcasts ride the reliable plane whatever their tag: the fault hook is
+// never consulted, every copy arrives, and the charge is the tree cost
+// alone (ceil(log2 4) = 2 rounds of one message slot).
 func TestBroadcastReliableTagsBypassFaults(t *testing.T) {
-	hook := &scriptHook{fates: []Fate{FateDrop, FateDrop, FateDrop}}
-	m := faultMachine(t, 4, hook)
-	out, err := m.Broadcast(1, Message{Tag: TagControl, Bytes: 8, Payload: "go"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < 4; q++ {
-		want := 1
-		if q == 1 {
-			want = 0
+	for _, tag := range []transport.Tag{transport.TagControl, transport.TagBoundaryDV} {
+		hook := &scriptHook{fates: []transport.Fate{transport.FateDrop, transport.FateDrop, transport.FateDrop}}
+		m := faultMachine(t, 4, hook)
+		out, err := m.Broadcast(1, transport.Message{Tag: tag, Bytes: 8, Payload: "go"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(out[q]) != want {
-			t.Fatalf("processor %d got %d copies, want %d", q, len(out[q]), want)
+		for q := 0; q < 4; q++ {
+			want := 1
+			if q == 1 {
+				want = 0
+			}
+			if len(out[q]) != want {
+				t.Fatalf("tag %d: processor %d got %d copies, want %d", tag, q, len(out[q]), want)
+			}
 		}
-	}
-	st := m.Stats()
-	if st.Dropped != 0 || st.Resends != 0 || st.Messages != 3 || st.Bytes != 24 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if hook.next != 0 {
-		t.Fatalf("fault hook consulted %d times for a control broadcast", hook.next)
+		st := m.Stats()
+		if st.Dropped != 0 || st.Resends != 0 || st.Messages != 3 || st.Bytes != 24 || st.Broadcasts != 1 {
+			t.Fatalf("tag %d: stats = %+v", tag, st)
+		}
+		if hook.next != 0 {
+			t.Fatalf("tag %d: fault hook consulted %d times for a broadcast", tag, hook.next)
+		}
+		if want := 2 * (time.Duration(1)*(10+100+10) + 8*1); m.VirtualTime() != want {
+			t.Fatalf("tag %d: virtual = %v, want %v", tag, m.VirtualTime(), want)
+		}
 	}
 }

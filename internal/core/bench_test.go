@@ -6,10 +6,10 @@ import (
 	"time"
 
 	"anytime/internal/change"
-	"anytime/internal/cluster"
 	"anytime/internal/gen"
 	"anytime/internal/graph"
 	"anytime/internal/obs"
+	"anytime/internal/transport"
 )
 
 // ---------------------------------------------------------------------------
@@ -89,7 +89,7 @@ func benchRCRelaxPhase(b *testing.B, workers, batchSize int, noMask bool) {
 		for _, s := range e.History()[h0:] {
 			rows += int64(s.RowsShipped)
 		}
-		shipBytes += m1.Comm.ByTag[cluster.TagBoundaryDV].Bytes - m0.Comm.ByTag[cluster.TagBoundaryDV].Bytes
+		shipBytes += m1.Comm.ByTag[transport.TagBoundaryDV].Bytes - m0.Comm.ByTag[transport.TagBoundaryDV].Bytes
 		relaxOps += m1.RCOps - m0.RCOps
 		b.StartTimer()
 	}
@@ -277,7 +277,7 @@ func BenchmarkRCRefinePhaseUntiledWorkers4(b *testing.B) {
 // what remains is the unavoidable one snapshot slice per shipped row.
 // ---------------------------------------------------------------------------
 
-var benchOutboxSink [][]cluster.Message
+var benchOutboxSink [][]transport.Message
 
 func BenchmarkRCShipBoundary(b *testing.B) {
 	g, err := gen.BarabasiAlbert(benchRCN, 3, gen.Weights{Min: 1, Max: 4}, 1)

@@ -2,10 +2,10 @@ package core
 
 import (
 	"anytime/internal/change"
-	"anytime/internal/cluster"
 	"anytime/internal/dv"
 	"anytime/internal/graph"
 	"anytime/internal/kernel"
+	"anytime/internal/transport"
 )
 
 // applyEdgeAdds incorporates an edge-addition event: the log resolves it
@@ -60,11 +60,11 @@ func (e *Engine) absorbEdge(u, v int, w graph.Weight, dynamicCut bool) {
 	snapU := dv.CopyRow(rowU)
 	snapV := dv.CopyRow(rowV)
 	bytes := 4*e.g.NumVertices() + 8
-	if _, err := e.mach.Broadcast(ownerU, cluster.Message{Tag: cluster.TagNewVertexRow, Bytes: bytes}); err != nil {
+	if _, err := e.mach.Broadcast(ownerU, transport.Message{Tag: transport.TagNewVertexRow, Bytes: bytes}); err != nil {
 		e.fail(err)
 		return
 	}
-	if _, err := e.mach.Broadcast(ownerV, cluster.Message{Tag: cluster.TagNewVertexRow, Bytes: bytes}); err != nil {
+	if _, err := e.mach.Broadcast(ownerV, transport.Message{Tag: transport.TagNewVertexRow, Bytes: bytes}); err != nil {
 		e.fail(err)
 		return
 	}

@@ -12,6 +12,7 @@ import (
 	"anytime/internal/fault"
 	"anytime/internal/graph"
 	"anytime/internal/obs"
+	"anytime/internal/transport"
 )
 
 // Engine is the anytime-anywhere closeness-centrality engine.
@@ -586,8 +587,8 @@ func (e *Engine) Run() int {
 
 // shipBoundary builds the per-processor outboxes of (dirty) local-boundary
 // DV updates, one message per destination processor (see Proc.Ship).
-func (e *Engine) shipBoundary() [][]cluster.Message {
-	outbox := make([][]cluster.Message, e.opts.P)
+func (e *Engine) shipBoundary() [][]transport.Message {
+	outbox := make([][]transport.Message, e.opts.P)
 	e.mach.Parallel(func(pid int) {
 		if e.down(pid) {
 			return // crashed processor: ships nothing until it rejoins
@@ -604,9 +605,9 @@ func (e *Engine) shipBoundary() [][]cluster.Message {
 			for _, d := range deltas {
 				bytes += d.WireBytes()
 			}
-			outbox[pid] = append(outbox[pid], cluster.Message{
+			outbox[pid] = append(outbox[pid], transport.Message{
 				To:      q,
-				Tag:     cluster.TagBoundaryDV,
+				Tag:     transport.TagBoundaryDV,
 				Bytes:   bytes,
 				Payload: deltas,
 			})
@@ -620,7 +621,7 @@ func (e *Engine) shipBoundary() [][]cluster.Message {
 // relaxAll applies the received boundary deltas on every processor and
 // runs the recombination strategy (see Proc.Relax), fanning the relax work
 // across opts.Workers goroutines per processor.
-func (e *Engine) relaxAll(inbox [][]cluster.Message) {
+func (e *Engine) relaxAll(inbox [][]transport.Message) {
 	refine := !e.opts.NoLocalRefine || e.forceRefine
 	workers := e.opts.Workers
 	if workers < 1 {
@@ -637,7 +638,7 @@ func (e *Engine) relaxAll(inbox [][]cluster.Message) {
 		// flatten the received boundary deltas in delivery order
 		var ext []*dv.Delta
 		for _, msg := range inbox[pid] {
-			if msg.Tag != cluster.TagBoundaryDV {
+			if msg.Tag != transport.TagBoundaryDV {
 				continue
 			}
 			ext = append(ext, msg.Payload.([]*dv.Delta)...)

@@ -128,7 +128,7 @@ func DecodeShard(blob []byte, n int, keep func(owner int32) bool) (*dv.Matrix, i
 		all := dec.bool()
 		lo, hi := dec.i32(), dec.i32()
 		_, _, _, _ = dirty, all, lo, hi // superseded: rejoin re-marks ship-all
-		if dec.err != nil || owner < 0 || int(owner) >= w {
+		if dec.err != nil || owner < 0 || int(owner) >= w || t.Has(owner) {
 			return nil, 0, fmt.Errorf("core: corrupt recovery shard row %d", i)
 		}
 		if keep != nil && !keep(owner) {

@@ -4,10 +4,10 @@ import (
 	"sort"
 
 	"anytime/internal/change"
-	"anytime/internal/cluster"
 	"anytime/internal/dv"
 	"anytime/internal/graph"
 	"anytime/internal/partition"
+	"anytime/internal/transport"
 )
 
 // applyRepartition is Repartition-S: for large batches, instead of the
@@ -83,7 +83,7 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 		p.table.ExtendCols(b.NumVertices)
 	}
 	rowBytes := 4*e.g.NumVertices() + 8
-	outbox := make([][]cluster.Message, e.opts.P)
+	outbox := make([][]transport.Message, e.opts.P)
 	migrated := make([]bool, e.g.NumVertices())
 	migCount := 0
 	for v := 0; v < first; v++ {
@@ -97,9 +97,9 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 		}
 		migrated[v] = true
 		migCount++
-		outbox[from] = append(outbox[from], cluster.Message{
+		outbox[from] = append(outbox[from], transport.Message{
 			To:      int(to),
-			Tag:     cluster.TagMigrateRows,
+			Tag:     transport.TagMigrateRows,
 			Bytes:   rowBytes,
 			Payload: r,
 		})
@@ -112,9 +112,9 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 	for pid, msgs := range inbox {
 		for _, msg := range msgs {
 			switch msg.Tag {
-			case cluster.TagMigrateRows:
+			case transport.TagMigrateRows:
 				e.procs[pid].table.AdoptRow(msg.Payload.(*dv.Row))
-			case cluster.TagBoundaryDV:
+			case transport.TagBoundaryDV:
 				// A boundary delta delayed by the lossy network releases at
 				// the next exchange — which can be this migration exchange.
 				// Treat it as a failed delivery: re-mark the sender's rows

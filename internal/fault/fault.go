@@ -1,32 +1,26 @@
-// Package fault is the deterministic chaos layer for the simulated
-// cluster: a seeded Plan describes which processors crash at which
-// recombination steps and how lossy each link is (drop, duplicate, delay,
-// corrupt), and an Injector turns the plan into a reproducible schedule of
-// per-message fates that internal/cluster consults on every delivery
-// attempt.
+// Package fault is the deterministic chaos layer: a seeded Plan describes
+// which processors crash at which recombination steps and how lossy each
+// link is (drop, duplicate, delay, corrupt), and an Injector turns the plan
+// into the transport.FaultHook the fault plane consults on every delivery
+// attempt — under the simulated cluster and the rank transports alike.
 //
 // Determinism is the point. A fate is a pure hash of
-// (seed, exchange, from, to, messageIndex, attempt), so the same plan
-// yields the same faults on every run regardless of goroutine scheduling —
-// chaos soaks are replayable and failures bisectable. The zero-valued Plan
-// injects nothing: the engine behaves bit-identically to a run without the
-// fault layer (only the recovery shards it enables are extra).
+// (seed, exchange, from, to, k, attempt), so the same plan yields the same
+// faults on every run regardless of goroutine scheduling — chaos soaks are
+// replayable and failures bisectable. The zero-valued Plan injects nothing:
+// the engine behaves bit-identically to a run without the fault layer (only
+// the recovery shards it enables are extra).
 //
-// Faults apply to the boundary-DV data plane only (cluster.TagBoundaryDV).
-// Row migration, vertex-addition broadcasts, and control traffic ride a
-// reliable channel: losing them would tear engine state rather than delay
-// convergence, and real deployments put exactly this class of traffic on
-// reliable transports. Dropped and corrupted attempts are retransmitted on
-// the simulated ack/nack timeout, every attempt charged to the LogP clock,
-// until the bounded resend budget runs out; the cluster then reports the
-// abandoned message back to the engine, which re-marks the affected rows
-// for a full re-ship.
+// Which messages are faulted (boundary DVs to another rank), how dropped
+// and corrupted attempts are resent within the budget, and how abandoned
+// messages reach the engine — which re-marks the affected rows for a full
+// re-ship — is transport.FaultPlane's business, not this package's.
 package fault
 
 import (
 	"fmt"
 
-	"anytime/internal/cluster"
+	"anytime/internal/transport"
 )
 
 // Crash schedules one processor failure.
@@ -108,7 +102,7 @@ func (p Plan) Zero() bool {
 		p.CorruptRate == 0 && len(p.Crashes) == 0
 }
 
-// Injector implements cluster.FaultHook over a Plan, plus the engine-side
+// Injector implements transport.FaultHook over a Plan, plus the engine-side
 // crash bookkeeping (which processors are currently down). It is consulted
 // only from the engine's step goroutine; it is not safe for concurrent
 // mutation.
@@ -132,40 +126,37 @@ func NewInjector(plan Plan, procs int) (*Injector, error) {
 // Plan returns the validated plan (with defaults applied).
 func (in *Injector) Plan() Plan { return in.plan }
 
-// Fate implements cluster.FaultHook: the deterministic per-attempt fate of
-// one message. Non-boundary tags always deliver (reliable plane).
-func (in *Injector) Fate(xid int64, from, to, msgIndex, attempt int, tag cluster.Tag) cluster.Fate {
+// Fate implements transport.FaultHook: the deterministic per-attempt fate
+// of one message.
+func (in *Injector) Fate(xid int64, from, to, k, attempt int) transport.Fate {
 	p := in.plan
-	if tag != cluster.TagBoundaryDV {
-		return cluster.FateDeliver
-	}
 	total := p.DropRate + p.DuplicateRate + p.DelayRate + p.CorruptRate
 	if total == 0 {
-		return cluster.FateDeliver
+		return transport.FateDeliver
 	}
 	h := uint64(p.Seed)
-	for _, v := range [...]uint64{uint64(xid), uint64(from), uint64(to), uint64(msgIndex), uint64(attempt)} {
+	for _, v := range [...]uint64{uint64(xid), uint64(from), uint64(to), uint64(k), uint64(attempt)} {
 		h = splitmix64(h ^ v)
 	}
 	u := float64(h>>11) / (1 << 53)
 	switch {
 	case u < p.DropRate:
-		return cluster.FateDrop
+		return transport.FateDrop
 	case u < p.DropRate+p.CorruptRate:
-		return cluster.FateCorrupt
+		return transport.FateCorrupt
 	case u < p.DropRate+p.CorruptRate+p.DuplicateRate:
-		return cluster.FateDuplicate
+		return transport.FateDuplicate
 	case u < total:
-		return cluster.FateDelay
+		return transport.FateDelay
 	default:
-		return cluster.FateDeliver
+		return transport.FateDeliver
 	}
 }
 
-// Down implements cluster.FaultHook.
+// Down implements transport.FaultHook.
 func (in *Injector) Down(p int) bool { return in.down[p] }
 
-// ResendBudget implements cluster.FaultHook.
+// ResendBudget implements transport.FaultHook.
 func (in *Injector) ResendBudget() int { return in.plan.ResendBudget }
 
 // SetDown records a processor crashing (true) or rejoining (false); called

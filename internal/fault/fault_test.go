@@ -3,7 +3,7 @@ package fault
 import (
 	"testing"
 
-	"anytime/internal/cluster"
+	"anytime/internal/transport"
 )
 
 func TestValidate(t *testing.T) {
@@ -48,11 +48,11 @@ func TestFateDeterministicAndSeedSensitive(t *testing.T) {
 	same, diff := true, false
 	for xid := int64(0); xid < 50; xid++ {
 		for mi := 0; mi < 4; mi++ {
-			fa := a.Fate(xid, 0, 1, mi, 0, cluster.TagBoundaryDV)
-			if fa != b.Fate(xid, 0, 1, mi, 0, cluster.TagBoundaryDV) {
+			fa := a.Fate(xid, 0, 1, mi, 0)
+			if fa != b.Fate(xid, 0, 1, mi, 0) {
 				same = false
 			}
-			if fa != c.Fate(xid, 0, 1, mi, 0, cluster.TagBoundaryDV) {
+			if fa != c.Fate(xid, 0, 1, mi, 0) {
 				diff = true
 			}
 		}
@@ -70,15 +70,15 @@ func TestFateRatesRoughlyMatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := map[cluster.Fate]int{}
+	counts := map[transport.Fate]int{}
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		counts[in.Fate(int64(i), 0, 1, i%7, 0, cluster.TagBoundaryDV)]++
+		counts[in.Fate(int64(i), 0, 1, i%7, 0)]++
 	}
-	for fate, want := range map[cluster.Fate]float64{
-		cluster.FateDrop:    0.25,
-		cluster.FateDelay:   0.25,
-		cluster.FateDeliver: 0.5,
+	for fate, want := range map[transport.Fate]float64{
+		transport.FateDrop:    0.25,
+		transport.FateDelay:   0.25,
+		transport.FateDeliver: 0.5,
 	} {
 		got := float64(counts[fate]) / trials
 		if got < want-0.02 || got > want+0.02 {
@@ -87,17 +87,24 @@ func TestFateRatesRoughlyMatch(t *testing.T) {
 	}
 }
 
+// The injector fates every attempt it is asked about; the fault plane asks
+// only for boundary DVs, so the reliable tags deliver under any plan.
 func TestReliablePlaneAlwaysDelivers(t *testing.T) {
 	in, err := NewInjector(Plan{Seed: 3, DropRate: 0.9, CorruptRate: 0.1}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tag := range []cluster.Tag{cluster.TagMigrateRows, cluster.TagNewVertexRow, cluster.TagControl} {
+	pl := transport.NewFaultPlane(in)
+	for _, tag := range []transport.Tag{transport.TagMigrateRows, transport.TagNewVertexRow, transport.TagControl} {
 		for i := 0; i < 200; i++ {
-			if f := in.Fate(int64(i), 0, 1, 0, 0, tag); f != cluster.FateDeliver {
-				t.Fatalf("tag %d got fate %d, want deliver", tag, f)
+			pl.Begin()
+			if d := pl.Send(transport.Message{From: 0, To: 1, Tag: tag}); d.Copies != 1 || d.Held || d.Slots != 1 {
+				t.Fatalf("tag %d got %+v, want one delivered copy", tag, d)
 			}
 		}
+	}
+	if st := pl.Stats(); st != (transport.FaultStats{}) {
+		t.Fatalf("reliable traffic moved fault counters: %+v", st)
 	}
 }
 

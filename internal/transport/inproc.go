@@ -7,10 +7,8 @@ import (
 	"time"
 )
 
-// Hub is the single-process delivery fabric: per-rank mailboxes guarded by
-// one mutex. It is the seam internal/cluster's simulator delivers through
-// (preserving the order its serialized schedule establishes) and the
-// substrate of the inproc Transport backend.
+// Hub is the single-process delivery fabric of the inproc Transport
+// backend: per-rank mailboxes guarded by one mutex.
 type Hub struct {
 	mu    sync.Mutex
 	boxes [][]hubMsg
@@ -52,9 +50,8 @@ func NewHub(n int) *Hub {
 // Size returns the number of ranks.
 func (h *Hub) Size() int { return len(h.boxes) }
 
-// Deliver appends msg to its destination mailbox. Delivery order is the
-// call order — the cluster simulator's serialized schedule is preserved
-// exactly.
+// Deliver appends msg to its destination mailbox, stamped with its
+// position in the sender's traffic for this step.
 func (h *Hub) Deliver(msg Message) {
 	h.mu.Lock()
 	s := h.seq[msg.From]
@@ -65,22 +62,6 @@ func (h *Hub) Deliver(msg Message) {
 	h.ctr.bytesSent.Add(int64(msg.Bytes))
 	h.ctr.bytesRecv.Add(int64(msg.Bytes))
 	h.mu.Unlock()
-}
-
-// Collect removes and returns rank's pending messages in delivery order.
-func (h *Hub) Collect(rank int) []Message {
-	h.mu.Lock()
-	box := h.boxes[rank]
-	h.boxes[rank] = nil
-	h.mu.Unlock()
-	if len(box) == 0 {
-		return nil
-	}
-	out := make([]Message, len(box))
-	for i, m := range box {
-		out[i] = m.msg
-	}
-	return out
 }
 
 // collectSorted removes rank's pending messages ordered by (sender rank,

@@ -115,8 +115,8 @@ func TestInprocInvalidDestination(t *testing.T) {
 	}
 }
 
-// scripted fault hook for the Lossy wrapper (fates apply to boundary-DV
-// messages only, consumed in fate order).
+// scripted fault hook for the Lossy wrapper (the plane consults it for
+// boundary-DV messages only; fates are consumed in order).
 type scriptHook struct {
 	mu     sync.Mutex
 	fates  []Fate
@@ -125,10 +125,10 @@ type scriptHook struct {
 	down   map[int]bool
 }
 
-func (h *scriptHook) Fate(xid int64, from, to, msgIndex, attempt int, tag Tag) Fate {
+func (h *scriptHook) Fate(xid int64, from, to, k, attempt int) Fate {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if tag != TagBoundaryDV || h.next >= len(h.fates) {
+	if h.next >= len(h.fates) {
 		return FateDeliver
 	}
 	f := h.fates[h.next]
@@ -192,6 +192,68 @@ func TestLossyFaultPlane(t *testing.T) {
 	lossy := ts[0].(*Lossy)
 	fs := lossy.FaultStats()
 	if fs.Dropped != 2 || fs.Delayed != 1 || fs.Corrupted != 1 || fs.Resends != 2 {
+		t.Fatalf("fault stats = %+v", fs)
+	}
+}
+
+// FaultStats().Failed is cumulative like every other counter: it counts
+// each abandoned message once — including a delayed one abandoned at Close
+// — and draining the list with TakeFailed does not reset it.
+func TestLossyFailedIsCumulative(t *testing.T) {
+	group := NewInprocGroup(2)
+	hook := &scriptHook{fates: []Fate{FateDrop, FateDelay}, budget: 1}
+	ts := []Transport{WithFaults(group[0], hook), group[1]}
+	runGroup(t, ts, func(tr Transport) ([]Message, error) {
+		if tr.Rank() == 0 {
+			return tr.Exchange([]Message{boundaryMsg(1), boundaryMsg(1)})
+		}
+		return tr.Exchange(nil)
+	})
+	lossy := ts[0].(*Lossy)
+	if failed := lossy.TakeFailed(); len(failed) != 1 {
+		t.Fatalf("TakeFailed = %+v, want the dropped message", failed)
+	}
+	if got := lossy.FaultStats().Failed; got != 1 {
+		t.Fatalf("Failed = %d after TakeFailed, want 1", got)
+	}
+	lossy.Close()
+	if got := lossy.FaultStats().Failed; got != 2 {
+		t.Fatalf("Failed = %d after Close abandoned the delayed message, want 2", got)
+	}
+}
+
+// A metrics scrape reads the plane while the rank exchanges: the fault
+// counters, the in-flight count and the abandoned list are synchronized
+// (run under -race by make transport-check).
+func TestLossyReadsDuringExchange(t *testing.T) {
+	group := NewInprocGroup(2)
+	hook := &scriptHook{fates: []Fate{FateDelay, FateDrop, FateDelay, FateDuplicate, FateDrop}, budget: 1}
+	ts := []Transport{WithFaults(group[0], hook), group[1]}
+	lossy := ts[0].(*Lossy)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_, _ = lossy.FaultStats(), lossy.InFlight()
+			}
+		}
+	}()
+	for step := 0; step < 5; step++ {
+		runGroup(t, ts, func(tr Transport) ([]Message, error) {
+			if tr.Rank() == 0 {
+				return tr.Exchange([]Message{boundaryMsg(1)})
+			}
+			return tr.Exchange(nil)
+		})
+	}
+	close(stop)
+	<-done
+	if fs := lossy.FaultStats(); fs.Delayed != 2 || fs.Dropped != 2 || fs.Duplicated != 1 || fs.Failed != 2 {
 		t.Fatalf("fault stats = %+v", fs)
 	}
 }

@@ -8,9 +8,11 @@
 // boundary payloads are the dv.Delta wire format (dv.Delta.WireBytes is
 // the actual byte count on the wire).
 //
-// The fault layer sits *above* the transport: the Lossy wrapper applies
-// the same deterministic per-message fates internal/cluster injects, and
-// both injected faults and real network failures surface through the same
+// The package also owns the one lossy-link fault plane (FaultPlane: fates,
+// resends, delays, abandoned messages and their counters). The Lossy
+// wrapper runs it above any backend and internal/cluster's simulator runs
+// it under its LogP schedule, so a seeded plan faults the same messages on
+// both; injected faults and real network failures surface through the same
 // TakeFailed channel, so the engine has one recovery path (re-mark the
 // affected rows for a full re-ship) regardless of backend.
 package transport
@@ -20,9 +22,9 @@ import (
 	"sync/atomic"
 )
 
-// Tag distinguishes message kinds on the wire. The values mirror the
-// cluster simulator's tags (internal/cluster aliases them), plus internal
-// control tags used by the TCP framing.
+// Tag distinguishes message kinds on the wire: the public kinds every
+// message plane (the simulator included) carries, plus internal control
+// tags used by the TCP framing.
 type Tag uint8
 
 const (
@@ -92,15 +94,17 @@ const (
 	FateCorrupt
 )
 
-// FaultHook is consulted for every delivery attempt of a boundary-DV
-// message, making the link lossy in a reproducible way. Implementations
-// must be deterministic functions of their arguments; internal/fault
-// provides the seeded reference implementation.
+// FaultHook is consulted by the FaultPlane for every delivery attempt of a
+// boundary-DV message to another rank (the plane alone decides which
+// messages are faulted), making the link lossy in a reproducible way.
+// Implementations must be deterministic functions of their arguments; the
+// plane calls them under its lock, so they must neither block nor call
+// back into the plane. internal/fault provides the seeded reference
+// implementation.
 type FaultHook interface {
 	// Fate returns the outcome of delivery attempt `attempt` (0-based) of
-	// the msgIndex-th message from rank `from` to `to` within exchange
-	// number xid.
-	Fate(xid int64, from, to, msgIndex, attempt int, tag Tag) Fate
+	// the k-th message from rank `from` to `to` within exchange number xid.
+	Fate(xid int64, from, to, k, attempt int) Fate
 	// Down reports whether rank p is currently crashed. Boundary-DV
 	// messages addressed to a down rank are dropped without retry.
 	Down(p int) bool
