@@ -26,13 +26,16 @@ race:
 # Kernel gate: the min-plus kernels have an AVX2 assembly body and a scalar
 # one (internal/kernel/minplus_*). vet's asmdecl pass checks the assembly's
 # frame layout against its Go declarations; the default-tag run holds the
-# vector body to the scalar one (fuzz seeds, body-selection test); the purego
-# run repeats the tile/worker/masked invariance and Runner==Engine tests on
-# the scalar body alone. -race builds select the scalar body through the
+# vector body to the scalar one (fuzz seeds, body-selection test), and a
+# short fuzzing run of the masked block body against the scalar body and a
+# reference peel goes past the seeds; the purego run repeats the
+# tile/worker/masked invariance, pruned-edge-scan and Runner==Engine tests
+# on the scalar body alone. -race builds select the scalar body through the
 # same build tag, so the race detector sees every row write.
 kernel-check:
 	$(GO) vet ./internal/kernel
 	$(GO) test -count=1 ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusHopsMasked$$' -fuzztime 10s ./internal/kernel
 	$(GO) test -count=1 -tags purego ./internal/kernel ./internal/core ./internal/rank
 
 # Benchmark smoke test: benchmark/ is a nested module the root `go test

@@ -301,6 +301,9 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 			if part.Part[owner] != int32(pid) {
 				return nil, fmt.Errorf("core: checkpoint row %d not owned by processor %d", owner, pid)
 			}
+			if t.Has(owner) {
+				return nil, fmt.Errorf("core: checkpoint table %d has two rows for vertex %d", pid, owner)
+			}
 			row := t.AddRow(owner)
 			row.Dirty = dirty
 			row.SetPendingState(pendAll, pendLo, pendHi)

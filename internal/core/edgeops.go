@@ -71,17 +71,65 @@ func (e *Engine) absorbEdge(u, v int, w graph.Weight, dynamicCut bool) {
 	if !improves {
 		return
 	}
+	// The event started from a clean convergence (Step computed the flag
+	// just before applying it, and every edge absorbed since was a Fig. 3
+	// update), so the DV state is an exact APSP matrix and the scan may be
+	// pruned to the affected rows and targets.
+	var tg *edgeTargets
+	if e.converged {
+		e.edgeTargets.build(w, snapU.D, snapV.D)
+		tg = &e.edgeTargets
+	}
 	ui, vi := int32(u), int32(v)
 	e.mach.Parallel(func(pid int) {
 		p := e.procs[pid]
 		var ops int64
 		for _, x := range p.table.Rows() {
-			ops += relaxViaEdge(x, ui, vi, w, snapU.D, snapV.D)
+			ops += relaxViaEdge(x, ui, vi, w, snapU.D, snapV.D, tg)
 		}
 		e.mach.Charge(pid, ops)
 		addOps(&e.metrics.ChangeOps, ops)
 	})
 	e.mach.Barrier()
+}
+
+// edgeTargets are the two target lists of a pruned Fig. 3 scan for an edge
+// {u,v,w}, compiled from the endpoint snapshots: viaU holds the targets t
+// with w + D(v,t) < D(u,t), the only columns the prefix x → u → v can
+// improve, and viaV the mirror image. The Engine keeps one as scratch.
+type edgeTargets struct {
+	bits       kernel.Bitset
+	arena      []uint32
+	viaU, viaV kernel.BlockMask
+}
+
+// build compiles the target lists of an edge of weight w between the
+// endpoints whose rows are du and dvv.
+func (tg *edgeTargets) build(w graph.Weight, du, dvv []graph.Dist) {
+	n := len(du)
+	if len(dvv) < n {
+		n = len(dvv)
+	}
+	if words := kernel.BitsetWords(n); cap(tg.bits) < words {
+		tg.bits = kernel.NewBitset(n)
+	} else {
+		tg.bits = tg.bits[:words]
+	}
+	tg.arena = tg.arena[:0]
+	tg.compile(&tg.viaU, w, du[:n], dvv[:n])
+	tg.compile(&tg.viaV, w, dvv[:n], du[:n])
+}
+
+// compile lists into m the targets t at which the edge followed by far's
+// row beats from's row: w + far[t] < from[t].
+func (tg *edgeTargets) compile(m *kernel.BlockMask, w graph.Weight, from, far []graph.Dist) {
+	tg.bits.Reset()
+	for t, d := range far {
+		if graph.AddDist(d, w) < from[t] {
+			tg.bits.Set(t)
+		}
+	}
+	tg.arena = m.Compile(tg.arena, tg.bits, len(far))
 }
 
 // relaxViaEdge performs the Fig. 3 lines 27-33 scan for one local row x
@@ -90,11 +138,20 @@ func (e *Engine) absorbEdge(u, v int, w graph.Weight, dynamicCut bool) {
 //
 //	D(x,t) = min(D(x,t), D(x,u)+w+D_v(t), D(x,v)+w+D_u(t)),
 //
-// using the broadcast snapshots of the endpoint rows. The full scan (not a
-// pruned one) is the paper's immediate-update cost — the very overhead
-// that makes Repartition-S preferable for large batches. Returns the
-// operation count.
-func relaxViaEdge(x *dv.Row, u, v int32, w graph.Weight, du, dvv []graph.Dist) int64 {
+// using the broadcast snapshots of the endpoint rows. The full scan is the
+// paper's immediate-update cost — the very overhead that makes
+// Repartition-S preferable for large batches — and is what the returned
+// operation count charges, whichever scan runs.
+//
+// With tg (from a DV state that is an exact APSP matrix) the scan is
+// pruned without changing its result. By the triangle inequality D(x,t) <=
+// D(x,v) + D(v,t), the prefix x → u → v can only improve D(x,t) if D(x,u)+w
+// < D(x,v), an O(1) test on the row; and by D(x,t) <= D(x,u) + D(u,t) only
+// at the targets t with w + D(v,t) < D(u,t), which tg.viaU lists; the
+// other prefix likewise. Every skipped composition is provably
+// non-improving, so distances, next hops and changed windows are the full
+// scan's, and the frontier records the same [lo,hi) hull.
+func relaxViaEdge(x *dv.Row, u, v int32, w graph.Weight, du, dvv []graph.Dist, tg *edgeTargets) int64 {
 	xu := graph.AddDist(x.D[u], w) // prefix x → u → v
 	xv := graph.AddDist(x.D[v], w) // prefix x → v → u
 	if xu == graph.InfDist && xv == graph.InfDist {
@@ -122,19 +179,41 @@ func relaxViaEdge(x *dv.Row, u, v int32, w graph.Weight, du, dvv []graph.Dist) i
 	xD, xNH := x.D[:n], x.NH[:n]
 	// Two kernel passes over the two compositions. Equivalent to the fused
 	// per-target min: every applied update is a strict decrease, and the
-	// second pass compares against the first pass's result. Improvements
-	// land in x's frontier so later masked sweeps see them.
-	if xu != graph.InfDist {
-		if lo, hi := kernel.MinPlusHopsRec(xD, xNH, dvv[:n], xu, nhu, x.F, 0); lo < hi {
-			x.MarkChanged(lo, hi)
-		}
+	// second pass compares against the first pass's result.
+	viaU, viaV := xu != graph.InfDist, xv != graph.InfDist
+	var toV, toU *kernel.BlockMask
+	if tg != nil {
+		// The row tests read D(x,v) before the first pass, which may lower it.
+		viaU, viaV = xu < x.D[v], xv < x.D[u]
+		toV, toU = &tg.viaU, &tg.viaV
 	}
-	if xv != graph.InfDist {
-		if lo, hi := kernel.MinPlusHopsRec(xD, xNH, du[:n], xv, nhv, x.F, 0); lo < hi {
-			x.MarkChanged(lo, hi)
-		}
+	if viaU {
+		relaxPrefix(x, xD, xNH, dvv[:n], xu, nhu, toV)
+	}
+	if viaV {
+		relaxPrefix(x, xD, xNH, du[:n], xv, nhv, toU)
 	}
 	return 2 * int64(n)
+}
+
+// relaxPrefix is one pass of the Fig. 3 scan: row x (its views xD, xNH)
+// through a prefix of length add whose first hop is hop, followed by the
+// far endpoint's snapshot src — at every target, or only at those listed
+// in targets when it is non-nil. The changed window lands in x's frontier
+// as a hull, so later masked sweeps see it, and in x's pending ship window.
+func relaxPrefix(x *dv.Row, xD []graph.Dist, xNH []int32, src []graph.Dist, add graph.Dist, hop int32, targets *kernel.BlockMask) {
+	var lo, hi int
+	if targets == nil {
+		lo, hi = kernel.MinPlusHops(xD, xNH, src, add, hop)
+	} else {
+		lo, hi = kernel.MinPlusHopsBlocks(xD, xNH, src, add, hop, targets, nil, 0)
+	}
+	if lo < hi {
+		if x.F != nil {
+			x.F.SetRange(lo, hi)
+		}
+		x.MarkChanged(lo, hi)
+	}
 }
 
 // afterTopologyChange rebuilds the per-processor boundary structures from

@@ -36,6 +36,8 @@ type Engine struct {
 	queue []change.Event
 	log   *EventLog // new-vertex ids, placement cursor, stream map
 
+	edgeTargets edgeTargets // scratch of the pruned Fig. 3 scan (edgeops.go)
+
 	step        int
 	converged   bool
 	forceRefine bool // set once a change requires local pivoting for exactness

@@ -113,13 +113,11 @@ type refineRound struct {
 	tLo, tHi int
 	offs     []int32 // active pivot row indices (arena slots, ascending)
 	owners   []int32 // owners[i] = global vertex of pivot offs[i]
-	// masks[i] is pivot offs[i]'s frontier bitmask, or nil to force a full
+	// masks[i] is pivot offs[i]'s compiled frontier, or nil to force a full
 	// sweep through that pivot (masking disabled, ship-all row, or frontier
-	// density past the cutover). Decided once by the leader in advanceRound
-	// and shared read-only by every phase-B worker; the Bitset is a live
-	// view of the pivot row's frontier, whose bits only accumulate, so
-	// phase B sees at least the bits present at decision time.
-	masks []kernel.Bitset
+	// density past the cutover). Decided and compiled by the leader in
+	// advanceRound, then shared read-only by every phase-B worker.
+	masks []*kernel.BlockMask
 }
 
 // maskDensityCut is the frontier-density cutover: a pivot whose frontier
@@ -141,34 +139,65 @@ func (p *Proc) pivotMask(pr *dv.Row) kernel.Bitset {
 	return pr.F
 }
 
+// growBlockMasks returns ms extended to at least n entries.
+func growBlockMasks(ms []kernel.BlockMask, n int) []kernel.BlockMask {
+	if len(ms) < n {
+		ms = append(ms, make([]kernel.BlockMask, n-len(ms))...)
+	}
+	return ms
+}
+
 // extMasks decides, once per relax phase, which received deltas' sweeps
-// may be frontier-masked: delta i gets its shipped frontier words unless
-// masking is off, the sender's change extent was unknown (no words), the
-// window is not 64-aligned (bit positions would not line up), or the
-// window's frontier is past the density cutover (streaming the full window
-// is cheaper than bit-peeling). The per-row decision — whether the
-// receiving row's own distance to the sender moved — stays in the inner
-// loop, exactly like the pivot-tile kernel's rec.Get(owner) check.
-func (p *Proc) extMasks(ext []*dv.Delta) []kernel.Bitset {
+// may be frontier-masked, and compiles those masks: delta i gets its
+// shipped frontier words unless masking is off, the sender's change extent
+// was unknown (no words), the window is not 64-aligned (bit positions would
+// not line up), or the window's frontier is past the density cutover
+// (streaming the full window is cheaper). Each mask is compiled once for
+// the width every local row sweeps it at, into per-processor scratch. The
+// per-row decision — whether the receiving row's own distance to the
+// sender moved — stays in the inner loop, exactly like the pivot-tile
+// kernel's rec.Get(owner) check.
+func (p *Proc) extMasks(ext []*dv.Delta) []*kernel.BlockMask {
 	if p.maskOff {
 		return nil
 	}
-	ms := make([]kernel.Bitset, len(ext))
-	any := false
+	p.extBlocks = growBlockMasks(p.extBlocks, len(ext))
+	if cap(p.extMaskRefs) < len(ext) {
+		p.extMaskRefs = make([]*kernel.BlockMask, len(ext))
+	}
+	ms := p.extMaskRefs[:len(ext)]
+	cols := p.table.Cols()
+	// First pass: decide, and bound the blocks (at most one per mask bit).
+	need, any := 0, false
 	for i, br := range ext {
+		ms[i] = nil
 		m := br.F
-		if m == nil || br.Lo&63 != 0 {
+		off := int(br.Lo)
+		if m == nil || off&63 != 0 || off >= cols {
 			continue
 		}
-		if m.OnesCount()*maskDensityCut > len(br.D) {
+		bits := m.OnesCount()
+		if bits*maskDensityCut > len(br.D) {
 			continue
 		}
-		ms[i] = m
+		ms[i] = &p.extBlocks[i]
+		need += min(bits, kernel.MaxBlocks(len(br.D)))
 		any = true
 	}
 	if !any {
 		return nil
 	}
+	arena := p.extArena[:0]
+	if cap(arena) < need {
+		arena = make([]uint32, 0, need) // one allocation; the compiles never regrow it
+	}
+	for i, m := range ms {
+		if m != nil {
+			br := ext[i]
+			arena = m.Compile(arena, br.F, min(len(br.D), cols-int(br.Lo)))
+		}
+	}
+	p.extArena = arena
 	return ms
 }
 
@@ -198,8 +227,8 @@ func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 	ops := make([]int64, w)
 	masked := make([]int64, w)
 	ph := newPhaser(w)
+	round := &p.round
 	var (
-		round        refineRound
 		from         int
 		phaseA       int64 // leader-run advance ops, serialized by the phaser lock
 		phaseAMasked int64
@@ -218,7 +247,7 @@ func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 					// must be complete; the leader refines the next diagonal
 					// tile and publishes the round schedule.
 					ph.await(func() {
-						ao, am := p.advanceRound(&round, from, tile)
+						ao, am := p.advanceRound(round, from, tile)
 						phaseA += ao
 						phaseAMasked += am
 						if round.tLo >= 0 {
@@ -228,7 +257,7 @@ func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 					if round.tLo < 0 {
 						break
 					}
-					bo, bm := p.phaseB(&round, lo, hi)
+					bo, bm := p.phaseB(round, lo, hi)
 					o += bo
 					mk += bm
 				}
@@ -257,7 +286,7 @@ func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 // cache-resident across the row sweep; within a row, chunk order preserves
 // the global delivery order exactly, so results are independent of tile.
 //
-// masks (from extMasks; may be nil) carries the deltas' shipped frontier
+// masks (from extMasks; may be nil) carries the deltas' compiled frontier
 // words: when delta b has one and row u's own distance to b is unchanged
 // since the last convergence (u.F bit b clear, no FAll), the sweep visits
 // only b's changed columns — the skipped ones hold their convergence-time
@@ -265,7 +294,7 @@ func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 // non-improving (see internal/kernel/masked.go). Improvements are recorded
 // into u's frontier either way — the exact (sparser) form of OR-ing the
 // received window in. Returns total ops and the masked-visit subtotal.
-func (p *Proc) relaxExternalBlock(ext []*dv.Delta, masks []kernel.Bitset, lo, hi, tile int) (int64, int64) {
+func (p *Proc) relaxExternalBlock(ext []*dv.Delta, masks []*kernel.BlockMask, lo, hi, tile int) (int64, int64) {
 	rows := p.table.Rows()
 	var ops, maskedOps int64
 	for base := 0; base < len(ext); base += tile {
@@ -291,17 +320,16 @@ func (p *Proc) relaxExternalBlock(ext []*dv.Delta, masks []kernel.Bitset, lo, hi
 				if off >= len(uD) {
 					continue
 				}
-				var mask kernel.Bitset
+				var mask *kernel.BlockMask
 				if masks != nil {
 					mask = masks[base+ci]
 				}
 				// nhb: first hop toward b; improved paths to t go that way.
 				var clo, chi int
 				if mask != nil && !u.FAll && !u.F.Get(int(b)) {
-					var visited int
-					clo, chi, visited = kernel.MinPlusHopsMasked(uD[off:], uNH[off:], br.D, d, uNH[b], mask, rec, off)
-					ops += int64(visited)
-					maskedOps += int64(visited)
+					clo, chi = kernel.MinPlusHopsBlocks(uD[off:], uNH[off:], br.D, d, uNH[b], mask, rec, off)
+					ops += int64(mask.Ops())
+					maskedOps += int64(mask.Ops())
 				} else {
 					clo, chi = kernel.MinPlusHopsRec(uD[off:], uNH[off:], br.D, d, uNH[b], rec, off)
 					ops += int64(len(br.D))
@@ -335,8 +363,8 @@ func (p *Proc) nextPivot(from int) int {
 // index order, re-checking activity at visit time exactly like the serial
 // forward scan. Rows activated behind the scan cursor are picked up by the
 // next refine pass, as before. Each pivot's mask decision is made here —
-// once, serially — and published in r.masks so phase B seeds its sweeps
-// from the same frontier the diagonal pass used (and extended). Returns
+// once, serially — and its frontier compiled for the diagonal pass, then
+// compiled again for phase B and published in r.masks. Returns
 // the phase-A op count and its masked-visit subtotal; r.tLo is set to -1
 // when no active pivot remains.
 func (p *Proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
@@ -355,17 +383,36 @@ func (p *Proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
 	if r.tHi > n {
 		r.tHi = n
 	}
+	// Round scratch is sized once for the widest tile a table this long
+	// has, before any pointer into the compiled masks is taken.
+	if size := min(tile, n); cap(r.offs) < size {
+		r.offs = make([]int32, 0, size)
+		r.owners = make([]int32, 0, size)
+		r.masks = make([]*kernel.BlockMask, 0, size)
+		p.pivotBlocks = growBlockMasks(p.pivotBlocks, size)
+	}
 	r.offs = r.offs[:0]
 	r.owners = r.owners[:0]
 	r.masks = r.masks[:0]
 	rows := p.table.Rows()
+	cols := p.table.Cols()
+	arena := p.pivotArena[:0]
 	var ops, masked int64
 	for w := wi; w < r.tHi; w++ {
 		if !p.changed[w] && !p.pivot[w] {
 			continue
 		}
 		pr := rows[w]
-		mask := p.pivotMask(pr)
+		var mask *kernel.BlockMask
+		if f := p.pivotMask(pr); f != nil {
+			if need := cap(r.offs) * kernel.MaxBlocks(cols); cap(arena) < need {
+				// a whole round's worst case, on the first mask only: blocks
+				// compiled into the old arena stay valid where they are
+				arena = make([]uint32, 0, need)
+			}
+			mask = &p.pivotBlocks[len(r.offs)]
+			arena = mask.Compile(arena, f, cols)
+		}
 		for ui := r.tLo; ui < r.tHi; ui++ {
 			if ui == w {
 				continue
@@ -377,10 +424,9 @@ func (p *Proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
 			}
 			var clo, chi int
 			if mask != nil && !u.FAll && !u.F.Get(int(pr.Owner)) {
-				var visited int
-				clo, chi, visited = kernel.MinPlusHopsMasked(u.D, u.NH, pr.D, d, u.NH[pr.Owner], mask, u.F, 0)
-				ops += int64(visited)
-				masked += int64(visited)
+				clo, chi = kernel.MinPlusHopsBlocks(u.D, u.NH, pr.D, d, u.NH[pr.Owner], mask, u.F, 0)
+				ops += int64(mask.Ops())
+				masked += int64(mask.Ops())
 			} else {
 				rec := u.F
 				if p.maskOff {
@@ -398,6 +444,17 @@ func (p *Proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
 		r.owners = append(r.owners, pr.Owner)
 		r.masks = append(r.masks, mask)
 	}
+	// Phase B sweeps each pivot's frontier as it stands after the whole
+	// diagonal pass: a later pivot of the tile can still improve an earlier
+	// pivot's row and so add bits to its frontier. The diagonal masks are
+	// done with, so the recompiled ones take over the arena.
+	arena = arena[:0]
+	for i, m := range r.masks {
+		if m != nil {
+			arena = m.Compile(arena, rows[r.offs[i]].F, cols)
+		}
+	}
+	p.pivotArena = arena
 	if p.tr != nil {
 		// Tile-round spans are wall-only: the LogP charge for the refine
 		// work lands at relax-phase granularity, not per round.
@@ -445,17 +502,17 @@ func (p *Proc) phaseB(r *refineRound, lo, hi int) (int64, int64) {
 // refineTiled is the w == 1 pass: the identical tile-round schedule run
 // inline, so worker counts cannot change results.
 func (p *Proc) refineTiled(tile int) int64 {
-	var r refineRound
+	r := &p.round
 	var ops int64
 	from := 0
 	for {
-		ao, am := p.advanceRound(&r, from, tile)
+		ao, am := p.advanceRound(r, from, tile)
 		ops += ao
 		p.stepMaskedOps += am
 		if r.tLo < 0 {
 			return ops
 		}
-		bo, bm := p.phaseB(&r, 0, p.table.Len())
+		bo, bm := p.phaseB(r, 0, p.table.Len())
 		ops += bo
 		p.stepMaskedOps += bm
 		from = r.tHi

@@ -6,6 +6,7 @@ import (
 	"anytime/internal/change"
 	"anytime/internal/dv"
 	"anytime/internal/graph"
+	"anytime/internal/kernel"
 	"anytime/internal/obs"
 	"anytime/internal/sssp"
 )
@@ -44,6 +45,17 @@ type Proc struct {
 	hasUpdate     bool // a local-boundary row is dirty: the vote against convergence
 	// maskOff mirrors Options.NoFrontierMask: full-row sweeps everywhere.
 	maskOff bool
+	// relax-phase scratch reused across steps (parallel.go): the compiled
+	// frontier masks — extBlocks[i] for received delta i (extMaskRefs
+	// points at the ones in use), pivotBlocks for the active pivots of one
+	// refine tile round, each set's blocks in one arena — and that round's
+	// schedule
+	extBlocks   []kernel.BlockMask
+	extMaskRefs []*kernel.BlockMask
+	extArena    []uint32
+	pivotBlocks []kernel.BlockMask
+	pivotArena  []uint32
+	round       refineRound
 
 	// observability: the span tracer (nil = disabled) and the RC step
 	// counter at the start of the current relax phase, for the tile-round

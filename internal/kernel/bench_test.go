@@ -119,6 +119,55 @@ func benchTile(b *testing.B, packed bool) {
 	}
 }
 
+// maskedShape builds the mask of one BenchmarkRCKernelMasked case over n
+// columns: band is the shape measured on absorb_cutedge (8 bits in one body
+// word for the previous batch's columns, 16 in the last word for the new
+// batch's), density=p sets each bit with probability p percent.
+func maskedShape(n int, band bool, pct float64, rng *rand.Rand) Bitset {
+	m := NewBitset(n)
+	if band {
+		m.SetRange(n/2, n/2+8)
+		m.SetRange(n-16, n)
+		return m
+	}
+	for t := 0; t < n; t++ {
+		if rng.Float64()*100 < pct {
+			m.Set(t)
+		}
+	}
+	return m
+}
+
+// BenchmarkRCKernelMasked is one masked sweep of a 1,024-column converged
+// row (nothing improves, as in most sweeps of a re-convergence) the way the
+// engine runs it: the mask is compiled once, outside the timed loop, as a
+// relax phase compiles a delta's or a pivot's frontier once and sweeps it
+// over every row. MinPlusHopsMasked, which compiles per call, pays the
+// word scan on top. The 25 % case is the density cutover; denser frontiers
+// take the full-row kernel.
+func BenchmarkRCKernelMasked(b *testing.B) {
+	const n = 1024
+	cases := []struct {
+		name string
+		band bool
+		pct  float64
+	}{{"band", true, 0}, {"density=1", false, 1}, {"density=3", false, 3}, {"density=12", false, 12}, {"density=25", false, 25}}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			dst, nh, src := benchRows(n, 0, 1)
+			var m BlockMask
+			m.Compile(nil, maskedShape(n, c.band, c.pct, rng), n)
+			rec := NewBitset(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				MinPlusHopsBlocks(dst, nh, src, 3, 7, &m, rec, 0)
+			}
+		})
+	}
+}
+
 func BenchmarkRCKernelTileArena(b *testing.B) { benchTile(b, true) }
 
 func BenchmarkRCKernelTilePerRow(b *testing.B) { benchTile(b, false) }

@@ -6,13 +6,15 @@
 //
 //	dst[t] = min(dst[t], add + src[t]).
 //
-// MinPlusHops and MinPlus have two bodies behind one signature, chosen
-// once at package init: an 8-lane AVX2 sweep in Go assembly
-// (minplus_amd64.s, used when CPUID reports AVX2 and the OS saves the YMM
-// state) and the portable scalar loop (minplus_generic.go: other
-// architectures, -tags purego, -race, rows narrower than one vector, and
-// the n mod 8 tail). They produce identical dst, nh and changed windows,
-// so the choice changes wall-clock only — never an op count or a result.
+// MinPlusHops, MinPlus and the masked sweep MinPlusHopsBlocks (masked.go)
+// have two bodies behind one signature, chosen once at package init: an
+// 8-lane AVX2 sweep in Go assembly (minplus_amd64.s, used when CPUID
+// reports AVX2 and the OS saves the YMM state) and the portable scalar loop
+// (minplus_generic.go: other architectures, -tags purego, -race, rows
+// narrower than one vector, the n mod 8 tail and a mask's partial last
+// block). They produce identical dst, nh, frontier bits and changed
+// windows, so the choice changes wall-clock only — never an op count or a
+// result.
 //
 // The scalar loops are written so the compiler can eliminate the
 // per-iteration bounds checks: every slice is re-sliced to the shared loop

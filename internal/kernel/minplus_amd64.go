@@ -12,6 +12,9 @@ func minPlusHopsAVX2(dst, nh, src *int32, n int, add, hop int32) (lo, hi int)
 //go:noescape
 func minPlusAVX2(dst, src *int32, n int, add int32) bool
 
+//go:noescape
+func minPlusBlocksAVX2(dst, nh, src *int32, blocks *uint32, nb, n int, rec *uint64, base int, add, hop int32) (lo, hi int)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax uint32)
 
@@ -71,6 +74,25 @@ func minPlusHopsSIMD(dst []graph.Dist, nh []int32, src []graph.Dist, add graph.D
 		lo = n
 	}
 	return lo, hi
+}
+
+// blocksBody relaxes the whole 8-column blocks of a compiled mask (see
+// MinPlusHopsBlocks, which checked that rec covers every bit they can set).
+// It is a plain function rather than a func variable like hopsBody, so the
+// stack buffer MinPlusHopsMasked compiles into does not escape through an
+// indirect call; the branch reads the same init-time CPUID decision. The
+// vector body ORs a block's improved lanes into rec with one byte store, so
+// it needs base to be a multiple of 8; every engine call passes 0 or a
+// 64-aligned delta offset, and the rest take the scalar body.
+func blocksBody(dst []graph.Dist, nh []int32, src []graph.Dist, blocks []uint32, add graph.Dist, hop int32, rec Bitset, base int) (lo, hi int) {
+	if !useAVX2 || len(blocks) == 0 || (rec != nil && base&7 != 0) {
+		return minPlusBlocksGeneric(dst, nh, src, blocks, add, hop, rec, base)
+	}
+	var recp *uint64
+	if rec != nil {
+		recp = &rec[0]
+	}
+	return minPlusBlocksAVX2(&dst[0], &nh[0], &src[0], &blocks[0], len(blocks), len(dst), recp, base, add, hop)
 }
 
 // minPlusSIMD is the AVX2 body of MinPlus, split like minPlusHopsSIMD.

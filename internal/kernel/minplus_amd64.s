@@ -172,6 +172,94 @@ distDone:
 	MOVB R9, ret+32(FP)
 	RET
 
+// laneBits holds 1 << i in lane i: ANDed with a broadcast block word and
+// compared with zero, it expands the block's 8 mask bits into 8 lanes.
+DATA laneBits<>+0(SB)/4, $1
+DATA laneBits<>+4(SB)/4, $2
+DATA laneBits<>+8(SB)/4, $4
+DATA laneBits<>+12(SB)/4, $8
+DATA laneBits<>+16(SB)/4, $16
+DATA laneBits<>+20(SB)/4, $32
+DATA laneBits<>+24(SB)/4, $64
+DATA laneBits<>+28(SB)/4, $128
+GLOBL laneBits<>(SB), RODATA|NOPTR, $32
+
+// func minPlusBlocksAVX2(dst, nh, src *int32, blocks *uint32, nb, n int, rec *uint64, base int, add, hop int32) (lo, hi int)
+//
+// Relaxes the nb whole blocks of a compiled mask (see BlockMask: column
+// index/8 in bits 8 and up, lane bits in bits 0-7; every block ends at or
+// below n) in list order. Only lanes whose mask bit is set may change: the
+// store blends the old value back into every other lane. Improved lanes are
+// ORed into rec's byte (base+t)/8 when rec is not nil, which needs base to
+// be a multiple of 8. Returns the changed window [lo, hi); (n, 0) when no
+// lane improved.
+TEXT ·minPlusBlocksAVX2(SB), NOSPLIT, $0-88
+	MOVQ dst+0(FP), DI
+	MOVQ nh+8(FP), SI
+	MOVQ src+16(FP), DX
+	MOVQ blocks+24(FP), R8
+	MOVQ nb+32(FP), CX
+	MOVQ n+40(FP), R9       // lo
+	MOVQ rec+48(FP), R10
+	MOVQ base+56(FP), R14
+	MOVL add+64(FP), AX
+	MOVL hop+68(FP), BX
+	VMOVD AX, X0
+	VMOVD BX, X1
+	VPBROADCASTD X0, Y0
+	VPBROADCASTD X1, Y1
+	VMOVDQU laneBits<>(SB), Y14
+	VPXOR   Y15, Y15, Y15
+	XORQ R11, R11           // hi
+	XORQ R12, R12           // block
+
+blocksLoop:
+	CMPQ R12, CX
+	JGE  blocksDone
+	MOVL (R8)(R12*4), AX
+	MOVL AX, BX
+	SHRL $5, BX
+	ANDL $~7, BX            // t: the block's first column
+	VMOVD        AX, X5
+	VPBROADCASTD X5, Y5
+	VPAND        Y14, Y5, Y5
+	VPCMPEQD     Y15, Y5, Y5 // all ones on the lanes outside the mask
+	VPADDD    (DX)(BX*4), Y0, Y2
+	VMOVDQU   (DI)(BX*4), Y3
+	VPMINUD   Y3, Y2, Y4
+	VPCMPEQD  Y3, Y4, Y4    // all ones where the lane did not improve
+	VPOR      Y5, Y4, Y4    // ... or may not change: keep the old value
+	VMOVMSKPS Y4, AX
+	XORL $0xff, AX          // one bit per improved lane
+	JZ   blocksNext
+	VPBLENDVB Y4, Y3, Y2, Y6
+	VMOVDQU   Y6, (DI)(BX*4)
+	VPBLENDVB Y4, (SI)(BX*4), Y1, Y7
+	VMOVDQU   Y7, (SI)(BX*4)
+	TESTQ R10, R10
+	JZ    blocksWindow
+	LEAQ (R14)(BX*1), R13
+	SHRQ $3, R13
+	ORB  AL, (R10)(R13*1)
+
+blocksWindow:
+	BSFL AX, R13
+	ADDQ BX, R13
+	CMPQ R13, R9
+	CMOVQLT R13, R9
+	BSRL AX, R13
+	LEAQ 1(BX)(R13*1), R11
+
+blocksNext:
+	INCQ R12
+	JMP  blocksLoop
+
+blocksDone:
+	VZEROUPPER
+	MOVQ R9, lo+72(FP)
+	MOVQ R11, hi+80(FP)
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX
