@@ -26,16 +26,18 @@ race:
 # Kernel gate: the min-plus kernels have an AVX2 assembly body and a scalar
 # one (internal/kernel/minplus_*). vet's asmdecl pass checks the assembly's
 # frame layout against its Go declarations; the default-tag run holds the
-# vector body to the scalar one (fuzz seeds, body-selection test), and a
-# short fuzzing run of the masked block body against the scalar body and a
-# reference peel goes past the seeds; the purego run repeats the
-# tile/worker/masked invariance, pruned-edge-scan and Runner==Engine tests
-# on the scalar body alone. -race builds select the scalar body through the
-# same build tag, so the race detector sees every row write.
+# vector body to the scalar one (fuzz seeds, body-selection test), and short
+# fuzzing runs of the masked block body and of the grouped multi-pivot body
+# against the scalar bodies and a one-pivot-at-a-time reference go past the
+# seeds; the purego run repeats the tile/worker/masked invariance,
+# pruned-edge-scan and Runner==Engine tests on the scalar body alone. -race
+# builds select the scalar body through the same build tag, so the race
+# detector sees every row write.
 kernel-check:
 	$(GO) vet ./internal/kernel
 	$(GO) test -count=1 ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusHopsMasked$$' -fuzztime 10s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusGroup$$' -fuzztime 10s ./internal/kernel
 	$(GO) test -count=1 -tags purego ./internal/kernel ./internal/core ./internal/rank
 
 # Benchmark smoke test: benchmark/ is a nested module the root `go test
@@ -64,16 +66,15 @@ chaos-cluster:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Archive the RC-phase and figure-reproduction benchmarks as JSON
-# (ns/op, allocs/op, and per-step shipping metrics) for diffing runs.
-# BENCHTIME trades archival stability for runtime: the figure benches run
-# few iterations per second, so 1s runs are noisy. BenchmarkPaperScale is
-# in the sweep but self-skips unless AA_PAPER_BENCH=1 is exported, so the
-# default archive stays laptop-safe while a paper-tier run lands in the
-# same JSON.
+# Archive the RC-phase benchmarks as JSON (ns/op, allocs/op, and per-step
+# shipping metrics) for diffing runs. The paper's figures are regenerated by
+# `go run ./cmd/aaexperiments`, not benched here. BENCHTIME trades archival
+# stability for runtime. BenchmarkPaperScale is in the sweep but self-skips
+# unless AA_PAPER_BENCH=1 is exported, so the default archive stays
+# laptop-safe while a paper-tier run lands in the same JSON.
 BENCHTIME ?= 2s
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkRC|BenchmarkFig4|BenchmarkFig8|BenchmarkTransportRoundTrip|BenchmarkPaperScale' -benchtime $(BENCHTIME) -benchmem ./... \
+	$(GO) test -run '^$$' -bench 'BenchmarkRC|BenchmarkTransportRoundTrip|BenchmarkPaperScale' -benchtime $(BENCHTIME) -benchmem ./... \
 		| $(GO) run ./cmd/benchjson > BENCH_rc.json
 
 # Regression gate: rerun the kernel's per-call benchmarks (narrow delta

@@ -1,11 +1,11 @@
-// Benchmarks regenerating the paper's evaluation, one target per
-// table/figure (Figs. 4-8 and the analysis-bounds table), plus ablation
-// benches for the design choices called out in DESIGN.md and micro-benches
-// of the engine phases.
+// Benchmarks of the analysis-bounds table, ablation benches for the design
+// choices called out in DESIGN.md and micro-benches of the engine phases.
+// The paper's figures (Figs. 4-8) are regenerated by internal/harness
+// (cmd/aaexperiments), not here.
 //
-// Wall time is what testing.B measures; every figure bench additionally
-// reports the simulated-cluster LogP time as "virt-ms/op" (the unit the
-// paper plots, scaled), and Fig. 7 reports "new-cut-edges".
+// Wall time is what testing.B measures; the ablation benches additionally
+// report the simulated-cluster LogP time as "virt-ms/op" and the
+// "new-cut-edges" a batch created.
 //
 // Run with: go test -bench=. -benchmem
 package anytime_test
@@ -82,133 +82,6 @@ func absorbBench(b *testing.B, strat core.Strategy, injectStep, batchSize int, o
 	}
 	b.ReportMetric(virt/float64(b.N), "virt-ms/op")
 	b.ReportMetric(cuts/float64(b.N), "new-cut-edges")
-}
-
-// --- Fig. 4: baseline restart vs anytime anywhere ---
-
-func BenchmarkFig4_AnytimeRC0(b *testing.B) {
-	absorbBench(b, core.RoundRobinPS, 0, 16, benchOptions(core.RoundRobinPS))
-}
-
-func BenchmarkFig4_AnytimeRC4(b *testing.B) {
-	absorbBench(b, core.RoundRobinPS, 4, 16, benchOptions(core.RoundRobinPS))
-}
-
-func BenchmarkFig4_AnytimeRC8(b *testing.B) {
-	absorbBench(b, core.RoundRobinPS, 8, 16, benchOptions(core.RoundRobinPS))
-}
-
-func BenchmarkFig4_BaselineRestart(b *testing.B) {
-	g := benchGraph(b)
-	batch := benchBatch(b, g, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var virt float64
-	for i := 0; i < b.N; i++ {
-		r, err := core.NewRestart(g, benchOptions(core.RoundRobinPS))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := r.ApplyBatch(batch); err != nil {
-			b.Fatal(err)
-		}
-		virt += r.Metrics().VirtualTime.Seconds() * 1000
-	}
-	b.ReportMetric(virt/float64(b.N), "virt-ms/op")
-}
-
-// --- Figs. 5/7: strategy sweep at RC0 (Fig. 7 = the new-cut-edges metric
-// these benches report) ---
-
-func BenchmarkFig5_RoundRobinPS(b *testing.B) {
-	absorbBench(b, core.RoundRobinPS, 0, 48, benchOptions(core.RoundRobinPS))
-}
-
-func BenchmarkFig5_CutEdgePS(b *testing.B) {
-	absorbBench(b, core.CutEdgePS, 0, 48, benchOptions(core.CutEdgePS))
-}
-
-func BenchmarkFig5_RepartitionS(b *testing.B) {
-	absorbBench(b, core.RepartitionS, 0, 48, benchOptions(core.RepartitionS))
-}
-
-// Fig. 7 at the largest sweep point, where the cut-edge gap is widest.
-func BenchmarkFig7_RoundRobinPS_LargeBatch(b *testing.B) {
-	absorbBench(b, core.RoundRobinPS, 0, 96, benchOptions(core.RoundRobinPS))
-}
-
-func BenchmarkFig7_CutEdgePS_LargeBatch(b *testing.B) {
-	absorbBench(b, core.CutEdgePS, 0, 96, benchOptions(core.CutEdgePS))
-}
-
-func BenchmarkFig7_RepartitionS_LargeBatch(b *testing.B) {
-	absorbBench(b, core.RepartitionS, 0, 96, benchOptions(core.RepartitionS))
-}
-
-// --- Fig. 6: strategy sweep with late injection (RC8) ---
-
-func BenchmarkFig6_RoundRobinPS(b *testing.B) {
-	absorbBench(b, core.RoundRobinPS, 8, 48, benchOptions(core.RoundRobinPS))
-}
-
-func BenchmarkFig6_CutEdgePS(b *testing.B) {
-	absorbBench(b, core.CutEdgePS, 8, 48, benchOptions(core.CutEdgePS))
-}
-
-func BenchmarkFig6_RepartitionS(b *testing.B) {
-	absorbBench(b, core.RepartitionS, 8, 48, benchOptions(core.RepartitionS))
-}
-
-// --- Fig. 8: incremental additions over 10 RC steps ---
-
-func incrementalBench(b *testing.B, strat core.Strategy) {
-	g := benchGraph(b)
-	full := benchBatch(b, g, 60)
-	parts := gen.SplitBatch(full, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var virt float64
-	for i := 0; i < b.N; i++ {
-		e, err := core.New(g, benchOptions(strat))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range parts {
-			if err := e.QueueBatch(p); err != nil {
-				b.Fatal(err)
-			}
-			e.Step()
-		}
-		e.Run()
-		virt += e.Metrics().VirtualTime.Seconds() * 1000
-	}
-	b.ReportMetric(virt/float64(b.N), "virt-ms/op")
-}
-
-func BenchmarkFig8_RoundRobinPS(b *testing.B) { incrementalBench(b, core.RoundRobinPS) }
-func BenchmarkFig8_CutEdgePS(b *testing.B)    { incrementalBench(b, core.CutEdgePS) }
-func BenchmarkFig8_RepartitionS(b *testing.B) { incrementalBench(b, core.RepartitionS) }
-
-func BenchmarkFig8_BaselineRestart(b *testing.B) {
-	g := benchGraph(b)
-	full := benchBatch(b, g, 60)
-	parts := gen.SplitBatch(full, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var virt float64
-	for i := 0; i < b.N; i++ {
-		r, err := core.NewRestart(g, benchOptions(core.RoundRobinPS))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range parts {
-			if err := r.ApplyBatch(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-		virt += r.Metrics().VirtualTime.Seconds() * 1000
-	}
-	b.ReportMetric(virt/float64(b.N), "virt-ms/op")
 }
 
 // --- Analysis-bounds table: a full static run, reporting the measured

@@ -6,6 +6,7 @@ package change
 
 import (
 	"fmt"
+	"math"
 
 	"anytime/internal/graph"
 )
@@ -54,10 +55,13 @@ func (b *VertexBatch) NumEdges() int {
 }
 
 // Validate checks index ranges against the batch size and an existing graph
-// of n vertices.
+// of n vertices, and that the grown graph's vertex IDs still fit in int32.
 func (b *VertexBatch) Validate(n int) error {
 	if b.NumVertices < 0 {
 		return fmt.Errorf("change: negative batch size %d", b.NumVertices)
+	}
+	if b.NumVertices > math.MaxInt32-n {
+		return fmt.Errorf("change: batch of %d vertices overflows the int32 vertex IDs of a graph of %d", b.NumVertices, n)
 	}
 	for _, e := range b.Internal {
 		if e.A < 0 || int(e.A) >= b.NumVertices || e.B < 0 || int(e.B) >= b.NumVertices {

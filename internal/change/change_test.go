@@ -1,6 +1,7 @@
 package change
 
 import (
+	"math"
 	"testing"
 )
 
@@ -33,6 +34,8 @@ func TestValidateRejects(t *testing.T) {
 		func(b *VertexBatch) { b.Pending[0].New = 9 },
 		func(b *VertexBatch) { b.Pending[0].EarlierBatchVertex = -1 },
 		func(b *VertexBatch) { b.Pending[0].Weight = 0 },
+		func(b *VertexBatch) { b.NumVertices = math.MaxInt32 },
+		func(b *VertexBatch) { b.NumVertices = 1<<32 - 1 },
 	}
 	for i, mutate := range cases {
 		b := validBatch()

@@ -25,8 +25,9 @@ import (
 //     other workers are parked — because tile rows both read and write
 //     each other.
 //   - phase B (remainder): every row outside the tile is relaxed through
-//     the round's active pivots via kernel.MinPlusTile, streaming the
-//     pivot rows straight out of the flat dv.Matrix arena. Rows are
+//     the round's active pivots, kernel.GroupK of them per grouped pass
+//     (kernel.Tile), streaming the pivot rows straight out of the flat
+//     dv.Matrix arena. Rows are
 //     partitioned into contiguous per-worker blocks, one writer per row;
 //     tile rows are read-only during this phase, so no barrier is needed
 //     within a round.
@@ -39,10 +40,10 @@ import (
 // bit-identical for any worker count:
 //
 //   - External relaxation partitions the local rows into contiguous
-//     blocks, one writer per row. Deltas are processed in fixed-size
-//     chunks (rows outer, chunk deltas inner in delivery order), which
-//     keeps each row's relaxation sequence identical to the serial inbox
-//     walk while the working set of delta rows stays cache-resident.
+//     blocks, one writer per row. Deltas are processed in chunks (chunk
+//     outer, rows inner, the chunk's deltas in delivery order within a
+//     row), which keeps each row's relaxation sequence identical to the
+//     serial inbox walk while the chunk's payloads stay cache-resident.
 //   - The round schedule (which tile, which pivots) is computed only by
 //     the phaser leader in the advance critical section, so every worker
 //     agrees on it even though `changed` evolves during the pass; phase B
@@ -204,7 +205,7 @@ func (p *Proc) extMasks(ext []*dv.Delta) []*kernel.BlockMask {
 // relaxStep runs one processor's relax phase — external-delta relaxation
 // followed (optionally) by tiled local refinement — across w worker
 // goroutines, returning the total relax ops. w == 1 runs inline with no
-// pool. tile is the pivot-tile edge (and external-relax delta chunk size).
+// pool. tile is the pivot-tile edge.
 func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 	n := p.table.Len()
 	if w > n {
@@ -215,13 +216,20 @@ func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 	}
 	p.stepMaskedOps = 0
 	extM := p.extMasks(ext)
+	p.tile.Reserve(p.table.Cols())
 	if w <= 1 {
-		ops, em := p.relaxExternalBlock(ext, extM, 0, n, tile)
+		ops, em := p.relaxExternalBlock(ext, extM, 0, n, &p.tile)
 		p.stepMaskedOps += em
 		if refine {
 			ops += p.refineTiled(tile)
 		}
 		return ops
+	}
+	if len(p.tiles) < w-1 {
+		p.tiles = make([]kernel.Tile, w-1)
+	}
+	for k := range p.tiles[:w-1] {
+		p.tiles[k].Reserve(p.table.Cols())
 	}
 	bounds := splitBlocks(n, w)
 	ops := make([]int64, w)
@@ -239,7 +247,11 @@ func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 		go func(k int) {
 			defer wg.Done()
 			lo, hi := bounds[k], bounds[k+1]
-			o, mk := p.relaxExternalBlock(ext, extM, lo, hi, tile)
+			t := &p.tile
+			if k > 0 {
+				t = &p.tiles[k-1]
+			}
+			o, mk := p.relaxExternalBlock(ext, extM, lo, hi, t)
 			if refine {
 				for {
 					// Barrier: the remainder phase reads rows of every
@@ -257,7 +269,7 @@ func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 					if round.tLo < 0 {
 						break
 					}
-					bo, bm := p.phaseB(round, lo, hi)
+					bo, bm := p.phaseB(round, lo, hi, t)
 					o += bo
 					mk += bm
 				}
@@ -282,62 +294,57 @@ func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 //
 //	D(u, t) = min(D(u, t), D(u, b) + D_b(t)).
 //
-// Deltas are walked in chunks of `tile` so the chunk's delta payloads stay
-// cache-resident across the row sweep; within a row, chunk order preserves
-// the global delivery order exactly, so results are independent of tile.
+// Deltas are walked in chunks, rows inner: a chunk is prepared once as a
+// kernel.Tile, whose payloads stay in L1 across the row sweep, and each row
+// sweeps the chunk's full-sweep deltas kernel.GroupK at a time in grouped
+// passes. Within a row, chunk order preserves the global delivery order
+// exactly.
 //
 // masks (from extMasks; may be nil) carries the deltas' compiled frontier
 // words: when delta b has one and row u's own distance to b is unchanged
 // since the last convergence (u.F bit b clear, no FAll), the sweep visits
 // only b's changed columns — the skipped ones hold their convergence-time
 // values, so the composition through an unchanged u.D[b] is provably
-// non-improving (see internal/kernel/masked.go). Improvements are recorded
-// into u's frontier either way — the exact (sparser) form of OR-ing the
-// received window in. Returns total ops and the masked-visit subtotal.
-func (p *Proc) relaxExternalBlock(ext []*dv.Delta, masks []*kernel.BlockMask, lo, hi, tile int) (int64, int64) {
+// non-improving (see internal/kernel/masked.go). Such a delta runs alone,
+// after the deltas before it (kernel.Group.RelaxMasked). Improvements are
+// recorded into u's frontier either way — the exact (sparser) form of
+// OR-ing the received window in. Returns total ops and the masked-visit
+// subtotal.
+func (p *Proc) relaxExternalBlock(ext []*dv.Delta, masks []*kernel.BlockMask, lo, hi int, t *kernel.Tile) (int64, int64) {
 	rows := p.table.Rows()
+	cols := p.table.Cols()
 	var ops, maskedOps int64
-	for base := 0; base < len(ext); base += tile {
-		chunk := ext[base:]
-		if len(chunk) > tile {
-			chunk = chunk[:tile]
+	for base := 0; base < len(ext); {
+		t.Reset()
+		for ; base < len(ext); base++ {
+			br := ext[base]
+			if int(br.Lo) >= cols {
+				continue
+			}
+			var m *kernel.BlockMask
+			if masks != nil {
+				m = masks[base]
+			}
+			if !t.Push(br.D, int(br.Lo), br.Owner, m) {
+				break
+			}
 		}
+		if t.Len() == 0 {
+			continue
+		}
+		t.Prepare(cols)
 		for i := lo; i < hi; i++ {
 			u := rows[i]
-			uD := u.D
-			uNH := u.NH
 			rec := u.F
 			if p.maskOff {
 				rec = nil
 			}
-			for ci, br := range chunk {
-				b := br.Owner
-				d := uD[b]
-				if d == graph.InfDist {
-					continue
-				}
-				off := int(br.Lo)
-				if off >= len(uD) {
-					continue
-				}
-				var mask *kernel.BlockMask
-				if masks != nil {
-					mask = masks[base+ci]
-				}
-				// nhb: first hop toward b; improved paths to t go that way.
-				var clo, chi int
-				if mask != nil && !u.FAll && !u.F.Get(int(b)) {
-					clo, chi = kernel.MinPlusHopsBlocks(uD[off:], uNH[off:], br.D, d, uNH[b], mask, rec, off)
-					ops += int64(mask.Ops())
-					maskedOps += int64(mask.Ops())
-				} else {
-					clo, chi = kernel.MinPlusHopsRec(uD[off:], uNH[off:], br.D, d, uNH[b], rec, off)
-					ops += int64(len(br.D))
-				}
-				if clo < chi {
-					u.MarkChanged(off+clo, off+chi)
-					p.changed[i] = true
-				}
+			clo, chi, o, m := t.Relax(u.D, u.NH, rec, u.FAll)
+			ops += o
+			maskedOps += m
+			if clo < chi {
+				u.MarkChanged(clo, chi)
+				p.changed[i] = true
 			}
 		}
 	}
@@ -471,29 +478,44 @@ func (p *Proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
 //	D(u, t) = min(D(u, t), D(u, w) + D_w(t))  for each pivot w in order.
 //
 // The pivot rows are streamed out of the arena; they are never written
-// here, so workers only need the one barrier that opened the round.
-func (p *Proc) phaseB(r *refineRound, lo, hi int) (int64, int64) {
+// here, so workers only need the one barrier that opened the round. The
+// round's pivots are taken a kernel.Tile at a time, rows inner, so a tile's
+// pivot rows stay in L1 across the rows; each row still sees the round's
+// pivots in order.
+func (p *Proc) phaseB(r *refineRound, lo, hi int, t *kernel.Tile) (int64, int64) {
 	rows := p.table.Rows()
+	cols := p.table.Cols()
 	arena, stride := p.table.Arena()
 	var ops, masked int64
-	for ui := lo; ui < hi; ui++ {
-		if ui >= r.tLo && ui < r.tHi {
-			continue
+	for pi := 0; pi < len(r.offs); {
+		t.Reset()
+		for ; pi < len(r.offs); pi++ {
+			var m *kernel.BlockMask
+			if !p.maskOff {
+				m = r.masks[pi]
+			}
+			off := int(r.offs[pi]) * stride
+			if !t.Push(arena[off:off+cols], 0, r.owners[pi], m) {
+				break
+			}
 		}
-		u := rows[ui]
-		var clo, chi int
-		var o int64
-		if p.maskOff {
-			clo, chi, o = kernel.MinPlusTile(u.D, u.NH, arena, stride, r.offs, r.owners)
-		} else {
-			var m int64
-			clo, chi, o, m = kernel.MinPlusTileMasked(u.D, u.NH, arena, stride, r.offs, r.owners, r.masks, u.F, u.FAll)
+		t.Prepare(cols)
+		for ui := lo; ui < hi; ui++ {
+			if ui >= r.tLo && ui < r.tHi {
+				continue
+			}
+			u := rows[ui]
+			rec := u.F
+			if p.maskOff {
+				rec = nil
+			}
+			clo, chi, o, m := t.Relax(u.D, u.NH, rec, u.FAll)
+			ops += o
 			masked += m
-		}
-		ops += o
-		if clo < chi {
-			u.MarkChanged(clo, chi)
-			p.changed[ui] = true
+			if clo < chi {
+				u.MarkChanged(clo, chi)
+				p.changed[ui] = true
+			}
 		}
 	}
 	return ops, masked
@@ -512,7 +534,7 @@ func (p *Proc) refineTiled(tile int) int64 {
 		if r.tLo < 0 {
 			return ops
 		}
-		bo, bm := p.phaseB(r, 0, p.table.Len())
+		bo, bm := p.phaseB(r, 0, p.table.Len(), &p.tile)
 		ops += bo
 		p.stepMaskedOps += bm
 		from = r.tHi

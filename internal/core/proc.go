@@ -49,13 +49,16 @@ type Proc struct {
 	// frontier masks — extBlocks[i] for received delta i (extMaskRefs
 	// points at the ones in use), pivotBlocks for the active pivots of one
 	// refine tile round, each set's blocks in one arena — and that round's
-	// schedule
+	// schedule — and one kernel.Tile per worker (tiles[k-1] for worker k >
+	// 0), whose padding is kept across steps
 	extBlocks   []kernel.BlockMask
 	extMaskRefs []*kernel.BlockMask
 	extArena    []uint32
 	pivotBlocks []kernel.BlockMask
 	pivotArena  []uint32
 	round       refineRound
+	tile        kernel.Tile
+	tiles       []kernel.Tile
 
 	// observability: the span tracer (nil = disabled) and the RC step
 	// counter at the start of the current relax phase, for the tile-round

@@ -168,6 +168,105 @@ func BenchmarkRCKernelMasked(b *testing.B) {
 	}
 }
 
+// BenchmarkRCKernelGroup is the converged per-processor chunk of a BA
+// n=1000, P=4 refine pass: 250 destination rows relaxed through a 32-pivot
+// tile of 1,000-column rows. "grouped" runs the tile the way the engine
+// does: GroupK pivots at a time, each run prepared once as a Group, rows
+// inner. "per-pivot" is the loop it replaced: rows outer, MinPlusHops per
+// pivot with the add re-read between pivots. In "converged" no composition
+// improves, the steady state of every RC step after the first; in
+// "improve=2%" 2 % of each row's columns sit above their relaxed value, as
+// in an early step. The rows are reset outside the timed region.
+func BenchmarkRCKernelGroup(b *testing.B) {
+	const rows, pivots, n = 250, 32, 1000
+	rng := rand.New(rand.NewSource(17))
+	arena := make([]graph.Dist, pivots*n)
+	offs := make([]int32, pivots)
+	owners := make([]int32, pivots)
+	for p := range offs {
+		offs[p], owners[p] = int32(p), int32(rng.Intn(n))
+		for t := 0; t < n; t++ {
+			arena[p*n+t] = graph.Dist(rng.Intn(1000))
+		}
+		arena[p*n+int(owners[p])] = 0
+	}
+	fixed := make([][]graph.Dist, rows)
+	nh := make([]int32, n)
+	for r := range fixed {
+		row := make([]graph.Dist, n)
+		for t := range row {
+			row[t] = graph.Dist(2000 + rng.Intn(1000))
+		}
+		for _, o := range owners {
+			row[o] = graph.Dist(1 + rng.Intn(4))
+		}
+		for { // the tile's fixpoint
+			if lo, hi, _ := MinPlusTile(row, nh, arena, n, offs, owners); lo >= hi {
+				break
+			}
+		}
+		fixed[r] = row
+	}
+	var groups [pivots / GroupK]Group
+	for c := range groups {
+		for p := c * GroupK; p < (c+1)*GroupK; p++ {
+			groups[c].Push(arena[p*n:(p+1)*n], 0, owners[p])
+		}
+		groups[c].Prepare(n)
+	}
+	for _, improve := range []float64{0, 0.02} {
+		start := make([][]graph.Dist, rows)
+		for r, row := range fixed {
+			start[r] = append([]graph.Dist(nil), row...)
+			for t := range row {
+				if rng.Float64() < improve {
+					start[r][t] += graph.Dist(1 + rng.Intn(50))
+				}
+			}
+		}
+		work := make([][]graph.Dist, rows)
+		for r := range work {
+			work[r] = make([]graph.Dist, n)
+		}
+		name := "converged"
+		if improve > 0 {
+			name = fmt.Sprintf("improve=%g%%", improve*100)
+		}
+		for _, grouped := range []bool{true, false} {
+			sub := name + "/grouped"
+			if !grouped {
+				sub = name + "/per-pivot"
+			}
+			b.Run(sub, func(b *testing.B) {
+				b.SetBytes(int64(4 * rows * pivots * n))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					for r := range work {
+						copy(work[r], start[r])
+					}
+					b.StartTimer()
+					if grouped {
+						for c := range groups {
+							for _, row := range work {
+								groups[c].Relax(row, nh, nil)
+							}
+						}
+						continue
+					}
+					for _, row := range work {
+						for p, o := range owners {
+							if add := row[o]; add != graph.InfDist {
+								MinPlusHops(row, nh, arena[p*n:(p+1)*n], add, nh[o])
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkRCKernelTileArena(b *testing.B) { benchTile(b, true) }
 
 func BenchmarkRCKernelTilePerRow(b *testing.B) { benchTile(b, false) }

@@ -6,15 +6,16 @@
 //
 //	dst[t] = min(dst[t], add + src[t]).
 //
-// MinPlusHops, MinPlus and the masked sweep MinPlusHopsBlocks (masked.go)
-// have two bodies behind one signature, chosen once at package init: an
-// 8-lane AVX2 sweep in Go assembly (minplus_amd64.s, used when CPUID
-// reports AVX2 and the OS saves the YMM state) and the portable scalar loop
-// (minplus_generic.go: other architectures, -tags purego, -race, rows
-// narrower than one vector, the n mod 8 tail and a mask's partial last
-// block). They produce identical dst, nh, frontier bits and changed
-// windows, so the choice changes wall-clock only — never an op count or a
-// result.
+// MinPlusHops, MinPlus, the masked sweep MinPlusHopsBlocks (masked.go) and
+// the multi-pivot sweep behind Group and Tile (group.go), which relaxes one
+// row through up to GroupK pivots in a single pass, have two bodies behind
+// one signature, chosen once at package init: an 8-lane AVX2 sweep in Go
+// assembly (minplus_amd64.s, used when CPUID reports AVX2 and the OS saves
+// the YMM state) and the portable scalar loop (minplus_generic.go and
+// group.go: other architectures, -tags purego, -race, rows narrower than
+// one vector, the n mod 8 tail and a mask's partial last block). They
+// produce identical dst, nh, frontier bits and changed windows, so the
+// choice changes wall-clock only — never an op count or a result.
 //
 // The scalar loops are written so the compiler can eliminate the
 // per-iteration bounds checks: every slice is re-sliced to the shared loop
@@ -50,39 +51,27 @@ func MinPlusHops(dst []graph.Dist, nh []int32, src []graph.Dist, add graph.Dist,
 // row-major arena (see dv.Matrix): pivot p's distance row is
 // arena[offs[p]*stride : offs[p]*stride+len(dst)] and owners[p] is its
 // owner's global vertex ID (the column of dst holding the distance to the
-// pivot). Pivots apply in slice order, and dst[owners[p]] is re-read per
-// pivot so improvements from earlier pivots in the tile feed later ones —
-// exactly the sequence the one-pivot-at-a-time loop produces, which keeps
-// tiled refinement bit-identical to the untiled pass.
+// pivot). Pivots apply in slice order, and each pivot's add is dst[owners[p]]
+// as the earlier pivots of the tile left it — exactly the sequence the
+// one-pivot-at-a-time loop produces, which keeps tiled refinement
+// bit-identical to the untiled pass. The pivots are swept GroupK at a time
+// through the grouped body (see Group).
 //
 // dst must not alias any pivot row in the tile (the caller skips the tile's
 // own rows). It returns the changed window [lo, hi) like MinPlusHops plus
 // the number of relax operations performed (len(dst) per applied pivot).
-//
-// The per-pivot sweep delegates to MinPlusHops rather than open-coding the
-// loop: keeping lo/hi/ops and the five slice headers live across a fused
-// inner loop forces the compiler to spill the induction variable and dst
-// base to the stack each iteration, which measures ~30% slower than the
-// tight two-header loop (see BenchmarkRCKernelTile*).
 func MinPlusTile(dst []graph.Dist, nh []int32, arena []graph.Dist, stride int, offs, owners []int32) (lo, hi int, ops int64) {
 	n := len(dst)
 	lo, hi = n, 0
-	for pi, off := range offs {
-		add := dst[owners[pi]]
-		if add == graph.InfDist {
-			continue
+	var g Group
+	for p0 := 0; p0 < len(offs); p0 += GroupK {
+		g.Reset()
+		for pi := p0; pi < min(p0+GroupK, len(offs)); pi++ {
+			g.Push(arena[int(offs[pi])*stride:int(offs[pi])*stride+n], 0, owners[pi])
 		}
-		src := arena[int(off)*stride : int(off)*stride+n]
-		clo, chi := MinPlusHops(dst, nh, src, add, nh[owners[pi]])
-		ops += int64(n)
-		if clo < chi {
-			if lo > clo {
-				lo = clo
-			}
-			if hi < chi {
-				hi = chi
-			}
-		}
+		g.Prepare(n)
+		clo, chi, o := g.Relax(dst, nh, nil)
+		lo, hi, ops = min(lo, clo), max(hi, chi), ops+o
 	}
 	return lo, hi, ops
 }

@@ -221,50 +221,3 @@ func MinPlusHopsMasked(dst []graph.Dist, nh []int32, src []graph.Dist, add graph
 	}
 	return lo, hi, ops
 }
-
-// MinPlusTileMasked is MinPlusTile with per-pivot compiled frontier masks:
-// pivot p's sweep is restricted to masks[p] unless a full sweep is forced —
-// because the pivot has no mask (masks[p] == nil: dense frontier past the
-// density cutover, or a ship-all row whose change extent is unknown),
-// because the destination row's own change extent is unknown (dstFull), or
-// because the destination's distance *to* the pivot changed since the last
-// convergence (rec bit owners[p] set — the add operand moved, so unmasked
-// columns may improve too). rec is the destination row's frontier and is
-// updated as columns improve, so improvements applied by earlier pivots in
-// the tile feed later pivots' full/masked decisions exactly as the untiled
-// sequence would.
-//
-// Returns the changed window, total relax operations (full-width for full
-// sweeps, visited columns for masked ones — the LogP charge), and the
-// masked-visit subtotal (telemetry: how much work the masks let through).
-func MinPlusTileMasked(dst []graph.Dist, nh []int32, arena []graph.Dist, stride int, offs, owners []int32, masks []*BlockMask, rec Bitset, dstFull bool) (lo, hi int, ops, maskedOps int64) {
-	n := len(dst)
-	lo, hi = n, 0
-	for pi, off := range offs {
-		owner := int(owners[pi])
-		add := dst[owner]
-		if add == graph.InfDist {
-			continue
-		}
-		src := arena[int(off)*stride : int(off)*stride+n]
-		m := masks[pi]
-		var clo, chi int
-		if dstFull || m == nil || (rec != nil && rec.Get(owner)) {
-			clo, chi = MinPlusHopsRec(dst, nh, src, add, nh[owner], rec, 0)
-			ops += int64(n)
-		} else {
-			clo, chi = MinPlusHopsBlocks(dst, nh, src, add, nh[owner], m, rec, 0)
-			ops += int64(m.ops)
-			maskedOps += int64(m.ops)
-		}
-		if clo < chi {
-			if lo > clo {
-				lo = clo
-			}
-			if hi < chi {
-				hi = chi
-			}
-		}
-	}
-	return lo, hi, ops, maskedOps
-}

@@ -380,7 +380,18 @@ func FuzzMinPlusHopsMasked(f *testing.F) {
 	})
 }
 
-func TestMinPlusTileMaskedMatchesFull(t *testing.T) {
+// tileGroup prepares the arena rows offs (owned by owners) as one Group
+// for width n.
+func tileGroup(arena []graph.Dist, stride int, offs, owners []int32, n int) *Group {
+	var g Group
+	for i, off := range offs {
+		g.Push(arena[int(off)*stride:int(off)*stride+n], 0, owners[i])
+	}
+	g.Prepare(n)
+	return &g
+}
+
+func TestGroupRelaxMaskedMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 120; trial++ {
 		n := 8 + rng.Intn(120)
@@ -426,7 +437,7 @@ func TestMinPlusTileMaskedMatchesFull(t *testing.T) {
 			}
 		}
 		rec := NewBitset(n)
-		lo, hi, ops, maskedOps := MinPlusTileMasked(dst, nh, arena, stride, offs, owners, masks, rec, dstFull)
+		lo, hi, ops, maskedOps := tileGroup(arena, stride, offs, owners, n).RelaxMasked(dst, nh, masks, rec, dstFull)
 		if lo != wlo || hi != whi {
 			t.Fatalf("trial %d mode %d: window (%d,%d), want (%d,%d)", trial, mode, lo, hi, wlo, whi)
 		}
@@ -444,11 +455,11 @@ func TestMinPlusTileMaskedMatchesFull(t *testing.T) {
 	}
 }
 
-// TestMinPlusTileMaskedAddChanged pins the dispatch rule that makes masked
+// TestGroupRelaxMaskedAddChanged pins the dispatch rule that makes masked
 // tiles sound when earlier pivots improve the destination's distance *to* a
 // later pivot: once rec carries the owner bit, the later pivot must fall
 // back to a full sweep even though its own mask is sparse.
-func TestMinPlusTileMaskedAddChanged(t *testing.T) {
+func TestGroupRelaxMaskedAddChanged(t *testing.T) {
 	inf := graph.InfDist
 	n := 6
 	stride := n
@@ -474,7 +485,7 @@ func TestMinPlusTileMaskedAddChanged(t *testing.T) {
 
 	masks := []*BlockMask{compiled(fullMask(n), n), compiled(NewBitset(n), n)} // pivot 1 mask empty
 	rec := NewBitset(n)
-	MinPlusTileMasked(dst, nh, arena, stride, offs, owners, masks, rec, false)
+	tileGroup(arena, stride, offs, owners, n).RelaxMasked(dst, nh, masks, rec, false)
 	for i := range dst {
 		if dst[i] != wantDst[i] || nh[i] != wantNH[i] {
 			t.Fatalf("index %d: got (%d,%d), want (%d,%d)", i, dst[i], nh[i], wantDst[i], wantNH[i])

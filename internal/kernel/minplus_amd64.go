@@ -15,6 +15,9 @@ func minPlusAVX2(dst, src *int32, n int, add int32) bool
 //go:noescape
 func minPlusBlocksAVX2(dst, nh, src *int32, blocks *uint32, nb, n int, rec *uint64, base int, add, hop int32) (lo, hi int)
 
+//go:noescape
+func groupAVX2(dst, nh *int32, srcs *[GroupK]*int32, st *groupState, k, n int)
+
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax uint32)
 
@@ -93,6 +96,23 @@ func blocksBody(dst []graph.Dist, nh []int32, src []graph.Dist, blocks []uint32,
 		recp = &rec[0]
 	}
 	return minPlusBlocksAVX2(&dst[0], &nh[0], &src[0], &blocks[0], len(blocks), len(dst), recp, base, add, hop)
+}
+
+// groupBody relaxes dst through the k >= 2 pivots of set, whose rows are
+// as long as dst (see Group.Relax): whole 8-lane blocks in assembly, the n
+// mod 8 tail in the scalar loop.
+func groupBody(dst []graph.Dist, nh []int32, set *groupSet, st *groupState) {
+	n := len(dst)
+	n8 := n &^ 7
+	if !useAVX2 || n8 == 0 {
+		groupGeneric(dst, nh, &set.cut, st, set.k, 0)
+		return
+	}
+	_ = nh[n-1]
+	groupAVX2(&dst[0], &nh[0], &set.ptr, st, set.k, n8)
+	if n8 < n {
+		groupGeneric(dst, nh, &set.cut, st, set.k, n8)
+	}
 }
 
 // minPlusSIMD is the AVX2 body of MinPlus, split like minPlusHopsSIMD.

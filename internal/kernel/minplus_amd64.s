@@ -260,6 +260,309 @@ blocksDone:
 	MOVQ R11, hi+80(FP)
 	RET
 
+// The grouped body: one row relaxed through k = 2..8 pivots in one pass.
+// While nothing improves it runs one of seven loops, one per k, that keep
+// pivot j's row pointer in a register (BX, DX, SI, R8-R12) and its add
+// broadcast in Y8+j; each 32-lane iteration folds add_j + src_j into a
+// running unsigned minimum (Y0-Y3) and compares that once with dst. A
+// 32-lane group that improves, and the last n mod 32 lanes, go through the
+// 8-lane replay, which reads the pivots from memory, checks the block's
+// minimum first and then applies the pivots in order.
+
+// GROUPFIRST and GROUPNEXT fold pivot (src, add) into the running minimum
+// of the 32 lanes at element AX.
+#define GROUPFIRST(src, add) \
+	VPADDD   (src)(AX*4), add, Y0; \
+	VPADDD 32(src)(AX*4), add, Y1; \
+	VPADDD 64(src)(AX*4), add, Y2; \
+	VPADDD 96(src)(AX*4), add, Y3
+
+#define GROUPNEXT(src, add) \
+	VPADDD   (src)(AX*4), add, Y4; \
+	VPADDD 32(src)(AX*4), add, Y5; \
+	VPADDD 64(src)(AX*4), add, Y6; \
+	VPADDD 96(src)(AX*4), add, Y7; \
+	VPMINUD  Y4, Y0, Y0; \
+	VPMINUD  Y5, Y1, Y1; \
+	VPMINUD  Y6, Y2, Y2; \
+	VPMINUD  Y7, Y3, Y3
+
+// GROUPKEEPS32 leaves the flags equal exactly when the running minimum is
+// at least dst (DI) on all 32 lanes at element AX: no pivot improves them.
+#define GROUPKEEPS32 \
+	VPMAXUD   (DI)(AX*4), Y0, Y4; \
+	VPMAXUD 32(DI)(AX*4), Y1, Y5; \
+	VPMAXUD 64(DI)(AX*4), Y2, Y6; \
+	VPMAXUD 96(DI)(AX*4), Y3, Y7; \
+	VPCMPEQD Y0, Y4, Y4; \
+	VPCMPEQD Y1, Y5, Y5; \
+	VPCMPEQD Y2, Y6, Y6; \
+	VPCMPEQD Y3, Y7, Y7; \
+	VPAND    Y5, Y4, Y4; \
+	VPAND    Y7, Y6, Y6; \
+	VPAND    Y6, Y4, Y4; \
+	VPMOVMSKB Y4, R14; \
+	CMPL R14, $-1
+
+// GROUPREPLAY applies the k pivots (row pointers at DX, state at R8) in
+// order to the 8 lanes at element AX of dst (DI) and nh (SI), lowering them
+// in Y0/Y1 and storing both once, and folds each pivot's improved lanes into
+// its window. It has no data-dependent branch: which pivots improve which
+// lanes of a replayed block is close to random, so the window update is
+// made with conditional moves (BX, R10, R11 scratch). The label names its
+// loop.
+#define GROUPREPLAY(pivot) \
+	VMOVDQU (DI)(AX*4), Y0; \
+	VMOVDQU (SI)(AX*4), Y1; \
+	XORQ R9, R9; \
+pivot: \
+	MOVQ (DX)(R9*8), R10; \
+	VPBROADCASTD (R8)(R9*4), Y2; \
+	VPADDD   (R10)(AX*4), Y2, Y2; \
+	VPMINUD  Y0, Y2, Y3; \
+	VPCMPEQD Y0, Y3, Y4; \
+	VMOVDQU  Y3, Y0; \
+	VPBROADCASTD 32(R8)(R9*4), Y5; \
+	VPBLENDVB Y4, Y1, Y5, Y1; \
+	VMOVMSKPS Y4, R11; \
+	XORL $0xff, R11; \
+	MOVQ 64(R8)(R9*8), BX; \
+	BSFL R11, R10; \
+	ADDQ AX, R10; \
+	CMPQ R10, BX; \
+	CMOVQLT R10, BX; \
+	TESTL R11, R11; \
+	CMOVQEQ 64(R8)(R9*8), BX; \
+	MOVQ BX, 64(R8)(R9*8); \
+	MOVQ 128(R8)(R9*8), BX; \
+	BSRL R11, R10; \
+	LEAQ 1(AX)(R10*1), R10; \
+	TESTL R11, R11; \
+	CMOVQNE R10, BX; \
+	MOVQ BX, 128(R8)(R9*8); \
+	INCQ R9; \
+	CMPQ R9, R13; \
+	JLT  pivot; \
+	VMOVDQU Y0, (DI)(AX*4); \
+	VMOVDQU Y1, (SI)(AX*4)
+
+// func groupAVX2(dst, nh *int32, srcs *[8]*int32, st *groupState, k, n int)
+//
+// Relaxes dst[0:n) (n a positive multiple of 8) through the k pivots whose
+// rows srcs[0:k] are aligned with dst, with st's add and hop (offsets 0 and
+// 32), in order per lane. Pivot j's changed window is folded into st's lo
+// (offset 64) and hi (offset 128) as lo = min(lo, first), hi = last+1.
+TEXT ·groupAVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), DI
+	MOVQ st+24(FP), R14
+	VPBROADCASTD 0(R14), Y8
+	VPBROADCASTD 4(R14), Y9
+	VPBROADCASTD 8(R14), Y10
+	VPBROADCASTD 12(R14), Y11
+	VPBROADCASTD 16(R14), Y12
+	VPBROADCASTD 20(R14), Y13
+	VPBROADCASTD 24(R14), Y14
+	VPBROADCASTD 28(R14), Y15
+	MOVQ k+32(FP), R13
+	MOVQ n+40(FP), CX
+	ANDQ $~31, CX           // end of the 32-lane groups
+	XORQ AX, AX             // t, in elements
+
+groupResume:
+	CMPQ AX, CX
+	JGE  groupNarrow
+	MOVQ srcs+16(FP), R14
+	MOVQ 0(R14), BX
+	MOVQ 8(R14), DX
+	MOVQ 16(R14), SI
+	MOVQ 24(R14), R8
+	MOVQ 32(R14), R9
+	MOVQ 40(R14), R10
+	MOVQ 48(R14), R11
+	MOVQ 56(R14), R12
+	CMPQ R13, $5
+	JLT  groupLow
+	JEQ  group5
+	CMPQ R13, $7
+	JLT  group6
+	JEQ  group7
+	JMP  group8
+
+groupLow:
+	CMPQ R13, $3
+	JLT  group2
+	JEQ  group3
+	JMP  group4
+
+group2:
+	CMPQ AX, CX
+	JGE  groupNarrow
+	GROUPFIRST(BX, Y8)
+	GROUPNEXT(DX, Y9)
+	GROUPKEEPS32
+	JNE  groupReplay32
+	ADDQ $32, AX
+	JMP  group2
+
+group3:
+	CMPQ AX, CX
+	JGE  groupNarrow
+	GROUPFIRST(BX, Y8)
+	GROUPNEXT(DX, Y9)
+	GROUPNEXT(SI, Y10)
+	GROUPKEEPS32
+	JNE  groupReplay32
+	ADDQ $32, AX
+	JMP  group3
+
+group4:
+	CMPQ AX, CX
+	JGE  groupNarrow
+	GROUPFIRST(BX, Y8)
+	GROUPNEXT(DX, Y9)
+	GROUPNEXT(SI, Y10)
+	GROUPNEXT(R8, Y11)
+	GROUPKEEPS32
+	JNE  groupReplay32
+	ADDQ $32, AX
+	JMP  group4
+
+group5:
+	CMPQ AX, CX
+	JGE  groupNarrow
+	GROUPFIRST(BX, Y8)
+	GROUPNEXT(DX, Y9)
+	GROUPNEXT(SI, Y10)
+	GROUPNEXT(R8, Y11)
+	GROUPNEXT(R9, Y12)
+	GROUPKEEPS32
+	JNE  groupReplay32
+	ADDQ $32, AX
+	JMP  group5
+
+group6:
+	CMPQ AX, CX
+	JGE  groupNarrow
+	GROUPFIRST(BX, Y8)
+	GROUPNEXT(DX, Y9)
+	GROUPNEXT(SI, Y10)
+	GROUPNEXT(R8, Y11)
+	GROUPNEXT(R9, Y12)
+	GROUPNEXT(R10, Y13)
+	GROUPKEEPS32
+	JNE  groupReplay32
+	ADDQ $32, AX
+	JMP  group6
+
+group7:
+	CMPQ AX, CX
+	JGE  groupNarrow
+	GROUPFIRST(BX, Y8)
+	GROUPNEXT(DX, Y9)
+	GROUPNEXT(SI, Y10)
+	GROUPNEXT(R8, Y11)
+	GROUPNEXT(R9, Y12)
+	GROUPNEXT(R10, Y13)
+	GROUPNEXT(R11, Y14)
+	GROUPKEEPS32
+	JNE  groupReplay32
+	ADDQ $32, AX
+	JMP  group7
+
+group8:
+	CMPQ AX, CX
+	JGE  groupNarrow
+	GROUPFIRST(BX, Y8)
+	GROUPNEXT(DX, Y9)
+	GROUPNEXT(SI, Y10)
+	GROUPNEXT(R8, Y11)
+	GROUPNEXT(R9, Y12)
+	GROUPNEXT(R10, Y13)
+	GROUPNEXT(R11, Y14)
+	GROUPNEXT(R12, Y15)
+	GROUPKEEPS32
+	JNE  groupReplay32
+	ADDQ $32, AX
+	JMP  group8
+
+// A 32-lane group that improves: Y0-Y3 still hold its running minima, so
+// R14 gets one bit per lane some pivot improves and only the blocks with
+// one replay.
+groupReplay32:
+	VPMAXUD    (DI)(AX*4), Y0, Y4
+	VPMAXUD  32(DI)(AX*4), Y1, Y5
+	VPMAXUD  64(DI)(AX*4), Y2, Y6
+	VPMAXUD  96(DI)(AX*4), Y3, Y7
+	VPCMPEQD Y0, Y4, Y4
+	VPCMPEQD Y1, Y5, Y5
+	VPCMPEQD Y2, Y6, Y6
+	VPCMPEQD Y3, Y7, Y7
+	VMOVMSKPS Y4, R14
+	VMOVMSKPS Y5, R10
+	SHLL $8, R10
+	ORL  R10, R14
+	VMOVMSKPS Y6, R10
+	SHLL $16, R10
+	ORL  R10, R14
+	VMOVMSKPS Y7, R10
+	SHLL $24, R10
+	ORL  R10, R14
+	NOTL R14
+	LEAQ 32(AX), R12
+	MOVQ srcs+16(FP), DX
+	MOVQ st+24(FP), R8
+	MOVQ nh+8(FP), SI
+
+groupBlock32:
+	TESTL $0xff, R14
+	JZ    groupBlock32Next
+	GROUPREPLAY(groupPivot32)
+
+groupBlock32Next:
+	SHRL $8, R14
+	ADDQ $8, AX
+	CMPQ AX, R12
+	JLT  groupBlock32
+	JMP  groupResume
+
+// The last n mod 32 lanes: each block's minimum over the pivots first.
+groupNarrow:
+	MOVQ n+40(FP), R12
+	CMPQ AX, R12
+	JGE  groupDone
+	MOVQ srcs+16(FP), DX
+	MOVQ st+24(FP), R8
+	MOVQ nh+8(FP), SI
+
+groupBlock:
+	VPCMPEQD Y6, Y6, Y6
+	XORQ R9, R9
+
+groupBlockMin:
+	MOVQ (DX)(R9*8), R10
+	VPBROADCASTD (R8)(R9*4), Y2
+	VPADDD  (R10)(AX*4), Y2, Y2
+	VPMINUD Y2, Y6, Y6
+	INCQ R9
+	CMPQ R9, R13
+	JLT  groupBlockMin
+	VPMAXUD  (DI)(AX*4), Y6, Y7
+	VPCMPEQD Y6, Y7, Y7
+	VPMOVMSKB Y7, R11
+	CMPL R11, $-1
+	JEQ  groupBlockNext
+	GROUPREPLAY(groupPivot)
+
+groupBlockNext:
+	ADDQ $8, AX
+	CMPQ AX, R12
+	JLT  groupBlock
+	JMP  groupDone
+
+groupDone:
+	VZEROUPPER
+	RET
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

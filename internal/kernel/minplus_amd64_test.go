@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// withScalarBodies runs f with the scalar bodies selected, as on a machine
+// without AVX2.
+func withScalarBodies(f func()) {
+	avx, hops, dist := useAVX2, hopsBody, distBody
+	useAVX2, hopsBody, distBody = false, minPlusHopsGeneric, minPlusGeneric
+	defer func() { useAVX2, hopsBody, distBody = avx, hops, dist }()
+	f()
+}
+
 // TestBodySelected pins what init chose on this machine, so a detection
 // bug that silently falls back to the scalar body (and turns the
 // differential tests into scalar-against-scalar) cannot pass CI.

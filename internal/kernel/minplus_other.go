@@ -9,3 +9,9 @@ import "anytime/internal/graph"
 func blocksBody(dst []graph.Dist, nh []int32, src []graph.Dist, blocks []uint32, add graph.Dist, hop int32, rec Bitset, base int) (lo, hi int) {
 	return minPlusBlocksGeneric(dst, nh, src, blocks, add, hop, rec, base)
 }
+
+// groupBody relaxes dst through the k >= 2 pivots of set (see
+// Group.Relax); builds without the AVX2 body run the scalar loop.
+func groupBody(dst []graph.Dist, nh []int32, set *groupSet, st *groupState) {
+	groupGeneric(dst, nh, &set.cut, st, set.k, 0)
+}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"testing"
 
+	"anytime/internal/change"
 	"anytime/internal/dv"
+	"anytime/internal/gen"
 	"anytime/internal/graph"
 	"anytime/internal/kernel"
 )
@@ -79,6 +81,56 @@ func FuzzDeltaCodec(f *testing.F) {
 			if f3, err := readFrame(r, 0); err != nil || f3.Tag != tagStepEnd {
 				t.Fatalf("stream desynced after corrupt frame: %v", err)
 			}
+		}
+	})
+}
+
+// FuzzDecodeEvents fuzzes the dynamic-event codec, the body of every event
+// frame and of the rejoin-go journal: arbitrary bytes must never panic
+// DecodeEvents, and every list it accepts must re-encode through
+// EncodeEvents to the input bytes. The seeds are encodings of real vertex
+// batches (a preferential batch on a BA graph, with internal, external and
+// pending edges), edge-addition lists, an empty list, and truncated and
+// oversized counts.
+func FuzzDecodeEvents(f *testing.F) {
+	seed := func(evs []change.Event) {
+		body, err := EncodeEvents(evs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	g, err := gen.BarabasiAlbert(60, 2, gen.Weights{Min: 1, Max: 4}, 3)
+	if err != nil {
+		f.Fatal(err)
+	}
+	batch, err := gen.PreferentialBatch(g, 6, 2, 1, gen.Weights{Min: 1, Max: 4}, 5)
+	if err != nil {
+		f.Fatal(err)
+	}
+	batch.Pending = []change.PendingEdge{{New: 1, EarlierBatchVertex: 0, Weight: 2}}
+	adds := []change.EdgeAdd{{U: 1, V: 2, Weight: 3}, {U: 40, V: 7, Weight: 1}}
+	seed(nil)
+	seed([]change.Event{{Batch: batch}})
+	seed([]change.Event{{EdgeAdds: adds}})
+	seed([]change.Event{{Batch: batch}, {EdgeAdds: adds}, {Batch: &change.VertexBatch{NumVertices: 1}}})
+	seed([]change.Event{{EdgeAdds: []change.EdgeAdd{}}})
+	f.Add([]byte{0x01, 0x00, 0x00})                          // truncated count
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, wireEventBatch})    // count past the body
+	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0x09})              // unknown kind
+	f.Add([]byte{0x01, 0, 0, 0, wireEventBatch, 0xff, 0xff}) // truncated batch
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		evs, err := DecodeEvents(data)
+		if err != nil {
+			return // rejected input: fine, as long as it did not panic
+		}
+		enc, err := EncodeEvents(evs)
+		if err != nil {
+			t.Fatalf("accepted list does not re-encode: %v", err)
+		}
+		if !bytes.Equal(enc, data) {
+			t.Fatalf("roundtrip mismatch: in %d bytes, out %d bytes", len(data), len(enc))
 		}
 	})
 }
