@@ -97,10 +97,12 @@ bench-paper:
 # Transport gate: the pluggable message plane (frames, codec, fault
 # wrapper, TCP links) and the one-rank-per-process runner under the race
 # detector — including the integration test that spawns real OS processes
-# over a TCP mesh and checks bit-identical convergence against inproc.
+# over a TCP mesh and checks bit-identical convergence against inproc —
+# plus a short fuzzing run of the frame decoder past its seeds.
 transport-check:
 	$(GO) vet ./internal/transport ./internal/rank ./cmd/aacluster
 	$(GO) test -race -count=1 ./internal/transport ./internal/rank
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/transport
 
 # Cluster observability gate: the rank hot path's zero-alloc telemetry
 # contract, the Prometheus text parse/merge/aggregate layer (including a

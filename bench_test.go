@@ -206,20 +206,6 @@ func BenchmarkPhaseRCStep(b *testing.B) {
 	}
 }
 
-func BenchmarkSnapshot(b *testing.B) {
-	g := benchGraph(b)
-	e, err := core.New(g, benchOptions(core.RoundRobinPS))
-	if err != nil {
-		b.Fatal(err)
-	}
-	e.Run()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = e.Snapshot()
-	}
-}
-
 // Public-API end-to-end bench: the quickstart flow.
 func BenchmarkPublicAPIEndToEnd(b *testing.B) {
 	g, err := anytime.ScaleFreeGraph(benchN, 3, benchSeed)

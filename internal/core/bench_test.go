@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"anytime/internal/change"
+	"anytime/internal/dv"
 	"anytime/internal/gen"
 	"anytime/internal/graph"
 	"anytime/internal/obs"
@@ -347,4 +348,84 @@ func BenchmarkRCStepTraced(b *testing.B) {
 	n := float64(b.N)
 	b.ReportMetric(float64(steps)/n, "steps/op")
 	b.ReportMetric(float64(spans)/n, "spans/op")
+}
+
+// ---------------------------------------------------------------------------
+// Anytime interrupt benchmark on the absorb_cutedge shape: a warm-started
+// BA n=1000 engine (P=4) that absorbs a 16-vertex CutEdge-PS community
+// batch. cold rescans every row; clean re-snapshots an unchanged engine;
+// after-batch replays, untimed before every call, the watermarks the
+// batch's writes leave behind (each row's first changed column), so every
+// iteration rescans what one absorbed batch changed. cells/op is the
+// number of DV cells Snapshot read.
+// ---------------------------------------------------------------------------
+
+func BenchmarkSnapshot(b *testing.B) {
+	g, err := gen.BarabasiAlbert(1000, 3, gen.Weights{}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch, err := gen.CommunityBatch(g, 16, 1.5, gen.Weights{}, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := NewOptions()
+	opts.P, opts.Workers, opts.Seed, opts.Strategy = 4, 1, 500, CutEdgePS
+	e, err := NewConverged(g, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	before := e.Distances()
+	if err := e.QueueBatch(batch); err != nil {
+		b.Fatal(err)
+	}
+	e.Run()
+	type mark struct {
+		r  *dv.Row
+		lo int
+	}
+	var marks []mark
+	for _, p := range e.procs {
+		for _, r := range p.table.Rows() {
+			var old []graph.Dist
+			if int(r.Owner) < len(before) {
+				old = before[r.Owner]
+			}
+			for t, d := range r.D {
+				if (t >= len(old) && d != graph.InfDist) || (t < len(old) && d != old[t]) {
+					marks = append(marks, mark{r, t})
+					break
+				}
+			}
+		}
+	}
+	e.Snapshot()
+	bench := func(name string, dirty func()) {
+		b.Run(name, func(b *testing.B) {
+			cells := e.snapshotCells.Load()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if dirty != nil {
+					b.StopTimer()
+					dirty()
+					b.StartTimer()
+				}
+				e.Snapshot()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(e.snapshotCells.Load()-cells)/float64(b.N), "cells/op")
+		})
+	}
+	bench("cold", func() {
+		for _, p := range e.procs {
+			p.MarkAllShipAll()
+		}
+	})
+	bench("clean", nil)
+	bench("after-batch", func() {
+		for _, m := range marks {
+			m.r.MarkChanged(m.lo, m.lo+1)
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"anytime/internal/centrality"
 	"anytime/internal/graph"
 )
@@ -73,7 +75,12 @@ func (s Snapshot) Diameter() graph.Dist {
 }
 
 // Snapshot gathers the current closeness estimates from all processors
-// (the anytime interrupt point).
+// (the anytime interrupt point). Each DV row caches its aggregates and
+// rescans only the columns written since the previous Snapshot (see
+// dv.Row.Aggregates), so an interrupt costs what changed rather than n²;
+// each processor's rows aggregate on a goroutine of their own.
+// Because it updates those row caches, Snapshot must not run concurrently
+// with itself or with Step.
 func (e *Engine) Snapshot() Snapshot {
 	n := e.g.NumVertices()
 	s := Snapshot{
@@ -89,34 +96,32 @@ func (e *Engine) Snapshot() Snapshot {
 	for i := range s.Eccentricity {
 		s.Eccentricity[i] = graph.InfDist
 	}
-	for _, p := range e.procs {
+	gather := func(p *Proc) {
+		var cells int64
 		for _, r := range p.table.Rows() {
-			var sum int64
-			var harm float64
-			cnt := 0
-			ecc := graph.Dist(-1)
-			for t, d := range r.D {
-				if d == graph.InfDist || int32(t) == r.Owner {
-					continue
-				}
-				sum += int64(d)
-				harm += 1 / float64(d)
-				cnt++
-				if d > ecc {
-					ecc = d
-				}
-			}
+			a, read := r.Aggregates()
+			cells += int64(read)
 			v := r.Owner
-			if sum > 0 {
-				s.Closeness[v] = 1 / float64(sum)
+			if a.Sum > 0 {
+				s.Closeness[v] = 1 / float64(a.Sum)
 			}
-			s.Harmonic[v] = harm
-			s.Reachable[v] = cnt
-			if ecc >= 0 {
-				s.Eccentricity[v] = ecc
+			s.Harmonic[v] = a.Harm
+			s.Reachable[v] = int(a.Reach)
+			if a.Reach > 0 {
+				s.Eccentricity[v] = a.Ecc
 			}
 		}
+		e.snapshotCells.Add(cells)
 	}
+	var wg sync.WaitGroup
+	for _, p := range e.procs {
+		wg.Add(1)
+		go func(p *Proc) {
+			defer wg.Done()
+			gather(p)
+		}(p)
+	}
+	wg.Wait()
 	return s
 }
 

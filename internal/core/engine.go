@@ -55,6 +55,10 @@ type Engine struct {
 	history  []StepStats
 	stepHook atomic.Pointer[func(StepStats)]
 	prevBusy []time.Duration // per-proc busy time at step start (telemetry)
+
+	// snapshotCells counts the DV cells Snapshot has read to refresh row
+	// aggregates (tests assert the incremental rescan through it).
+	snapshotCells atomic.Int64
 }
 
 // New builds the engine over a snapshot of g: runs the DD phase

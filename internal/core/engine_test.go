@@ -291,7 +291,7 @@ func TestAnytimeMonotonicHarmonic(t *testing.T) {
 		e.Step()
 		cur := e.Snapshot()
 		for v := range cur.Harmonic {
-			if cur.Harmonic[v]+1e-12 < prev.Harmonic[v] {
+			if cur.Harmonic[v] < prev.Harmonic[v] {
 				t.Fatalf("step %d: harmonic closeness of %d decreased: %g -> %g",
 					cur.Step, v, prev.Harmonic[v], cur.Harmonic[v])
 			}

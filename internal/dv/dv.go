@@ -11,6 +11,7 @@ package dv
 
 import (
 	"fmt"
+	"math"
 
 	"anytime/internal/graph"
 	"anytime/internal/kernel"
@@ -55,7 +56,72 @@ type Row struct {
 	pendLo, pendHi int32
 	pendAll        bool
 
+	// staleFrom is the first column that may have changed since the
+	// snapshot aggregates were last refreshed (cleanAgg: none). The zero
+	// value marks the whole row stale, so fresh, restored and rebuilt rows
+	// aggregate from scratch. pre[k] is the aggregate state over columns
+	// [0, 64k) and agg the state over the whole row; see Aggregates.
+	staleFrom int32
+	pre       []Agg
+	agg       Agg
+
 	mx *Matrix // non-nil while D/NH alias mx's arena
+}
+
+// Agg is the snapshot aggregate of a row prefix: over the finite entries
+// D[t], t != Owner, their sum, the sequential float sum of 1/D[t], their
+// count and their maximum (0 when there are none).
+type Agg struct {
+	Sum   int64
+	Harm  float64
+	Reach int32
+	Ecc   graph.Dist
+}
+
+// cleanAgg is the staleFrom value of a row whose aggregates are current.
+const cleanAgg = math.MaxInt32
+
+// Aggregates returns the row's snapshot aggregate and the number of cells
+// it read to bring it up to date. Only the columns from the last 64-column
+// boundary at or below the stale-from watermark onwards are rescanned,
+// resuming from the prefix state stored there; the scan visits columns in
+// ascending order, so Harm is bit-identical to a sequential pass over the
+// whole row. Columns appended by growth are InfDist and change no
+// aggregate, so growth alone rescans nothing. Not safe for concurrent use
+// with itself or with writers of the row.
+func (r *Row) Aggregates() (Agg, int) {
+	if r.staleFrom == cleanAgg {
+		return r.agg, 0
+	}
+	k := min(int(r.staleFrom)>>6, len(r.pre)-1)
+	var a Agg
+	if k >= 0 {
+		a = r.pre[k]
+	} else {
+		k = 0
+	}
+	r.pre = r.pre[:k]
+	sum, harm, reach, ecc := a.Sum, a.Harm, a.Reach, a.Ecc
+	owner := int(r.Owner)
+	for c := k << 6; c < len(r.D); c += 64 {
+		r.pre = append(r.pre, Agg{sum, harm, reach, ecc})
+		end := min(c+64, len(r.D))
+		for t := c; t < end; t++ {
+			d := r.D[t]
+			if d == graph.InfDist || t == owner {
+				continue
+			}
+			sum += int64(d)
+			harm += 1 / float64(d)
+			reach++
+			if d > ecc {
+				ecc = d
+			}
+		}
+	}
+	r.agg = Agg{sum, harm, reach, ecc}
+	r.staleFrom = cleanAgg
+	return r.agg, len(r.D) - k<<6
 }
 
 // Relax lowers D[t] to d if d is an improvement, marking the row dirty.
@@ -80,12 +146,16 @@ func (r *Row) RelaxVia(t int32, d graph.Dist, nh int32) bool {
 }
 
 // MarkChanged records that columns [lo, hi) changed since the last ship,
-// marking the row dirty and widening the pending delta window.
+// marking the row dirty, widening the pending delta window and lowering
+// the aggregates' stale-from watermark to lo.
 func (r *Row) MarkChanged(lo, hi int) {
 	if lo >= hi {
 		return
 	}
 	r.Dirty = true
+	if int32(lo) < r.staleFrom {
+		r.staleFrom = int32(lo)
+	}
 	if r.pendLo >= r.pendHi {
 		r.pendLo, r.pendHi = int32(lo), int32(hi)
 		return
@@ -105,6 +175,7 @@ func (r *Row) MarkChanged(lo, hi int) {
 func (r *Row) MarkShipAll() {
 	r.Dirty = true
 	r.pendAll = true
+	r.staleFrom = 0
 	// Unknown change extent also invalidates the frontier: receivers and
 	// masked sweeps must treat every column as potentially changed.
 	r.FAll = true
@@ -349,8 +420,9 @@ func (m *Matrix) RemoveRow(v int32) *Row {
 
 // AdoptRow installs a detached row (migrated from another processor),
 // copying its content into the next arena slot. Its width is extended to
-// the matrix's width if needed. Panics if the row is still attached to a
-// matrix or a row for its owner already exists.
+// the matrix's width if needed, and its snapshot aggregates are rescanned
+// in full. Panics if the row is still attached to a matrix or a row for
+// its owner already exists.
 func (m *Matrix) AdoptRow(r *Row) {
 	if _, ok := m.index[r.Owner]; ok {
 		panic(fmt.Sprintf("dv: duplicate adopted row for vertex %d", r.Owner))
@@ -377,6 +449,7 @@ func (m *Matrix) AdoptRow(r *Row) {
 		m.fw[wbase+words-1] &= 1<<tail - 1
 	}
 	r.mx = m
+	r.staleFrom = 0
 	m.index[r.Owner] = i
 	m.rows = append(m.rows, r)
 	m.view(i)

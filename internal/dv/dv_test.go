@@ -1,6 +1,7 @@
 package dv
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -399,4 +400,70 @@ func TestShipDeltaFrontierAlignment(t *testing.T) {
 	if !fd.F.Get(70) || !fd.F.Get(100) || fd.F.OnesCount() != 2 {
 		t.Fatalf("full-delta frontier wrong: %v", fd.F)
 	}
+}
+
+// scanAgg is the reference for Row.Aggregates: one sequential pass over
+// the whole row.
+func scanAgg(r *Row) Agg {
+	var a Agg
+	for t, d := range r.D {
+		if d == graph.InfDist || int32(t) == r.Owner {
+			continue
+		}
+		a.Sum += int64(d)
+		a.Harm += 1 / float64(d)
+		a.Reach++
+		a.Ecc = max(a.Ecc, d)
+	}
+	return a
+}
+
+// TestRowAggregates walks the stale-from watermark through every rule: a
+// fresh row and a ship-all row rescan in full, a marked write resumes at
+// the 64-column boundary below it, growth alone rescans nothing (also from
+// a width on the 64-column grid), and an adopted row rescans in full even
+// if it was written while detached.
+func TestRowAggregates(t *testing.T) {
+	m := NewMatrix(128)
+	r := m.AddRow(5)
+	check := func(label string, wantRead int) {
+		t.Helper()
+		got, read := r.Aggregates()
+		want := scanAgg(r)
+		if got.Sum != want.Sum || math.Float64bits(got.Harm) != math.Float64bits(want.Harm) ||
+			got.Reach != want.Reach || got.Ecc != want.Ecc {
+			t.Fatalf("%s: aggregates %+v, full scan %+v", label, got, want)
+		}
+		if read != wantRead {
+			t.Fatalf("%s: read %d cells, want %d", label, read, wantRead)
+		}
+	}
+	for c := range r.D {
+		if c != 5 {
+			r.D[c] = graph.Dist(1 + c%7)
+		}
+	}
+	check("fresh row", 128)
+	check("unchanged", 0)
+	r.RelaxVia(100, 1, 4)
+	check("relax at 100", 64)
+	r.D[64] = 2
+	r.MarkChanged(64, 65)
+	check("marked write at 64", 64)
+	r.D[63] = 1
+	r.MarkChanged(63, 70)
+	check("marked write at 63", 128)
+	m.ExtendCols(72)
+	check("growth", 0)
+	r.D[150] = 4
+	r.MarkChanged(150, 151)
+	check("write past the old width", 200-64)
+	r.D[10] = 1
+	r.MarkShipAll()
+	check("ship-all", 200)
+	d := m.RemoveRow(5)
+	d.D[3] = 9
+	m.AdoptRow(d)
+	r = d
+	check("adopted", 200)
 }

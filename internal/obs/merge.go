@@ -46,6 +46,7 @@ func ParseFamilies(r io.Reader) ([]TextFamily, error) {
 	var fams []TextFamily
 	index := map[string]int{} // family name -> fams slot
 	cur := -1                 // most recent family slot
+	headed := false           // cur was opened by a HELP/TYPE header
 
 	ensure := func(name string) int {
 		if i, ok := index[name]; ok {
@@ -74,13 +75,13 @@ func ParseFamilies(r io.Reader) ([]TextFamily, error) {
 				if len(fields) == 4 {
 					fams[i].Help = fields[3]
 				}
-				cur = i
+				cur, headed = i, true
 			case "TYPE":
 				i := ensure(fields[2])
 				if len(fields) == 4 {
 					fams[i].Type = fields[3]
 				}
-				cur = i
+				cur, headed = i, true
 			}
 			continue
 		}
@@ -99,19 +100,22 @@ func ParseFamilies(r io.Reader) ([]TextFamily, error) {
 		if b := strings.IndexByte(series, '{'); b >= 0 {
 			name, labels = series[:b], series[b:]
 		}
-		// Attach to the open family when the sample belongs to it (exact
-		// name, or a histogram-suffixed extension of it).
+		// Attach to the open family when the sample belongs to it: its
+		// exact name, or — under a header only — a histogram-suffixed
+		// extension of it. A family opened by a bare sample does not
+		// collect suffixed series, so a header WriteFamilies omits cannot
+		// change where a sample lands on re-parse.
 		slot := -1
 		if cur >= 0 {
 			fn := fams[cur].Name
-			if name == fn || (strings.HasPrefix(name, fn) &&
+			if name == fn || (headed && strings.HasPrefix(name, fn) &&
 				(name == fn+"_bucket" || name == fn+"_sum" || name == fn+"_count")) {
 				slot = cur
 			}
 		}
 		if slot < 0 {
 			slot = ensure(name)
-			cur = slot
+			cur, headed = slot, false
 		}
 		fams[slot].Samples = append(fams[slot].Samples, TextSample{Name: name, Labels: labels, Value: v})
 	}
@@ -141,11 +145,18 @@ func InjectLabel(labels, key, value string) string {
 // WriteFamilies renders families back into the Prometheus text exposition
 // format, preserving order. The round-trip ParseFamilies -> WriteFamilies
 // is stable, so merged output stays scrapeable by anything that accepted
-// the per-rank originals.
+// the per-rank originals. A family's HELP/TYPE header is omitted only when
+// it carries nothing — untyped, no help — and every sample bears the
+// family's own name: a suffixed sample (a histogram's _bucket/_sum/_count)
+// finds its family on re-parse only through the header.
 func WriteFamilies(w io.Writer, fams []TextFamily) error {
 	bw := bufio.NewWriter(w)
 	for _, f := range fams {
-		if f.Help != "" || f.Type != "untyped" {
+		header := f.Help != "" || f.Type != "untyped"
+		for _, s := range f.Samples {
+			header = header || s.Name != f.Name
+		}
+		if header {
 			fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n", f.Name, f.Help, f.Name, f.Type)
 		}
 		for _, s := range f.Samples {

@@ -145,3 +145,45 @@ func TestMergeFamiliesKeepsOrderAndHeaders(t *testing.T) {
 		t.Errorf("merged exposition must reparse cleanly: %v, %+v", err, m2)
 	}
 }
+
+// FuzzParseFamilies holds the exposition parser to its contract on
+// arbitrary text: it never panics, and WriteFamilies ∘ ParseFamilies is
+// stable — after one round the rendered text reaches a fixpoint, so merged
+// output re-parses and re-renders to itself. Seeded with a real Registry
+// exposition (counter, labeled gauges, histogram) and the irregular shapes
+// the parser tolerates.
+func FuzzParseFamilies(f *testing.F) {
+	f.Add(buildRegistry().Render())
+	f.Add("# HELP a\n# TYPE a\na 1\n")                              // short headers
+	f.Add("x_sum 1\n# TYPE x histogram\nx_bucket{le=\"+Inf\"} 2\n") // sample before its header
+	f.Add("a{l=\"v w\"} NaN\nb -Inf\nc 1e400\nd -0\n")              // spaced labels, special values
+	f.Add("# bare comment\n\n  # TYPE  untyped\n{only=\"labels\"} 3\n")
+	f.Add("a b\n")                                    // unparseable value
+	f.Add("# TYPE h \nh_bucket 0\n0 0\nh_bucket 1\n") // untyped, help-less family owning a suffixed sample
+	f.Add("s 0\n# TYPE q\ns_count 0\n")               // suffixed sample after a bare one
+	render := func(t *testing.T, text string) (string, bool) {
+		t.Helper()
+		fams, err := ParseFamilies(strings.NewReader(text))
+		if err != nil {
+			return "", false
+		}
+		var b strings.Builder
+		if err := WriteFamilies(&b, fams); err != nil {
+			t.Fatalf("WriteFamilies: %v", err)
+		}
+		return b.String(), true
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		once, ok := render(t, text)
+		if !ok {
+			return // rejected input: fine, as long as it did not panic
+		}
+		twice, ok := render(t, once)
+		if !ok {
+			t.Fatalf("rendered exposition does not parse:\n%s", once)
+		}
+		if twice != once {
+			t.Fatalf("not a fixpoint after one round:\nonce:\n%s\ntwice:\n%s", once, twice)
+		}
+	})
+}

@@ -3,6 +3,7 @@ package serve
 import (
 	"testing"
 
+	"anytime/internal/change"
 	"anytime/internal/core"
 	"anytime/internal/gen"
 )
@@ -32,12 +33,28 @@ func benchServer(b *testing.B, n int) *Server {
 // BenchmarkSnapshotPublish pins the cost of one publication: gathering the
 // engine snapshot, building the top-k index, and the atomic swap. This is
 // the driver-side overhead added per PublishEvery RC steps; later PRs must
-// not regress it silently.
+// not regress it silently. Between publishes an untimed edge addition and
+// one RC step dirty the engine, as the driver's steps do, so the snapshot
+// rescans what that step wrote instead of re-reading clean row caches.
 func BenchmarkSnapshotPublish(b *testing.B) {
 	s := benchServer(b, 1000)
+	e := s.eng
+	e.SetStepHook(nil) // the timed publish is the only one
+	n := e.Graph().NumVertices()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		u := i * 7919 % n
+		v := (u + 1 + i*31%(n-1)) % n
+		for e.Graph().HasEdge(u, v) || u == v {
+			v = (v + 1) % n
+		}
+		if err := e.QueueEdgeAdds(change.EdgeAdd{U: int32(u), V: int32(v), Weight: 1}); err != nil {
+			b.Fatal(err)
+		}
+		e.Step()
+		b.StartTimer()
 		s.publish()
 	}
 }

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -132,5 +133,59 @@ func FuzzDecodeEvents(f *testing.F) {
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("roundtrip mismatch: in %d bytes, out %d bytes", len(data), len(enc))
 		}
+	})
+}
+
+// FuzzReadFrame fuzzes the frame decoder on raw stream bytes with a small
+// payload cap: it must never panic, a frame it accepts must re-encode
+// through appendFrame to exactly the bytes it consumed, and flipping any
+// one bit at offset ≥ 2 of that frame (everything under the CRC: version,
+// header fields, length, body, trailer) must get the frame refused. Raw
+// bytes seldom carry a valid CRC, so every input is also framed as a body
+// and held to the same two properties; flip picks the bit.
+func FuzzReadFrame(f *testing.F) {
+	const maxBytes = 64
+	valid := appendFrame(nil, frame{Tag: TagBoundaryDV, Kind: payloadDeltas, From: 1, To: 2, Seq: 7, Body: []byte{1, 2, 3, 4, 5}})
+	f.Add(valid, uint(0))
+	f.Add(appendFrame(valid, frame{Tag: TagControl, From: 65535, To: 3, Seq: 1 << 31}), uint(131)) // two frames back to back
+	f.Add(appendFrame(nil, frame{Body: make([]byte, maxBytes)}), uint(8*headerLen-1))              // payload at the cap
+	f.Add(appendFrame(nil, frame{Body: make([]byte, maxBytes+1)}), uint(3))                        // payload past the cap
+	f.Add(valid[:headerLen+2], uint(0))                                                            // torn body
+	f.Add(valid[:5], uint(0))                                                                      // torn header
+	f.Add(bytes.Repeat([]byte{0xff}, 40), uint(99))                                                // bad magic
+
+	refusesFlips := func(t *testing.T, fr []byte, flip uint) {
+		t.Helper()
+		bit := 16 + int(flip%uint(8*(len(fr)-2)))
+		mut := append([]byte(nil), fr...)
+		mut[bit/8] ^= 1 << (bit % 8)
+		if got, err := readFrame(bytes.NewReader(mut), maxBytes); err == nil {
+			t.Fatalf("frame with bit %d flipped accepted as %+v", bit, got)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, flip uint) {
+		r := bytes.NewReader(data)
+		if fr, err := readFrame(r, maxBytes); err == nil {
+			consumed := data[:len(data)-r.Len()]
+			if enc := appendFrame(nil, fr); !bytes.Equal(enc, consumed) {
+				t.Fatalf("accepted frame re-encodes to %d bytes, consumed %d", len(enc), len(consumed))
+			}
+			refusesFlips(t, consumed, flip)
+		}
+
+		body := data[:min(len(data), maxBytes)]
+		var seq uint32
+		if len(data) >= 4 {
+			seq = binary.LittleEndian.Uint32(data)
+		}
+		enc := appendFrame(nil, frame{Tag: Tag(flip), Kind: uint8(flip >> 8), From: int(flip>>3) & 0xffff, To: int(seq & 0xffff), Seq: seq, Body: body})
+		fr, err := readFrame(bytes.NewReader(enc), maxBytes)
+		if err != nil {
+			t.Fatalf("encoded frame refused: %v", err)
+		}
+		if !bytes.Equal(appendFrame(nil, fr), enc) {
+			t.Fatal("encoded frame does not round-trip")
+		}
+		refusesFlips(t, enc, flip)
 	})
 }
