@@ -13,8 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also covers the nested benchmark module (the root ./... skips it) and
+# fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # The serving subsystem's single-writer/multi-reader contract, the engine
 # underneath it (chaos soak included) and the fault and cluster layers are
@@ -98,11 +102,13 @@ bench-paper:
 # wrapper, TCP links) and the one-rank-per-process runner under the race
 # detector — including the integration test that spawns real OS processes
 # over a TCP mesh and checks bit-identical convergence against inproc —
-# plus a short fuzzing run of the frame decoder past its seeds.
+# plus short fuzzing runs of the frame decoder and of aacluster's mesh
+# manifest loader past their seeds.
 transport-check:
 	$(GO) vet ./internal/transport ./internal/rank ./cmd/aacluster
-	$(GO) test -race -count=1 ./internal/transport ./internal/rank
+	$(GO) test -race -count=1 ./internal/transport ./internal/rank ./cmd/aacluster
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadPeers$$' -fuzztime 10s ./cmd/aacluster
 
 # Cluster observability gate: the rank hot path's zero-alloc telemetry
 # contract, the Prometheus text parse/merge/aggregate layer (including a

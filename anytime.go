@@ -25,7 +25,6 @@ import (
 
 	"anytime/internal/centrality"
 	"anytime/internal/change"
-	"anytime/internal/clique"
 	"anytime/internal/community"
 	"anytime/internal/core"
 	"anytime/internal/fault"
@@ -207,12 +206,6 @@ func Closeness(g *Graph) []float64 { return centrality.Closeness(g) }
 // Harmonic computes exact harmonic closeness sequentially.
 func Harmonic(g *Graph) []float64 { return centrality.Harmonic(g) }
 
-// Betweenness computes exact Brandes betweenness sequentially.
-func Betweenness(g *Graph) []float64 { return centrality.Betweenness(g) }
-
-// DegreeCentrality computes degree centrality normalized by n-1.
-func DegreeCentrality(g *Graph) []float64 { return centrality.Degree(g) }
-
 // TopK returns the indices of the k largest scores in descending order.
 func TopK(scores []float64, k int) []int { return centrality.TopK(scores, k) }
 
@@ -257,22 +250,6 @@ func ReadMETIS(r io.Reader) (*Graph, error) { return graph.ReadMETIS(r) }
 // WriteMETIS writes the METIS graph format (with edge weights).
 func WriteMETIS(w io.Writer, g *Graph) error { return graph.WriteMETIS(w, g) }
 
-// MaximalCliques streams every maximal clique of g to visit (sorted
-// ascending; the slice is reused between calls). Returning false from the
-// visitor stops the enumeration — the anytime interrupt of the
-// methodology's maximal-clique lineage. It returns the number of cliques
-// reported and whether the enumeration completed.
-func MaximalCliques(g *Graph, visit func(clique []int32) bool) (int, bool) {
-	return clique.EnumerateMaximal(g, visit)
-}
-
-// MaxClique returns one maximum clique of g by full enumeration.
-func MaxClique(g *Graph) []int32 { return clique.MaxClique(g) }
-
-// Degeneracy returns the graph degeneracy (a sparsity measure of social
-// networks that bounds the clique-enumeration recursion).
-func Degeneracy(g *Graph) int { return clique.Degeneracy(g) }
-
 // TraceEvent is one entry of the engine's execution trace (see
 // Options.Trace).
 type TraceEvent = core.TraceEvent
@@ -295,38 +272,6 @@ func NewSpanTracer(capacity int) *SpanTracer { return obs.NewTracer(capacity) }
 // MetricsRegistry renders counters/gauges/histograms in the Prometheus
 // text exposition format (see Server.Registry and GET /metrics).
 type MetricsRegistry = obs.Registry
-
-// Eigenvector computes eigenvector centrality by power iteration
-// (maxIter/tol 0 = defaults).
-func Eigenvector(g *Graph, maxIter int, tol float64) []float64 {
-	return centrality.Eigenvector(g, maxIter, tol)
-}
-
-// PageRank computes PageRank with damping d (0 = 0.85).
-func PageRank(g *Graph, d float64, maxIter int, tol float64) []float64 {
-	return centrality.PageRank(g, d, maxIter, tol)
-}
-
-// Lin computes Lin's index (component-size-corrected closeness), robust on
-// disconnected graphs.
-func Lin(g *Graph) []float64 { return centrality.Lin(g) }
-
-// Katz computes Katz centrality x = αAx + 1 (alpha 0 = safe default).
-func Katz(g *Graph, alpha float64, maxIter int, tol float64) []float64 {
-	return centrality.Katz(g, alpha, maxIter, tol)
-}
-
-// ApproxCloseness estimates closeness by pivot sampling (the scheme behind
-// the closeness-ranking work the paper cites); cost O(samples·(E+n log n)).
-func ApproxCloseness(g *Graph, samples int, seed int64) []float64 {
-	return centrality.ApproxCloseness(g, samples, seed)
-}
-
-// TopKCloseness returns the k highest-closeness vertices via pivot
-// sampling plus exact verification of a candidate set.
-func TopKCloseness(g *Graph, k, samples int, seed int64) []int {
-	return centrality.TopKCloseness(g, k, samples, seed)
-}
 
 // Stream is a replayable, timestamped dynamic-graph event stream.
 type Stream = stream.Stream
@@ -397,16 +342,11 @@ var ErrServerClosed = serve.ErrClosed
 // s.Close(), which drains admitted events, converges, and checkpoints.
 func NewServer(e *Engine, cfg ServeConfig) (*Server, error) { return serve.New(e, cfg) }
 
-// ApproxBetweenness estimates betweenness by source sampling (the
-// adaptive-sampling family the paper cites); cost O(samples·(E+n log n)).
-func ApproxBetweenness(g *Graph, samples int, seed int64) []float64 {
-	return centrality.ApproxBetweenness(g, samples, seed)
-}
-
 // GeometricGraph generates a random geometric graph: n points in the unit
 // square connected within the given radius — the sensor-network workload
-// of the paper's introduction. The result may be disconnected; pick the
-// radius for the density you need.
+// of the paper's introduction. Components are joined with unit-weight
+// edges so closeness is defined for every vertex; pick the radius for the
+// density you need.
 func GeometricGraph(n int, radius float64, seed int64) (*Graph, error) {
 	g, err := gen.RandomGeometric(n, radius, gen.Weights{}, seed)
 	if err != nil {

@@ -42,6 +42,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -547,9 +548,17 @@ func loadPeers(inline, manifestPath string) ([]transport.Peer, []string, error) 
 		return nil, nil, err
 	}
 	defer f.Close()
+	return readManifest(manifestPath, f)
+}
+
+// readManifest parses manifest lines from r; name prefixes every error as
+// name:line. Ranks must be dense and in order — the i-th peer line has rank
+// i, the rule transport.NewTCP enforces — so obsAddrs grows one entry per
+// peer and no rank can index past it.
+func readManifest(name string, r io.Reader) ([]transport.Peer, []string, error) {
 	var peers []transport.Peer
 	var obsAddrs []string
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	for line := 1; sc.Scan(); line++ {
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || strings.HasPrefix(text, "#") {
@@ -557,22 +566,24 @@ func loadPeers(inline, manifestPath string) ([]transport.Peer, []string, error) 
 		}
 		fields := strings.Fields(text)
 		if len(fields) != 2 && len(fields) != 3 {
-			return nil, nil, fmt.Errorf("%s:%d: want \"<rank> <host:port> [obs-host:port]\", got %q", manifestPath, line, text)
+			return nil, nil, fmt.Errorf("%s:%d: want \"<rank> <host:port> [obs-host:port]\", got %q", name, line, text)
 		}
-		r, err := strconv.Atoi(fields[0])
+		id, err := strconv.Atoi(fields[0])
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s:%d: bad rank: %w", manifestPath, line, err)
+			return nil, nil, fmt.Errorf("%s:%d: bad rank: %w", name, line, err)
 		}
-		peers = append(peers, transport.Peer{Rank: r, Addr: fields[1]})
-		for r >= len(obsAddrs) {
-			obsAddrs = append(obsAddrs, "")
+		if id != len(peers) {
+			return nil, nil, fmt.Errorf("%s:%d: rank %d, want %d (ranks must be listed 0, 1, 2, ... in order)", name, line, id, len(peers))
 		}
+		peers = append(peers, transport.Peer{Rank: id, Addr: fields[1]})
+		obsAddr := ""
 		if len(fields) == 3 {
-			obsAddrs[r] = fields[2]
+			obsAddr = fields[2]
 		}
+		obsAddrs = append(obsAddrs, obsAddr)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%s: %w", name, err)
 	}
 	return peers, obsAddrs, nil
 }

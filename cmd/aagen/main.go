@@ -4,8 +4,7 @@
 //
 //	aagen -kind ba -n 2000 -m 3 -seed 1 -format pajek > graph.net
 //
-// Kinds: ba (Barabási–Albert scale-free), er (Erdős–Rényi), ws
-// (Watts–Strogatz), sbm (planted partition), rmat.
+// Kinds: ba (Barabási–Albert scale-free), sbm (planted partition), rmat.
 package main
 
 import (
@@ -19,13 +18,12 @@ import (
 
 func main() {
 	var (
-		kind    = flag.String("kind", "ba", "generator: ba | er | ws | sbm | rmat")
-		n       = flag.Int("n", 2000, "vertices (ba/er/ws/sbm) or 2^scale check (rmat)")
-		m       = flag.Int("m", 3, "ba: edges per new vertex; er/rmat: total edges; ws: ring degree")
+		kind    = flag.String("kind", "ba", "generator: ba | sbm | rmat")
+		n       = flag.Int("n", 2000, "vertices (ba/sbm)")
+		m       = flag.Int("m", 3, "ba: edges per new vertex; rmat: total edges")
 		c       = flag.Int("c", 8, "sbm: communities")
 		pin     = flag.Float64("pin", 0.1, "sbm: intra-community edge probability")
 		pout    = flag.Float64("pout", 0.005, "sbm: inter-community edge probability")
-		beta    = flag.Float64("beta", 0.1, "ws: rewiring probability")
 		scale   = flag.Int("scale", 11, "rmat: log2 of vertex count")
 		minW    = flag.Int("minw", 0, "minimum edge weight (0 = unit weights)")
 		maxW    = flag.Int("maxw", 0, "maximum edge weight")
@@ -41,10 +39,6 @@ func main() {
 	switch *kind {
 	case "ba":
 		g, err = gen.BarabasiAlbert(*n, *m, w, *seed)
-	case "er":
-		g, err = gen.ErdosRenyi(*n, *m, w, *seed)
-	case "ws":
-		g, err = gen.WattsStrogatz(*n, *m, *beta, w, *seed)
 	case "sbm":
 		g, _, err = gen.PlantedPartition(*n, *c, *pin, *pout, w, *seed)
 	case "rmat":

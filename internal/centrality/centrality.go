@@ -1,8 +1,7 @@
-// Package centrality provides sequential reference implementations of the
-// social-network-analysis measures the anytime-anywhere methodology
-// targets: closeness (the paper's focus), harmonic closeness, degree, and
-// Brandes betweenness. They serve as verification oracles for the
-// distributed engine and as standalone utilities for the examples.
+// Package centrality provides the sequential reference implementations of
+// closeness (the paper's measure) and harmonic closeness — the
+// verification oracles the distributed engine is checked against — plus
+// the heap-based top-k selection the serving layer ranks snapshots with.
 package centrality
 
 import (
@@ -16,45 +15,19 @@ import (
 // Closeness computes exact closeness centrality for every vertex:
 // C(v) = 1 / Σ_t d(v,t) over reachable t ≠ v (0 if nothing is reachable).
 func Closeness(g *graph.Graph) []float64 {
-	return closenessFrom(g, func(sum int64, _ int) float64 {
-		if sum == 0 {
-			return 0
-		}
-		return 1 / float64(sum)
-	})
-}
-
-// Lin computes Lin's index, the component-size-corrected closeness:
-// C(v) = (r(v)-1)² / (n-1) / Σ d(v,t), robust on disconnected graphs.
-func Lin(g *graph.Graph) []float64 {
-	n := g.NumVertices()
-	if n <= 1 {
-		return make([]float64, n)
-	}
-	return closenessFrom(g, func(sum int64, reach int) float64 {
-		if sum == 0 {
-			return 0
-		}
-		r := float64(reach)
-		return r * r / float64(n-1) / float64(sum)
-	})
-}
-
-func closenessFrom(g *graph.Graph, combine func(sum int64, reach int) float64) []float64 {
 	n := g.NumVertices()
 	out := make([]float64, n)
 	parallelOver(n, func(v int) {
 		d := sssp.Dijkstra(g, v)
 		var sum int64
-		reach := 0
 		for t, dt := range d {
-			if t == v || dt == graph.InfDist {
-				continue
+			if t != v && dt != graph.InfDist {
+				sum += int64(dt)
 			}
-			sum += int64(dt)
-			reach++
 		}
-		out[v] = combine(sum, reach)
+		if sum != 0 {
+			out[v] = 1 / float64(sum)
+		}
 	})
 	return out
 }
@@ -75,128 +48,6 @@ func Harmonic(g *graph.Graph) []float64 {
 		out[v] = h
 	})
 	return out
-}
-
-// Degree computes degree centrality normalized by n-1.
-func Degree(g *graph.Graph) []float64 {
-	n := g.NumVertices()
-	out := make([]float64, n)
-	if n <= 1 {
-		return out
-	}
-	for v := 0; v < n; v++ {
-		out[v] = float64(g.Degree(v)) / float64(n-1)
-	}
-	return out
-}
-
-// Betweenness computes exact betweenness centrality with Brandes'
-// algorithm on the weighted graph (undirected convention: each pair
-// counted once, so scores are halved).
-func Betweenness(g *graph.Graph) []float64 {
-	n := g.NumVertices()
-	out := make([]float64, n)
-	var mu sync.Mutex
-	parallelOver(n, func(s int) {
-		bc := brandesFrom(g, int32(s))
-		mu.Lock()
-		for v := range out {
-			out[v] += bc[v]
-		}
-		mu.Unlock()
-	})
-	for v := range out {
-		out[v] /= 2 // undirected: each pair visited from both ends
-	}
-	return out
-}
-
-// brandesFrom accumulates the betweenness contributions of all shortest
-// paths from s (weighted Dijkstra variant of Brandes' algorithm).
-func brandesFrom(g *graph.Graph, s int32) []float64 {
-	n := g.NumVertices()
-	dist := make([]graph.Dist, n)
-	sigma := make([]float64, n) // number of shortest paths
-	delta := make([]float64, n)
-	preds := make([][]int32, n)
-	for i := range dist {
-		dist[i] = graph.InfDist
-	}
-	dist[s] = 0
-	sigma[s] = 1
-	// Dijkstra with predecessor tracking and a settle order stack.
-	type qe struct {
-		v int32
-		d graph.Dist
-	}
-	pq := []qe{{s, 0}}
-	push := func(e qe) {
-		pq = append(pq, e)
-		for i := len(pq) - 1; i > 0; {
-			p := (i - 1) / 2
-			if pq[p].d <= pq[i].d {
-				break
-			}
-			pq[p], pq[i] = pq[i], pq[p]
-			i = p
-		}
-	}
-	pop := func() qe {
-		top := pq[0]
-		last := len(pq) - 1
-		pq[0] = pq[last]
-		pq = pq[:last]
-		for i := 0; ; {
-			l, r, m := 2*i+1, 2*i+2, i
-			if l < last && pq[l].d < pq[m].d {
-				m = l
-			}
-			if r < last && pq[r].d < pq[m].d {
-				m = r
-			}
-			if m == i {
-				break
-			}
-			pq[m], pq[i] = pq[i], pq[m]
-			i = m
-		}
-		return top
-	}
-	var order []int32
-	settled := make([]bool, n)
-	for len(pq) > 0 {
-		e := pop()
-		if settled[e.v] || e.d > dist[e.v] {
-			continue
-		}
-		settled[e.v] = true
-		order = append(order, e.v)
-		for _, a := range g.Neighbors(int(e.v)) {
-			nd := e.d + a.Weight
-			switch {
-			case nd < dist[a.To]:
-				dist[a.To] = nd
-				sigma[a.To] = sigma[e.v]
-				preds[a.To] = append(preds[a.To][:0], e.v)
-				push(qe{a.To, nd})
-			case nd == dist[a.To]:
-				sigma[a.To] += sigma[e.v]
-				preds[a.To] = append(preds[a.To], e.v)
-			}
-		}
-	}
-	// dependency accumulation in reverse settle order
-	bc := make([]float64, n)
-	for i := len(order) - 1; i >= 0; i-- {
-		w := order[i]
-		for _, p := range preds[w] {
-			delta[p] += sigma[p] / sigma[w] * (1 + delta[w])
-		}
-		if w != s {
-			bc[w] += delta[w]
-		}
-	}
-	return bc
 }
 
 // parallelOver runs fn(i) for i in [0,n) over GOMAXPROCS workers.

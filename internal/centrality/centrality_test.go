@@ -55,74 +55,6 @@ func TestHarmonicPath(t *testing.T) {
 	}
 }
 
-func TestLinIndexConnectedMatchesScaledCloseness(t *testing.T) {
-	g := starGraph(5)
-	lin := Lin(g)
-	c := Closeness(g)
-	// connected graph: Lin = (n-1)^2/(n-1) / sum = (n-1) * closeness
-	for v := range lin {
-		if !approx(lin[v], 4*c[v]) {
-			t.Fatalf("lin[%d] = %g, closeness = %g", v, lin[v], c[v])
-		}
-	}
-}
-
-func TestDegreeCentrality(t *testing.T) {
-	d := Degree(starGraph(5))
-	if !approx(d[0], 1) || !approx(d[3], 0.25) {
-		t.Fatalf("degree = %v", d)
-	}
-	if len(Degree(graph.New(1))) != 1 {
-		t.Fatal("single vertex should work")
-	}
-}
-
-func TestBetweennessStar(t *testing.T) {
-	bc := Betweenness(starGraph(5))
-	// hub lies on all C(4,2)=6 leaf pairs
-	if !approx(bc[0], 6) {
-		t.Fatalf("hub betweenness = %g", bc[0])
-	}
-	for v := 1; v < 5; v++ {
-		if !approx(bc[v], 0) {
-			t.Fatalf("leaf %d betweenness = %g", v, bc[v])
-		}
-	}
-}
-
-func TestBetweennessPath(t *testing.T) {
-	bc := Betweenness(pathGraph(4))
-	// path 0-1-2-3: inner vertices carry 2 pairs each
-	if !approx(bc[1], 2) || !approx(bc[2], 2) || !approx(bc[0], 0) {
-		t.Fatalf("betweenness = %v", bc)
-	}
-}
-
-func TestBetweennessCountsMultiplicities(t *testing.T) {
-	// diamond: 0-1, 0-2, 1-3, 2-3; two shortest 0→3 paths
-	g := graph.New(4)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(0, 2, 1)
-	g.MustAddEdge(1, 3, 1)
-	g.MustAddEdge(2, 3, 1)
-	bc := Betweenness(g)
-	if !approx(bc[1], 0.5) || !approx(bc[2], 0.5) {
-		t.Fatalf("betweenness = %v", bc)
-	}
-}
-
-func TestBetweennessWeighted(t *testing.T) {
-	// triangle where the direct edge 0-2 is longer than the detour via 1
-	g := graph.New(3)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	g.MustAddEdge(0, 2, 5)
-	bc := Betweenness(g)
-	if !approx(bc[1], 1) {
-		t.Fatalf("betweenness = %v", bc)
-	}
-}
-
 func TestClosenessMatchesEngineScaleFree(t *testing.T) {
 	g, err := gen.BarabasiAlbert(120, 2, gen.Weights{Min: 1, Max: 3}, 3)
 	if err != nil {

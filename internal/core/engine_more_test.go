@@ -3,12 +3,14 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
 	"testing"
 	"testing/quick"
 
+	"anytime/internal/centrality"
 	"anytime/internal/change"
 	"anytime/internal/gen"
 	"anytime/internal/graph"
@@ -91,6 +93,17 @@ func TestQuickEngineMatchesOracle(t *testing.T) {
 				if got[v][u] != want[v][u] {
 					return false
 				}
+			}
+		}
+		// The converged snapshot's measures equal the sequential oracles
+		// bit for bit: both sum each row in column order.
+		snap := e.Snapshot()
+		clo, harm := centrality.Closeness(e.Graph()), centrality.Harmonic(e.Graph())
+		for v := range clo {
+			if math.Float64bits(snap.Closeness[v]) != math.Float64bits(clo[v]) ||
+				math.Float64bits(snap.Harmonic[v]) != math.Float64bits(harm[v]) {
+				t.Logf("seed %d: vertex %d closeness %v/%v harmonic %v/%v", seed, v, snap.Closeness[v], clo[v], snap.Harmonic[v], harm[v])
+				return false
 			}
 		}
 		return true

@@ -1,8 +1,9 @@
 // Package gen provides deterministic, seeded random graph generators used as
 // workloads: Barabási–Albert scale-free graphs (the paper's Pajek-generated
-// inputs), Erdős–Rényi, Watts–Strogatz, planted-partition (SBM) community
-// graphs, R-MAT, and the vertex-addition batch generator that carves
-// community-structured batches out of a reservoir graph.
+// inputs), planted-partition (SBM) community graphs, R-MAT, random
+// geometric (sensor-network) graphs, and the vertex-addition batch
+// generator that carves community-structured batches out of a reservoir
+// graph.
 package gen
 
 import (
@@ -69,66 +70,6 @@ func BarabasiAlbert(n, m int, w Weights, seed int64) (*graph.Graph, error) {
 		for _, t := range chosen {
 			g.MustAddEdge(v, int(t), w.draw(rng))
 			targets = append(targets, int32(v), t)
-		}
-	}
-	return g, nil
-}
-
-// ErdosRenyi generates a G(n, m) graph with exactly m distinct random edges.
-func ErdosRenyi(n, m int, w Weights, seed int64) (*graph.Graph, error) {
-	maxEdges := int64(n) * int64(n-1) / 2
-	if int64(m) > maxEdges {
-		return nil, fmt.Errorf("gen: ErdosRenyi m=%d exceeds max %d for n=%d", m, maxEdges, n)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.New(n)
-	for g.NumEdges() < m {
-		u, v := rng.Intn(n), rng.Intn(n)
-		if u == v || g.HasEdge(u, v) {
-			continue
-		}
-		g.MustAddEdge(u, v, w.draw(rng))
-	}
-	return g, nil
-}
-
-// WattsStrogatz generates a small-world ring lattice with n vertices, each
-// connected to its k nearest neighbors (k even), with rewiring probability
-// beta.
-func WattsStrogatz(n, k int, beta float64, w Weights, seed int64) (*graph.Graph, error) {
-	if k%2 != 0 || k < 2 || k >= n {
-		return nil, fmt.Errorf("gen: WattsStrogatz requires even 2<=k<n, got k=%d n=%d", k, n)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	g := graph.New(n)
-	for u := 0; u < n; u++ {
-		for j := 1; j <= k/2; j++ {
-			v := (u + j) % n
-			if !g.HasEdge(u, v) {
-				g.MustAddEdge(u, v, w.draw(rng))
-			}
-		}
-	}
-	// Rewire: each lattice edge (u, u+j) is rewired to a random target with
-	// probability beta.
-	type e struct{ u, v int }
-	var edges []e
-	g.ForEachEdge(func(u, v int, _ graph.Weight) { edges = append(edges, e{u, v}) })
-	for _, ed := range edges {
-		if rng.Float64() >= beta {
-			continue
-		}
-		for tries := 0; tries < 32; tries++ {
-			t := rng.Intn(n)
-			if t == ed.u || g.HasEdge(ed.u, t) {
-				continue
-			}
-			wt, _ := g.EdgeWeight(ed.u, ed.v)
-			if err := g.RemoveEdge(ed.u, ed.v); err != nil {
-				return nil, err
-			}
-			g.MustAddEdge(ed.u, t, wt)
-			break
 		}
 	}
 	return g, nil
@@ -247,31 +188,19 @@ func RandomGeometric(n int, radius float64, w Weights, seed int64) (*graph.Graph
 	if cells < 1 {
 		cells = 1
 	}
+	// cell[i] is point i's grid cell cx*cells+cy, the coordinates clamped
+	// so points on the far edges land in the last row/column.
+	cell := make([]int, n)
 	grid := make(map[int][]int32, n)
-	cellOf := func(i int) int {
-		cx, cy := int(xs[i]*float64(cells)), int(ys[i]*float64(cells))
-		if cx == cells {
-			cx--
-		}
-		if cy == cells {
-			cy--
-		}
-		return cx*cells + cy
-	}
 	for i := 0; i < n; i++ {
-		c := cellOf(i)
-		grid[c] = append(grid[c], int32(i))
+		cx, cy := min(int(xs[i]*float64(cells)), cells-1), min(int(ys[i]*float64(cells)), cells-1)
+		cell[i] = cx*cells + cy
+		grid[cell[i]] = append(grid[cell[i]], int32(i))
 	}
 	g := graph.New(n)
 	r2 := radius * radius
 	for i := 0; i < n; i++ {
-		cx, cy := int(xs[i]*float64(cells)), int(ys[i]*float64(cells))
-		if cx == cells {
-			cx--
-		}
-		if cy == cells {
-			cy--
-		}
+		cx, cy := cell[i]/cells, cell[i]%cells
 		for dx := -1; dx <= 1; dx++ {
 			for dy := -1; dy <= 1; dy++ {
 				nx, ny := cx+dx, cy+dy

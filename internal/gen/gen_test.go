@@ -2,7 +2,6 @@ package gen
 
 import (
 	"testing"
-	"testing/quick"
 
 	"anytime/internal/graph"
 )
@@ -68,44 +67,6 @@ func TestBarabasiAlbertErrors(t *testing.T) {
 	}
 }
 
-func TestErdosRenyi(t *testing.T) {
-	g, err := ErdosRenyi(100, 300, Weights{Min: 2, Max: 2}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 300 {
-		t.Fatalf("edges = %d", g.NumEdges())
-	}
-	g.ForEachEdge(func(_, _ int, w graph.Weight) {
-		if w != 2 {
-			t.Fatalf("weight %d, want 2", w)
-		}
-	})
-	if _, err := ErdosRenyi(4, 100, Weights{}, 1); err == nil {
-		t.Fatal("over-dense request should fail")
-	}
-}
-
-func TestWattsStrogatz(t *testing.T) {
-	g, err := WattsStrogatz(200, 4, 0.1, Weights{}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumVertices() != 200 {
-		t.Fatalf("n = %d", g.NumVertices())
-	}
-	// rewiring preserves the edge count
-	if g.NumEdges() != 400 {
-		t.Fatalf("edges = %d, want 400", g.NumEdges())
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WattsStrogatz(10, 3, 0.1, Weights{}, 1); err == nil {
-		t.Fatal("odd k should fail")
-	}
-}
-
 func TestPlantedPartitionCommunities(t *testing.T) {
 	g, label, err := PlantedPartition(200, 4, 0.3, 0.01, Weights{}, 7)
 	if err != nil {
@@ -154,20 +115,6 @@ func TestConnectify(t *testing.T) {
 	}
 	if Connectify(g, 1) != 0 {
 		t.Fatal("already-connected graph should add nothing")
-	}
-}
-
-// Property: ER generation with any feasible m yields a valid graph with
-// exactly m edges.
-func TestQuickErdosRenyi(t *testing.T) {
-	f := func(seed int64, nRaw, mRaw uint8) bool {
-		n := int(nRaw%30) + 2
-		m := int(mRaw) % (n * (n - 1) / 2)
-		g, err := ErdosRenyi(n, m, Weights{Min: 1, Max: 9}, seed)
-		return err == nil && g.NumEdges() == m && g.Validate() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // GraphStats summarizes a graph's size and edge-weight profile.
 type GraphStats struct {
@@ -40,15 +37,6 @@ func Stats(g *Graph) GraphStats {
 		}
 	})
 	return s
-}
-
-// DegreeHistogram returns counts[d] = number of vertices with degree d.
-func DegreeHistogram(g *Graph) []int {
-	h := make([]int, g.MaxDegree()+1)
-	for v := 0; v < g.NumVertices(); v++ {
-		h[g.Degree(v)]++
-	}
-	return h
 }
 
 // MeanDegree returns the average vertex degree.
@@ -120,52 +108,4 @@ func IsConnected(g *Graph) bool {
 	}
 	_, k := ConnectedComponents(g)
 	return k == 1
-}
-
-// LargestComponent returns the vertex IDs of the largest connected
-// component, sorted ascending.
-func LargestComponent(g *Graph) []int32 {
-	comp, k := ConnectedComponents(g)
-	if k == 0 {
-		return nil
-	}
-	sizes := make([]int, k)
-	for _, c := range comp {
-		sizes[c]++
-	}
-	best := 0
-	for c, s := range sizes {
-		if s > sizes[best] {
-			best = c
-		}
-	}
-	var out []int32
-	for v, c := range comp {
-		if int(c) == best {
-			out = append(out, int32(v))
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// InducedSubgraph returns the subgraph induced by the given (sorted or
-// unsorted, duplicate-free) vertex set, together with the mapping from new
-// local IDs to the original global IDs.
-func InducedSubgraph(g *Graph, verts []int32) (*Graph, []int32) {
-	idx := make(map[int32]int32, len(verts))
-	order := append([]int32(nil), verts...)
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for i, v := range order {
-		idx[v] = int32(i)
-	}
-	sub := New(len(order))
-	for i, v := range order {
-		for _, a := range g.Neighbors(int(v)) {
-			if j, ok := idx[a.To]; ok && j > int32(i) {
-				sub.addEdgeUnchecked(i, int(j), a.Weight)
-			}
-		}
-	}
-	return sub, order
 }

@@ -53,47 +53,8 @@ func TestConnectedComponents(t *testing.T) {
 	}
 }
 
-func TestLargestComponent(t *testing.T) {
-	g := New(6)
-	g.MustAddEdge(0, 1, 1)
-	g.MustAddEdge(1, 2, 1)
-	g.MustAddEdge(4, 5, 1)
-	lc := LargestComponent(g)
-	want := []int32{0, 1, 2}
-	if len(lc) != 3 {
-		t.Fatalf("largest = %v", lc)
-	}
-	for i := range want {
-		if lc[i] != want[i] {
-			t.Fatalf("largest = %v, want %v", lc, want)
-		}
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := ringGraph(6)
-	sub, order := InducedSubgraph(g, []int32{0, 1, 2, 5})
-	if sub.NumVertices() != 4 {
-		t.Fatalf("sub has %d vertices", sub.NumVertices())
-	}
-	// ring edges inside {0,1,2,5}: {0,1},{1,2},{5,0}
-	if sub.NumEdges() != 3 {
-		t.Fatalf("sub has %d edges", sub.NumEdges())
-	}
-	if order[0] != 0 || order[3] != 5 {
-		t.Fatalf("order = %v", order)
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDegreeHistogramAndMean(t *testing.T) {
+func TestMeanDegree(t *testing.T) {
 	g := ringGraph(5)
-	h := DegreeHistogram(g)
-	if len(h) != 3 || h[2] != 5 {
-		t.Fatalf("histogram = %v", h)
-	}
 	if MeanDegree(g) != 2 {
 		t.Fatalf("mean = %g", MeanDegree(g))
 	}

@@ -8,8 +8,8 @@ import (
 	"anytime/internal/graph"
 )
 
-// MultiSource runs Dijkstra from every source in sources concurrently with
-// `workers` goroutines (0 = GOMAXPROCS), writing results through the
+// MultiSourceHops runs Dijkstra from every source in sources concurrently
+// with `workers` goroutines (0 = GOMAXPROCS), writing results through the
 // caller-provided sink. This is the paper's multithreaded IA kernel: each
 // processor owns n/P sources and fans them across its cores, for an
 // O(((n/P)·n log n)/t) phase.
@@ -22,11 +22,6 @@ import (
 // It returns the total operation count across all sources (for LogP
 // accounting; the caller divides by the worker count to model the
 // parallel-section time).
-func MultiSource(g *graph.Graph, sources []int32, rows [][]graph.Dist, mask []bool, workers int) int64 {
-	return MultiSourceHops(g, sources, rows, nil, mask, workers)
-}
-
-// MultiSourceHops is MultiSource with optional first-hop tracking.
 func MultiSourceHops(g *graph.Graph, sources []int32, rows [][]graph.Dist, hops [][]int32, mask []bool, workers int) int64 {
 	hopOf := hopIndexer(sources, rows, hops)
 	return multiSourceRun(len(sources), workers, func() func(i int) int64 {

@@ -136,7 +136,7 @@ func TestMultiSourceMatchesSequential(t *testing.T) {
 				rows[i][j] = graph.InfDist
 			}
 		}
-		ops := MultiSource(g, sources, rows, nil, workers)
+		ops := MultiSourceHops(g, sources, rows, nil, nil, workers)
 		if ops == 0 {
 			t.Fatal("no ops reported")
 		}
@@ -164,8 +164,8 @@ func TestMultiSourceOpsDeterministic(t *testing.T) {
 		}
 		return rows
 	}
-	ops1 := MultiSource(g, sources, mk(), nil, 1)
-	ops4 := MultiSource(g, sources, mk(), nil, 4)
+	ops1 := MultiSourceHops(g, sources, mk(), nil, nil, 1)
+	ops4 := MultiSourceHops(g, sources, mk(), nil, nil, 4)
 	if ops1 != ops4 {
 		t.Fatalf("op count depends on workers: %d vs %d", ops1, ops4)
 	}
@@ -192,61 +192,5 @@ func BenchmarkDijkstra(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Dijkstra(g, i%2000)
-	}
-}
-
-func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
-	f := func(seed int64, nRaw, mRaw, dRaw uint8) bool {
-		n := int(nRaw%40) + 2
-		m := int(mRaw) % (n * (n - 1) / 2)
-		g := randomGraph(n, m, seed)
-		src := int(uint(seed) % uint(n))
-		delta := graph.Weight(dRaw%9) + 1
-		want := Dijkstra(g, src)
-		got, ops := DeltaStepping(g, src, delta)
-		if ops <= 0 {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDeltaSteppingEdgeCases(t *testing.T) {
-	// empty graph
-	d, _ := DeltaStepping(graph.New(0), 0, 1)
-	if len(d) != 0 {
-		t.Fatal("empty graph should yield empty distances")
-	}
-	// non-positive delta falls back to 1
-	g := pathGraph(4)
-	got, _ := DeltaStepping(g, 0, 0)
-	want := Dijkstra(g, 0)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("delta=0 fallback mismatch at %d", i)
-		}
-	}
-	// disconnected target stays InfDist
-	g2 := graph.New(3)
-	g2.MustAddEdge(0, 1, 5)
-	d2, _ := DeltaStepping(g2, 0, 3)
-	if d2[2] != graph.InfDist {
-		t.Fatal("unreachable vertex got finite distance")
-	}
-}
-
-func BenchmarkDeltaStepping(b *testing.B) {
-	g := randomGraph(2000, 8000, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		DeltaStepping(g, i%2000, 3)
 	}
 }
