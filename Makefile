@@ -60,11 +60,13 @@ examples-check:
 # Cluster chaos gate: the real-OS-process robustness suite under the race
 # detector — SIGKILL one of three ranks mid-recombination (heartbeat
 # detection, degraded convergence, shard-restored rejoin, bit-identical
-# result) and dynamic vertex additions across processes — plus an
-# end-to-end aacluster run streaming a vertex batch over the wire,
-# verified against the exact oracle of the grown graph.
+# result), dynamic vertex additions across processes, and the -launch path
+# of rank.Main spawning three ranks — plus an end-to-end run of the
+# aacluster binary streaming a vertex batch over the wire, verified against
+# the exact oracle of the grown graph. Every multi-process test starts its
+# ranks through rank.Main, the code the binary runs.
 chaos-cluster:
-	$(GO) test -race -count=1 -run 'TestChaosSIGKILLRejoinBitIdentical|TestMultiProcessTCPDynamicEvents|TestRunnerInprocCrashRejoinBitIdentical' ./internal/rank
+	$(GO) test -race -count=1 -run 'TestChaosSIGKILLRejoinBitIdentical|TestMultiProcessTCPDynamicEvents|TestRunnerInprocCrashRejoinBitIdentical|TestLaunchMeshEventsVerify' ./internal/rank
 	$(GO) run ./cmd/aacluster -launch -p 3 -n 300 -events 5 -verify
 
 bench:
@@ -99,16 +101,17 @@ bench-paper:
 	AA_PAPER_BENCH=1 $(GO) test -run '^$$' -bench 'BenchmarkPaperScale' -benchtime 1x -timeout 120m -v .
 
 # Transport gate: the pluggable message plane (frames, codec, fault
-# wrapper, TCP links) and the one-rank-per-process runner under the race
+# wrapper, TCP links) and the one-rank-per-process runner with its command
+# entry point rank.Main (cmd/aacluster only calls it) under the race
 # detector — including the integration test that spawns real OS processes
 # over a TCP mesh and checks bit-identical convergence against inproc —
-# plus short fuzzing runs of the frame decoder and of aacluster's mesh
-# manifest loader past their seeds.
+# plus short fuzzing runs of the frame decoder and of the mesh manifest
+# loader past their seeds.
 transport-check:
-	$(GO) vet ./internal/transport ./internal/rank ./cmd/aacluster
-	$(GO) test -race -count=1 ./internal/transport ./internal/rank ./cmd/aacluster
+	$(GO) vet ./internal/transport ./internal/rank
+	$(GO) test -race -count=1 ./internal/transport ./internal/rank
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/transport
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadPeers$$' -fuzztime 10s ./cmd/aacluster
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadPeers$$' -fuzztime 10s ./internal/rank
 
 # Cluster observability gate: the rank hot path's zero-alloc telemetry
 # contract, the Prometheus text parse/merge/aggregate layer (including a

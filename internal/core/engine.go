@@ -532,7 +532,7 @@ func (e *Engine) gatherStepTelemetry(stats *StepStats) {
 		cells += int64(p.table.Len()) * int64(p.table.Cols())
 	}
 	if cells > 0 {
-		stats.FrontierDensity = float64(fbits) / float64(cells)
+		stats.BoundGap = float64(fbits) / float64(cells)
 	}
 	stats.Imbalance = obs.Imbalance(stats.ProcBusy)
 	if e.opts.Obs != nil && stats.MaskedOps > 0 {

@@ -66,10 +66,10 @@ type StepStats struct {
 	// columns actually visited under a frontier mask. Zero when masking is
 	// disabled or every pass fell back to full sweeps.
 	MaskedOps int64
-	// FrontierDensity is set frontier bits / total DV cells after the step:
-	// the quantity the ~25% density cutover is judged against, averaged over
-	// the whole table.
-	FrontierDensity float64
+	// BoundGap is set frontier bits / total DV cells after the step (0 at
+	// an exact fixpoint): the frontier density averaged over the whole
+	// table, exported as aa_step_bound_gap.
+	BoundGap float64
 }
 
 // History returns a copy of the per-step statistics recorded so far. The
@@ -78,13 +78,6 @@ type StepStats struct {
 // shared and must be treated as read-only.
 func (e *Engine) History() []StepStats {
 	return append([]StepStats(nil), e.history...)
-}
-
-// AppendHistory appends the recorded per-step statistics to dst and returns
-// the extended slice — the allocation-conscious variant of History for
-// callers polling in a loop.
-func (e *Engine) AppendHistory(dst []StepStats) []StepStats {
-	return append(dst, e.history...)
 }
 
 // recordStep appends one step's statistics (called at the end of Step).

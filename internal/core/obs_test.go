@@ -148,10 +148,6 @@ func TestHistoryReturnsCopy(t *testing.T) {
 	if got := e.History()[0].Step; got != want {
 		t.Fatalf("mutating History() result leaked into the engine: step %d, want %d", got, want)
 	}
-	dst := make([]StepStats, 0, len(h))
-	if got := e.AppendHistory(dst); len(got) != len(h) {
-		t.Fatalf("AppendHistory returned %d entries, want %d", len(got), len(h))
-	}
 }
 
 // TestSetStepHookSwapDuringRun: SetStepHook is safe to call while the

@@ -322,8 +322,8 @@ func TestFrontierClearedAtConvergence(t *testing.T) {
 	var masked int64
 	for _, s := range e.History() {
 		masked += s.MaskedOps
-		if s.FrontierDensity < 0 || s.FrontierDensity > 1 {
-			t.Fatalf("step %d: frontier density %g out of range", s.Step, s.FrontierDensity)
+		if s.BoundGap < 0 || s.BoundGap > 1 {
+			t.Fatalf("step %d: frontier density %g out of range", s.Step, s.BoundGap)
 		}
 	}
 	if masked == 0 {

@@ -546,12 +546,6 @@ func (m *Matrix) FrontierStats() (words int, bits int64) {
 	return words, bits
 }
 
-// RowBytes returns the accounted wire size of one full row of the current
-// width: 4 bytes per distance plus an 8-byte header (owner + length).
-// Next hops are processor-local routing state and are never shipped, so
-// they do not contribute.
-func (m *Matrix) RowBytes() int { return 4*m.cols + 8 }
-
 // CopyRow returns a deep copy of row r's shippable content — distances
 // only. Next hops are processor-local routing state and the dirty/pending
 // marks are the sender's bookkeeping, so neither travels with a snapshot.

@@ -33,9 +33,6 @@ func ToCSR(g *Graph) *CSR {
 // NumVertices returns N.
 func (c *CSR) NumVertices() int { return len(c.XAdj) - 1 }
 
-// NumArcs returns 2E (directed arc count).
-func (c *CSR) NumArcs() int { return len(c.Adjncy) }
-
 // Degree returns the degree of v.
 func (c *CSR) Degree(v int32) int32 { return c.XAdj[v+1] - c.XAdj[v] }
 
@@ -53,19 +50,4 @@ func (c *CSR) TotalVWgt() int64 {
 		s += int64(w)
 	}
 	return s
-}
-
-// ToGraph converts the CSR back to an adjacency-list Graph, dropping vertex
-// weights. Each undirected edge is reconstructed once.
-func (c *CSR) ToGraph() *Graph {
-	n := c.NumVertices()
-	g := New(n)
-	for v := int32(0); v < int32(n); v++ {
-		for i := c.XAdj[v]; i < c.XAdj[v+1]; i++ {
-			if c.Adjncy[i] > v {
-				g.addEdgeUnchecked(int(v), int(c.Adjncy[i]), c.AdjWgt[i])
-			}
-		}
-	}
-	return g
 }

@@ -5,16 +5,6 @@ import (
 	"testing/quick"
 )
 
-func TestCSRRoundTrip(t *testing.T) {
-	g := randomGraph(30, 70, 8)
-	c := ToCSR(g)
-	if c.NumVertices() != 30 || c.NumArcs() != 140 {
-		t.Fatalf("CSR shape %d/%d", c.NumVertices(), c.NumArcs())
-	}
-	back := c.ToGraph()
-	requireSameGraph(t, g, back)
-}
-
 func TestCSRDegreesMatch(t *testing.T) {
 	g := randomGraph(20, 50, 9)
 	c := ToCSR(g)

@@ -10,7 +10,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Weight is the type of edge weights. Weights must be positive; shortest
@@ -177,14 +176,6 @@ func (g *Graph) Clone() *Graph {
 		}
 	}
 	return c
-}
-
-// SortAdjacency orders every adjacency list by target vertex ID. Useful for
-// deterministic iteration and binary-search probes in tests.
-func (g *Graph) SortAdjacency() {
-	for _, l := range g.adj {
-		sort.Slice(l, func(i, j int) bool { return l[i].To < l[j].To })
-	}
 }
 
 // TotalWeight returns the sum of all edge weights.

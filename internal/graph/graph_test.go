@@ -170,20 +170,6 @@ func TestMaxDegreeAndTotalWeight(t *testing.T) {
 	}
 }
 
-func TestSortAdjacency(t *testing.T) {
-	g := New(5)
-	g.MustAddEdge(0, 4, 1)
-	g.MustAddEdge(0, 2, 1)
-	g.MustAddEdge(0, 1, 1)
-	g.SortAdjacency()
-	nb := g.Neighbors(0)
-	for i := 1; i < len(nb); i++ {
-		if nb[i-1].To >= nb[i].To {
-			t.Fatal("adjacency not sorted")
-		}
-	}
-}
-
 func TestAddDistSaturates(t *testing.T) {
 	if AddDist(InfDist, 5) != InfDist {
 		t.Fatal("InfDist + x should stay InfDist")

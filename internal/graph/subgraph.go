@@ -136,13 +136,3 @@ func ExtractSub(g *Graph, p *Partition, part int32) *Sub {
 	sort.Slice(s.Boundary, func(i, j int) bool { return s.Boundary[i] < s.Boundary[j] })
 	return s
 }
-
-// InSub reports whether global vertex v participates in the sub-graph
-// (local or external boundary).
-func (s *Sub) InSub(v int32) bool {
-	if s.IsLocal[v] {
-		return true
-	}
-	i := sort.Search(len(s.Boundary), func(i int) bool { return s.Boundary[i] >= v })
-	return i < len(s.Boundary) && s.Boundary[i] == v
-}

@@ -78,9 +78,6 @@ func TestExtractSub(t *testing.T) {
 	if len(s0.LocalBoundary) != 2 || s0.LocalBoundary[0] != wantLB[0] || s0.LocalBoundary[1] != wantLB[1] {
 		t.Fatalf("local boundary = %v, want %v", s0.LocalBoundary, wantLB)
 	}
-	if !s0.InSub(1) || !s0.InSub(3) || s0.InSub(4) {
-		t.Fatal("InSub membership wrong")
-	}
 }
 
 // Property: for random graphs and partitions, every part's Sub is

@@ -77,7 +77,7 @@ func Paper(cfg Config) (*Result, error) {
 		virt.Y = append(virt.Y, float64(e.Metrics().VirtualTime-v0)/float64(time.Millisecond))
 		d := 0.0
 		if h := e.History(); len(h) > 0 {
-			d = h[len(h)-1].FrontierDensity
+			d = h[len(h)-1].BoundGap
 		}
 		dens.X = append(dens.X, x)
 		dens.Y = append(dens.Y, d)

@@ -54,21 +54,6 @@ func (m Model) Validate() error {
 	return nil
 }
 
-// SendCost is the sender-side busy time for a message of `bytes` payload:
-// o + bytes*G.
-func (m Model) SendCost(bytes int) time.Duration {
-	return m.O + time.Duration(bytes)*m.G
-}
-
-// RecvCost is the receiver-side busy time for a message of `bytes` payload.
-func (m Model) RecvCost(bytes int) time.Duration {
-	return m.O + time.Duration(bytes)*m.G
-}
-
-// Transit is the wire time of a message: L (independent of size; the
-// serialization time is charged via G on the endpoints).
-func (m Model) Transit() time.Duration { return m.L }
-
 // Work converts an abstract operation count into virtual compute time.
 func (m Model) Work(ops int64) time.Duration {
 	return time.Duration(ops) * m.Compute

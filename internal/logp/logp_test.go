@@ -21,15 +21,6 @@ func TestModelValidate(t *testing.T) {
 
 func TestCosts(t *testing.T) {
 	m := Model{L: 100, O: 10, G: 2, P: 2, Compute: 3}
-	if c := m.SendCost(5); c != 10+5*2 {
-		t.Fatalf("SendCost = %v", c)
-	}
-	if c := m.RecvCost(5); c != 10+5*2 {
-		t.Fatalf("RecvCost = %v", c)
-	}
-	if m.Transit() != 100 {
-		t.Fatalf("Transit = %v", m.Transit())
-	}
 	if w := m.Work(7); w != 21 {
 		t.Fatalf("Work = %v", w)
 	}

@@ -3,41 +3,14 @@ package rank
 import (
 	"fmt"
 	"os"
-	"os/exec"
+	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
 
 	"anytime/internal/core"
-	"anytime/internal/graph"
+	"anytime/internal/sssp"
 )
-
-// chaosEnv assembles the child environment for one rank of a chaos run.
-func chaosEnv(rank int, addrs []string, n int, seed int64, extra ...string) []string {
-	env := append(os.Environ(),
-		"AA_CHILD_RANK="+strconv.Itoa(rank),
-		"AA_MANIFEST="+strings.Join(addrs, ","),
-		"AA_GRAPH_N="+strconv.Itoa(n),
-		"AA_GRAPH_SEED="+strconv.FormatInt(seed, 10),
-	)
-	return append(env, extra...)
-}
-
-func startChild(t *testing.T, env []string) *exec.Cmd {
-	t.Helper()
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd := exec.Command(exe, "-test.run=^$")
-	cmd.Env = env
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	return cmd
-}
 
 // waitForFile polls until the file exists and is non-empty.
 func waitForFile(t *testing.T, path string, timeout time.Duration) {
@@ -54,35 +27,6 @@ func waitForFile(t *testing.T, path string, timeout time.Duration) {
 	}
 }
 
-func readStatus(t *testing.T, dir string, rank int) map[string]string {
-	t.Helper()
-	blob, err := os.ReadFile(fmt.Sprintf("%s/status-%d.txt", dir, rank))
-	if err != nil {
-		t.Fatalf("rank %d status: %v", rank, err)
-	}
-	st := map[string]string{}
-	for _, f := range strings.Fields(string(blob)) {
-		if k, v, ok := strings.Cut(f, "="); ok {
-			st[k] = v
-		}
-	}
-	return st
-}
-
-func requireSameMatrix(t *testing.T, label string, got, want [][]graph.Dist) {
-	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d rows vs %d", label, len(got), len(want))
-	}
-	for v := range want {
-		for u := range want[v] {
-			if got[v][u] != want[v][u] {
-				t.Fatalf("%s: dist[%d][%d] = %d, want %d", label, v, u, got[v][u], want[v][u])
-			}
-		}
-	}
-}
-
 // The headline robustness test: three real OS processes over TCP, one
 // SIGKILLed mid-recombination. The survivors must detect the death via
 // heartbeats, report a degraded convergence naming exactly the dead rank,
@@ -95,55 +39,47 @@ func TestChaosSIGKILLRejoinBitIdentical(t *testing.T) {
 	}
 	const n, P, seed = 100, 3, 9
 	const victim = 1
-	addrs := freePorts(t, P)
+	addrs := testPorts(t, P)
 	dir := t.TempDir()
-	out := dir + "/dist.bin"
-	shardDir := dir + "/shards"
+	out := filepath.Join(dir, "dist.txt")
+	shardDir := filepath.Join(dir, "shards")
 	if err := os.Mkdir(shardDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	faultEnv := []string{
-		"AA_OUT=" + out,
-		"AA_STATUS=" + dir,
-		"AA_SHARD_DIR=" + shardDir,
-		"AA_HB_INTERVAL=50ms",
-		"AA_MIN_STEPS=8",
-		"AA_STEP_THROTTLE=50ms",
-		"AA_REJOIN_WAIT=60s",
+	flags := []string{
+		"-out=" + out, "-shard-dir=" + shardDir, "-hb-interval=50ms",
+		"-min-steps=8", "-step-throttle=50ms", "-rejoin-wait=60s",
 	}
-	cmds := make([]*exec.Cmd, P)
-	for r := 0; r < P; r++ {
-		cmds[r] = startChild(t, chaosEnv(r, addrs, n, seed, faultEnv...))
+	procs := make([]*rankProc, P)
+	for r := range procs {
+		procs[r] = startRank(t, r, addrs, n, seed, flags...)
 	}
 	// Kill the victim once its first recovery shard is on disk (so the
 	// relaunch has state to restore) and it is a couple of steps into RC.
 	waitForFile(t, fmt.Sprintf("%s/aarank-%d.shard", shardDir, victim), 20*time.Second)
 	time.Sleep(120 * time.Millisecond)
-	if err := cmds[victim].Process.Kill(); err != nil {
+	if err := procs[victim].cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmds[victim].Wait(); err == nil {
+	if err := procs[victim].cmd.Wait(); err == nil {
 		t.Fatal("SIGKILLed child exited cleanly")
 	}
 	// Give the survivors time to time out the victim's heartbeats and reach
 	// a degraded convergence before the replacement shows up.
 	time.Sleep(2 * time.Second)
-	relaunched := startChild(t, chaosEnv(victim, addrs, n, seed, append(faultEnv, "AA_REJOIN=1")...))
+	procs[victim] = startRank(t, victim, addrs, n, seed, append(flags, "-rejoin")...)
+	waitRanks(t, procs)
 
-	for r := 0; r < P; r++ {
-		cmd := cmds[r]
+	for r, p := range procs {
+		st := summary(p.out.String(), fmt.Sprintf("rank %d/%d:", r, P))
+		if st["converged"] != "true" {
+			t.Fatalf("rank %d did not fully reconverge: %v", r, st)
+		}
 		if r == victim {
-			cmd = relaunched
+			continue
 		}
-		if err := cmd.Wait(); err != nil {
-			t.Fatalf("child rank %d: %v", r, err)
-		}
-	}
-
-	for _, r := range []int{0, 2} {
-		st := readStatus(t, dir, r)
-		if st["down"] != strconv.Itoa(victim) {
-			t.Fatalf("survivor %d outage report %q, want %q", r, st["down"], strconv.Itoa(victim))
+		if want := fmt.Sprintf("[%d]", victim); st["down-seen"] != want {
+			t.Fatalf("survivor %d outage report %q, want %q", r, st["down-seen"], want)
 		}
 		if st["degraded"] == "0" {
 			t.Fatalf("survivor %d never reached a degraded convergence: %v", r, st)
@@ -151,25 +87,15 @@ func TestChaosSIGKILLRejoinBitIdentical(t *testing.T) {
 		if st["rejoins"] == "0" {
 			t.Fatalf("survivor %d integrated no rejoin: %v", r, st)
 		}
-		if st["converged"] != "true" {
-			t.Fatalf("survivor %d did not fully reconverge: %v", r, st)
-		}
-	}
-	if st := readStatus(t, dir, victim); st["converged"] != "true" {
-		t.Fatalf("rejoined rank did not converge: %v", st)
 	}
 
-	got, err := readDistances(out, n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	g := testGraph(t, n, seed)
-	requireOracle(t, g, got)
+	requireMatrixFile(t, "crashed vs oracle", out, sssp.APSP(g))
 	// Bit-identical to a fault-free run of the same configuration.
 	want := runRanks(t, inprocGroup(P), func(int) Config {
 		return Config{Graph: g, Seed: seed}
 	})
-	requireSameMatrix(t, "crashed vs fault-free", got, want)
+	requireMatrixFile(t, "crashed vs fault-free", out, want)
 }
 
 // Dynamic vertex additions streamed through rank 0 of a three-real-process
@@ -179,21 +105,18 @@ func TestMultiProcessTCPDynamicEvents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real OS processes")
 	}
-	const n, P, seed = 100, 3, 9
-	addrs := freePorts(t, P)
-	out := t.TempDir() + "/dist.bin"
-	cmds := make([]*exec.Cmd, P)
-	for r := 0; r < P; r++ {
-		cmds[r] = startChild(t, chaosEnv(r, addrs, n, seed, "AA_OUT="+out, "AA_EVENTS=1"))
-	}
-	for r, cmd := range cmds {
-		if err := cmd.Wait(); err != nil {
-			t.Fatalf("child rank %d: %v", r, err)
+	const n, P, k, seed = 100, 3, 4, 9
+	out := filepath.Join(t.TempDir(), "dist.txt")
+	procs := startMesh(t, P, n, seed, "-out="+out, "-events="+strconv.Itoa(k))
+	waitRanks(t, procs)
+	evs := demoEvents(n, k, seed)
+	for r, p := range procs {
+		if st := summary(p.out.String(), fmt.Sprintf("rank %d/%d:", r, P)); st["events"] != strconv.Itoa(len(evs)) {
+			t.Fatalf("rank %d applied events=%s, want %d", r, st["events"], len(evs))
 		}
 	}
 	// Re-derive the grown topology (base + journal) and its exact oracle.
 	g2 := testGraph(t, n, seed)
-	evs := testEvents(n)
 	part2, err := Config{Graph: g2, Seed: seed}.withDefaults().Partitioner.Partition(g2, P)
 	if err != nil {
 		t.Fatal(err)
@@ -201,11 +124,7 @@ func TestMultiProcessTCPDynamicEvents(t *testing.T) {
 	if err := core.NewEventLog(P).Replay(g2, part2, evs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readDistances(out, g2.NumVertices())
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireOracle(t, g2, got)
+	requireMatrixFile(t, "tcp processes vs oracle", out, sssp.APSP(g2))
 
 	opts := core.NewOptions()
 	opts.P = P
@@ -215,5 +134,5 @@ func TestMultiProcessTCPDynamicEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run()
-	requireSameMatrix(t, "tcp processes vs single-process engine", got, e.Distances())
+	requireMatrixFile(t, "tcp processes vs single-process engine", out, e.Distances())
 }

@@ -13,20 +13,6 @@ import (
 	"anytime/internal/transport"
 )
 
-// testEvents is the dynamic stream the wire tests push through rank 0: a
-// vertex batch exercising internal, external, and cross-batch pending
-// edges, followed by plain edge additions between pre-existing vertices.
-func testEvents(n int) []change.Event {
-	return []change.Event{
-		{Batch: &change.VertexBatch{
-			NumVertices: 4,
-			Internal:    []change.InternalEdge{{A: 0, B: 1, Weight: 2}, {A: 2, B: 3, Weight: 1}},
-			External:    []change.ExternalEdge{{New: 0, Existing: 0, Weight: 1}, {New: 2, Existing: int32(n / 2), Weight: 3}, {New: 3, Existing: int32(n - 1), Weight: 2}},
-		}},
-		{EdgeAdds: []change.EdgeAdd{{U: 0, V: int32(n - 1), Weight: 1}, {U: int32(n / 3), V: int32(2 * n / 3), Weight: 2}}},
-	}
-}
-
 // runEventRanks runs P runners over the inproc fabric on the shared test
 // graph, queues evs at rank 0 before the first step, drives every rank to
 // convergence and returns rank 0's gathered matrix plus the runners. Each
@@ -93,7 +79,7 @@ func runEventRanks(t *testing.T, n, P int, seed int64, evs []change.Event) ([][]
 // final topology.
 func TestRunnerInprocEventsMatchOracle(t *testing.T) {
 	const n, P, seed = 100, 3, 13
-	evs := testEvents(n)
+	evs := demoEvents(n, 4, seed)
 	dist, runners := runEventRanks(t, n, P, seed, evs)
 	for i, r := range runners {
 		if r.Stats().EventsApplied != len(evs) {
@@ -114,7 +100,9 @@ func TestRunnerInprocEventsMatchOracle(t *testing.T) {
 	if len(dist) != g2.NumVertices() {
 		t.Fatalf("gathered %d rows, want %d (base %d + new vertices)", len(dist), g2.NumVertices(), n)
 	}
-	requireOracle(t, g2, dist)
+	if err := verifyOracle(g2, dist); err != nil {
+		t.Fatal(err)
+	}
 
 	opts := core.NewOptions()
 	opts.P = P
@@ -264,7 +252,9 @@ func TestRunnerInprocCrashRejoinBitIdentical(t *testing.T) {
 		t.Fatalf("victim wrote no recovery shard: %v", err)
 	}
 
-	requireOracle(t, g, dist)
+	if err := verifyOracle(g, dist); err != nil {
+		t.Fatal(err)
+	}
 	// Bit-identical to a run that never crashed.
 	clean := runRanks(t, inprocGroup(P), func(int) Config {
 		return Config{Graph: g, Seed: seed}
@@ -316,8 +306,12 @@ func TestLighterDuplicateEdgeEngineMatchesRunner(t *testing.T) {
 	if !e.Converged() {
 		t.Fatal("engine did not converge")
 	}
-	requireOracle(t, lowered, e.Distances())
+	if err := verifyOracle(lowered, e.Distances()); err != nil {
+		t.Fatal(err)
+	}
 
 	dist, _ := runEventRanks(t, n, P, seed, evs)
-	requireOracle(t, lowered, dist)
+	if err := verifyOracle(lowered, dist); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -1,11 +1,38 @@
-package main
+package rank
 
 import (
+	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// The launch path under go test: Main spawns three ranks that re-exec
+// this test binary (TestMain routes them back into Main), rank 0 streams a
+// five-vertex batch and an edge-add event over TCP, and the gathered
+// matrix of the grown graph must equal the exact oracle.
+func TestLaunchMeshEventsVerify(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real OS processes")
+	}
+	t.Setenv("AA_RANK_MAIN", "1")
+	var stdout, stderr bytes.Buffer
+	if code := Main([]string{"-launch", "-p", "3", "-n", "300", "-events", "5", "-verify"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code %d\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	}
+	const verified = "[rank 0] rank 0: verified 305 x 305 distances against the exact oracle"
+	if !strings.Contains(stdout.String(), verified) {
+		t.Fatalf("no %q line in:\n%s", verified, &stdout)
+	}
+	for r := 0; r < 3; r++ {
+		st := summary(stdout.String(), fmt.Sprintf("[rank %d] rank %d/3:", r, r))
+		if st["converged"] != "true" || st["events"] != "2" || st["down-seen"] != "[]" {
+			t.Fatalf("rank %d summary %v, want converged with 2 events and no outage", r, st)
+		}
+	}
+}
 
 func TestLoadPeersManifest(t *testing.T) {
 	cases := []struct {

@@ -1,246 +1,137 @@
 package rank
 
 import (
-	"encoding/binary"
-	"fmt"
-	"net"
+	"bytes"
 	"os"
 	"os/exec"
-	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
 	"anytime/internal/graph"
-	"anytime/internal/obs"
+	"anytime/internal/sssp"
 	"anytime/internal/transport"
 )
 
-// TestMain doubles as the child entry point for the multi-process test:
-// when AA_CHILD_RANK is set the binary joins a TCP mesh as one rank, runs
-// to convergence, and exits without ever reaching the test framework.
+// TestMain doubles as the aacluster binary: with AA_RANK_MAIN=1 the test
+// binary runs Main on its arguments instead of the tests. The
+// multi-process tests start their ranks that way, and the ranks of a
+// launched mesh re-exec this binary the same way.
 func TestMain(m *testing.M) {
-	if os.Getenv("AA_CHILD_RANK") != "" {
-		os.Exit(childMain())
+	if os.Getenv("AA_RANK_MAIN") == "1" {
+		os.Exit(Main(os.Args[1:], os.Stdout, os.Stderr))
 	}
 	os.Exit(m.Run())
 }
 
-// childMain is one OS process of the integration run. The parent passes
-// the peer manifest and graph parameters through the environment; rank 0
-// writes the gathered distance matrix to AA_OUT. The optional fault-plane
-// variables (heartbeats, shard dir, rejoin mode, step pacing, dynamic
-// events, status reporting) drive the chaos tests.
-func childMain() int {
-	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "child rank %s: %v\n", os.Getenv("AA_CHILD_RANK"), err)
-		return 1
-	}
-	rankID, err := strconv.Atoi(os.Getenv("AA_CHILD_RANK"))
+// rankProc is one aacluster rank running as a child of the test binary.
+type rankProc struct {
+	cmd *exec.Cmd
+	out bytes.Buffer // the rank's stdout, complete once wait returns
+}
+
+// startRank starts rank r of the mesh over addrs on the (n, seed) graph,
+// with extra aacluster flags.
+func startRank(t *testing.T, r int, addrs []string, n int, seed int64, flags ...string) *rankProc {
+	t.Helper()
+	exe, err := os.Executable()
 	if err != nil {
-		return fail(fmt.Errorf("bad AA_CHILD_RANK: %w", err))
+		t.Fatal(err)
 	}
-	n, err := strconv.Atoi(os.Getenv("AA_GRAPH_N"))
-	if err != nil {
-		return fail(fmt.Errorf("bad AA_GRAPH_N: %w", err))
+	args := append([]string{
+		"-rank=" + strconv.Itoa(r), "-peers=" + strings.Join(addrs, ","),
+		"-n=" + strconv.Itoa(n), "-seed=" + strconv.FormatInt(seed, 10),
+	}, flags...)
+	p := &rankProc{cmd: exec.Command(exe, args...)}
+	p.cmd.Env = append(os.Environ(), "AA_RANK_MAIN=1")
+	p.cmd.Stdout = &p.out
+	p.cmd.Stderr = os.Stderr
+	if err := p.cmd.Start(); err != nil {
+		t.Fatal(err)
 	}
-	seed, err := strconv.ParseInt(os.Getenv("AA_GRAPH_SEED"), 10, 64)
-	if err != nil {
-		return fail(fmt.Errorf("bad AA_GRAPH_SEED: %w", err))
+	return p
+}
+
+// startMesh starts every rank of a fresh P-rank mesh with the same flags.
+func startMesh(t *testing.T, P, n int, seed int64, flags ...string) []*rankProc {
+	t.Helper()
+	addrs := testPorts(t, P)
+	procs := make([]*rankProc, P)
+	for r := range procs {
+		procs[r] = startRank(t, r, addrs, n, seed, flags...)
 	}
-	var peers []transport.Peer
-	for i, addr := range strings.Split(os.Getenv("AA_MANIFEST"), ",") {
-		peers = append(peers, transport.Peer{Rank: i, Addr: addr})
+	return procs
+}
+
+func waitRanks(t *testing.T, procs []*rankProc) {
+	t.Helper()
+	for r, p := range procs {
+		if err := p.cmd.Wait(); err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
 	}
-	g, err := baGraph(n, seed)
-	if err != nil {
-		return fail(fmt.Errorf("graph: %w", err))
-	}
-	envDur := func(key string) time.Duration {
-		d, _ := time.ParseDuration(os.Getenv(key))
-		return d
-	}
-	envInt := func(key string) int {
-		v, _ := strconv.Atoi(os.Getenv(key))
-		return v
-	}
-	opts := transport.TCPOptions{
-		MeshTimeout:       20 * time.Second,
-		ExchangeTimeout:   20 * time.Second,
-		HeartbeatInterval: envDur("AA_HB_INTERVAL"),
-	}
-	rejoining := os.Getenv("AA_REJOIN") == "1"
-	var tr *transport.TCP
-	if rejoining {
-		tr, err = transport.RejoinTCP(peers, rankID, opts)
-	} else {
-		tr, err = transport.NewTCP(peers, rankID, opts)
-	}
-	if err != nil {
-		return fail(fmt.Errorf("mesh: %w", err))
-	}
-	defer tr.Close()
-	cfg := Config{
-		Graph: g, Seed: seed,
-		ShardDir:     os.Getenv("AA_SHARD_DIR"),
-		MinSteps:     envInt("AA_MIN_STEPS"),
-		StepThrottle: envDur("AA_STEP_THROTTLE"),
-		RejoinWait:   envDur("AA_REJOIN_WAIT"),
-	}
-	// Observability plane (mirrors what aacluster wires for launched
-	// ranks): a tracer behind AA_TRACE with periodic + final atomic JSONL
-	// flushes, a per-rank obs HTTP server behind AA_OBS_ADDR, and
-	// structured logs behind AA_LOG_FORMAT.
-	var tracer *obs.Tracer
-	tracePath := os.Getenv("AA_TRACE")
-	obsAddr := os.Getenv("AA_OBS_ADDR")
-	if tracePath != "" || obsAddr != "" {
-		tracer = obs.NewTracer(0)
-		cfg.Obs = tracer
-	}
-	if tracePath != "" {
-		cfg.StepHook = func(tm Telemetry) {
-			if tm.Step%16 == 0 {
-				obs.WriteJSONLFile(tracePath, tracer.Spans())
+}
+
+// summary returns the key=value fields of the summary line that starts
+// with prefix in a rank's (or a launch parent's) stdout, nil if absent.
+func summary(stdout, prefix string) map[string]string {
+	for _, line := range strings.Split(stdout, "\n") {
+		if !strings.HasPrefix(line, prefix) || !strings.Contains(line, " down-seen=") {
+			continue
+		}
+		kv := map[string]string{}
+		for _, f := range strings.Fields(line) {
+			if k, v, ok := strings.Cut(f, "="); ok {
+				kv[k] = v
 			}
 		}
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, syscall.SIGTERM, os.Interrupt)
-		go func() {
-			<-sig
-			obs.WriteJSONLFile(tracePath, tracer.Spans())
-			os.Exit(143)
-		}()
+		return kv
 	}
-	if format := os.Getenv("AA_LOG_FORMAT"); format != "" {
-		logger, err := obs.NewLogger(os.Stderr, format)
-		if err != nil {
-			return fail(err)
-		}
-		cfg.Log = logger
-	}
-	var r *Runner
-	if rejoining {
-		r, err = Rejoin(tr, cfg)
-	} else {
-		r, err = New(tr, cfg)
-	}
-	if err != nil {
-		return fail(err)
-	}
-	if obsAddr != "" {
-		reg := obs.NewRegistry()
-		RegisterMetrics(reg, r)
-		transport.RegisterMetrics(reg, tr, "tcp")
-		srv, err := ServeObs(obsAddr, reg, tracer, os.Getenv("AA_PPROF") == "1")
-		if err != nil {
-			return fail(fmt.Errorf("obs server: %w", err))
-		}
-		defer srv.Close()
-	}
-	if rankID == 0 && !rejoining && os.Getenv("AA_EVENTS") == "1" {
-		if err := r.QueueEvents(testEvents(n)...); err != nil {
-			return fail(err)
-		}
-	}
-	if _, err := r.Run(); err != nil {
-		return fail(err)
-	}
-	if tracePath != "" {
-		if err := obs.WriteJSONLFile(tracePath, tracer.Spans()); err != nil {
-			return fail(fmt.Errorf("trace flush: %w", err))
-		}
-	}
-	dist, err := r.GatherDistances()
-	if err != nil {
-		return fail(err)
-	}
-	if rankID == 0 {
-		if err := writeDistances(os.Getenv("AA_OUT"), dist); err != nil {
-			return fail(err)
-		}
-	}
-	if dir := os.Getenv("AA_STATUS"); dir != "" {
-		st := r.Stats()
-		line := fmt.Sprintf("down=%s degraded=%d rejoins=%d converged=%t\n",
-			intsCSV(r.DownSeen()), st.DegradedConvergences, st.Rejoins, r.Converged())
-		path := fmt.Sprintf("%s/status-%d.txt", dir, rankID)
-		if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
-			return fail(err)
-		}
-	}
-	return 0
+	return nil
 }
 
-func intsCSV(xs []int) string {
-	if len(xs) == 0 {
-		return "-"
-	}
-	parts := make([]string, len(xs))
-	for i, x := range xs {
-		parts[i] = strconv.Itoa(x)
-	}
-	return strings.Join(parts, ",")
-}
-
-// writeDistances encodes the n x n matrix as little-endian u32 cells.
-func writeDistances(path string, dist [][]graph.Dist) error {
-	if path == "" {
-		return fmt.Errorf("AA_OUT not set")
-	}
-	buf := make([]byte, 0, 4*len(dist)*len(dist))
-	for _, row := range dist {
-		for _, d := range row {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
-		}
-	}
-	return os.WriteFile(path, buf, 0o644)
-}
-
-func readDistances(path string, n int) ([][]graph.Dist, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(buf) != 4*n*n {
-		return nil, fmt.Errorf("distance file is %d bytes, want %d", len(buf), 4*n*n)
-	}
-	dist := make([][]graph.Dist, n)
-	for v := range dist {
-		dist[v] = make([]graph.Dist, n)
-		for u := range dist[v] {
-			dist[v][u] = graph.Dist(binary.LittleEndian.Uint32(buf[4*(v*len(dist)+u):]))
-		}
-	}
-	return dist, nil
-}
-
-// freePorts reserves n distinct localhost ports by listening on :0 and
-// closing (small reuse window, acceptable in tests).
-func freePorts(t *testing.T, n int) []string {
+// requireMatrixFile fails unless the -out file at path is exactly the text
+// rendering of want.
+func requireMatrixFile(t *testing.T, label, path string, want [][]graph.Dist) {
 	t.Helper()
-	addrs := make([]string, n)
-	lns := make([]net.Listener, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+	wantPath := filepath.Join(t.TempDir(), "want.txt")
+	if err := writeDistances(wantPath, want); err != nil {
+		t.Fatal(err)
 	}
-	for _, ln := range lns {
-		ln.Close()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, err := os.ReadFile(wantPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotRows, wantRows := strings.Split(string(got), "\n"), strings.Split(string(exp), "\n")
+	if len(gotRows) != len(wantRows) {
+		t.Fatalf("%s: %d rows, want %d", label, len(gotRows)-1, len(wantRows)-1)
+	}
+	for v := range wantRows {
+		if gotRows[v] != wantRows[v] {
+			t.Fatalf("%s: row %d differs:\n got %s\nwant %s", label, v, gotRows[v], wantRows[v])
+		}
+	}
+}
+
+func testPorts(t *testing.T, k int) []string {
+	t.Helper()
+	addrs, err := freePorts(k)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return addrs
 }
 
 func tcpMesh(t *testing.T, n int) []transport.Transport {
 	t.Helper()
-	addrs := freePorts(t, n)
+	addrs := testPorts(t, n)
 	peers := make([]transport.Peer, n)
 	for i, a := range addrs {
 		peers[i] = transport.Peer{Rank: i, Addr: a}
@@ -280,60 +171,26 @@ func TestRunnerTCPMeshMatchesOracle(t *testing.T) {
 	dist := runRanks(t, tcpMesh(t, P), func(int) Config {
 		return Config{Graph: g, Seed: seed}
 	})
-	requireOracle(t, g, dist)
+	if err := verifyOracle(g, dist); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// The full acceptance test: N real OS processes, each one rank over TCP,
-// converge a graph and produce distances bit-identical to the inproc
-// backend (and therefore to the exact oracle).
+// The full acceptance test: N real OS processes, each one aacluster rank
+// over TCP, converge a graph and produce distances bit-identical to the
+// inproc backend (and therefore to the exact oracle).
 func TestMultiProcessTCPBitIdenticalToInproc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real OS processes")
 	}
 	const n, P, seed = 100, 3, 9
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	addrs := freePorts(t, P)
-	out := t.TempDir() + "/dist.bin"
-
-	cmds := make([]*exec.Cmd, P)
-	for r := 0; r < P; r++ {
-		cmd := exec.Command(exe, "-test.run=^$")
-		cmd.Env = append(os.Environ(),
-			"AA_CHILD_RANK="+strconv.Itoa(r),
-			"AA_MANIFEST="+strings.Join(addrs, ","),
-			"AA_GRAPH_N="+strconv.Itoa(n),
-			"AA_GRAPH_SEED="+strconv.FormatInt(seed, 10),
-			"AA_OUT="+out,
-		)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		cmds[r] = cmd
-	}
-	for r, cmd := range cmds {
-		if err := cmd.Wait(); err != nil {
-			t.Fatalf("child rank %d: %v", r, err)
-		}
-	}
-	got, err := readDistances(out, n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := filepath.Join(t.TempDir(), "dist.txt")
+	waitRanks(t, startMesh(t, P, n, seed, "-out="+out))
 
 	g := testGraph(t, n, seed)
-	requireOracle(t, g, got)
+	requireMatrixFile(t, "tcp processes vs oracle", out, sssp.APSP(g))
 	want := runRanks(t, inprocGroup(P), func(int) Config {
 		return Config{Graph: g, Seed: seed}
 	})
-	for v := 0; v < n; v++ {
-		for u := 0; u < n; u++ {
-			if got[v][u] != want[v][u] {
-				t.Fatalf("dist[%d][%d]: tcp processes %d, inproc %d", v, u, got[v][u], want[v][u])
-			}
-		}
-	}
+	requireMatrixFile(t, "tcp processes vs inproc", out, want)
 }

@@ -5,9 +5,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"os/exec"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -114,44 +111,38 @@ func TestRunnerTelemetrySnapshot(t *testing.T) {
 // serve their own /metrics; the parent scrapes them with the HTTP
 // aggregator and must see a well-formed merged exposition carrying
 // rank-labeled per-rank series plus the computed cross-rank series
-// (aa_cluster_ranks_up, aa_step_imbalance) while the ranks are live.
+// (aa_cluster_ranks_up, aa_step_imbalance) while the ranks are live; each
+// rank's -trace file must hold its spans once it exits.
 func TestClusterScrapeMergedMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns real OS processes")
 	}
 	const n, P, seed = 100, 3, 9
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ports := freePorts(t, 2*P)
+	ports := testPorts(t, 2*P)
 	addrs, obsAddrs := ports[:P], ports[P:]
-	out := t.TempDir() + "/dist.bin"
-
-	cmds := make([]*exec.Cmd, P)
-	for r := 0; r < P; r++ {
-		cmd := exec.Command(exe, "-test.run=^$")
-		cmd.Env = append(os.Environ(),
-			"AA_CHILD_RANK="+strconv.Itoa(r),
-			"AA_MANIFEST="+strings.Join(addrs, ","),
-			"AA_GRAPH_N="+strconv.Itoa(n),
-			"AA_GRAPH_SEED="+strconv.FormatInt(seed, 10),
-			"AA_OUT="+out,
-			"AA_OBS_ADDR="+obsAddrs[r],
-			"AA_MIN_STEPS=300",
-			"AA_STEP_THROTTLE=20ms",
-			"AA_LOG_FORMAT=json",
-		)
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		cmds[r] = cmd
+	dir := t.TempDir()
+	procs := make([]*rankProc, P)
+	for r := range procs {
+		procs[r] = startRank(t, r, addrs, n, seed, "-obs="+obsAddrs[r], "-min-steps=300",
+			"-step-throttle=20ms", "-log-format=json", "-verify", fmt.Sprintf("-trace=%s/rank%d.jsonl", dir, r))
 	}
+	// Every rank must exit cleanly and leave a well-formed, non-empty
+	// span trace behind.
 	defer func() {
-		for r, cmd := range cmds {
-			if err := cmd.Wait(); err != nil {
-				t.Errorf("child rank %d: %v", r, err)
+		for r, p := range procs {
+			if err := p.cmd.Wait(); err != nil {
+				t.Errorf("rank %d: %v", r, err)
+				continue
+			}
+			f, err := os.Open(fmt.Sprintf("%s/rank%d.jsonl", dir, r))
+			if err != nil {
+				t.Errorf("rank %d trace: %v", r, err)
+				continue
+			}
+			spans, err := obs.ReadJSONL(f)
+			f.Close()
+			if err != nil || len(spans) == 0 {
+				t.Errorf("rank %d trace: %d spans, err %v", r, len(spans), err)
 			}
 		}
 	}()

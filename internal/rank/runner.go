@@ -40,10 +40,6 @@ type Config struct {
 	Seed int64
 	// Workers is the per-rank relax/IA worker count (default 2).
 	Workers int
-	// TileSize is the blocked-refinement pivot tile (default 32).
-	TileSize int
-	// NoLocalRefine disables the Floyd–Warshall-style local refinement.
-	NoLocalRefine bool
 	// MaxSteps bounds Run (default 10_000).
 	MaxSteps int
 
@@ -82,15 +78,15 @@ type Config struct {
 	StepHook func(Telemetry)
 }
 
+// tileSize is the blocked-refinement pivot tile, the Engine's default.
+const tileSize = 32
+
 func (c Config) withDefaults() Config {
 	if c.Partitioner == nil {
 		c.Partitioner = partition.Multilevel{Seed: c.Seed}
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.TileSize <= 0 {
-		c.TileSize = 32
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 10_000
@@ -338,7 +334,7 @@ func (r *Runner) Step() (bool, error) {
 
 	relaxW := tr.Now()
 	relaxStart := time.Now()
-	ops := r.rs.Relax(ext, !r.cfg.NoLocalRefine, r.cfg.Workers, r.cfg.TileSize)
+	ops := r.rs.Relax(ext, true, r.cfg.Workers, tileSize)
 	r.stats.RelaxOps += ops
 	relaxDur := time.Since(relaxStart)
 	if tr.Enabled() {

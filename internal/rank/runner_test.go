@@ -6,27 +6,14 @@ import (
 
 	"anytime/internal/core"
 	"anytime/internal/fault"
-	"anytime/internal/gen"
 	"anytime/internal/graph"
-	"anytime/internal/sssp"
 	"anytime/internal/transport"
 )
 
-// baGraph is the shared deterministic test graph: every process (parent
-// or spawned child) that builds it from the same (n, seed) gets an
-// identical graph.
-func baGraph(n int, seed int64) (*graph.Graph, error) {
-	g, err := gen.BarabasiAlbert(n, 2, gen.Weights{Min: 1, Max: 4}, seed)
-	if err != nil {
-		return nil, err
-	}
-	gen.Connectify(g, seed)
-	return g, nil
-}
-
+// testGraph is the graph every aacluster rank builds from (n, seed).
 func testGraph(t testing.TB, n int, seed int64) *graph.Graph {
 	t.Helper()
-	g, err := baGraph(n, seed)
+	g, err := buildGraph(n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,18 +72,6 @@ func runRanks(t *testing.T, ts []transport.Transport, mk func(r int) Config) [][
 	return dist
 }
 
-func requireOracle(t *testing.T, g *graph.Graph, got [][]graph.Dist) {
-	t.Helper()
-	want := sssp.APSP(g)
-	for v := range want {
-		for u := range want[v] {
-			if got[v][u] != want[v][u] {
-				t.Fatalf("dist[%d][%d] = %d, want %d", v, u, got[v][u], want[v][u])
-			}
-		}
-	}
-}
-
 func inprocGroup(n int) []transport.Transport {
 	group := transport.NewInprocGroup(n)
 	ts := make([]transport.Transport, n)
@@ -115,7 +90,9 @@ func TestRunnerInprocMatchesOracleAndEngine(t *testing.T) {
 	dist := runRanks(t, inprocGroup(P), func(int) Config {
 		return Config{Graph: g, Seed: seed}
 	})
-	requireOracle(t, g, dist)
+	if err := verifyOracle(g, dist); err != nil {
+		t.Fatal(err)
+	}
 
 	// The in-process engine on the same graph/seed/P: identical converged
 	// distances, row for row.
@@ -195,7 +172,9 @@ func TestRunnerWithInjectedFaultsStaysExact(t *testing.T) {
 	if fail != nil {
 		t.Fatal(fail)
 	}
-	requireOracle(t, g, dist)
+	if err := verifyOracle(g, dist); err != nil {
+		t.Fatal(err)
+	}
 	if reships == 0 {
 		t.Fatal("fault plan injected no abandoned messages; the recovery path was not exercised")
 	}

@@ -53,54 +53,15 @@ func (s *Server) Admit(evs []stream.Event) error {
 }
 
 // validateLocked dry-runs evs against the admitted graph shape (vertex
-// count and deletions), committing the shape change only if every event is
-// valid. Mirrors stream.Validate, but against live state instead of a
-// whole stream.
+// count and deletions) with stream.Check, committing the shape change only
+// if every event is valid.
 func (s *Server) validateLocked(evs []stream.Event) error {
-	n := s.admitN
-	var newlyDeleted map[int32]bool
-	isDeleted := func(v int32) bool { return s.deleted[v] || newlyDeleted[v] }
-	checkPair := func(i int, ev stream.Event) error {
-		if ev.U < 0 || ev.V < 0 || int(ev.U) >= n || int(ev.V) >= n || ev.U == ev.V {
-			return fmt.Errorf("serve: event %d references invalid pair {%d,%d}", i, ev.U, ev.V)
-		}
-		if isDeleted(ev.U) || isDeleted(ev.V) {
-			return fmt.Errorf("serve: event %d references deleted vertex", i)
-		}
-		return nil
-	}
-	for i, ev := range evs {
-		switch ev.Kind {
-		case stream.AddVertex:
-			if int(ev.U) != n {
-				return fmt.Errorf("serve: event %d adds vertex %d, expected next ID %d", i, ev.U, n)
-			}
-			n++
-		case stream.AddEdge, stream.SetWeight:
-			if err := checkPair(i, ev); err != nil {
-				return err
-			}
-			if ev.W <= 0 {
-				return fmt.Errorf("serve: event %d has non-positive weight", i)
-			}
-		case stream.DelEdge:
-			if err := checkPair(i, ev); err != nil {
-				return err
-			}
-		case stream.DelVertex:
-			if int(ev.U) >= n || ev.U < 0 || isDeleted(ev.U) {
-				return fmt.Errorf("serve: event %d deletes invalid vertex %d", i, ev.U)
-			}
-			if newlyDeleted == nil {
-				newlyDeleted = map[int32]bool{}
-			}
-			newlyDeleted[ev.U] = true
-		default:
-			return fmt.Errorf("serve: event %d has unknown kind %d", i, ev.Kind)
-		}
+	n, deleted, err := stream.Check(evs, s.admitN, s.deleted)
+	if err != nil {
+		return err
 	}
 	s.admitN = n
-	for v := range newlyDeleted {
+	for v := range deleted {
 		s.deleted[v] = true
 	}
 	return nil

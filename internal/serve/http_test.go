@@ -114,8 +114,13 @@ func TestHTTPEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed POST = %d", resp.StatusCode)
 	}
-	if _, err := c.PostEvents(ctx, []stream.Event{{Kind: stream.AddVertex, U: 999}}); err == nil {
-		t.Fatal("non-dense join admitted over HTTP")
+	resp, err = c.HTTPClient.Post(c.BaseURL+"/v1/events", "application/json", strings.NewReader(`{"events":[{"kind":"addv","u":999}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("non-dense join over HTTP = %d, want %d", resp.StatusCode, http.StatusBadRequest)
 	}
 
 	// POST a valid batch: one join with an anchor edge, then wait for it

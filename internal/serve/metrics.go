@@ -301,14 +301,14 @@ func (m *serverMetrics) observeStep(st core.StepStats) {
 	} else {
 		m.stepDirtyFrac.Set(0)
 	}
-	m.stepBoundGap.Set(st.FrontierDensity)
+	m.stepBoundGap.Set(st.BoundGap)
 	m.stepWidth.SetInt(int64(st.MaxDeltaWidth))
 	// One quality triple (rows, dirty rows, frontier bits), two gauges:
 	// bound_gap is bits / all cells, frontier_density is bits / cells of the
 	// dirty rows only — the same pair aa_rank_bound_gap and
 	// aa_rank_frontier_density export per rank.
 	if st.DirtyRows > 0 {
-		m.frontierDensity.Set(st.FrontierDensity * float64(st.TotalRows) / float64(st.DirtyRows))
+		m.frontierDensity.Set(st.BoundGap * float64(st.TotalRows) / float64(st.DirtyRows))
 	} else {
 		m.frontierDensity.Set(0)
 	}

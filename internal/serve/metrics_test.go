@@ -195,7 +195,7 @@ func TestFrontierDensityIsDirtyRowDensity(t *testing.T) {
 	waitFor(t, "convergence", func() bool { return srv.View().Converged })
 
 	m := srv.metrics
-	m.observeStep(core.StepStats{TotalRows: 60, DirtyRows: 15, FrontierDensity: 0.02})
+	m.observeStep(core.StepStats{TotalRows: 60, DirtyRows: 15, BoundGap: 0.02})
 	if got := m.stepBoundGap.Load(); got != 0.02 {
 		t.Fatalf("aa_step_bound_gap = %g, want 0.02 (bits / all cells)", got)
 	}

@@ -231,8 +231,8 @@ func TestAdmitValidation(t *testing.T) {
 		{{Kind: stream.AddVertex, U: n}, {Kind: stream.AddEdge, U: int32(n), V: int32(n), W: 1}}, // valid then invalid: must reject both
 	}
 	for i, evs := range bad {
-		if err := srv.Admit(evs); err == nil {
-			t.Fatalf("bad batch %d admitted", i)
+		if err := srv.Admit(evs); !errors.Is(err, stream.ErrInvalidEvent) {
+			t.Fatalf("bad batch %d: Admit = %v, want stream.ErrInvalidEvent", i, err)
 		}
 	}
 	// The rejected batches must not have advanced the expected next ID.

@@ -9,6 +9,7 @@ package stream
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 
@@ -85,54 +86,63 @@ type Stream struct {
 
 // Validate checks ordering, ID density and reference validity by dry-run.
 func (s *Stream) Validate() error {
-	n := s.BaseN
-	if n < 0 {
+	if s.BaseN < 0 {
 		return fmt.Errorf("stream: negative base size")
 	}
-	last := int64(-1 << 62)
-	deleted := map[int32]bool{}
-	for i, ev := range s.Events {
-		if ev.Time < last {
-			return fmt.Errorf("stream: event %d out of time order", i)
+	for i := 1; i < len(s.Events); i++ {
+		if s.Events[i].Time < s.Events[i-1].Time {
+			return fmt.Errorf("%w: event %d out of time order", ErrInvalidEvent, i)
 		}
-		last = ev.Time
+	}
+	_, _, err := Check(s.Events, s.BaseN, nil)
+	return err
+}
+
+// ErrInvalidEvent is wrapped by every per-event rejection of Validate and
+// Check.
+var ErrInvalidEvent = errors.New("stream: invalid event")
+
+// Check dry-runs evs against a graph shape of n vertices of which the ones
+// in deleted are gone: a join must take the next dense ID, a pair must name
+// two distinct live vertices, a weight must be positive. It returns the
+// vertex count after evs and the vertices evs delete (nil if none), and
+// never writes to deleted.
+func Check(evs []Event, n int, deleted map[int32]bool) (int, map[int32]bool, error) {
+	var newly map[int32]bool
+	gone := func(v int32) bool { return deleted[v] || newly[v] }
+	reject := func(i int, why string) (int, map[int32]bool, error) {
+		return 0, nil, fmt.Errorf("%w: event %d %s", ErrInvalidEvent, i, why)
+	}
+	for i, ev := range evs {
 		switch ev.Kind {
 		case AddVertex:
 			if int(ev.U) != n {
-				return fmt.Errorf("stream: event %d adds vertex %d, expected %d", i, ev.U, n)
+				return reject(i, fmt.Sprintf("adds vertex %d, expected next ID %d", ev.U, n))
 			}
 			n++
-		case AddEdge, SetWeight:
-			if err := checkPair(i, ev, n, deleted); err != nil {
-				return err
+		case AddEdge, SetWeight, DelEdge:
+			if ev.U < 0 || ev.V < 0 || int(ev.U) >= n || int(ev.V) >= n || ev.U == ev.V {
+				return reject(i, fmt.Sprintf("references invalid pair {%d,%d}", ev.U, ev.V))
 			}
-			if ev.W <= 0 {
-				return fmt.Errorf("stream: event %d has non-positive weight", i)
+			if gone(ev.U) || gone(ev.V) {
+				return reject(i, "references deleted vertex")
 			}
-		case DelEdge:
-			if err := checkPair(i, ev, n, deleted); err != nil {
-				return err
+			if ev.Kind != DelEdge && ev.W <= 0 {
+				return reject(i, "has non-positive weight")
 			}
 		case DelVertex:
-			if int(ev.U) >= n || ev.U < 0 || deleted[ev.U] {
-				return fmt.Errorf("stream: event %d deletes invalid vertex %d", i, ev.U)
+			if ev.U < 0 || int(ev.U) >= n || gone(ev.U) {
+				return reject(i, fmt.Sprintf("deletes invalid vertex %d", ev.U))
 			}
-			deleted[ev.U] = true
+			if newly == nil {
+				newly = map[int32]bool{}
+			}
+			newly[ev.U] = true
 		default:
-			return fmt.Errorf("stream: event %d has unknown kind %d", i, ev.Kind)
+			return reject(i, fmt.Sprintf("has unknown kind %d", ev.Kind))
 		}
 	}
-	return nil
-}
-
-func checkPair(i int, ev Event, n int, deleted map[int32]bool) error {
-	if ev.U < 0 || ev.V < 0 || int(ev.U) >= n || int(ev.V) >= n || ev.U == ev.V {
-		return fmt.Errorf("stream: event %d references invalid pair {%d,%d}", i, ev.U, ev.V)
-	}
-	if deleted[ev.U] || deleted[ev.V] {
-		return fmt.Errorf("stream: event %d references deleted vertex", i)
-	}
-	return nil
+	return n, newly, nil
 }
 
 // FinalN returns the vertex count after the whole stream applies.

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -108,6 +109,28 @@ func TestReadErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c)); err == nil {
 			t.Errorf("input %q should fail", c)
+		}
+	}
+}
+
+// Check validates a batch against a live shape: it returns the grown
+// vertex count and the vertices the batch deletes, never writes to the
+// caller's deleted set, and rejects with ErrInvalidEvent.
+func TestCheckAgainstLiveShape(t *testing.T) {
+	deleted := map[int32]bool{1: true}
+	n, newly, err := Check([]Event{
+		{Kind: AddVertex, U: 4}, {Kind: AddEdge, U: 4, V: 0, W: 1}, {Kind: DelVertex, U: 2},
+	}, 4, deleted)
+	if err != nil || n != 5 || len(newly) != 1 || !newly[2] || len(deleted) != 1 {
+		t.Fatalf("Check = %d, %v, %v; deleted now %v", n, newly, err, deleted)
+	}
+	for i, evs := range [][]Event{
+		{{Kind: AddEdge, U: 0, V: 1, W: 1}},                    // 1 was deleted before the batch
+		{{Kind: DelVertex, U: 2}, {Kind: DelEdge, U: 2, V: 0}}, // 2 is deleted earlier in the batch
+		{{Kind: AddVertex, U: 5}},                              // the next ID is 4
+	} {
+		if _, _, err := Check(evs, 4, deleted); !errors.Is(err, ErrInvalidEvent) {
+			t.Fatalf("batch %d: err = %v, want ErrInvalidEvent", i, err)
 		}
 	}
 }
