@@ -50,12 +50,14 @@ kernel-check:
 bench-smoke:
 	cd benchmark && $(GO) test -count=1 ./...
 
-# Examples gate: the fault-tolerance example is the one end-to-end driver
-# of the simulator's lossy links outside tests (~1 s). It checks itself —
-# checkpoint resume and the chaos run must both match the fault-free run,
-# else it exits non-zero.
+# Examples gate: every example runs to completion (~6 s together). Each
+# checks itself and exits non-zero on a mismatch — faulttolerance is the one
+# end-to-end driver of the simulator's lossy links outside tests (checkpoint
+# resume and the chaos run must both match the fault-free run), liveserve
+# verifies the served answer against the oracle of the grown graph.
+EXAMPLES = citations faulttolerance liveserve loadbalance quickstart sensornet socialstream
 examples-check:
-	$(GO) run ./examples/faulttolerance
+	@for ex in $(EXAMPLES); do echo "== examples/$$ex"; $(GO) run ./examples/$$ex || exit 1; done
 
 # Cluster chaos gate: the real-OS-process robustness suite under the race
 # detector — SIGKILL one of three ranks mid-recombination (heartbeat
@@ -105,13 +107,14 @@ bench-paper:
 # entry point rank.Main (cmd/aacluster only calls it) under the race
 # detector — including the integration test that spawns real OS processes
 # over a TCP mesh and checks bit-identical convergence against inproc —
-# plus short fuzzing runs of the frame decoder and of the mesh manifest
-# loader past their seeds.
+# plus short fuzzing runs of the frame decoder, the mesh manifest loader
+# and the rejoin-go payload parser past their seeds.
 transport-check:
 	$(GO) vet ./internal/transport ./internal/rank
 	$(GO) test -race -count=1 ./internal/transport ./internal/rank
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadPeers$$' -fuzztime 10s ./internal/rank
+	$(GO) test -run '^$$' -fuzz '^FuzzRejoinGo$$' -fuzztime 10s ./internal/rank
 
 # Cluster observability gate: the rank hot path's zero-alloc telemetry
 # contract, the Prometheus text parse/merge/aggregate layer (including a

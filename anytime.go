@@ -74,7 +74,7 @@ const (
 	// results by migrating them.
 	RepartitionS = core.RepartitionS
 	// AutoPS switches between CutEdgePS and RepartitionS by batch size
-	// (Options.AutoThreshold).
+	// (at 5 % of the current vertex count).
 	AutoPS = core.AutoPS
 )
 
@@ -249,13 +249,6 @@ func ReadMETIS(r io.Reader) (*Graph, error) { return graph.ReadMETIS(r) }
 
 // WriteMETIS writes the METIS graph format (with edge weights).
 func WriteMETIS(w io.Writer, g *Graph) error { return graph.WriteMETIS(w, g) }
-
-// TraceEvent is one entry of the engine's execution trace (see
-// Options.Trace).
-type TraceEvent = core.TraceEvent
-
-// Tracer receives engine trace events.
-type Tracer = core.Tracer
 
 // SpanTracer is the structured phase-span tracer (see Options.Obs): a
 // fixed-capacity ring of spans carrying both wall and LogP virtual clocks,

@@ -3,7 +3,7 @@
 // analysis checkpoints at recombination-step boundaries; when the process
 // "crashes" mid-run, a fresh engine restores from the last checkpoint and
 // continues — landing on the bit-identical result, with all cost counters
-// preserved. Engine trace events show the phases as they happen.
+// preserved. A step hook prints each recombination step as it happens.
 //
 // The second half turns on the seeded fault-injection layer inside the
 // simulated cluster itself: messages drop, duplicate, delay, and corrupt
@@ -30,16 +30,20 @@ func main() {
 	opts.P = 8
 	opts.Seed = 99
 	opts.Strategy = anytime.CutEdgePS
-	opts.Trace = func(ev anytime.TraceEvent) {
-		fmt.Printf("  [trace] step=%-3d %-10s %s (virtual %v)\n",
-			ev.Step, ev.Kind, ev.Detail, ev.Virtual.Round(1000000))
-	}
 
 	fmt.Println("primary run with per-step checkpoints:")
 	e, err := anytime.NewEngine(g, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	e.SetStepHook(func(s anytime.StepStats) {
+		fmt.Printf("  [step] %-3d %d boundary-DV messages, converged=%v, virtual %v",
+			s.Step, s.BoundaryMessages, s.ConvergedAfter, s.Virtual.Round(1000000))
+		if s.ChangeApplied != "" {
+			fmt.Printf(", then applied %s", s.ChangeApplied)
+		}
+		fmt.Println()
+	})
 	batch, err := anytime.CommunityBatch(g, 80, 1.5, 7)
 	if err != nil {
 		log.Fatal(err)
@@ -67,7 +71,6 @@ func main() {
 	}
 
 	fmt.Println("recovery: restoring into a fresh engine and continuing:")
-	opts.Trace = nil // quiet for the recovery run
 	r, err := anytime.RestoreEngine(&lastCheckpoint, opts)
 	if err != nil {
 		log.Fatal(err)
@@ -118,15 +121,21 @@ func chaos(g *anytime.Graph, batch *anytime.Batch, want anytime.Snapshot) {
 		CorruptRate:   0.02,
 		Crashes:       []anytime.FaultCrash{{Proc: 3, Step: 4, DownFor: 2}},
 	}
-	opts.Trace = func(ev anytime.TraceEvent) {
-		if ev.Kind == "crash" || ev.Kind == "rejoin" {
-			fmt.Printf("  [trace] step=%-3d %-10s %s\n", ev.Step, ev.Kind, ev.Detail)
-		}
-	}
 	c, err := anytime.NewEngine(g, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
+	var crashes, rejoins int
+	c.SetStepHook(func(s anytime.StepStats) {
+		m := c.Metrics()
+		if m.Crashes > crashes {
+			fmt.Printf("  [step] %-3d processor crash, restarted from its shard\n", s.Step)
+		}
+		if m.Recoveries > rejoins {
+			fmt.Printf("  [step] %-3d processor rejoined, boundary re-ship scheduled\n", s.Step)
+		}
+		crashes, rejoins = m.Crashes, m.Recoveries
+	})
 	if err := c.QueueBatch(batch); err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"anytime/internal/change"
+	"anytime/internal/partition"
 )
 
 // applyBatch incorporates one dynamic vertex-addition batch using the
@@ -15,7 +16,7 @@ func (e *Engine) applyBatch(b *change.VertexBatch) {
 	if strat == AutoPS {
 		// the paper's Fig. 5/6 insight as a policy: incremental updates for
 		// small batches, repartition-with-result-reuse for large ones
-		if float64(b.NumVertices) >= e.opts.AutoThreshold*float64(e.g.NumVertices()) {
+		if float64(b.NumVertices) >= autoThreshold*float64(e.g.NumVertices()) {
 			strat = RepartitionS
 		} else {
 			strat = CutEdgePS
@@ -79,7 +80,7 @@ func (e *Engine) assignCutEdge(b *change.VertexBatch) []int32 {
 	if k > bg.NumVertices() {
 		k = bg.NumVertices()
 	}
-	part, err := e.opts.BatchPartitioner.Partition(bg, k)
+	part, err := partition.Multilevel{Seed: e.opts.Seed + 1}.Partition(bg, k)
 	if err != nil {
 		// degenerate batch: fall back to round robin
 		return e.assignRoundRobin(b)

@@ -41,7 +41,7 @@ func rcBenchSetup(b *testing.B, workers, batchSize int, noMask bool) (ckpt []byt
 	opts.P = benchRCP
 	opts.Workers = workers
 	opts.Seed = 1
-	opts.NoFrontierMask = noMask
+	opts.noFrontierMask = noMask
 	e, err := New(g, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -214,7 +214,7 @@ func benchRCRefinePhase(b *testing.B, workers, tile int) {
 	opts.Seed = 1
 	opts.Workers = workers
 	if tile > 0 {
-		opts.TileSize = tile
+		opts.tileSize = tile
 	}
 	e, err := New(g, opts)
 	if err != nil {
@@ -245,7 +245,7 @@ func benchRCRefinePhase(b *testing.B, workers, tile int) {
 			for _, r := range rows {
 				r.FAll = true
 			}
-			ops := p.relaxStep(nil, true, workers, e.opts.TileSize)
+			ops := p.relaxStep(nil, true, workers, e.opts.tileSize)
 			relaxOps += ops
 			// The engine's LogP charge for the relax phase: ops divided
 			// across the per-processor worker pool, slowest processor

@@ -140,7 +140,7 @@ func (e *Engine) encodePayload(enc *binWriter) {
 		// restored engine re-tracks from a conservative full frontier
 		// instead of trusting stale masks.
 		for _, r := range rows {
-			all := r.FAll || e.opts.NoFrontierMask
+			all := r.FAll || e.opts.noFrontierMask
 			enc.bool(all)
 			if all {
 				continue

@@ -436,7 +436,7 @@ func TestCheckpointFrontierRoundTrip(t *testing.T) {
 	// must persist every row as FAll, so a masking-enabled restore cannot
 	// trust stale masks.
 	om := o
-	om.NoFrontierMask = true
+	om.noFrontierMask = true
 	em, err := New(g, om)
 	if err != nil {
 		t.Fatal(err)

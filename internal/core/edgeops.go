@@ -313,7 +313,7 @@ func (e *Engine) applyWeightChanges(chs []change.EdgeWeight) {
 			}
 			needReset = true
 		case c.Weight < old:
-			if _, err := addOrLowerEdge(e.g, int(c.U), int(c.V), c.Weight); err != nil {
+			if _, err := e.g.AddOrLowerEdge(int(c.U), int(c.V), c.Weight); err != nil {
 				panic(err)
 			}
 			e.absorbEdge(int(c.U), int(c.V), c.Weight, false)

@@ -96,7 +96,7 @@ func TestPrunedEdgeScanMatchesFullScan(t *testing.T) {
 			if ed.w < 1 {
 				continue
 			}
-			changed, err := addOrLowerEdge(g, ed.u, ed.v, ed.w)
+			changed, err := g.AddOrLowerEdge(ed.u, ed.v, ed.w)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -162,8 +162,6 @@ func (e *Engine) domainDecomposition() error {
 	e.chargeAll(ops / int64(e.opts.P))
 	e.buildProcs()
 	e.span(obs.KindDD, dm, ops)
-	e.tracef("dd", "%s: cut=%d imbalance=%.3f",
-		e.opts.Partitioner.Name(), graph.EdgeCut(e.g, e.part), graph.Imbalance(e.g, e.part))
 	return nil
 }
 
@@ -182,7 +180,7 @@ func (e *Engine) buildProcs() {
 func (e *Engine) newProc(pid int) *Proc {
 	p := newProc(pid, e.g, e.part)
 	p.tr = e.opts.Obs
-	p.maskOff = e.opts.NoFrontierMask
+	p.maskOff = e.opts.noFrontierMask
 	return p
 }
 
@@ -202,7 +200,6 @@ func (e *Engine) initialApproximation() {
 	})
 	e.mach.Barrier()
 	e.converged = false
-	e.tracef("ia", "local APSP over %d processors", e.opts.P)
 }
 
 // refreshWeightProfile re-detects the unit-weight fast-path eligibility
@@ -245,7 +242,6 @@ func (e *Engine) fail(err error) {
 	if e.err == nil {
 		e.err = err
 	}
-	e.trace("error", err.Error())
 }
 
 // Options returns the engine's options with defaults applied — what a
@@ -449,9 +445,6 @@ func (e *Engine) Step() bool {
 	if e.converged && !e.anyDown() {
 		e.degraded = false
 	}
-	if e.opts.Trace != nil {
-		e.tracef("rc-step", "%d boundary-DV messages, converged=%v", shipped, e.converged)
-	}
 	stats := StepStats{
 		Step:             e.step,
 		BoundaryMessages: shipped,
@@ -488,11 +481,7 @@ func (e *Engine) Step() bool {
 	if h := e.stepHook.Load(); h != nil {
 		(*h)(stats)
 	}
-	if e.Converged() {
-		e.trace("converged", "no more updates in any processor")
-		return false
-	}
-	return true
+	return !e.Converged()
 }
 
 // snapshotBusy records every processor's busy virtual time at step start, so
@@ -584,7 +573,7 @@ func describeEvent(ev change.Event) string {
 // this call.
 func (e *Engine) Run() int {
 	steps := 0
-	for e.err == nil && !e.Converged() && steps < e.opts.MaxRCSteps {
+	for e.err == nil && !e.Converged() && steps < MaxRCSteps {
 		e.Step()
 		steps++
 	}
@@ -649,7 +638,7 @@ func (e *Engine) relaxAll(inbox [][]transport.Message) {
 			}
 			ext = append(ext, msg.Payload.([]*dv.Delta)...)
 		}
-		ops := p.Relax(ext, refine, workers, e.opts.TileSize)
+		ops := p.Relax(ext, refine, workers, e.opts.tileSize)
 		// The paper's OpenMP accounting: the relax wall-cost of the step
 		// divides over the processor's worker threads.
 		e.mach.Charge(pid, ops/int64(workers))
@@ -692,8 +681,6 @@ func (e *Engine) applyEvent(ev change.Event) {
 	defer e.span(obs.KindChange, cm, 0)
 	switch {
 	case ev.Batch != nil:
-		e.tracef("change", "%s: +%d vertices, %d edges",
-			e.opts.Strategy, ev.Batch.NumVertices, ev.Batch.NumEdges())
 		e.applyBatch(ev.Batch)
 	case len(ev.EdgeAdds) > 0:
 		e.applyEdgeAdds(ev)
@@ -704,7 +691,6 @@ func (e *Engine) applyEvent(ev change.Event) {
 	case ev.VertexDel != nil:
 		e.applyVertexDel(ev.VertexDel.V)
 	case ev.Rebalance != nil:
-		e.trace("change", "rebalance")
 		e.applyRepartition(&change.VertexBatch{})
 	}
 	e.converged = false

@@ -9,11 +9,13 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"anytime/internal/centrality"
 	"anytime/internal/change"
 	"anytime/internal/gen"
 	"anytime/internal/graph"
+	"anytime/internal/obs"
 	"anytime/internal/sssp"
 )
 
@@ -310,11 +312,15 @@ func TestSnapshotEccentricityAndDiameter(t *testing.T) {
 	}
 }
 
+// TestTraceEvents: the Options.Obs spans carry the engine's execution
+// events — one DD span, IA, one RC-step span per step and the batch's
+// change span — and each engine-wide span kind advances the virtual clock
+// monotonically.
 func TestTraceEvents(t *testing.T) {
 	g := testGraph(t, 80, 127)
 	o := defaultTestOptions(3, 127)
-	var events []TraceEvent
-	o.Trace = func(ev TraceEvent) { events = append(events, ev) }
+	tr := obs.NewTracer(obs.DefaultCapacity)
+	o.Obs = tr
 	e, err := New(g, o)
 	if err != nil {
 		t.Fatal(err)
@@ -327,25 +333,31 @@ func TestTraceEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run()
-	kinds := map[string]int{}
-	lastVirtual := int64(-1)
-	for _, ev := range events {
-		kinds[ev.Kind]++
-		if int64(ev.Virtual) < lastVirtual {
-			t.Fatalf("virtual time went backwards at %+v", ev)
-		}
-		lastVirtual = int64(ev.Virtual)
+	if !e.Converged() {
+		t.Fatal("engine did not converge")
 	}
-	for _, want := range []string{"dd", "ia", "rc-step", "change", "converged"} {
+	kinds := map[obs.Kind]int{}
+	lastVirt := map[obs.Kind]time.Duration{}
+	for _, s := range tr.Spans() {
+		kinds[s.Kind]++
+		if s.Proc != -1 {
+			continue
+		}
+		if last, ok := lastVirt[s.Kind]; ok && s.Virt < last {
+			t.Fatalf("%v span virtual time went backwards: %v after %v", s.Kind, s.Virt, last)
+		}
+		lastVirt[s.Kind] = s.Virt
+	}
+	for _, want := range []obs.Kind{obs.KindDD, obs.KindIA, obs.KindRCStep, obs.KindChange} {
 		if kinds[want] == 0 {
-			t.Fatalf("missing %q events: %v", want, kinds)
+			t.Fatalf("missing %v spans: %v", want, kinds)
 		}
 	}
-	if kinds["dd"] != 1 || kinds["ia"] != 1 || kinds["converged"] != 1 {
-		t.Fatalf("unexpected event multiplicity: %v", kinds)
+	if kinds[obs.KindDD] != 1 || kinds[obs.KindChange] != 1 {
+		t.Fatalf("unexpected span multiplicity: %v", kinds)
 	}
-	if kinds["rc-step"] != e.StepsTaken() {
-		t.Fatalf("rc-step events %d != steps %d", kinds["rc-step"], e.StepsTaken())
+	if kinds[obs.KindRCStep] != e.StepsTaken() {
+		t.Fatalf("rc-step spans %d != steps %d", kinds[obs.KindRCStep], e.StepsTaken())
 	}
 }
 

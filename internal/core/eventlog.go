@@ -119,7 +119,7 @@ func (l *EventLog) apply(g *graph.Graph, part *graph.Partition, ev change.Event,
 	}
 	kept := res.edges[:0]
 	for _, ed := range res.edges {
-		changed, err := addOrLowerEdge(g, ed.u, ed.v, ed.w)
+		changed, err := g.AddOrLowerEdge(ed.u, ed.v, ed.w)
 		if err != nil {
 			return res, err
 		}
@@ -129,23 +129,6 @@ func (l *EventLog) apply(g *graph.Graph, part *graph.Partition, ev change.Event,
 	}
 	res.edges = kept
 	return res, nil
-}
-
-// addOrLowerEdge inserts edge {u,v,w}, or lowers the weight of an existing
-// heavier one, and reports whether the graph changed.
-func addOrLowerEdge(g *graph.Graph, u, v int, w graph.Weight) (bool, error) {
-	if old, ok := g.EdgeWeight(u, v); ok {
-		if w >= old {
-			return false, nil
-		}
-		if err := g.RemoveEdge(u, v); err != nil {
-			return false, err
-		}
-	}
-	if err := g.AddEdge(u, v, w); err != nil {
-		return false, err
-	}
-	return true, nil
 }
 
 // Replay re-derives the graph and partition evolution of a journal — the

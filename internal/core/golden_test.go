@@ -7,6 +7,7 @@ import (
 	"anytime/internal/change"
 	"anytime/internal/fault"
 	"anytime/internal/gen"
+	"anytime/internal/partition"
 )
 
 // goldenCounters renders every deterministic counter of a finished run: the
@@ -85,7 +86,7 @@ func TestGoldenCounters(t *testing.T) {
 				e.Run()
 				return e
 			},
-			want: "virt=16612481 dd=3176 ia=131300 rc=794143 change=1880106 steps=3 msgs=306 chunks=306 bytes=315864 bcasts=94 barriers=154 newcut=25 migrated=0 crashes=0 recoveries=0 shardbytes=0 rows=391 fullrows=57 masked=224335 resends=0 dropped=0 duplicated=0 delayed=0 corrupted=0 failed=0 droppeddown=0",
+			want: "virt=16603741 dd=3176 ia=131300 rc=771183 change=1880106 steps=3 msgs=306 chunks=306 bytes=314952 bcasts=94 barriers=154 newcut=28 migrated=0 crashes=0 recoveries=0 shardbytes=0 rows=389 fullrows=56 masked=224647 resends=0 dropped=0 duplicated=0 delayed=0 corrupted=0 failed=0 droppeddown=0",
 		},
 		{
 			name: "repartition-rebalance",
@@ -192,5 +193,39 @@ func TestGoldenCounters(t *testing.T) {
 				t.Errorf("counters moved:\n got %s\nwant %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestBatchPartitionerFollowsSeed: CutEdge-PS partitions each batch with
+// the Options' final Seed, so options built from NewOptions and then
+// re-seeded run exactly like a literal Options with the same Seed. The DD
+// partitioner NewOptions fills in still captures seed 1 (a separate,
+// known capture), so the literal takes the same one to isolate the batch
+// partitioner.
+func TestBatchPartitionerFollowsSeed(t *testing.T) {
+	run := func(o Options) string {
+		o.Strategy = CutEdgePS
+		g := testGraph(t, 160, 31)
+		e, err := NewConverged(g, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := gen.CommunityBatch(g, 16, 1.5, gen.Weights{Min: 1, Max: 3}, 31)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, half := range gen.SplitBatch(b, 2) {
+			if err := e.QueueBatch(half); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Run()
+		requireExact(t, e)
+		return goldenCounters(e)
+	}
+	fromDefaults := run(defaultTestOptions(4, 31))
+	literal := run(Options{P: 4, Seed: 31, Workers: 2, Partitioner: partition.Multilevel{Seed: 1}})
+	if fromDefaults != literal {
+		t.Fatalf("re-seeded defaults and literal options diverged:\ndefaults %s\nliteral  %s", fromDefaults, literal)
 	}
 }

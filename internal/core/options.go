@@ -49,9 +49,26 @@ const (
 	// lets subsequent RC steps absorb the new vertices.
 	RepartitionS
 	// AutoPS operationalizes the paper's conclusion that no single
-	// strategy wins everywhere: batches below AutoThreshold (as a fraction
+	// strategy wins everywhere: batches below autoThreshold (as a fraction
 	// of the current graph) use CutEdge-PS, larger ones Repartition-S.
 	AutoPS
+)
+
+const (
+	// TileSize is the pivot-tile edge of the blocked Floyd–Warshall local
+	// refinement: pivots are processed in tiles of this many consecutive
+	// arena rows, with one worker barrier per tile round instead of per
+	// pivot, and the external-relax pass walks received deltas in chunks
+	// of the same size. Converged results are identical for every tile
+	// size; 32 keeps a tile's pivot rows L1/L2-resident for the graph sizes
+	// the benchmarks exercise. The Engine and rank.Runner both use it.
+	TileSize = 32
+	// MaxRCSteps bounds Engine.Run and rank.Runner.Run (a safety net).
+	MaxRCSteps = 10_000
+	// autoThreshold is the batch-size fraction (of the current vertex
+	// count) at which AutoPS switches from CutEdge-PS to Repartition-S,
+	// the measured crossover region (see EXPERIMENTS.md).
+	autoThreshold = 0.05
 )
 
 // String returns the paper's name for the strategy.
@@ -75,11 +92,10 @@ type Options struct {
 	// P is the number of simulated processors (default 8).
 	P int
 	// Partitioner performs the DD phase and Repartition-S (default
-	// multilevel k-way, the ParMETIS stand-in).
+	// multilevel k-way, the ParMETIS stand-in). CutEdge-PS partitions each
+	// batch with multilevel k-way seeded Seed+1 (the serial-METIS
+	// stand-in).
 	Partitioner partition.Partitioner
-	// BatchPartitioner partitions the new-vertex graph for CutEdge-PS
-	// (default multilevel k-way, the serial-METIS stand-in).
-	BatchPartitioner partition.Partitioner
 	// Strategy selects the vertex-addition processor-assignment strategy
 	// (default RoundRobinPS).
 	Strategy Strategy
@@ -89,23 +105,9 @@ type Options struct {
 	// and the RC-phase relax/refine pool, and divides the per-step
 	// wall-clock charge of both phases (default 2).
 	Workers int
-	// TileSize is the pivot-tile edge of the blocked Floyd–Warshall local
-	// refinement: pivots are processed in tiles of this many consecutive
-	// arena rows, with one worker barrier per tile round instead of per
-	// pivot, and the external-relax pass walks received deltas in chunks of
-	// the same size. Converged results are identical for every tile size;
-	// the default (32) keeps a tile's pivot rows L1/L2-resident for the
-	// graph sizes the benchmarks exercise.
-	TileSize int
 	// NoLocalRefine disables the Floyd–Warshall-style local refinement
 	// recombination strategy (ablation; the refinement is on by default).
 	NoLocalRefine bool
-	// NoFrontierMask disables the frontier-masked min-plus kernels,
-	// restoring the full-row sweeps on every pass (ablation; masking is on
-	// by default). Results are bit-identical either way — masks only skip
-	// provably non-improving columns — so this knob trades work for
-	// nothing and exists for the invariance matrix and benchmarks.
-	NoFrontierMask bool
 	// ShipAllBoundary ships every boundary DV every step instead of only
 	// the ones updated since the previous RC step (ablation; dirty-only
 	// shipping is the default).
@@ -123,10 +125,6 @@ type Options struct {
 	// NaiveBatchMapping makes CutEdge-PS map batch part j to processor j
 	// instead of the greedy affinity matching (ablation).
 	NaiveBatchMapping bool
-	// AutoThreshold is the batch-size fraction (of the current vertex
-	// count) at which AutoPS switches from CutEdge-PS to Repartition-S
-	// (default 0.05, the measured crossover region; see EXPERIMENTS.md).
-	AutoThreshold float64
 	// FullRepartition makes Repartition-S partition the grown graph from
 	// scratch (with part labels matched to the old assignment by overlap)
 	// instead of the default adaptive refinement seeded from the old
@@ -143,9 +141,6 @@ type Options struct {
 	// set: each processor serializes its DV table every K steps, and a
 	// crashed processor restarts from its last shard (default 4).
 	ShardEvery int
-	// Trace, when set, receives engine execution events (phase
-	// transitions, RC steps, change applications) for observability.
-	Trace Tracer
 	// Obs, when set, records structured phase-level spans (DD, per-
 	// processor IA/ship/relax, refine tile rounds, checkpoint and shard
 	// writes, crashes, rejoins, fault retries) into the tracer's ring
@@ -154,8 +149,13 @@ type Options struct {
 	Obs *obs.Tracer
 	// Seed drives every randomized component (default 1).
 	Seed int64
-	// MaxRCSteps bounds Run (safety net; default 10_000).
-	MaxRCSteps int
+
+	// Test-only variation, never set outside this package: tileSize
+	// overrides TileSize (the tile-invariance matrix), and noFrontierMask
+	// restores the full-row sweeps on every pass (the masked ≡ unmasked
+	// matrix; results are bit-identical either way).
+	tileSize       int
+	noFrontierMask bool
 }
 
 // withDefaults fills unset fields.
@@ -166,14 +166,11 @@ func (o Options) withDefaults() Options {
 	if o.Partitioner == nil {
 		o.Partitioner = partition.Multilevel{Seed: o.Seed}
 	}
-	if o.BatchPartitioner == nil {
-		o.BatchPartitioner = partition.Multilevel{Seed: o.Seed + 1}
-	}
 	if o.Workers <= 0 {
 		o.Workers = 2
 	}
-	if o.TileSize <= 0 {
-		o.TileSize = 32
+	if o.tileSize <= 0 {
+		o.tileSize = TileSize
 	}
 	if o.Model.P == 0 && o.Model.L == 0 && o.Model.O == 0 && o.Model.G == 0 {
 		o.Model = logp.GigabitCluster(o.P)
@@ -182,14 +179,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxMsgBytes == 0 {
 		o.MaxMsgBytes = 64 << 10
 	}
-	if o.MaxRCSteps == 0 {
-		o.MaxRCSteps = 10_000
-	}
 	if o.ShardEvery <= 0 {
 		o.ShardEvery = 4
-	}
-	if o.AutoThreshold == 0 {
-		o.AutoThreshold = 0.05
 	}
 	return o
 }

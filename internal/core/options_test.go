@@ -9,19 +9,16 @@ import (
 
 func TestNewOptionsDefaults(t *testing.T) {
 	o := NewOptions()
-	if o.P != 8 || o.Workers != 2 || o.MaxMsgBytes != 64<<10 || o.MaxRCSteps != 10_000 {
+	if o.P != 8 || o.Workers != 2 || o.MaxMsgBytes != 64<<10 || o.tileSize != TileSize {
 		t.Fatalf("defaults: %+v", o)
 	}
-	if o.Partitioner == nil || o.BatchPartitioner == nil {
-		t.Fatal("partitioners not defaulted")
+	if o.Partitioner == nil {
+		t.Fatal("partitioner not defaulted")
 	}
 	if o.Model.P != 8 || o.Model.Validate() != nil {
 		t.Fatalf("model: %+v", o.Model)
 	}
-	if o.AutoThreshold != 0.05 {
-		t.Fatalf("auto threshold: %g", o.AutoThreshold)
-	}
-	if o.NoLocalRefine || o.ShipAllBoundary || o.ParallelComm {
+	if o.NoLocalRefine || o.ShipAllBoundary || o.ParallelComm || o.noFrontierMask {
 		t.Fatal("ablation flags must default off")
 	}
 }

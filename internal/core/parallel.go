@@ -16,7 +16,7 @@ import (
 // cluster.Machine.Parallel.
 //
 // The refine pass is tiled blocked Floyd–Warshall (Venkataraman et al.,
-// JEA 2003): pivots are grouped into tiles of opts.TileSize consecutive
+// JEA 2003): pivots are grouped into tiles of TileSize consecutive
 // arena rows, and each round splits into
 //
 //   - phase A (diagonal): the tile's own rows are refined through the

@@ -23,8 +23,8 @@ func dynamicScenarioMask(t *testing.T, workers, tile int, noMask bool) *Engine {
 	g := testGraph(t, 120, 21)
 	o := defaultTestOptions(4, 21)
 	o.Workers = workers
-	o.TileSize = tile
-	o.NoFrontierMask = noMask
+	o.tileSize = tile
+	o.noFrontierMask = noMask
 	e, err := New(g, o)
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +331,7 @@ func TestFrontierClearedAtConvergence(t *testing.T) {
 	}
 
 	o := defaultTestOptions(4, 23)
-	o.NoFrontierMask = true
+	o.noFrontierMask = true
 	eo, err := New(g, o)
 	if err != nil {
 		t.Fatal(err)

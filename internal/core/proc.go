@@ -43,7 +43,7 @@ type Proc struct {
 	stepRows      int  // row count observed by the last relax phase
 	stepDirty     int  // rows still dirty after the last relax phase
 	hasUpdate     bool // a local-boundary row is dirty: the vote against convergence
-	// maskOff mirrors Options.NoFrontierMask: full-row sweeps everywhere.
+	// maskOff mirrors Options.noFrontierMask: full-row sweeps everywhere.
 	maskOff bool
 	// relax-phase scratch reused across steps (parallel.go): the compiled
 	// frontier masks — extBlocks[i] for received delta i (extMaskRefs

@@ -229,7 +229,6 @@ func (e *Engine) crash(c fault.Crash) {
 	e.converged = false
 	e.metrics.Crashes++
 	e.spanProcMark(obs.KindCrash, pid, km, int64(downFor))
-	e.tracef("crash", "processor %d down at step %d for %d steps (shard restored)", pid, e.step, downFor)
 }
 
 // rejoin brings a crashed processor back: all its rows are marked for a
@@ -255,7 +254,6 @@ func (e *Engine) rejoin(pid int) {
 	e.converged = false
 	e.metrics.Recoveries++
 	e.spanProcMark(obs.KindRejoin, pid, jm, 0)
-	e.tracef("rejoin", "processor %d back at step %d, boundary re-ship scheduled", pid, e.step)
 }
 
 // handleFailedDeliveries re-marks the rows of boundary messages the lossy

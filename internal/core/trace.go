@@ -1,54 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"anytime/internal/obs"
 )
-
-// TraceEvent is one entry of the engine's execution trace, delivered to
-// Options.Trace when set. Events are emitted from the coordinating
-// goroutine only (never from inside processor goroutines), in execution
-// order.
-type TraceEvent struct {
-	// Kind is one of "dd", "ia", "rc-step", "change", "converged",
-	// "checkpoint", "restore".
-	Kind string
-	// Step is the RC step counter at emission time.
-	Step int
-	// Detail is a human-readable summary (counts, strategy names).
-	Detail string
-	// Virtual is the simulated cluster time at emission.
-	Virtual time.Duration
-}
-
-// Tracer receives engine trace events. Implementations must be fast; the
-// engine calls them synchronously.
-type Tracer func(TraceEvent)
-
-// trace emits an event if tracing is enabled.
-func (e *Engine) trace(kind, detail string) {
-	if e.opts.Trace == nil {
-		return
-	}
-	e.opts.Trace(TraceEvent{
-		Kind:    kind,
-		Step:    e.step,
-		Detail:  detail,
-		Virtual: e.mach.VirtualTime(),
-	})
-}
-
-// tracef is the lazy formatting variant of trace: the format arguments are
-// only evaluated when a tracer is installed, so hot-path call sites cost one
-// branch (and zero allocations) when tracing is off.
-func (e *Engine) tracef(kind, format string, args ...interface{}) {
-	if e.opts.Trace == nil {
-		return
-	}
-	e.trace(kind, fmt.Sprintf(format, args...))
-}
 
 // spanMark captures the start of an obs span: a wall offset from the
 // tracer's epoch and a virtual-clock reading. The zero value is what a

@@ -108,6 +108,24 @@ func (g *Graph) AddEdge(u, v int, w Weight) error {
 	return nil
 }
 
+// AddOrLowerEdge inserts edge {u, v, w}, or lowers the weight of an
+// existing heavier one, and reports whether the graph changed. It is the
+// one duplicate-edge rule: re-adding an edge keeps the lighter weight.
+func (g *Graph) AddOrLowerEdge(u, v int, w Weight) (bool, error) {
+	if old, ok := g.EdgeWeight(u, v); ok {
+		if w >= old {
+			return false, nil
+		}
+		if err := g.RemoveEdge(u, v); err != nil {
+			return false, err
+		}
+	}
+	if err := g.AddEdge(u, v, w); err != nil {
+		return false, err
+	}
+	return true, nil
+}
+
 // MustAddEdge is AddEdge that panics on error; for tests and generators
 // that construct edges known to be valid.
 func (g *Graph) MustAddEdge(u, v int, w Weight) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"anytime/internal/core"
+	"anytime/internal/partition"
 	"anytime/internal/sssp"
 )
 
@@ -117,7 +118,7 @@ func TestMultiProcessTCPDynamicEvents(t *testing.T) {
 	}
 	// Re-derive the grown topology (base + journal) and its exact oracle.
 	g2 := testGraph(t, n, seed)
-	part2, err := Config{Graph: g2, Seed: seed}.withDefaults().Partitioner.Partition(g2, P)
+	part2, err := partition.Multilevel{Seed: seed}.Partition(g2, P)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -308,9 +308,9 @@ func (r *Runner) applyDecision(decision []byte) (bool, error) {
 		r.degraded = false
 	}
 	if r.t.Rank() == 0 && r.live != nil && len(activated) > 0 {
-		payload, err := r.goPayload()
+		payload, err := rejoinGo{partChecksum(r.part), uint64(r.stats.Steps), r.log.Journal()}.encode()
 		if err != nil {
-			return false, err
+			return false, fmt.Errorf("rank 0: encoding rejoin journal: %w", err)
 		}
 		for _, q := range activated {
 			if err := r.live.SendRejoinGo(q, payload); err != nil {
@@ -332,18 +332,40 @@ func (r *Runner) applyDecision(decision []byte) (bool, error) {
 	return more, nil
 }
 
-// goPayload builds the rejoin-go state digest: the partition checksum the
-// rejoiner must independently re-derive (base graph + journal replay), the
-// coordinator's step counter, and the dynamic-event journal itself.
-func (r *Runner) goPayload() ([]byte, error) {
-	journal, err := transport.EncodeEvents(r.log.Journal())
+// rejoinGo is the rejoin-go state digest rank 0 releases a rejoiner with:
+// the partition checksum the rejoiner must independently re-derive (base
+// graph + journal replay), the coordinator's step counter, and the
+// dynamic-event journal itself.
+type rejoinGo struct {
+	checksum uint64
+	steps    uint64
+	journal  []change.Event
+}
+
+// encode lays the digest out as the checksum and the step counter (8
+// bytes each, little-endian) followed by the journal in the wire event
+// codec.
+func (g rejoinGo) encode() ([]byte, error) {
+	journal, err := transport.EncodeEvents(g.journal)
 	if err != nil {
-		return nil, fmt.Errorf("rank 0: encoding rejoin journal: %w", err)
+		return nil, err
 	}
 	payload := make([]byte, 16, 16+len(journal))
-	putU64(payload[0:], partChecksum(r.part))
-	putU64(payload[8:], uint64(r.stats.Steps))
+	putU64(payload[0:], g.checksum)
+	putU64(payload[8:], g.steps)
 	return append(payload, journal...), nil
+}
+
+// parseRejoinGo is the inverse of encode.
+func parseRejoinGo(payload []byte) (rejoinGo, error) {
+	if len(payload) < 16 {
+		return rejoinGo{}, fmt.Errorf("malformed rejoin payload (%d bytes)", len(payload))
+	}
+	journal, err := transport.DecodeEvents(payload[16:])
+	if err != nil {
+		return rejoinGo{}, fmt.Errorf("rejoin journal: %w", err)
+	}
+	return rejoinGo{checksum: getU64(payload), steps: getU64(payload[8:]), journal: journal}, nil
 }
 
 func putU64(b []byte, v uint64) {
@@ -389,9 +411,9 @@ func (r *Runner) shardPath() string {
 
 // writeShard persists the rank's AASHRD01 recovery shard atomically
 // (tmp + rename: a crash mid-write must not corrupt the previous shard).
-// No-op unless ShardDir is set and the step cadence is due.
+// No-op unless ShardDir is set.
 func (r *Runner) writeShard() {
-	if r.cfg.ShardDir == "" || r.stats.Steps%r.cfg.ShardEvery != 0 {
+	if r.cfg.ShardDir == "" {
 		return
 	}
 	blob := core.EncodeShard(r.rs.Table(), r.stats.Steps)
@@ -444,29 +466,24 @@ func Rejoin(t transport.Transport, cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rank %d: rejoin: %w", t.Rank(), err)
 	}
-	if len(payload) < 16 {
-		return nil, fmt.Errorf("rank %d: malformed rejoin payload (%d bytes)", t.Rank(), len(payload))
-	}
-	wantSum := getU64(payload)
-	coordSteps := getU64(payload[8:])
-	journal, err := transport.DecodeEvents(payload[16:])
+	goMsg, err := parseRejoinGo(payload)
 	if err != nil {
-		return nil, fmt.Errorf("rank %d: rejoin journal: %w", t.Rank(), err)
+		return nil, fmt.Errorf("rank %d: %w", t.Rank(), err)
 	}
 	r := newRunner(t, cfg, g, part)
 	// Adopt the coordinator's step counter: the rejoiner's span step IDs,
 	// step-reporter gossip, and shard headers line up with the survivors',
 	// so a merged trace reads the outage as one timeline.
-	r.stats.Steps = int(coordSteps)
+	r.stats.Steps = int(goMsg.steps)
 	if r.stepper != nil {
 		r.stepper.MarkStep(int64(r.stats.Steps))
 	}
-	if err := r.log.Replay(g, part, journal); err != nil {
+	if err := r.log.Replay(g, part, goMsg.journal); err != nil {
 		return nil, fmt.Errorf("rank %d: %w", t.Rank(), err)
 	}
-	if sum := partChecksum(part); sum != wantSum {
+	if sum := partChecksum(part); sum != goMsg.checksum {
 		return nil, fmt.Errorf("rank %d: rejoin state checksum %x != coordinator %x (divergent graph, seed, or partitioner)",
-			t.Rank(), sum, wantSum)
+			t.Rank(), sum, goMsg.checksum)
 	}
 	r.rs = core.NewProc(t.Rank(), g, part)
 	restored := false
@@ -484,7 +501,7 @@ func Rejoin(t transport.Transport, cfg Config) (*Runner, error) {
 	r.span(obs.KindRejoin, t.Rank(), 1)
 	if r.slog != nil {
 		r.slog.Info("rejoined computation", "rank", t.Rank(), "step", r.stats.Steps,
-			"shard_restored", restored, "journal_events", len(journal))
+			"shard_restored", restored, "journal_events", len(goMsg.journal))
 	}
 	return r, nil
 }

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"anytime/internal/change"
 	"anytime/internal/core"
 	"anytime/internal/graph"
+	"anytime/internal/partition"
 	"anytime/internal/transport"
 )
 
@@ -90,7 +92,7 @@ func TestRunnerInprocEventsMatchOracle(t *testing.T) {
 	// journal replay — and pin the runner's matrix to its exact oracle
 	// (the single-process engine's converged fixed point).
 	g2 := testGraph(t, n, seed)
-	part2, err := Config{Graph: g2, Seed: seed}.withDefaults().Partitioner.Partition(g2, P)
+	part2, err := partition.Multilevel{Seed: seed}.Partition(g2, P)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +136,7 @@ func TestRunnerInprocCrashRejoinBitIdentical(t *testing.T) {
 	cfg := func() Config {
 		return Config{
 			Graph: g, Seed: seed,
-			ShardDir: shardDir, ShardEvery: 1,
+			ShardDir:     shardDir,
 			MinSteps:     4,
 			StepThrottle: 2 * time.Millisecond,
 			RejoinWait:   20 * time.Second,
@@ -314,4 +316,42 @@ func TestLighterDuplicateEdgeEngineMatchesRunner(t *testing.T) {
 	if err := verifyOracle(lowered, dist); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzRejoinGo fuzzes the rejoin-go payload parser: it must never panic,
+// and any payload it accepts must re-encode byte-identically.
+func FuzzRejoinGo(f *testing.F) {
+	batch := &change.VertexBatch{
+		NumVertices: 3,
+		Internal:    []change.InternalEdge{{A: 0, B: 1, Weight: 2}},
+		External:    []change.ExternalEdge{{New: 2, Existing: 7, Weight: 1}},
+		Pending:     []change.PendingEdge{{New: 1, EarlierBatchVertex: 0, Weight: 3}},
+	}
+	for _, g := range []rejoinGo{
+		{},
+		{checksum: 0xdeadbeefcafef00d, steps: 42},
+		{checksum: 1, steps: 7, journal: []change.Event{{Batch: batch}, {EdgeAdds: []change.EdgeAdd{{U: 1, V: 2, Weight: 3}}}}},
+	} {
+		payload, err := g.encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+		f.Add(payload[:len(payload)-1]) // truncated
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, 15))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		g, err := parseRejoinGo(payload)
+		if err != nil {
+			return // rejected input: fine, as long as it did not panic
+		}
+		enc, err := g.encode()
+		if err != nil {
+			t.Fatalf("accepted payload does not re-encode: %v", err)
+		}
+		if !bytes.Equal(enc, payload) {
+			t.Fatalf("roundtrip mismatch: in %d bytes, out %d bytes", len(payload), len(enc))
+		}
+	})
 }

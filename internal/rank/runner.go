@@ -32,24 +32,17 @@ type Config struct {
 	// Graph is the shared input graph; every process must construct an
 	// identical copy (same generator, same seed).
 	Graph *graph.Graph
-	// Partitioner runs the DD phase (default: Multilevel with Seed).
-	// It must be deterministic — every rank partitions independently and
-	// the results are checksum-verified.
-	Partitioner partition.Partitioner
-	// Seed feeds the default partitioner.
+	// Seed seeds the DD phase's multilevel partitioner. Every rank
+	// partitions independently and the results are checksum-verified.
 	Seed int64
 	// Workers is the per-rank relax/IA worker count (default 2).
 	Workers int
-	// MaxSteps bounds Run (default 10_000).
-	MaxSteps int
 
 	// ShardDir, when set, makes the rank write its CRC'd recovery shard
 	// (the AASHRD01 format of the in-process simulator) to
-	// <ShardDir>/aarank-<rank>.shard every ShardEvery steps — the local
-	// state a relaunched process restores from at rejoin.
+	// <ShardDir>/aarank-<rank>.shard after every step — the local state a
+	// relaunched process restores from at rejoin.
 	ShardDir string
-	// ShardEvery is the shard cadence in RC steps (default 1).
-	ShardEvery int
 	// MinSteps forces the convergence decision to "continue" while fewer
 	// steps have run — a chaos-test hook guaranteeing a kill window; 0
 	// disables it.
@@ -78,21 +71,9 @@ type Config struct {
 	StepHook func(Telemetry)
 }
 
-// tileSize is the blocked-refinement pivot tile, the Engine's default.
-const tileSize = 32
-
 func (c Config) withDefaults() Config {
-	if c.Partitioner == nil {
-		c.Partitioner = partition.Multilevel{Seed: c.Seed}
-	}
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 10_000
-	}
-	if c.ShardEvery <= 0 {
-		c.ShardEvery = 1
 	}
 	return c
 }
@@ -190,7 +171,7 @@ func decompose(cfg Config, P int) (*graph.Partition, error) {
 	if g.NumVertices() < P {
 		return nil, fmt.Errorf("rank: %d vertices < P=%d", g.NumVertices(), P)
 	}
-	part, err := cfg.Partitioner.Partition(g, P)
+	part, err := partition.Multilevel{Seed: cfg.Seed}.Partition(g, P)
 	if err != nil {
 		return nil, fmt.Errorf("rank: DD partitioning: %w", err)
 	}
@@ -334,7 +315,7 @@ func (r *Runner) Step() (bool, error) {
 
 	relaxW := tr.Now()
 	relaxStart := time.Now()
-	ops := r.rs.Relax(ext, true, r.cfg.Workers, tileSize)
+	ops := r.rs.Relax(ext, true, r.cfg.Workers, core.TileSize)
 	r.stats.RelaxOps += ops
 	relaxDur := time.Since(relaxStart)
 	if tr.Enabled() {
@@ -380,10 +361,11 @@ func (r *Runner) Step() (bool, error) {
 	return more, nil
 }
 
-// Run steps until convergence (or MaxSteps) and returns the steps taken.
+// Run steps until convergence (or core.MaxRCSteps) and returns the steps
+// taken.
 func (r *Runner) Run() (int, error) {
 	steps := 0
-	for steps < r.cfg.MaxSteps {
+	for steps < core.MaxRCSteps {
 		more, err := r.Step()
 		steps++
 		if err != nil {

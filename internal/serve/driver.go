@@ -103,7 +103,7 @@ func (s *Server) drive() {
 		}
 		s.counters.EngineQueued.Store(int64(e.QueuedEvents()))
 		s.maybeCheckpoint(e)
-		if d := s.cfg.StepDelay; d > 0 {
+		if d := s.cfg.stepDelay; d > 0 {
 			time.Sleep(d)
 		}
 	}

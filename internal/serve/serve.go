@@ -70,13 +70,14 @@ type Config struct {
 	// checkpoint every K successful RC steps (0: only at Close). The
 	// fresher the checkpoint, the fewer events a driver restart loses.
 	CheckpointEvery int
-	// StepDelay inserts an artificial pause after every RC step —
-	// a throttle for demos and for deterministic backpressure tests.
-	StepDelay time.Duration
 	// Log, when set, receives structured driver lifecycle events (engine
 	// restarts, driver death, checkpoints) with step/version attributes.
 	// Nil disables logging; the driver hot path never touches it then.
 	Log *slog.Logger
+
+	// stepDelay, set only by this package's tests, pauses the driver after
+	// every RC step (the deterministic backpressure test's throttle).
+	stepDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {

@@ -162,7 +162,7 @@ func TestBackpressure(t *testing.T) {
 		QueueCapacity:    8,
 		AdmitWait:        time.Millisecond,
 		MaxEventsPerStep: 1,
-		StepDelay:        20 * time.Millisecond,
+		stepDelay:        20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

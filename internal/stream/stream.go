@@ -168,9 +168,7 @@ func (s *Stream) Apply(g *graph.Graph) error {
 		case AddVertex:
 			g.AddVertex()
 		case AddEdge:
-			if !g.HasEdge(int(ev.U), int(ev.V)) {
-				err = g.AddEdge(int(ev.U), int(ev.V), ev.W)
-			}
+			_, err = g.AddOrLowerEdge(int(ev.U), int(ev.V), ev.W)
 		case SetWeight:
 			if g.HasEdge(int(ev.U), int(ev.V)) {
 				if err = g.RemoveEdge(int(ev.U), int(ev.V)); err == nil {

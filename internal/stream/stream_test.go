@@ -274,3 +274,56 @@ func TestReplayPreservesOrderWithinWindow(t *testing.T) {
 		}
 	}
 }
+
+// TestDuplicateEdgeRule: re-adding an existing edge keeps the lighter
+// weight in the engine and in the oracle view alike — a lighter re-add
+// lowers the edge, a heavier one changes nothing.
+func TestDuplicateEdgeRule(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		w     graph.Weight
+		want  graph.Weight // weight of {0,1} afterwards
+		want5 graph.Dist   // D[0][5] afterwards
+	}{
+		{"lighter", 1, 1, 21},
+		{"heavier", 9, 5, 25},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := graph.New(6)
+			for v := 0; v < 5; v++ {
+				base.MustAddEdge(v, v+1, 5)
+			}
+			s := &Stream{BaseN: 6, Events: []Event{{Kind: AddEdge, U: 0, V: 1, W: tc.w}}}
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			grown, err := GrownGraph(base, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w, _ := grown.EdgeWeight(0, 1); w != tc.want {
+				t.Fatalf("oracle edge {0,1} = %d, want %d", w, tc.want)
+			}
+			o := core.NewOptions()
+			o.P = 2
+			e, err := core.New(base, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Replay(e, s, 10); err != nil {
+				t.Fatal(err)
+			}
+			dist, exact := e.Distances(), sssp.APSP(grown)
+			if dist[0][5] != tc.want5 || exact[0][5] != tc.want5 {
+				t.Fatalf("D[0][5]: engine %d, oracle %d, want %d", dist[0][5], exact[0][5], tc.want5)
+			}
+			for v := range dist {
+				for u := range dist[v] {
+					if dist[v][u] != exact[v][u] {
+						t.Fatalf("dist[%d][%d] = %d, oracle %d", v, u, dist[v][u], exact[v][u])
+					}
+				}
+			}
+		})
+	}
+}

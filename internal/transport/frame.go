@@ -42,10 +42,10 @@ const (
 	payloadDeltas = 1
 	payloadEvents = 2
 
-	// DefaultMaxFrameBytes bounds one frame's payload; larger messages are
-	// a protocol error (the engine's MaxMsgBytes chunking keeps payloads
-	// far below this).
-	DefaultMaxFrameBytes = 16 << 20
+	// maxFrameBytes bounds one frame's payload (16 MiB); larger messages
+	// are a protocol error (the engine's MaxMsgBytes chunking keeps
+	// payloads far below this).
+	maxFrameBytes = 16 << 20
 )
 
 // Frame is one decoded wire frame.
@@ -103,7 +103,7 @@ func readFrame(r io.Reader, maxBytes int) (frame, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[13:]))
 	if maxBytes <= 0 {
-		maxBytes = DefaultMaxFrameBytes
+		maxBytes = maxFrameBytes
 	}
 	if n > maxBytes {
 		return frame{}, ErrFrameTooLarge

@@ -93,8 +93,8 @@ func newLiveMesh(t testing.TB, n int, interval, timeout time.Duration) ([]*TCP, 
 	}
 	opts := TCPOptions{
 		MeshTimeout: 10 * time.Second, ExchangeTimeout: 10 * time.Second,
-		HeartbeatInterval: interval, HeartbeatTimeout: timeout,
-		ReconnectAttempts: 2, ReconnectBackoff: 5 * time.Millisecond,
+		HeartbeatInterval: interval, heartbeatTimeout: timeout,
+		redialAttempts: 2, redialBackoff: 5 * time.Millisecond,
 	}
 	ts := make([]*TCP, n)
 	errs := make([]error, n)

@@ -25,61 +25,55 @@ type TCPOptions struct {
 	// lower rank (with retries while peers are still starting), and
 	// accepting every higher rank (default 30s).
 	MeshTimeout time.Duration
-	// DialTimeout bounds one dial attempt (default 3s).
-	DialTimeout time.Duration
-	// WriteTimeout is the per-frame write deadline (default 10s).
-	WriteTimeout time.Duration
 	// ExchangeTimeout bounds the wait for the peers' step traffic in one
 	// Exchange (default 60s). A peer that dies mid-run surfaces here.
 	ExchangeTimeout time.Duration
-	// ReconnectAttempts is the retry budget for redials after a link
-	// failure (default 5); the acceptor side instead waits for the
-	// dialer's redial.
-	ReconnectAttempts int
-	// ReconnectBackoff is the initial redial backoff; retries grow
-	// exponentially from it with deterministic jitter in [0.5, 1.0) of the
-	// window (capped at 1s), so a fleet of ranks redialing one restarted
-	// peer spreads out instead of thundering in lockstep (default 50ms).
-	ReconnectBackoff time.Duration
-	// MaxFrameBytes bounds one frame's payload (default 16 MiB).
-	MaxFrameBytes int
 	// HeartbeatInterval enables the liveness plane: every active link
 	// carries a heartbeat frame this often, and the endpoint implements
-	// the Liveness interface. 0 disables liveness (legacy behavior: a
-	// peer death surfaces as an Exchange error).
+	// the Liveness interface. A peer silent for 4 intervals is marked
+	// down; down is sticky, and only the rejoin handshake revives the
+	// link. 0 disables liveness (legacy behavior: a peer death surfaces as
+	// an Exchange error).
 	HeartbeatInterval time.Duration
-	// HeartbeatTimeout is the silence after which a peer is marked down
-	// (default 4x HeartbeatInterval). Down is sticky: only the rejoin
-	// handshake revives the link.
-	HeartbeatTimeout time.Duration
-	// Logf, when set, receives connection lifecycle diagnostics.
-	Logf func(format string, args ...interface{})
+
+	// Test-only variation, never set outside this package: a heartbeat
+	// silence other than 4 intervals, and a redial budget and initial
+	// backoff other than reconnectAttempts and reconnectBackoff.
+	heartbeatTimeout time.Duration
+	redialAttempts   int
+	redialBackoff    time.Duration
 }
+
+const (
+	// dialTimeout bounds one dial attempt and one handshake.
+	dialTimeout = 3 * time.Second
+	// writeTimeout is the per-frame write deadline.
+	writeTimeout = 10 * time.Second
+	// reconnectAttempts is the retry budget for redials after a link
+	// failure; the acceptor side instead waits for the dialer's redial.
+	reconnectAttempts = 5
+	// reconnectBackoff is the initial redial backoff; retries grow
+	// exponentially from it with deterministic jitter in [0.5, 1.0) of the
+	// window (capped at maxBackoff), so a fleet of ranks redialing one
+	// restarted peer spreads out instead of thundering in lockstep.
+	reconnectBackoff = 50 * time.Millisecond
+)
 
 func (o TCPOptions) withDefaults() TCPOptions {
 	if o.MeshTimeout <= 0 {
 		o.MeshTimeout = 30 * time.Second
 	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 3 * time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
 	if o.ExchangeTimeout <= 0 {
 		o.ExchangeTimeout = 60 * time.Second
 	}
-	if o.ReconnectAttempts <= 0 {
-		o.ReconnectAttempts = 5
+	if o.heartbeatTimeout <= 0 {
+		o.heartbeatTimeout = 4 * o.HeartbeatInterval
 	}
-	if o.ReconnectBackoff <= 0 {
-		o.ReconnectBackoff = 50 * time.Millisecond
+	if o.redialAttempts <= 0 {
+		o.redialAttempts = reconnectAttempts
 	}
-	if o.MaxFrameBytes <= 0 {
-		o.MaxFrameBytes = DefaultMaxFrameBytes
-	}
-	if o.HeartbeatInterval > 0 && o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 4 * o.HeartbeatInterval
+	if o.redialBackoff <= 0 {
+		o.redialBackoff = reconnectBackoff
 	}
 	return o
 }
@@ -308,12 +302,6 @@ func (t *TCP) Rank() int { return t.rank }
 // Size implements Transport.
 func (t *TCP) Size() int { return len(t.peers) }
 
-func (t *TCP) logf(format string, args ...interface{}) {
-	if t.opts.Logf != nil {
-		t.opts.Logf(format, args...)
-	}
-}
-
 // pushEvent queues one liveness transition for TakeLiveness.
 func (t *TCP) pushEvent(ev LivenessEvent) {
 	t.lmu.Lock()
@@ -433,8 +421,8 @@ func (t *TCP) startHeartbeat() {
 					l.sendHeartbeat(q)
 				}
 				last := l.lastHeard.Load()
-				if last != 0 && time.Since(time.Unix(0, last)) > t.opts.HeartbeatTimeout {
-					l.markDown(fmt.Sprintf("silent for %v", t.opts.HeartbeatTimeout))
+				if last != 0 && time.Since(time.Unix(0, last)) > t.opts.heartbeatTimeout {
+					l.markDown(fmt.Sprintf("silent for %v", t.opts.heartbeatTimeout))
 				}
 			}
 		}
@@ -452,7 +440,7 @@ func (l *tcpLink) sendHeartbeat(q int) {
 	if l.conn == nil {
 		return
 	}
-	l.conn.SetWriteDeadline(time.Now().Add(l.t.opts.WriteTimeout))
+	l.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := l.w.Write(hb)
 	if err == nil {
 		err = l.w.Flush()
@@ -487,7 +475,6 @@ func (l *tcpLink) markDown(reason string) {
 	if l.t.live {
 		l.t.pushEvent(LivenessEvent{Rank: l.peer, Kind: LiveDown})
 	}
-	l.t.logf("transport: rank %d marks rank %d down (%s)", l.t.rank, l.peer, reason)
 }
 
 // acceptLoop installs inbound connections onto their links for the whole
@@ -508,12 +495,12 @@ func (t *TCP) acceptLoop() {
 // readHandshake reads exactly one empty-body frame off the raw connection
 // (handshake frames are fixed-size), avoiding any buffered read-ahead that
 // would swallow bytes of the frames that follow.
-func readHandshake(conn net.Conn, maxBytes int) (frame, error) {
+func readHandshake(conn net.Conn) (frame, error) {
 	buf := make([]byte, headerLen+trailerLen)
 	if _, err := io.ReadFull(conn, buf); err != nil {
 		return frame{}, err
 	}
-	return readFrame(bytes.NewReader(buf), maxBytes)
+	return readFrame(bytes.NewReader(buf), maxFrameBytes)
 }
 
 // handshakeInbound reads the dialer's handshake, replies, and installs the
@@ -522,30 +509,26 @@ func readHandshake(conn net.Conn, maxBytes int) (frame, error) {
 // rejoin handshake is valid from any rank and parks the link in the
 // pending state until the runner activates it.
 func (t *TCP) handshakeInbound(conn net.Conn) {
-	conn.SetDeadline(time.Now().Add(t.opts.DialTimeout))
-	f, err := readHandshake(conn, t.opts.MaxFrameBytes)
+	conn.SetDeadline(time.Now().Add(dialTimeout))
+	f, err := readHandshake(conn)
 	if err != nil || (f.Tag != tagHandshake && f.Tag != tagRejoin) || f.To != t.rank {
-		t.logf("transport: rank %d rejecting inbound connection: %v", t.rank, err)
 		conn.Close()
 		return
 	}
 	peer := f.From
 	if peer == t.rank || peer < 0 || peer >= len(t.peers) {
-		t.logf("transport: rank %d rejecting handshake from invalid rank %d", t.rank, peer)
 		conn.Close()
 		return
 	}
 	l := t.links[peer]
 	if f.Tag == tagHandshake {
 		if peer <= t.rank {
-			t.logf("transport: rank %d rejecting handshake from lower rank %d", t.rank, peer)
 			conn.Close()
 			return
 		}
 		if t.live && l.state.Load() == linkDown {
 			// Down is sticky: a flapping old connection must not silently
 			// revive the link — only the rejoin protocol does.
-			t.logf("transport: rank %d rejecting plain handshake from down rank %d", t.rank, peer)
 			conn.Close()
 			return
 		}
@@ -594,7 +577,6 @@ func (l *tcpLink) installPending(conn net.Conn) {
 	l.rcond.Broadcast()
 	l.t.wg.Add(1)
 	go l.readLoop(conn, gen)
-	l.t.logf("transport: rank %d holds rejoined rank %d pending activation", l.t.rank, l.peer)
 }
 
 // dial establishes the link to a peer, retrying with jittered backoff
@@ -616,7 +598,7 @@ func (l *tcpLink) dial(deadline time.Time, hs Tag) error {
 		if attempt > 0 {
 			t.ctr.retryAttempts.Add(1)
 		}
-		pause := jitterBackoff(attempt, t.opts.ReconnectBackoff, maxBackoff, seed)
+		pause := jitterBackoff(attempt, t.opts.redialBackoff, maxBackoff, seed)
 		if time.Now().Add(pause).After(deadline) {
 			return fmt.Errorf("transport: rank %d could not reach rank %d at %s: %w",
 				t.rank, l.peer, t.peers[l.peer].Addr, err)
@@ -628,17 +610,17 @@ func (l *tcpLink) dial(deadline time.Time, hs Tag) error {
 // dialOnce performs one dial + handshake round trip.
 func (l *tcpLink) dialOnce(hs Tag) (net.Conn, error) {
 	t := l.t
-	conn, err := net.DialTimeout("tcp", t.peers[l.peer].Addr, t.opts.DialTimeout)
+	conn, err := net.DialTimeout("tcp", t.peers[l.peer].Addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(t.opts.DialTimeout))
+	conn.SetDeadline(time.Now().Add(dialTimeout))
 	buf := appendFrame(nil, frame{Tag: hs, From: t.rank, To: l.peer, Seq: frameVersion})
 	if _, err := conn.Write(buf); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	f, err := readHandshake(conn, t.opts.MaxFrameBytes)
+	f, err := readHandshake(conn)
 	if err != nil || f.Tag != hs || f.From != l.peer {
 		conn.Close()
 		if err == nil {
@@ -703,7 +685,7 @@ func (l *tcpLink) readLoop(conn net.Conn, gen int) {
 	defer l.t.wg.Done()
 	r := bufio.NewReaderSize(conn, 64<<10)
 	for {
-		f, err := readFrame(r, l.t.opts.MaxFrameBytes)
+		f, err := readFrame(r, maxFrameBytes)
 		if err != nil {
 			if errors.Is(err, ErrCorruptFrame) {
 				l.t.ctr.crcErrors.Add(1)
@@ -736,7 +718,6 @@ func (l *tcpLink) readLoop(conn net.Conn, gen int) {
 			// protocol bug or an in-flight corruption the CRC missed;
 			// reject it like a corrupt frame.
 			l.t.ctr.crcErrors.Add(1)
-			l.t.logf("transport: rank %d dropping undecodable frame from %d: %v", l.t.rank, f.From, perr)
 			continue
 		}
 		l.t.ctr.msgsRecv.Add(1)
@@ -758,9 +739,6 @@ func (l *tcpLink) readerGone(conn net.Conn, gen int, err error) {
 	if stale || t.closed.Load() {
 		return
 	}
-	if err != io.EOF {
-		t.logf("transport: rank %d link to %d failed: %v", t.rank, l.peer, err)
-	}
 	conn.Close()
 	if l.state.Load() != linkActive {
 		return // already down or pending a rejoin; nothing to repair
@@ -772,12 +750,12 @@ func (l *tcpLink) readerGone(conn net.Conn, gen int, err error) {
 		return
 	}
 	seed := uint64(t.rank)<<32 | uint64(l.peer) | 1<<63
-	for attempt := 0; attempt < t.opts.ReconnectAttempts; attempt++ {
+	for attempt := 0; attempt < t.opts.redialAttempts; attempt++ {
 		if t.closed.Load() || l.state.Load() != linkActive {
 			return
 		}
 		t.ctr.retryAttempts.Add(1)
-		time.Sleep(jitterBackoff(attempt, t.opts.ReconnectBackoff, maxBackoff, seed))
+		time.Sleep(jitterBackoff(attempt, t.opts.redialBackoff, maxBackoff, seed))
 		c, derr := l.dialOnce(tagHandshake)
 		if derr == nil {
 			t.ctr.reconnects.Add(1)
@@ -836,7 +814,7 @@ func (l *tcpLink) send(buf []byte) error {
 		l.mu.Lock()
 		conn, w := l.conn, l.w
 		if conn != nil {
-			conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			_, err := w.Write(buf)
 			if err == nil {
 				err = w.Flush()
@@ -854,14 +832,13 @@ func (l *tcpLink) send(buf []byte) error {
 				l.conn, l.w = nil, nil
 			}
 			l.mu.Unlock()
-			t.logf("transport: rank %d write to %d failed: %v", t.rank, l.peer, err)
 		} else {
 			l.mu.Unlock()
 		}
 		if t.closed.Load() {
 			return fmt.Errorf("transport: endpoint closed")
 		}
-		if attempt >= t.opts.ReconnectAttempts || time.Now().After(deadline) {
+		if attempt >= t.opts.redialAttempts || time.Now().After(deadline) {
 			return fmt.Errorf("transport: rank %d cannot reach rank %d after %d attempts", t.rank, l.peer, attempt)
 		}
 		t.ctr.retryAttempts.Add(1)
@@ -872,7 +849,7 @@ func (l *tcpLink) send(buf []byte) error {
 				continue
 			}
 		}
-		time.Sleep(jitterBackoff(attempt, t.opts.ReconnectBackoff, maxBackoff, seed))
+		time.Sleep(jitterBackoff(attempt, t.opts.redialBackoff, maxBackoff, seed))
 	}
 }
 
@@ -965,7 +942,6 @@ func (t *TCP) Exchange(out []Message) ([]Message, error) {
 			// layer's abandoned messages so the engine re-marks the rows.
 			t.ctr.sendFailures.Add(1)
 			t.failed = append(t.failed, msg)
-			t.logf("transport: rank %d abandoning %d-byte message to %d: %v", t.rank, msg.Bytes, msg.To, err)
 			continue
 		}
 		t.ctr.msgsSent.Add(1)
