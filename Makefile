@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet race kernel-check bench-smoke examples-check chaos-cluster bench bench-json bench-compare bench-paper obs-cluster-check transport-check clean
+.PHONY: check build test vet race kernel-check codec-check bench-smoke examples-check chaos-cluster bench bench-json bench-compare bench-paper obs-cluster-check transport-check clean
 
-check: build test vet race kernel-check bench-smoke examples-check transport-check chaos-cluster obs-cluster-check
+check: build test vet race kernel-check codec-check bench-smoke examples-check transport-check chaos-cluster obs-cluster-check
 
 build:
 	$(GO) build ./...
@@ -43,6 +43,15 @@ kernel-check:
 	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusHopsMasked$$' -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusGroup$$' -fuzztime 10s ./internal/kernel
 	$(GO) test -count=1 -tags purego ./internal/kernel ./internal/core ./internal/rank
+
+# Codec gate: short fuzzing runs past the seeds of the decoders that read
+# bytes from outside the process — the checkpoint restore and the recovery
+# shard (one DV row decoder under both) and the Prometheus exposition
+# parser (behind ParseText and so the serve client's /metrics read).
+codec-check:
+	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeShard$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFamilies$$' -fuzztime 10s ./internal/obs
 
 # Benchmark smoke test: benchmark/ is a nested module the root `go test
 # ./...` skips; its -scale tiny run drives all six workloads end to end

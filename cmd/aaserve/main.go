@@ -25,6 +25,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -135,7 +136,7 @@ func main() {
 	if tracer != nil {
 		// Atomic finalize (temp file + fsync + rename): a reader never
 		// observes a half-written trace, even if shutdown is interrupted.
-		if err := obs.WriteJSONLFile(*traceF, tracer.Spans()); err != nil {
+		if err := obs.WriteFileAtomic(*traceF, func(w io.Writer) error { return obs.WriteJSONL(w, tracer.Spans()) }); err != nil {
 			fail(err)
 		}
 		fmt.Printf("aaserve: %d spans written to %s (%d dropped by the ring)\n",

@@ -6,7 +6,8 @@
 //	aatrace run.jsonl
 //
 // Convert it to a Chrome trace-event file (load in chrome://tracing or
-// https://ui.perfetto.dev), one timeline lane per simulated processor:
+// https://ui.perfetto.dev), one process lane per rank and one thread lane
+// per simulated processor within it:
 //
 //	aatrace -chrome trace.json run.jsonl
 //
@@ -56,7 +57,6 @@ func main() {
 	}
 
 	var spans []obs.Span
-	byRank := false
 	if *merge {
 		if flag.NArg() < 1 {
 			fail(fmt.Errorf("-merge needs at least one per-rank trace file"))
@@ -70,7 +70,6 @@ func main() {
 			files = append(files, fs)
 		}
 		spans = obs.MergeTraces(files)
-		byRank = true
 		if len(spans) == 0 {
 			fail(fmt.Errorf("no spans across %d files", flag.NArg()))
 		}
@@ -103,24 +102,15 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if byRank {
-			err = obs.WriteChromeTraceByRank(f, spans, virtual)
-		} else {
-			err = obs.WriteChromeTrace(f, spans, virtual)
-		}
-		if err != nil {
+		if err := obs.WriteChromeTrace(f, spans, virtual); err != nil {
 			f.Close()
 			fail(err)
 		}
 		if err := f.Close(); err != nil {
 			fail(err)
 		}
-		lanes := "processor"
-		if byRank {
-			lanes = "rank"
-		}
-		fmt.Printf("aatrace: %d spans -> %s (%s clock, one lane per %s); open in chrome://tracing or ui.perfetto.dev\n",
-			len(spans), *chrome, *clock, lanes)
+		fmt.Printf("aatrace: %d spans -> %s (%s clock, one lane per rank and processor); open in chrome://tracing or ui.perfetto.dev\n",
+			len(spans), *chrome, *clock)
 		return
 	}
 

@@ -76,7 +76,7 @@ func TestChaosSoak(t *testing.T) {
 			t.Run(fmt.Sprintf("%s-crash/%s", tn, mn), func(t *testing.T) {
 				opts := defaultTestOptions(P, seed)
 				opts.Faults = &plan
-				opts.ShardEvery = 3
+				opts.shardEvery = 3
 				e, err := New(testGraph(t, n, seed), opts)
 				if err != nil {
 					t.Fatal(err)
@@ -193,7 +193,7 @@ func TestChaosDegradedLifecycle(t *testing.T) {
 	plan := &fault.Plan{Seed: 7, Crashes: []fault.Crash{{Proc: 2, Step: 1, DownFor: 2}}}
 	opts := defaultTestOptions(P, seed)
 	opts.Faults = plan
-	opts.ShardEvery = 2
+	opts.shardEvery = 2
 	e, err := New(testGraph(t, n, seed), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestChaosRepeatedCrashesSameProc(t *testing.T) {
 	}
 	opts := defaultTestOptions(P, seed)
 	opts.Faults = plan
-	opts.ShardEvery = 2
+	opts.shardEvery = 2
 	e, err := New(testGraph(t, n, seed), opts)
 	if err != nil {
 		t.Fatal(err)

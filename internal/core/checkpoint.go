@@ -9,7 +9,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
 	"anytime/internal/cluster"
@@ -32,19 +31,24 @@ import (
 // are not serializable), which the caller supplies again at Restore and
 // which must use the same P.
 
-// checkpointMagic is the one readable format (v6): a CRC-guarded arena
-// layout — per table all row headers, then every distance row back to back,
-// then every next-hop row — followed by each row's change-frontier state
-// (an FAll flag and, when the row's frontier is tracked precisely, its
-// bitmask words), so a restored engine resumes masked min-plus sweeps
-// without a conservative full-frontier epoch. Any other AACKPT version is
-// refused by name (03–05 have no producer left).
-const checkpointMagic = "AACKPT06"
+// checkpointMagic is the one readable format (v7), CRC-guarded: per table
+// the DV rows in the recovery shard's row codec (see encodeRows), followed
+// by each row's change-frontier state (an FAll flag and, when the row's
+// frontier is tracked precisely, its bitmask words), so a restored engine
+// resumes masked min-plus sweeps without a conservative full-frontier
+// epoch. Any other AACKPT version is refused with ErrCheckpointVersion
+// (03–06 have no producer left).
+const checkpointMagic = "AACKPT07"
 
-// ErrCorruptCheckpoint reports a checkpoint whose CRC32 trailer does not
-// match its payload: the file was truncated or bit-flipped and must not be
-// restored.
-var ErrCorruptCheckpoint = errors.New("core: corrupt checkpoint (CRC32 mismatch)")
+var (
+	// ErrCorruptCheckpoint reports a checkpoint whose CRC32 trailer does
+	// not match its payload: the file was truncated or bit-flipped and
+	// must not be restored.
+	ErrCorruptCheckpoint = errors.New("core: corrupt checkpoint (CRC32 mismatch)")
+	// ErrCheckpointVersion reports an engine checkpoint of a format
+	// version this build does not read; the error names the version.
+	ErrCheckpointVersion = errors.New("core: unsupported checkpoint version")
+)
 
 // WriteCheckpoint serializes the engine state. It fails if dynamic change
 // events are still queued (checkpoint at event boundaries: call after
@@ -112,34 +116,13 @@ func (e *Engine) encodePayload(enc *binWriter) {
 		enc.i32(v)
 	}
 	for _, p := range e.procs {
-		rows := p.table.Rows()
-		enc.i64(int64(len(rows)))
-		// Arena layout: headers first, then the distance rows back to
-		// back, then the next-hop rows — three linear streams.
-		for _, r := range rows {
-			enc.i32(r.Owner)
-			enc.bool(r.Dirty)
-			all, lo, hi := r.PendingState()
-			enc.bool(all)
-			enc.i32(lo)
-			enc.i32(hi)
-		}
-		for _, r := range rows {
-			for _, d := range r.D[:n] {
-				enc.i32(d)
-			}
-		}
-		for _, r := range rows {
-			for _, h := range r.NH[:n] {
-				enc.i32(h)
-			}
-		}
+		encodeRows(enc, p.table)
 		// Change-frontier section: FAll flag per row, then the bitmask
 		// words of precisely-tracked rows. A masking-disabled engine has
 		// not maintained the bits, so its rows persist as FAll — the
 		// restored engine re-tracks from a conservative full frontier
 		// instead of trusting stale masks.
-		for _, r := range rows {
+		for _, r := range p.table.Rows() {
 			all := r.FAll || e.opts.noFrontierMask
 			enc.bool(all)
 			if all {
@@ -149,7 +132,6 @@ func (e *Engine) encodePayload(enc *binWriter) {
 				enc.i64(int64(w))
 			}
 		}
-		enc.i64(p.table.ResizeCopies)
 	}
 	e.writeMetrics(enc)
 }
@@ -183,7 +165,7 @@ func (e *Engine) writeMetrics(enc *binWriter) {
 	enc.bool(e.degraded)
 }
 
-// Restore reconstructs an engine from an AACKPT06 checkpoint, CRC32-verified
+// Restore reconstructs an engine from an AACKPT07 checkpoint, CRC32-verified
 // before any decoding: a flipped byte yields ErrCorruptCheckpoint, never a
 // silently wrong engine. opts must use the same P as the checkpointed
 // engine; the partitioners and LogP model may differ (they affect only
@@ -201,7 +183,7 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 	}
 	if string(magic) != checkpointMagic {
 		if bytes.HasPrefix(magic, []byte(checkpointMagic[:6])) {
-			return nil, fmt.Errorf("core: unsupported checkpoint version %s (this build reads %s only)", magic, checkpointMagic)
+			return nil, fmt.Errorf("%w %s (this build reads %s only)", ErrCheckpointVersion, magic, checkpointMagic)
 		}
 		return nil, fmt.Errorf("core: not an engine checkpoint (magic %q)", magic)
 	}
@@ -260,6 +242,9 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 	e.converged = dec.bool()
 	e.forceRefine = dec.bool()
 	e.log.rrNext = int(dec.i64())
+	if dec.err != nil || e.log.rrNext < 0 || e.log.rrNext >= p {
+		return nil, fmt.Errorf("core: corrupt checkpoint placement cursor %d", e.log.rrNext)
+	}
 	part := &graph.Partition{Part: make([]int32, n), K: p}
 	for i := range part.Part {
 		part.Part[i] = dec.i32()
@@ -277,48 +262,21 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 	}
 	e.log.streamMap = make([]int32, sm)
 	for i := range e.log.streamMap {
-		e.log.streamMap[i] = dec.i32()
+		v := dec.i32()
+		if v < 0 || int(v) >= n {
+			return nil, fmt.Errorf("core: corrupt checkpoint stream map entry %d", v)
+		}
+		e.log.streamMap[i] = v
 	}
 	e.procs = make([]*Proc, p)
 	for pid := 0; pid < p; pid++ {
 		t := dv.NewMatrix(n)
-		rows := int(dec.i64())
-		if dec.err != nil || rows < 0 || rows > n {
-			return nil, fmt.Errorf("core: corrupt checkpoint table %d", pid)
-		}
-		// Arena layout: all headers, then all D rows, then all NH rows.
-		for i := 0; i < rows; i++ {
-			owner := dec.i32()
-			dirty := dec.bool()
-			pendAll := dec.bool()
-			pendLo, pendHi := dec.i32(), dec.i32()
-			if dec.err != nil || owner < 0 || int(owner) >= n {
-				return nil, fmt.Errorf("core: corrupt checkpoint row in table %d", pid)
-			}
-			if pendLo < 0 || pendLo > pendHi || int(pendHi) > n {
-				return nil, fmt.Errorf("core: corrupt checkpoint pending window in table %d", pid)
-			}
-			if part.Part[owner] != int32(pid) {
-				return nil, fmt.Errorf("core: checkpoint row %d not owned by processor %d", owner, pid)
-			}
-			if t.Has(owner) {
-				return nil, fmt.Errorf("core: checkpoint table %d has two rows for vertex %d", pid, owner)
-			}
-			row := t.AddRow(owner)
-			row.Dirty = dirty
-			row.SetPendingState(pendAll, pendLo, pendHi)
+		if err := decodeRows(dec, t, n, nil); err != nil {
+			return nil, fmt.Errorf("core: corrupt checkpoint table %d: %w", pid, err)
 		}
 		for _, row := range t.Rows() {
-			for j := 0; j < n; j++ {
-				row.D[j] = dec.i32()
-			}
-			if dec.err == nil && row.D[row.Owner] != 0 {
-				return nil, fmt.Errorf("core: checkpoint row %d has nonzero self distance", row.Owner)
-			}
-		}
-		for _, row := range t.Rows() {
-			for j := 0; j < n; j++ {
-				row.NH[j] = dec.i32()
+			if part.Part[row.Owner] != int32(pid) {
+				return nil, fmt.Errorf("core: checkpoint row %d not owned by processor %d", row.Owner, pid)
 			}
 		}
 		// Frontier section. Rows flagged FAll keep the conservative full
@@ -341,7 +299,6 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 		if dec.err != nil {
 			return nil, fmt.Errorf("core: corrupt checkpoint frontier in table %d", pid)
 		}
-		t.ResizeCopies = dec.i64()
 		e.procs[pid] = e.newProc(pid)
 		e.procs[pid].table = t
 	}
@@ -407,36 +364,11 @@ func (e *Engine) readMetrics(dec *binReader) {
 	}
 }
 
-// WriteCheckpointFile writes a checkpoint to path atomically: the bytes go
-// to a temporary file in the same directory, which is fsynced and then
-// renamed over path. A crash at any point leaves either the previous
+// WriteCheckpointFile writes a checkpoint to path atomically (see
+// obs.WriteFileAtomic): a crash at any point leaves either the previous
 // checkpoint or the complete new one — never a torn file.
 func (e *Engine) WriteCheckpointFile(path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := e.WriteCheckpoint(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return obs.WriteFileAtomic(path, e.WriteCheckpoint)
 }
 
 // RestoreFile reconstructs an engine from a checkpoint file written by

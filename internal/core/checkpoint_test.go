@@ -238,33 +238,34 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsOldVersions: the AACKPT03–05 readers are gone (nothing
-// can produce those streams any more); an old magic fails with an error
-// naming the unsupported version instead of a generic "not a checkpoint".
+// TestRestoreRejectsOldVersions: the AACKPT03–06 readers are gone (nothing
+// can produce those streams any more); an old magic fails with
+// ErrCheckpointVersion, wrapped with the version's name, instead of a
+// generic "not a checkpoint".
 func TestRestoreRejectsOldVersions(t *testing.T) {
 	e := checkpointTestEngine(t)
 	var buf bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, magic := range []string{"AACKPT03", "AACKPT04", "AACKPT05"} {
+	for _, magic := range []string{"AACKPT03", "AACKPT04", "AACKPT05", "AACKPT06"} {
 		old := append([]byte(magic), buf.Bytes()[len(checkpointMagic):]...)
 		_, err := Restore(bytes.NewReader(old), e.Options())
-		if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version "+magic) {
-			t.Errorf("%s: got %v, want an error naming the unsupported version", magic, err)
+		if !errors.Is(err, ErrCheckpointVersion) || !strings.Contains(err.Error(), magic) {
+			t.Errorf("%s: got %v, want ErrCheckpointVersion naming the version", magic, err)
 		}
 	}
 }
 
-// TestCheckpointGoldenV6 pins the on-disk format against a committed file
-// written by the commit before the placement cursor and stream map moved
-// into the event log: a small graph (n=24 + two 2-vertex round-robin
-// batches, P=3) checkpointed mid-convergence, so the stream map and cursor
-// are non-empty and rows carry dirty marks, pending windows and frontier
-// words. It must restore, re-encode byte-for-byte, and continue to the
-// exact oracle.
-func TestCheckpointGoldenV6(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "v6.ckpt"))
+// TestCheckpointGoldenV7 pins the on-disk format against a committed file:
+// a small graph (n=24 + two 2-vertex round-robin batches, P=3)
+// checkpointed mid-convergence, so the stream map and cursor are non-empty
+// and rows carry dirty marks, pending windows and frontier words. The file
+// was converted from the AACKPT06 golden (decoded by the v6 reader, encoded
+// by the v7 writer), so it holds the same engine state. It must restore,
+// re-encode byte-for-byte, and continue to the exact oracle.
+func TestCheckpointGoldenV7(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "v7.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestCheckpointGoldenV6(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), golden) {
-		t.Fatalf("re-encoded checkpoint differs from testdata/v6.ckpt (%d vs %d bytes): the AACKPT06 layout moved", buf.Len(), len(golden))
+		t.Fatalf("re-encoded checkpoint differs from testdata/v7.ckpt (%d vs %d bytes): the AACKPT07 layout moved", buf.Len(), len(golden))
 	}
 	e.Run()
 	requireExact(t, e)
@@ -356,7 +357,7 @@ func TestCheckpointRoundTripsFaultState(t *testing.T) {
 		DropRate: 0.05,
 		Crashes:  []fault.Crash{{Proc: 1, Step: 1, DownFor: 1}},
 	}
-	opts.ShardEvery = 2
+	opts.shardEvery = 2
 	e, err := New(testGraph(t, 60, 11), opts)
 	if err != nil {
 		t.Fatal(err)

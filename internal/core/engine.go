@@ -470,7 +470,7 @@ func (e *Engine) Step() bool {
 		stats.ChangeApplied = describeEvent(ev)
 		e.applyEvent(ev)
 	}
-	if e.inj != nil && (e.step+1)%e.opts.ShardEvery == 0 {
+	if e.inj != nil && (e.step+1)%e.opts.shardEvery == 0 {
 		e.writeShards()
 	}
 	stats.Virtual = e.mach.VirtualTime()

@@ -6,7 +6,9 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"anytime/internal/change"
 	"anytime/internal/dv"
+	"anytime/internal/gen"
 )
 
 // fuzzCheckpoint is a converged two-processor engine's checkpoint, plus the
@@ -17,25 +19,89 @@ func fuzzCheckpoint(tb testing.TB) (blob []byte, table0 int) {
 		tb.Fatal(err)
 	}
 	e.Run()
+	_, _, table0 = checkpointLayout(e)
+	return checkpointBytes(tb, e), table0
+}
+
+// streamCheckpoint is the checkpoint of a two-processor CutEdge-PS engine
+// grown from 28 to 32 vertices by one batch, so its stream map is
+// non-empty, and the engine it was taken from.
+func streamCheckpoint(tb testing.TB) ([]byte, *Engine) {
+	g := testGraph(tb, 28, 213)
+	o := defaultTestOptions(2, 211)
+	o.Strategy = CutEdgePS
+	e, err := New(g, o)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b, err := gen.CommunityBatch(g, 4, 1.5, gen.Weights{Min: 1, Max: 3}, 213)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.QueueBatch(b); err != nil {
+		tb.Fatal(err)
+	}
+	e.Run()
+	return checkpointBytes(tb, e), e
+}
+
+func checkpointBytes(tb testing.TB, e *Engine) []byte {
 	var buf bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	// magic; n, m; the edges; alive flags; P, step, converged, forceRefine,
-	// rrNext; the partition; the stream map (length, then entries)
+	return buf.Bytes()
+}
+
+// checkpointLayout returns the offsets in e's checkpoint of the placement
+// cursor, the first stream-map entry and the first table's row count.
+func checkpointLayout(e *Engine) (cursor, stream0, table0 int) {
 	n, m := e.Graph().NumVertices(), e.Graph().NumEdges()
-	table0 = len(checkpointMagic) + 16 + 12*m + 4*n + 8 + 8 + 4 + 4 + 8 + 4*n + 8 + 4*len(e.log.streamMap)
-	return buf.Bytes(), table0
+	// magic; n, m; the edges; alive flags; P, step, converged, forceRefine
+	cursor = len(checkpointMagic) + 16 + 12*m + 4*n + 8 + 8 + 4 + 4
+	// the cursor; the partition; the stream map's length
+	stream0 = cursor + 8 + 4*n + 8
+	table0 = stream0 + 4*len(e.log.streamMap)
+	return cursor, stream0, table0
 }
 
 // dupOwnerCheckpoint is a CRC-valid checkpoint whose first table's second
 // row claims the first row's owner.
 func dupOwnerCheckpoint(tb testing.TB) []byte {
 	blob, table0 := fuzzCheckpoint(tb)
-	// the row count, then per row: owner, dirty, pendAll, pendLo, pendHi
-	row0, row1 := table0+8, table0+8+5*4
+	// the row count, then per row: owner, dirty, pendAll, pendLo, pendHi,
+	// n distances, n next hops
+	const n = 30
+	row0 := table0 + 8
+	row1 := row0 + 5*4 + 2*4*n
 	copy(blob[row1:row1+4], blob[row0:row0+4])
 	return reseal(blob, checkpointMagic)
+}
+
+// TestRestoreRejectsBadEventLog: a CRC-valid checkpoint whose placement
+// cursor or stream map points outside the engine is corrupt. Accepted, the
+// next batch through either would index out of range.
+func TestRestoreRejectsBadEventLog(t *testing.T) {
+	blob, e := streamCheckpoint(t)
+	cursor, stream0, _ := checkpointLayout(e)
+	if _, err := Restore(bytes.NewReader(blob), e.Options()); err != nil {
+		t.Fatalf("unmodified checkpoint: %v", err)
+	}
+	for _, c := range []struct {
+		name string
+		put  func(blob []byte)
+	}{
+		{"stream map entry 255", func(b []byte) { binary.LittleEndian.PutUint32(b[stream0:], 255) }},
+		{"cursor -1", func(b []byte) { binary.LittleEndian.PutUint64(b[cursor:], ^uint64(0)) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			bad := append([]byte(nil), blob...)
+			c.put(bad)
+			if _, err := Restore(bytes.NewReader(reseal(bad, checkpointMagic)), e.Options()); err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
 }
 
 func TestRestoreRejectsDuplicateOwner(t *testing.T) {
@@ -55,16 +121,27 @@ func FuzzRestore(f *testing.F) {
 	f.Add([]byte(checkpointMagic))
 	f.Add(valid[:len(valid)/2])
 	f.Add(dupOwnerCheckpoint(f))
+	stream, _ := streamCheckpoint(f)
+	f.Add(stream)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := Restore(bytes.NewReader(reseal(data, checkpointMagic)), defaultTestOptions(2, 211))
 		if err != nil {
 			return
 		}
-		// whatever was accepted must be usable
+		// whatever was accepted must be usable, and must absorb a
+		// round-robin batch through its placement cursor and stream map
 		if verr := r.Graph().Validate(); verr != nil {
 			t.Fatalf("restored invalid graph: %v", verr)
 		}
 		_ = r.Snapshot()
+		r.Run()
+		b := &change.VertexBatch{NumVertices: 2, Internal: []change.InternalEdge{{A: 0, B: 1, Weight: 1}}}
+		if len(r.log.streamMap) > 0 {
+			b.Pending = []change.PendingEdge{{New: 1, EarlierBatchVertex: int32(len(r.log.streamMap) - 1), Weight: 2}}
+		}
+		if err := r.QueueBatch(b); err != nil {
+			t.Fatalf("queueing a batch on the restored engine: %v", err)
+		}
 		r.Run()
 	})
 }
@@ -103,7 +180,8 @@ func TestDecodeShardRejectsDuplicateOwner(t *testing.T) {
 }
 
 // DecodeShard reads blobs from disk (rank.Rejoin): it must never panic, and
-// any matrix it accepts must hold in-range owners with zero self distance.
+// any matrix it accepts must hold in-range owners with zero self distance
+// and in-range pending windows.
 func FuzzDecodeShard(f *testing.F) {
 	const n = 40
 	e, err := New(testGraph(f, 30, 211), defaultTestOptions(2, 211))
@@ -128,6 +206,9 @@ func FuzzDecodeShard(f *testing.F) {
 			}
 			if row.D[row.Owner] != 0 {
 				t.Fatalf("accepted row %d with self distance %d", row.Owner, row.D[row.Owner])
+			}
+			if _, lo, hi := row.PendingState(); lo < 0 || lo > hi || hi > n {
+				t.Fatalf("accepted row %d with pending window [%d, %d)", row.Owner, lo, hi)
 			}
 		}
 	})

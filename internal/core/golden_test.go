@@ -123,7 +123,7 @@ func TestGoldenCounters(t *testing.T) {
 					DropRate: 0.05,
 					Crashes:  []fault.Crash{{Proc: 2, Step: 2, DownFor: 2}},
 				}
-				o.ShardEvery = 2
+				o.shardEvery = 2
 				e, err := New(g, o)
 				if err != nil {
 					t.Fatal(err)
@@ -162,7 +162,7 @@ func TestGoldenCounters(t *testing.T) {
 					ResendBudget:  2,
 					Crashes:       []fault.Crash{{Proc: 1, Step: 2, DownFor: 1}},
 				}
-				o.ShardEvery = 2
+				o.shardEvery = 2
 				e, err := New(g, o)
 				if err != nil {
 					t.Fatal(err)

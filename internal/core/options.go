@@ -65,6 +65,11 @@ const (
 	TileSize = 32
 	// MaxRCSteps bounds Engine.Run and rank.Runner.Run (a safety net).
 	MaxRCSteps = 10_000
+	// ShardEvery is the recovery-shard cadence in RC steps when
+	// Options.Faults is set: each processor serializes its DV table every
+	// ShardEvery steps, and a crashed processor restarts from its last
+	// shard.
+	ShardEvery = 4
 	// autoThreshold is the batch-size fraction (of the current vertex
 	// count) at which AutoPS switches from CutEdge-PS to Repartition-S,
 	// the measured crossover region (see EXPERIMENTS.md).
@@ -137,10 +142,6 @@ type Options struct {
 	// It also enables per-processor recovery shards every ShardEvery
 	// steps. nil = perfect network, no shards — the pre-fault-layer path.
 	Faults *fault.Plan
-	// ShardEvery is the recovery-shard cadence in RC steps when Faults is
-	// set: each processor serializes its DV table every K steps, and a
-	// crashed processor restarts from its last shard (default 4).
-	ShardEvery int
 	// Obs, when set, records structured phase-level spans (DD, per-
 	// processor IA/ship/relax, refine tile rounds, checkpoint and shard
 	// writes, crashes, rejoins, fault retries) into the tracer's ring
@@ -151,10 +152,12 @@ type Options struct {
 	Seed int64
 
 	// Test-only variation, never set outside this package: tileSize
-	// overrides TileSize (the tile-invariance matrix), and noFrontierMask
-	// restores the full-row sweeps on every pass (the masked ≡ unmasked
-	// matrix; results are bit-identical either way).
+	// overrides TileSize (the tile-invariance matrix), shardEvery
+	// overrides ShardEvery (denser shards for the crash tests), and
+	// noFrontierMask restores the full-row sweeps on every pass (the
+	// masked ≡ unmasked matrix; results are bit-identical either way).
 	tileSize       int
+	shardEvery     int
 	noFrontierMask bool
 }
 
@@ -179,8 +182,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxMsgBytes == 0 {
 		o.MaxMsgBytes = 64 << 10
 	}
-	if o.ShardEvery <= 0 {
-		o.ShardEvery = 4
+	if o.shardEvery <= 0 {
+		o.shardEvery = ShardEvery
 	}
 	return o
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
@@ -33,8 +34,8 @@ import (
 // cascade closes the remaining compositions. The engine therefore
 // reconverges to the exact sequential oracle — the chaos soak pins this.
 
-// shardMagic versions the recovery-shard encoding: a CRC32-guarded subset
-// of the AACKPT checkpoint row encoding, one processor's table only.
+// shardMagic versions the recovery-shard encoding: one processor's table
+// in the row codec every checkpoint table also uses, CRC32-guarded.
 const shardMagic = "AASHRD01"
 
 // ErrCorruptShard reports a recovery shard whose CRC32 trailer does not
@@ -60,19 +61,13 @@ func (e *Engine) down(p int) bool { return e.inj != nil && e.inj.Down(p) }
 // anyDown reports whether any processor is currently crashed.
 func (e *Engine) anyDown() bool { return e.inj != nil && e.inj.AnyDown() }
 
-// EncodeShard serializes one DV table as a recovery shard: magic, the RC
-// step it captures, width, rows (owner, dirty, pending window, distances,
-// next hops), ResizeCopies, and a CRC32-IEEE trailer over everything after
-// the magic. The format (AASHRD01) is shared by the in-process simulator's
-// in-memory shards and the multi-process runner's on-disk shard files.
-func EncodeShard(t *dv.Matrix, step int) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(shardMagic)
-	enc := &binWriter{w: &buf}
+// encodeRows is the one DV-table row codec, the body of a recovery shard
+// and of every checkpoint table: the row count, then per row the owner,
+// the dirty mark, the pending window (all flag, lo, hi), the Cols()
+// distances and the Cols() next hops, then the table's ResizeCopies.
+func encodeRows(enc *binWriter, t *dv.Matrix) {
 	n := t.Cols()
 	rows := t.Rows()
-	enc.i64(int64(step))
-	enc.i64(int64(n))
 	enc.i64(int64(len(rows)))
 	for _, r := range rows {
 		enc.i32(r.Owner)
@@ -89,47 +84,31 @@ func EncodeShard(t *dv.Matrix, step int) []byte {
 		}
 	}
 	enc.i64(t.ResizeCopies)
-	sum := crc32.ChecksumIEEE(buf.Bytes()[len(shardMagic):])
-	enc.i64(int64(sum))
-	return buf.Bytes()
 }
 
-// DecodeShard parses a recovery shard into a width-n matrix, keeping only
-// the rows keep accepts (rows deleted or migrated away since the shard was
-// written are skipped; a nil keep keeps everything). Columns added since
-// the shard stay at InfDist. It returns the matrix and the RC step the
-// shard captured. The caller owns the soundness repair that must follow a
-// restore: re-seeding every row's incident direct edges (see
-// Proc.ReseedDirectEdges).
-func DecodeShard(blob []byte, n int, keep func(owner int32) bool) (*dv.Matrix, int, error) {
-	if len(blob) < len(shardMagic)+8 {
-		return nil, 0, fmt.Errorf("core: recovery shard truncated (%d bytes)", len(blob))
+// decodeRows reads one encodeRows section of row width w into t (whose
+// width is at least w; columns from w on stay at InfDist), restoring dirty
+// marks and pending windows. Rows keep rejects are read and dropped (nil
+// keeps all). Every owner must lie in [0, w) and appear once, every kept
+// row's self distance must be zero, and every pending window must satisfy
+// 0 ≤ lo ≤ hi ≤ w.
+func decodeRows(dec *binReader, t *dv.Matrix, w int, keep func(owner int32) bool) error {
+	count := dec.i64()
+	if dec.err != nil || count < 0 || count > int64(w) {
+		return fmt.Errorf("bad row count %d", count)
 	}
-	if string(blob[:len(shardMagic)]) != shardMagic {
-		return nil, 0, fmt.Errorf("core: not a recovery shard (magic %q)", blob[:len(shardMagic)])
-	}
-	payload := blob[len(shardMagic) : len(blob)-8]
-	var sumBuf binReader
-	sumBuf.r = bytes.NewReader(blob[len(blob)-8:])
-	if crc32.ChecksumIEEE(payload) != uint32(sumBuf.i64()) {
-		return nil, 0, ErrCorruptShard
-	}
-	dec := &binReader{r: bytes.NewReader(payload)}
-	step := int(dec.i64())
-	w := int(dec.i64())
-	rowCount := int(dec.i64())
-	if dec.err != nil || w < 0 || w > n || rowCount < 0 || rowCount > w {
-		return nil, 0, fmt.Errorf("core: corrupt recovery shard header")
-	}
-	t := dv.NewMatrix(n)
-	for i := 0; i < rowCount; i++ {
+	seen := make([]bool, w)
+	for i := 0; i < int(count); i++ {
 		owner := dec.i32()
 		dirty := dec.bool()
 		all := dec.bool()
 		lo, hi := dec.i32(), dec.i32()
-		_, _, _, _ = dirty, all, lo, hi // superseded: rejoin re-marks ship-all
-		if dec.err != nil || owner < 0 || int(owner) >= w || t.Has(owner) {
-			return nil, 0, fmt.Errorf("core: corrupt recovery shard row %d", i)
+		if dec.err != nil || owner < 0 || int(owner) >= w || seen[owner] {
+			return fmt.Errorf("bad row %d", i)
+		}
+		seen[owner] = true
+		if lo < 0 || lo > hi || int(hi) > w {
+			return fmt.Errorf("row %d: bad pending window [%d, %d)", owner, lo, hi)
 		}
 		if keep != nil && !keep(owner) {
 			for j := 0; j < 2*w; j++ {
@@ -144,13 +123,59 @@ func DecodeShard(blob []byte, n int, keep func(owner int32) bool) (*dv.Matrix, i
 		for j := 0; j < w; j++ {
 			row.NH[j] = dec.i32()
 		}
-		if dec.err != nil || row.D[owner] != 0 {
-			return nil, 0, fmt.Errorf("core: corrupt recovery shard row %d", owner)
+		if dec.err == nil && row.D[owner] != 0 {
+			return fmt.Errorf("row %d: nonzero self distance", owner)
 		}
+		row.Dirty = dirty
+		row.SetPendingState(all, lo, hi)
 	}
 	t.ResizeCopies = dec.i64()
-	if dec.err != nil {
-		return nil, 0, fmt.Errorf("core: corrupt recovery shard: %w", dec.err)
+	return dec.err
+}
+
+// EncodeShard serializes one DV table as a recovery shard: magic, the RC
+// step it captures, width, the rows (encodeRows), and a CRC32-IEEE trailer
+// over everything after the magic. The format (AASHRD01) is shared by the
+// in-process simulator's in-memory shards and the multi-process runner's
+// on-disk shard files.
+func EncodeShard(t *dv.Matrix, step int) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(shardMagic)
+	enc := &binWriter{w: &buf}
+	enc.i64(int64(step))
+	enc.i64(int64(t.Cols()))
+	encodeRows(enc, t)
+	enc.i64(int64(crc32.ChecksumIEEE(buf.Bytes()[len(shardMagic):])))
+	return buf.Bytes()
+}
+
+// DecodeShard parses a recovery shard into a width-n matrix, keeping only
+// the rows keep accepts (rows deleted or migrated away since the shard was
+// written are skipped; a nil keep keeps everything). Columns added since
+// the shard stay at InfDist. It returns the matrix and the RC step the
+// shard captured. The caller owns the soundness repair that must follow a
+// restore: re-seeding every row's incident direct edges (see
+// Proc.ReseedDirectEdges) and re-marking every row for a full re-ship.
+func DecodeShard(blob []byte, n int, keep func(owner int32) bool) (*dv.Matrix, int, error) {
+	if len(blob) < len(shardMagic)+8 {
+		return nil, 0, fmt.Errorf("core: recovery shard truncated (%d bytes)", len(blob))
+	}
+	if string(blob[:len(shardMagic)]) != shardMagic {
+		return nil, 0, fmt.Errorf("core: not a recovery shard (magic %q)", blob[:len(shardMagic)])
+	}
+	payload := blob[len(shardMagic) : len(blob)-8]
+	if crc32.ChecksumIEEE(payload) != uint32(binary.LittleEndian.Uint64(blob[len(blob)-8:])) {
+		return nil, 0, ErrCorruptShard
+	}
+	dec := &binReader{r: bytes.NewReader(payload)}
+	step := int(dec.i64())
+	w := int(dec.i64())
+	if dec.err != nil || w < 0 || w > n {
+		return nil, 0, fmt.Errorf("core: corrupt recovery shard header")
+	}
+	t := dv.NewMatrix(n)
+	if err := decodeRows(dec, t, w, keep); err != nil {
+		return nil, 0, fmt.Errorf("core: corrupt recovery shard: %w", err)
 	}
 	return t, step, nil
 }

@@ -207,7 +207,7 @@ func TestSnapshotMatchesFullScan(t *testing.T) {
 			DropRate: 0.05,
 			Crashes:  []fault.Crash{{Proc: 1, Step: 2, DownFor: 2}},
 		}
-		o.ShardEvery = 2
+		o.shardEvery = 2
 		e, err := New(testGraph(t, n, seed), o)
 		if err != nil {
 			t.Fatal(err)

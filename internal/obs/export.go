@@ -82,8 +82,9 @@ func ReadJSONL(r io.Reader) ([]Span, error) {
 	return out, sc.Err()
 }
 
-// chromeEvent is one Chrome trace-event ("X" complete event). Timestamps
-// and durations are microseconds per the trace-event spec.
+// chromeEvent is one Chrome trace-event: an "X" complete event or an "M"
+// metadata event. Timestamps and durations are microseconds per the
+// trace-event spec.
 type chromeEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
@@ -94,91 +95,16 @@ type chromeEvent struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// WriteChromeTrace renders spans as a Chrome trace-event JSON array, loadable
-// in chrome://tracing or Perfetto. Each processor becomes a thread (tid);
-// engine-wide spans (Proc == -1) land on tid 0 alongside processor 0's lane
-// offset by +1, i.e. tid = Proc+1 so the engine lane sorts first. When
-// virtualClock is true the timeline is the LogP virtual clock (the paper's
-// axis); otherwise it is wall time since the tracer epoch.
+// WriteChromeTrace renders spans as a Chrome trace-event JSON array,
+// loadable in chrome://tracing or Perfetto, with one process lane per rank:
+// pid = Rank+1 (named "rank N" by process_name metadata ahead of the rank's
+// first span), tid = Proc+1 within it, so engine-wide spans (Proc == -1)
+// sort first and a merged multi-rank trace (see MergeTraces) reads as N
+// aligned lanes. When virtualClock is true the timeline is the LogP virtual
+// clock (the paper's axis) and each event's args carry its wall time
+// (wall_us); otherwise the timeline is wall time since the tracer epoch and
+// the args carry the virtual time (virt_us).
 func WriteChromeTrace(w io.Writer, spans []Span, virtualClock bool) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("[\n"); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(bw)
-	for i, s := range spans {
-		ts, dur := s.Wall, s.WallDur
-		if virtualClock {
-			ts, dur = s.Virt, s.VirtDur
-		}
-		ev := chromeEvent{
-			Name:  s.Kind.String(),
-			Phase: "X",
-			TS:    float64(ts) / float64(time.Microsecond),
-			Dur:   float64(dur) / float64(time.Microsecond),
-			PID:   1,
-			TID:   int(s.Proc) + 1,
-			Args: map[string]any{
-				"step":  s.Step,
-				"value": s.Value,
-			},
-		}
-		if virtualClock {
-			ev.Args["wall_us"] = float64(s.Wall) / float64(time.Microsecond)
-		} else {
-			ev.Args["virt_us"] = float64(s.Virt) / float64(time.Microsecond)
-		}
-		if i > 0 {
-			if _, err := bw.WriteString(","); err != nil {
-				return err
-			}
-		}
-		if err := enc.Encode(ev); err != nil { // Encode appends the newline
-			return err
-		}
-	}
-	if _, err := bw.WriteString("]\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteJSONLFile writes the spans as JSONL to path atomically: the full
-// file is staged at path+".tmp", fsynced, and renamed into place, mirroring
-// the checkpoint/shard writers. A reader (or a supervisor collecting traces
-// after SIGKILL) therefore always sees either the previous complete trace
-// or the new one, never a torn file. Safe to call repeatedly — each call
-// replaces the file with the full span set, so periodic flushing bounds
-// how much a hard kill can lose without risking partial lines.
-func WriteJSONLFile(path string, spans []Span) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := WriteJSONL(f, spans); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// WriteChromeTraceByRank renders spans as a Chrome trace-event JSON array
-// with one process lane per rank: pid = Rank+1 (named "rank N" via
-// process_name metadata), tid = Proc+1 within the rank, so a merged
-// multi-rank trace (see MergeTraces) reads as N aligned lanes in
-// chrome://tracing or Perfetto. Clock semantics match WriteChromeTrace.
-func WriteChromeTraceByRank(w io.Writer, spans []Span, virtualClock bool) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("[\n"); err != nil {
 		return err
@@ -194,6 +120,7 @@ func WriteChromeTraceByRank(w io.Writer, spans []Span, virtualClock bool) error 
 		first = false
 		return enc.Encode(ev) // Encode appends the newline
 	}
+	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	seen := map[int32]bool{}
 	for _, s := range spans {
 		if !seen[s.Rank] {
@@ -207,22 +134,22 @@ func WriteChromeTraceByRank(w io.Writer, spans []Span, virtualClock bool) error 
 				return err
 			}
 		}
-		ts, dur := s.Wall, s.WallDur
-		if virtualClock {
-			ts, dur = s.Virt, s.VirtDur
-		}
-		if err := emit(chromeEvent{
+		ev := chromeEvent{
 			Name:  s.Kind.String(),
 			Phase: "X",
-			TS:    float64(ts) / float64(time.Microsecond),
-			Dur:   float64(dur) / float64(time.Microsecond),
+			TS:    us(s.Wall),
+			Dur:   us(s.WallDur),
 			PID:   int(s.Rank) + 1,
 			TID:   int(s.Proc) + 1,
-			Args: map[string]any{
-				"step":  s.Step,
-				"value": s.Value,
-			},
-		}); err != nil {
+			Args:  map[string]any{"step": s.Step, "value": s.Value},
+		}
+		if virtualClock {
+			ev.TS, ev.Dur = us(s.Virt), us(s.VirtDur)
+			ev.Args["wall_us"] = us(s.Wall)
+		} else {
+			ev.Args["virt_us"] = us(s.Virt)
+		}
+		if err := emit(ev); err != nil {
 			return err
 		}
 	}
@@ -230,4 +157,32 @@ func WriteChromeTraceByRank(w io.Writer, spans []Span, virtualClock bool) error 
 		return err
 	}
 	return bw.Flush()
+}
+
+// WriteFileAtomic is the one durable file writer: write's output is staged
+// at path+".tmp", fsynced, closed and renamed over path, and the temp file
+// is removed on any failure. A crash at any point therefore leaves either
+// the previous complete file or the new one at path — never a torn file.
+// Engine checkpoints and JSONL traces (a supervisor may collect them after
+// a SIGKILL) are written through it.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }

@@ -1,12 +1,10 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -303,33 +301,18 @@ func formatFloat(v float64) string {
 
 // ParseText parses a Prometheus text exposition (the format WriteTo emits)
 // into a flat map keyed by the full sample name including any label set,
-// e.g. `aa_proc_rows{proc="0"}`. Comment and blank lines are skipped;
-// timestamps are not supported. The inverse of Render, for test scrapes and
-// the stdlib-only serve client.
+// e.g. `aa_proc_rows{proc="0"}`: the flat view of ParseFamilies. The
+// inverse of Render, for test scrapes and the stdlib-only serve client.
 func ParseText(r io.Reader) (map[string]float64, error) {
-	out := map[string]float64{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		// The value is everything after the last space; label values may
-		// contain spaces, so split from the right.
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			return nil, fmt.Errorf("obs: unparseable metric line %q", line)
-		}
-		name := strings.TrimSpace(line[:i])
-		v, err := strconv.ParseFloat(line[i+1:], 64)
-		if err != nil {
-			return nil, fmt.Errorf("obs: metric %q: %w", name, err)
-		}
-		out[name] = v
-	}
-	if err := sc.Err(); err != nil {
+	fams, err := ParseFamilies(r)
+	if err != nil {
 		return nil, err
+	}
+	out := map[string]float64{}
+	for _, f := range fams {
+		for _, s := range f.Samples {
+			out[s.Key()] = s.Value
+		}
 	}
 	return out, nil
 }

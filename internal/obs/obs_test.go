@@ -120,12 +120,21 @@ func TestChromeTraceValidJSON(t *testing.T) {
 		if err := WriteChromeTrace(&buf, spans, virtual); err != nil {
 			t.Fatal(err)
 		}
-		var events []map[string]any
-		if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		var all, events []map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &all); err != nil {
 			t.Fatalf("virtual=%v: not valid JSON: %v\n%s", virtual, err, buf.String())
 		}
+		// The rank's process_name metadata leads; the spans follow.
+		if all[0]["ph"] != "M" || all[0]["name"] != "process_name" || all[0]["pid"].(float64) != 1 {
+			t.Fatalf("unexpected lane metadata: %v", all[0])
+		}
+		for _, ev := range all {
+			if ev["ph"] == "X" {
+				events = append(events, ev)
+			}
+		}
 		if len(events) != 2 {
-			t.Fatalf("got %d events, want 2", len(events))
+			t.Fatalf("got %d X events, want 2", len(events))
 		}
 		if events[0]["ph"] != "X" || events[0]["name"] != "rc-step" {
 			t.Fatalf("unexpected first event: %v", events[0])

@@ -100,7 +100,7 @@ func TestMergeTracesDeterministic(t *testing.T) {
 	for i, files := range orders {
 		merged := MergeTraces(files)
 		var buf bytes.Buffer
-		if err := WriteChromeTraceByRank(&buf, merged, false); err != nil {
+		if err := WriteChromeTrace(&buf, merged, false); err != nil {
 			t.Fatalf("chrome export: %v", err)
 		}
 		if i == 0 {

@@ -33,6 +33,7 @@
 package rank
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -350,9 +351,9 @@ func (g rejoinGo) encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := make([]byte, 16, 16+len(journal))
-	putU64(payload[0:], g.checksum)
-	putU64(payload[8:], g.steps)
+	payload := make([]byte, 0, 16+len(journal))
+	payload = binary.LittleEndian.AppendUint64(payload, g.checksum)
+	payload = binary.LittleEndian.AppendUint64(payload, g.steps)
 	return append(payload, journal...), nil
 }
 
@@ -365,21 +366,11 @@ func parseRejoinGo(payload []byte) (rejoinGo, error) {
 	if err != nil {
 		return rejoinGo{}, fmt.Errorf("rejoin journal: %w", err)
 	}
-	return rejoinGo{checksum: getU64(payload), steps: getU64(payload[8:]), journal: journal}, nil
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
+	return rejoinGo{
+		checksum: binary.LittleEndian.Uint64(payload),
+		steps:    binary.LittleEndian.Uint64(payload[8:]),
+		journal:  journal,
+	}, nil
 }
 
 // Degraded reports whether the run is currently in degraded mode (a
@@ -409,9 +400,11 @@ func (r *Runner) shardPath() string {
 	return filepath.Join(r.cfg.ShardDir, fmt.Sprintf("aarank-%d.shard", r.t.Rank()))
 }
 
-// writeShard persists the rank's AASHRD01 recovery shard atomically
-// (tmp + rename: a crash mid-write must not corrupt the previous shard).
-// No-op unless ShardDir is set.
+// writeShard persists the rank's AASHRD01 recovery shard, best effort:
+// staged at path+".tmp" and renamed over the previous shard, unsynced — a
+// torn shard fails its CRC and the IA fallback covers it, so an fsync
+// would only tax every step. Failures are logged. No-op unless ShardDir is
+// set.
 func (r *Runner) writeShard() {
 	if r.cfg.ShardDir == "" {
 		return
@@ -419,14 +412,13 @@ func (r *Runner) writeShard() {
 	blob := core.EncodeShard(r.rs.Table(), r.stats.Steps)
 	path := r.shardPath()
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, blob, 0o644); err != nil {
-		// The shard is an optimization; the IA fallback covers a miss.
-		if r.slog != nil {
-			r.slog.Warn("shard write failed", "rank", r.t.Rank(), "step", r.stats.Steps, "err", err)
-		}
-		return
+	err := os.WriteFile(tmp, blob, 0o644)
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
-	_ = os.Rename(tmp, path)
+	if err != nil && r.slog != nil {
+		r.slog.Warn("shard write failed", "rank", r.t.Rank(), "step", r.stats.Steps, "err", err)
+	}
 }
 
 // Rejoin re-enters a computation as a restarted rank. The transport must

@@ -177,7 +177,7 @@ func runRank(o cliOptions, stdout, stderr io.Writer) error {
 		if o.trace == "" {
 			return
 		}
-		if err := obs.WriteJSONLFile(o.trace, tracer.Spans()); err != nil {
+		if err := obs.WriteFileAtomic(o.trace, func(w io.Writer) error { return obs.WriteJSONL(w, tracer.Spans()) }); err != nil {
 			fmt.Fprintf(stderr, "aacluster: trace flush: %v\n", err)
 		}
 	}

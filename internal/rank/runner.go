@@ -12,7 +12,9 @@
 package rank
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -200,12 +202,7 @@ func newRunner(t transport.Transport, cfg Config, g *graph.Graph, part *graph.Pa
 // same graph/seed/partitioner and must not exchange distance state.
 func verifyPartition(t transport.Transport, part *graph.Partition) error {
 	sum := partChecksum(part)
-	buf := make([]byte, 8)
-	if t.Rank() == 0 {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(sum >> (8 * i))
-		}
-	}
+	buf := binary.LittleEndian.AppendUint64(nil, sum)
 	msg, err := t.Broadcast(0, transport.Message{Tag: transport.TagControl, Bytes: len(buf), Payload: buf})
 	if err != nil {
 		return fmt.Errorf("rank: partition checksum broadcast: %w", err)
@@ -213,33 +210,29 @@ func verifyPartition(t transport.Transport, part *graph.Partition) error {
 	if t.Rank() == 0 {
 		return nil
 	}
-	root := msg.Payload.([]byte)
-	var rootSum uint64
-	for i := 0; i < 8; i++ {
-		rootSum |= uint64(root[i]) << (8 * i)
+	root, ok := msg.Payload.([]byte)
+	if !ok || len(root) != 8 {
+		return fmt.Errorf("rank %d: malformed partition checksum from rank 0 (%d bytes)", t.Rank(), len(root))
 	}
-	if rootSum != sum {
+	if rootSum := binary.LittleEndian.Uint64(root); rootSum != sum {
 		return fmt.Errorf("rank %d: partition checksum %x != root %x (divergent graph, seed, or partitioner)",
 			t.Rank(), sum, rootSum)
 	}
 	return nil
 }
 
+// partChecksum is the 64-bit FNV-1a hash of the part count's low byte
+// followed by every vertex's part as 4 little-endian bytes. The value
+// travels in the rejoin-go payload, so this layout must not change.
 func partChecksum(p *graph.Partition) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime }
-	mix(byte(p.K))
+	b := make([]byte, 1, 1+4*len(p.Part))
+	b[0] = byte(p.K)
 	for _, pt := range p.Part {
-		mix(byte(pt))
-		mix(byte(pt >> 8))
-		mix(byte(pt >> 16))
-		mix(byte(pt >> 24))
+		b = binary.LittleEndian.AppendUint32(b, uint32(pt))
 	}
-	return h
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // Step performs one recombination step across all processes: ship dirty

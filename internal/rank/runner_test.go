@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -201,5 +202,33 @@ func TestRunnerPartitionChecksumMismatch(t *testing.T) {
 	wg.Wait()
 	if errs[1] == nil {
 		t.Fatal("diverging rank 1 did not detect the checksum mismatch")
+	}
+}
+
+// TestPartChecksumPinned: the partition checksum travels in the rejoin-go
+// payload between builds, so its value must not move.
+func TestPartChecksumPinned(t *testing.T) {
+	p := &graph.Partition{K: 3, Part: []int32{0, 1, 2, 1, 0, 70000, -1}}
+	if got := partChecksum(p); got != 0xaa0536b4bb0e682e {
+		t.Fatalf("partChecksum = %#x, want 0xaa0536b4bb0e682e", got)
+	}
+}
+
+// TestVerifyPartitionMalformedRoot: a partition-checksum broadcast from
+// rank 0 that is not 8 bytes fails the receiving rank with an error naming
+// rank 0, instead of panicking it.
+func TestVerifyPartitionMalformedRoot(t *testing.T) {
+	group := transport.NewInprocGroup(2)
+	sent := make(chan error, 1)
+	go func() {
+		_, err := group[0].Broadcast(0, transport.Message{Tag: transport.TagControl, Bytes: 3, Payload: []byte{1, 2, 3}})
+		sent <- err
+	}()
+	err := verifyPartition(group[1], &graph.Partition{K: 2, Part: []int32{0, 1}})
+	if err == nil || !strings.Contains(err.Error(), "rank 0") {
+		t.Fatalf("got %v, want an error naming rank 0", err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
 	}
 }

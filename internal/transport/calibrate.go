@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -165,7 +166,7 @@ func pingPong(t Transport, rounds, bytes, count int) (time.Duration, error) {
 	// calibration.
 	buf := make([]byte, 8)
 	if t.Rank() == 0 {
-		putDuration(buf, median(rtts))
+		binary.LittleEndian.PutUint64(buf, uint64(median(rtts)))
 	}
 	got, err := t.Broadcast(0, Message{Tag: TagControl, Bytes: len(buf), Payload: buf})
 	if err != nil {
@@ -174,22 +175,7 @@ func pingPong(t Transport, rounds, bytes, count int) (time.Duration, error) {
 	if t.Rank() != 0 {
 		buf = got.Payload.([]byte)
 	}
-	return getDuration(buf), nil
-}
-
-func putDuration(b []byte, d time.Duration) {
-	v := uint64(d)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-func getDuration(b []byte) time.Duration {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return time.Duration(v)
+	return time.Duration(binary.LittleEndian.Uint64(buf)), nil
 }
 
 func median(ds []time.Duration) time.Duration {
