@@ -13,12 +13,14 @@ build:
 test:
 	$(GO) test ./...
 
-# vet also covers the nested benchmark module (the root ./... skips it) and
-# fails on any file gofmt would rewrite.
+# vet also covers the nested benchmark module (the root ./... skips it),
+# fails on any file gofmt would rewrite, and fails on a control payload read
+# by a bare type assertion instead of the checked transport.Message.Control.
 vet:
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
+	@bare=$$(grep -rn --include='*.go' --exclude='*_test.go' 'Payload\.(\[\]byte)' internal cmd | grep -v '^internal/transport/transport.go:.*b, ok := m.Payload'); if [ -n "$$bare" ]; then echo "unchecked control payload (use Message.Control):"; echo "$$bare"; exit 1; fi
 
 # The serving subsystem's single-writer/multi-reader contract, the engine
 # underneath it (chaos soak included) and the fault and cluster layers are
@@ -71,13 +73,14 @@ examples-check:
 # Cluster chaos gate: the real-OS-process robustness suite under the race
 # detector — SIGKILL one of three ranks mid-recombination (heartbeat
 # detection, degraded convergence, shard-restored rejoin, bit-identical
-# result), dynamic vertex additions across processes, and the -launch path
-# of rank.Main spawning three ranks — plus an end-to-end run of the
-# aacluster binary streaming a vertex batch over the wire, verified against
-# the exact oracle of the grown graph. Every multi-process test starts its
+# result), an unsupervised rank death stopping degraded without verifying
+# or writing the matrix, dynamic vertex additions across processes, and the
+# -launch path of rank.Main spawning three ranks — plus an end-to-end run of
+# the aacluster binary streaming a vertex batch over the wire, verified
+# against the exact oracle of the grown graph. Every multi-process test starts its
 # ranks through rank.Main, the code the binary runs.
 chaos-cluster:
-	$(GO) test -race -count=1 -run 'TestChaosSIGKILLRejoinBitIdentical|TestMultiProcessTCPDynamicEvents|TestRunnerInprocCrashRejoinBitIdentical|TestLaunchMeshEventsVerify' ./internal/rank
+	$(GO) test -race -count=1 -run 'TestChaosSIGKILLRejoinBitIdentical|TestDegradedStopNeitherVerifiesNorWrites|TestMultiProcessTCPDynamicEvents|TestRunnerInprocCrashRejoinBitIdentical|TestLaunchMeshEventsVerify' ./internal/rank
 	$(GO) run ./cmd/aacluster -launch -p 3 -n 300 -events 5 -verify
 
 bench:

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,6 +98,46 @@ func TestChaosSIGKILLRejoinBitIdentical(t *testing.T) {
 		return Config{Graph: g, Seed: seed}
 	})
 	requireMatrixFile(t, "crashed vs fault-free", out, want)
+}
+
+// An unsupervised run that loses a rank stops degraded, and a degraded
+// matrix is never published: rank 0 exits non-zero without the "verified"
+// line and without writing -out, while the other survivor exits cleanly.
+func TestDegradedStopNeitherVerifiesNorWrites(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real OS processes")
+	}
+	const n, P, seed = 100, 3, 9
+	const victim = 1
+	dir := t.TempDir()
+	out := filepath.Join(dir, "dist.txt")
+	shardDir := filepath.Join(dir, "shards")
+	if err := os.Mkdir(shardDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	procs := startMesh(t, P, n, seed, "-verify", "-out="+out, "-shard-dir="+shardDir,
+		"-hb-interval=50ms", "-min-steps=8", "-step-throttle=50ms")
+	waitForFile(t, fmt.Sprintf("%s/aarank-%d.shard", shardDir, victim), 20*time.Second)
+	if err := procs[victim].cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	procs[victim].cmd.Wait()
+	if err := procs[2].cmd.Wait(); err != nil {
+		t.Fatalf("survivor 2: %v", err)
+	}
+	if err := procs[0].cmd.Wait(); err == nil {
+		t.Fatal("rank 0 exited cleanly after a degraded stop")
+	}
+	stdout := procs[0].out.String()
+	if st := summary(stdout, fmt.Sprintf("rank 0/%d:", P)); st["degraded"] == "0" || st["converged"] != "false" {
+		t.Fatalf("rank 0 summary %v, want a degraded stop", st)
+	}
+	if strings.Contains(stdout, "verified") {
+		t.Fatalf("degraded rank 0 printed a verified line:\n%s", stdout)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("degraded rank 0 wrote -out (stat: %v)", err)
+	}
 }
 
 // Dynamic vertex additions streamed through rank 0 of a three-real-process

@@ -3,8 +3,8 @@
 // computation.
 //
 // Failure detection lives in the transport (heartbeat timeouts over TCP,
-// explicit aborts in-process) and is surfaced through the optional
-// transport.Liveness interface. The runner turns those per-endpoint
+// explicit aborts in-process) and is surfaced through every
+// transport.Transport's TakeDown. The runner turns those per-endpoint
 // observations into one consistent cluster view through the convergence
 // allreduce it already runs every step:
 //
@@ -90,30 +90,19 @@ func (r *Runner) shipEvents(out []transport.Message) ([]transport.Message, error
 	return out, nil
 }
 
-// drainLiveness folds the transport's liveness observations into the
+// drainLiveness folds the peers the transport newly marked down into the
 // runner: spans for the tracer, and (on rank 0) the authoritative down set
 // plus the degraded-mode patience clock.
 func (r *Runner) drainLiveness() {
-	if r.live == nil {
-		return
-	}
-	for _, ev := range r.live.TakeLiveness() {
-		switch ev.Kind {
-		case transport.LiveDown:
-			r.stats.PeerDownEvents++
-			if r.t.Rank() == 0 {
-				r.down[ev.Rank] = true
-				r.rejoinDeadline = time.Now().Add(r.cfg.RejoinWait)
-			}
-			r.span(obs.KindCrash, ev.Rank, 0)
-			if r.slog != nil {
-				r.slog.Warn("peer down", "rank", r.t.Rank(), "peer", ev.Rank,
-					"step", r.stats.Steps, "episode", r.outages+1)
-			}
-		case transport.LiveRejoin:
-			// Activation already handled in applyDecision (stats + marks);
-			// the event is the transport echoing it back.
+	for _, q := range r.t.TakeDown() {
+		r.stats.PeerDownEvents++
+		if r.t.Rank() == 0 {
+			r.down[q] = true
+			r.rejoinDeadline = time.Now().Add(r.cfg.RejoinWait)
 		}
+		r.span(obs.KindCrash, q, 0)
+		r.cfg.Log.Warn("peer down", "rank", r.t.Rank(), "peer", q,
+			"step", r.stats.Steps, "episode", r.outages+1)
 	}
 }
 
@@ -144,11 +133,9 @@ func (r *Runner) voteConvergence() (bool, error) {
 	}
 	payload := make([]byte, 1+B)
 	payload[0] = vote
-	if r.live != nil {
-		for q := 0; q < P; q++ {
-			if r.live.PendingRejoin(q) {
-				payload[1+q/8] |= 1 << (q % 8)
-			}
+	for q := 0; q < P; q++ {
+		if r.t.PendingRejoin(q) {
+			payload[1+q/8] |= 1 << (q % 8)
 		}
 	}
 	var out []transport.Message
@@ -161,9 +148,9 @@ func (r *Runner) voteConvergence() (bool, error) {
 	}
 	rawDecision := vote
 	pendingAll := make([]bool, P)
-	if r.t.Rank() == 0 && r.live != nil {
+	if r.t.Rank() == 0 {
 		for q := 0; q < P; q++ {
-			pendingAll[q] = r.live.PendingRejoin(q)
+			pendingAll[q] = r.t.PendingRejoin(q)
 		}
 	}
 	for _, msg := range in {
@@ -172,9 +159,11 @@ func (r *Runner) voteConvergence() (bool, error) {
 			if r.t.Rank() != 0 {
 				continue
 			}
-			b, ok := msg.Payload.([]byte)
-			if !ok || len(b) == 0 {
-				continue
+			// A vote that cannot be read must not count as "no updates":
+			// its rank may be dirty.
+			b, err := msg.Control(1 + B)
+			if err != nil {
+				return false, fmt.Errorf("rank 0: convergence vote: %w", err)
 			}
 			if b[0] != 0 {
 				rawDecision = 1
@@ -182,7 +171,7 @@ func (r *Runner) voteConvergence() (bool, error) {
 			// Activation needs unanimity: every voter must hold the rank
 			// pending (its rejoin handshake reached everyone).
 			for q := 0; q < P; q++ {
-				if pendingAll[q] && (len(b) <= 1+q/8 || b[1+q/8]&(1<<(q%8)) == 0) {
+				if pendingAll[q] && b[1+q/8]&(1<<(q%8)) == 0 {
 					pendingAll[q] = false
 				}
 			}
@@ -202,11 +191,9 @@ func (r *Runner) voteConvergence() (bool, error) {
 		return false, fmt.Errorf("rank %d: convergence broadcast: %w", r.t.Rank(), err)
 	}
 	if r.t.Rank() != 0 {
-		b, ok := msg.Payload.([]byte)
-		if !ok || len(b) < 1+2*B {
-			return false, fmt.Errorf("rank %d: malformed convergence decision (%d bytes)", r.t.Rank(), len(b))
+		if decision, err = msg.Control(1 + 2*B); err != nil {
+			return false, fmt.Errorf("rank %d: convergence decision: %w", r.t.Rank(), err)
 		}
-		decision = b
 	}
 	return r.applyDecision(decision)
 }
@@ -281,10 +268,8 @@ func (r *Runner) applyDecision(decision []byte) (bool, error) {
 		r.stats.DegradedConvergences++
 		r.downSeen = r.DownProcs()
 		r.span(obs.KindCrash, -1, int64(len(r.downSeen)))
-		if r.slog != nil {
-			r.slog.Warn("degraded convergence", "rank", r.t.Rank(), "step", r.stats.Steps,
-				"episode", r.outages, "down", fmt.Sprint(r.downSeen))
-		}
+		r.cfg.Log.Warn("degraded convergence", "rank", r.t.Rank(), "step", r.stats.Steps,
+			"episode", r.outages, "down", fmt.Sprint(r.downSeen))
 	}
 	var activated []int
 	for q := 0; q < P; q++ {
@@ -292,29 +277,25 @@ func (r *Runner) applyDecision(decision []byte) (bool, error) {
 			continue
 		}
 		activated = append(activated, q)
-		if r.live != nil {
-			r.live.Activate(q)
-		}
+		r.t.Activate(q)
 		r.down[q] = false
 		r.rs.MarkRejoinShipAll(int32(q))
 		r.stats.Rejoins++
 		r.rejoinsN.Add(1)
 		r.span(obs.KindRejoin, q, 0)
-		if r.slog != nil {
-			r.slog.Info("peer rejoined", "rank", r.t.Rank(), "peer", q,
-				"step", r.stats.Steps, "episode", r.outages)
-		}
+		r.cfg.Log.Info("peer rejoined", "rank", r.t.Rank(), "peer", q,
+			"step", r.stats.Steps, "episode", r.outages)
 	}
 	if !anyDown && len(activated) > 0 {
 		r.degraded = false
 	}
-	if r.t.Rank() == 0 && r.live != nil && len(activated) > 0 {
+	if r.t.Rank() == 0 && len(activated) > 0 {
 		payload, err := rejoinGo{partChecksum(r.part), uint64(r.stats.Steps), r.log.Journal()}.encode()
 		if err != nil {
 			return false, fmt.Errorf("rank 0: encoding rejoin journal: %w", err)
 		}
 		for _, q := range activated {
-			if err := r.live.SendRejoinGo(q, payload); err != nil {
+			if err := r.t.SendRejoinGo(q, payload); err != nil {
 				return false, fmt.Errorf("rank 0: releasing rejoined rank %d: %w", q, err)
 			}
 		}
@@ -416,14 +397,14 @@ func (r *Runner) writeShard() {
 	if err == nil {
 		err = os.Rename(tmp, path)
 	}
-	if err != nil && r.slog != nil {
-		r.slog.Warn("shard write failed", "rank", r.t.Rank(), "step", r.stats.Steps, "err", err)
+	if err != nil {
+		r.cfg.Log.Warn("shard write failed", "rank", r.t.Rank(), "step", r.stats.Steps, "err", err)
 	}
 }
 
 // Rejoin re-enters a computation as a restarted rank. The transport must
 // be a rejoin endpoint (RejoinTCP / RejoinInproc) already holding pending
-// links to the survivors. The sequence:
+// links to the survivors; any other endpoint fails in AwaitRejoinGo. The sequence:
 //
 //  1. rebuild the base graph's deterministic partition (same inputs as
 //     the original launch);
@@ -441,10 +422,6 @@ func (r *Runner) writeShard() {
 // back to oracle-exact.
 func Rejoin(t transport.Transport, cfg Config) (*Runner, error) {
 	cfg = cfg.withDefaults()
-	waiter, ok := t.(transport.RejoinWaiter)
-	if !ok {
-		return nil, fmt.Errorf("rank: transport is not a rejoin endpoint")
-	}
 	g := cfg.Graph
 	part, err := decompose(cfg, t.Size())
 	if err != nil {
@@ -454,7 +431,7 @@ func Rejoin(t transport.Transport, cfg Config) (*Runner, error) {
 	if wait <= 0 {
 		wait = 60 * time.Second
 	}
-	payload, err := waiter.AwaitRejoinGo(wait)
+	payload, err := t.AwaitRejoinGo(wait)
 	if err != nil {
 		return nil, fmt.Errorf("rank %d: rejoin: %w", t.Rank(), err)
 	}
@@ -467,9 +444,7 @@ func Rejoin(t transport.Transport, cfg Config) (*Runner, error) {
 	// step-reporter gossip, and shard headers line up with the survivors',
 	// so a merged trace reads the outage as one timeline.
 	r.stats.Steps = int(goMsg.steps)
-	if r.stepper != nil {
-		r.stepper.MarkStep(int64(r.stats.Steps))
-	}
+	t.MarkStep(int64(r.stats.Steps))
 	if err := r.log.Replay(g, part, goMsg.journal); err != nil {
 		return nil, fmt.Errorf("rank %d: %w", t.Rank(), err)
 	}
@@ -491,9 +466,7 @@ func Rejoin(t transport.Transport, cfg Config) (*Runner, error) {
 	r.rs.MarkAllShipAll()
 	r.rejoinsN.Add(1)
 	r.span(obs.KindRejoin, t.Rank(), 1)
-	if r.slog != nil {
-		r.slog.Info("rejoined computation", "rank", t.Rank(), "step", r.stats.Steps,
-			"shard_restored", restored, "journal_events", len(goMsg.journal))
-	}
+	cfg.Log.Info("rejoined computation", "rank", t.Rank(), "step", r.stats.Steps,
+		"shard_restored", restored, "journal_events", len(goMsg.journal))
 	return r, nil
 }

@@ -28,12 +28,11 @@ import (
 // running executable once per rank, forwarding every flag set on fs except
 // the launch-mode ones and giving each child its own -obs address. With
 // -supervise, a rank that dies mid-run is relaunched after a backoff with
-// -rejoin, re-entering the mesh through the liveness plane (which
-// supervision therefore forces on). With -metrics, the parent runs the
-// cluster aggregator: it scrapes every live rank, re-labels series with
-// rank="i", and serves one merged /metrics with the computed cross-rank
-// series. SIGINT/SIGTERM is forwarded to the children so their trace
-// exporters finalize. It returns the exit code.
+// -rejoin, re-entering the mesh through the liveness plane. With -metrics,
+// the parent runs the cluster aggregator: it scrapes every live rank,
+// re-labels series with rank="i", and serves one merged /metrics with the
+// computed cross-rank series. SIGINT/SIGTERM is forwarded to the children
+// so their trace exporters finalize. It returns the exit code.
 func launchMesh(fs *flag.FlagSet, o cliOptions, stdout, stderr io.Writer) int {
 	stdout, stderr = &lockedWriter{w: stdout}, &lockedWriter{w: stderr}
 	fail := func(format string, args ...any) int {
@@ -71,10 +70,6 @@ func launchMesh(fs *flag.FlagSet, o cliOptions, stdout, stderr io.Writer) int {
 			passthrough = append(passthrough, "-"+f.Name+"="+f.Value.String())
 		}
 	})
-	if o.supervise && o.hbInterval <= 0 {
-		// A rejoin needs failure detection on every rank; default it on.
-		passthrough = append(passthrough, "-hb-interval=500ms")
-	}
 	var (
 		liveMu   sync.Mutex
 		live     = map[int]*exec.Cmd{}

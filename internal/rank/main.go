@@ -110,7 +110,7 @@ func Main(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.traceDir, "trace-dir", "", "with -launch: write per-rank traces into this directory (rank<i>.jsonl; merge with aatrace -merge)")
 	fs.StringVar(&o.logFormat, "log-format", "", "structured log format: text or json (default: no structured logs)")
 
-	fs.DurationVar(&o.hbInterval, "hb-interval", 0, "heartbeat interval (0 disables failure detection; a peer is down after 4 silent intervals)")
+	fs.DurationVar(&o.hbInterval, "hb-interval", 500*time.Millisecond, "heartbeat interval; a peer is down after 4 silent intervals")
 	fs.StringVar(&o.shardDir, "shard-dir", "", "write this rank's recovery shard here after every RC step")
 	fs.DurationVar(&o.rejoinWait, "rejoin-wait", 0, "how long survivors idle in degraded mode waiting for a rejoin")
 	fs.IntVar(&o.minSteps, "min-steps", 0, "force at least this many RC steps before convergence may stop")
@@ -263,23 +263,11 @@ func runRank(o cliOptions, stdout, stderr io.Writer) error {
 			tr.Rank(), r.DownProcs())
 	}
 
-	// GatherDistances is a collective, so whether to gather is rank 0's
-	// decision, broadcast to everyone — a rank joined without -verify/-out
-	// must still participate when rank 0 wants the matrix.
-	want := byte(0)
-	if tr.Rank() == 0 && (o.verify || o.out != "") {
-		want = 1
-	}
-	msg, err := tr.Broadcast(0, transport.Message{Tag: transport.TagControl, Bytes: 1, Payload: []byte{want}})
-	if err != nil {
+	want, err := gatherWanted(tr, tr.Rank() == 0 && (o.verify || o.out != ""))
+	if err != nil || !want {
 		return err
 	}
-	if tr.Rank() != 0 {
-		want = msg.Payload.([]byte)[0]
-	}
-	if want == 0 {
-		return nil
-	}
+	// A degraded stop fails here: the down ranks' rows are missing.
 	dist, err := r.GatherDistances()
 	if err != nil || tr.Rank() != 0 {
 		return err
@@ -297,6 +285,25 @@ func runRank(o cliOptions, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "rank 0: wrote %s\n", o.out)
 	}
 	return nil
+}
+
+// gatherWanted broadcasts rank 0's decision whether to gather the matrix
+// and returns it on every rank. GatherDistances is a collective, so a rank
+// joined without -verify/-out must still take part when rank 0 wants it.
+func gatherWanted(t transport.Transport, want bool) (bool, error) {
+	b := byte(0)
+	if want {
+		b = 1
+	}
+	msg, err := t.Broadcast(0, transport.Message{Tag: transport.TagControl, Bytes: 1, Payload: []byte{b}})
+	if err != nil || t.Rank() == 0 {
+		return want, err
+	}
+	p, err := msg.Control(1)
+	if err != nil {
+		return false, fmt.Errorf("rank %d: gather decision: %w", t.Rank(), err)
+	}
+	return p[0] != 0, nil
 }
 
 // calibrate measures the transport's LogP parameters; rank 0 prints the

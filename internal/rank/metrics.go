@@ -4,23 +4,21 @@ import (
 	"strconv"
 
 	"anytime/internal/obs"
-	"anytime/internal/transport"
 )
 
 // RegisterMetrics exposes one rank's liveness plane on an obs Registry in
 // Prometheus text form, under the aa_rank_* namespace. Scrapes run on the
 // metrics server's goroutines concurrently with the step loop, so every
 // read goes through thread-safe sources only: the transport's liveness
-// view (its own locks) and the runner's atomic rejoin counter — never the
-// runner's step-loop state.
+// and step views (their own locks) and the runner's atomic rejoin counter
+// — never the runner's step-loop state.
 func RegisterMetrics(reg *obs.Registry, r *Runner) {
 	self := r.t.Rank()
 	for q := 0; q < r.t.Size(); q++ {
-		q := q
 		labels := obs.Labels("rank", strconv.Itoa(self), "peer", strconv.Itoa(q))
 		reg.GaugeFunc("aa_rank_up", "1 while the peer's link is active, 0 once failure detection holds it down or pending.",
 			labels, func() float64 {
-				if q != self && r.live != nil && r.live.PeerDown(q) {
+				if r.t.PeerDown(q) {
 					return 0
 				}
 				return 1
@@ -29,12 +27,7 @@ func RegisterMetrics(reg *obs.Registry, r *Runner) {
 			continue
 		}
 		reg.GaugeFunc("aa_rank_heartbeat_age_seconds", "Seconds since the peer was last heard from (0 when unknown or in-process).",
-			labels, func() float64 {
-				if r.live == nil {
-					return 0
-				}
-				return r.live.HeartbeatAge(q).Seconds()
-			})
+			labels, func() float64 { return r.t.HeartbeatAge(q).Seconds() })
 	}
 	reg.CounterFunc("aa_rank_rejoins_total", "Peer rejoins integrated by this rank (a rejoining rank counts its own re-entry).",
 		obs.Labels("rank", strconv.Itoa(self)), func() float64 {
@@ -42,15 +35,12 @@ func RegisterMetrics(reg *obs.Registry, r *Runner) {
 		})
 
 	// Step-ID gossip: where this rank believes each peer is in RC (the
-	// transport's StepReporter plane — heartbeat piggyback over TCP).
-	if sr, ok := transport.AsStepReporter(r.t); ok {
-		for q := 0; q < r.t.Size(); q++ {
-			q := q
-			reg.GaugeFunc("aa_rank_peer_step", "RC step last heard from the peer (own step for peer == rank).",
-				obs.Labels("rank", strconv.Itoa(self), "peer", strconv.Itoa(q)), func() float64 {
-					return float64(sr.PeerStep(q))
-				})
-		}
+	// transport's step-ID plane — heartbeat piggyback over TCP).
+	for q := 0; q < r.t.Size(); q++ {
+		reg.GaugeFunc("aa_rank_peer_step", "RC step last heard from the peer (own step for peer == rank).",
+			obs.Labels("rank", strconv.Itoa(self), "peer", strconv.Itoa(q)), func() float64 {
+				return float64(r.t.PeerStep(q))
+			})
 	}
 
 	// Anytime-quality telemetry: every read goes through the runner's

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -65,7 +66,7 @@ type Config struct {
 	Obs *obs.Tracer
 	// Log receives structured liveness/step events (peer deaths, degraded
 	// entries, rejoins, shard failures) with rank/step/episode attributes;
-	// nil disables logging.
+	// nil discards them.
 	Log *slog.Logger
 	// StepHook, when set, is invoked at the end of every Step with the
 	// fresh telemetry snapshot — the periodic trace-flush and test hook.
@@ -76,6 +77,9 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 2
+	}
+	if c.Log == nil {
+		c.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	return c
 }
@@ -108,9 +112,8 @@ type Runner struct {
 	converged bool
 	stats     Stats
 
-	// Liveness plane (nil live = transport has no failure detection and
-	// a peer death is fatal, the pre-liveness behavior).
-	live     transport.Liveness
+	// Liveness plane: the transport's failure detection, folded into one
+	// cluster view by the convergence vote.
 	log      *core.EventLog
 	down     []bool // rank 0's authoritative view, mirrored by the decision broadcast
 	degraded bool
@@ -127,11 +130,8 @@ type Runner struct {
 	// scrape goroutine must not touch stats).
 	rejoinsN atomic.Int64
 
-	// Observability plane: the optional step reporter gossips this rank's
-	// RC step to peers (heartbeat piggyback over TCP); telem is the
-	// scrape-safe snapshot refreshed each step under tmu.
-	stepper       transport.StepReporter
-	slog          *slog.Logger
+	// Observability plane: telem is the scrape-safe snapshot refreshed
+	// each step under tmu.
 	busyTotal     time.Duration
 	degradedSteps int
 	outages       int
@@ -183,17 +183,12 @@ func decompose(cfg Config, P int) (*graph.Partition, error) {
 	return part, nil
 }
 
-// newRunner wires the shared runner state, discovering the transport's
-// optional liveness plane.
+// newRunner wires the shared runner state.
 func newRunner(t transport.Transport, cfg Config, g *graph.Graph, part *graph.Partition) *Runner {
-	r := &Runner{t: t, cfg: cfg, g: g, part: part,
+	return &Runner{t: t, cfg: cfg, g: g, part: part,
 		log:  core.NewEventLog(t.Size()),
 		down: make([]bool, t.Size()),
-		slog: cfg.Log,
 	}
-	r.live, _ = transport.AsLiveness(t)
-	r.stepper, _ = transport.AsStepReporter(t)
-	return r
 }
 
 // verifyPartition checks that every process computed the same vertex
@@ -210,9 +205,9 @@ func verifyPartition(t transport.Transport, part *graph.Partition) error {
 	if t.Rank() == 0 {
 		return nil
 	}
-	root, ok := msg.Payload.([]byte)
-	if !ok || len(root) != 8 {
-		return fmt.Errorf("rank %d: malformed partition checksum from rank 0 (%d bytes)", t.Rank(), len(root))
+	root, err := msg.Control(8)
+	if err != nil {
+		return fmt.Errorf("rank %d: partition checksum: %w", t.Rank(), err)
 	}
 	if rootSum := binary.LittleEndian.Uint64(root); rootSum != sum {
 		return fmt.Errorf("rank %d: partition checksum %x != root %x (divergent graph, seed, or partitioner)",
@@ -332,9 +327,7 @@ func (r *Runner) Step() (bool, error) {
 		r.stats.EventsApplied += len(events)
 	}
 	r.stats.Steps++
-	if r.stepper != nil {
-		r.stepper.MarkStep(int64(r.stats.Steps))
-	}
+	r.t.MarkStep(int64(r.stats.Steps))
 	r.writeShard()
 	more, err := r.voteConvergence()
 	if err != nil {

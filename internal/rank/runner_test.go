@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -230,5 +231,61 @@ func TestVerifyPartitionMalformedRoot(t *testing.T) {
 	}
 	if err := <-sent; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGatherWantedMalformedRoot: an empty gather-decision broadcast from
+// rank 0 fails the receiving rank with an error naming rank 0, instead of
+// panicking it.
+func TestGatherWantedMalformedRoot(t *testing.T) {
+	group := transport.NewInprocGroup(2)
+	sent := make(chan error, 1)
+	go func() {
+		_, err := group[0].Broadcast(0, transport.Message{Tag: transport.TagControl, Payload: []byte{}})
+		sent <- err
+	}()
+	_, err := gatherWanted(group[1], false)
+	if !errors.Is(err, transport.ErrPayloadKind) || !strings.Contains(err.Error(), "rank 0") {
+		t.Fatalf("got %v, want ErrPayloadKind naming rank 0", err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestMalformedVoteIsError: rank 0 must not read an empty convergence vote
+// as "no updates" — the voter may be dirty — but fail the step with an
+// error naming the voter.
+func TestMalformedVoteIsError(t *testing.T) {
+	const n, seed = 40, 3
+	group := transport.NewInprocGroup(2)
+	peer := make(chan error, 1)
+	go func() {
+		// Rank 1 by hand: the partition checksum, the data exchange, an
+		// empty vote, then the decision broadcast (released by rank 0's
+		// abort once rank 0 gives up on the step).
+		_, err := group[1].Broadcast(0, transport.Message{})
+		if err == nil {
+			_, err = group[1].Exchange(nil)
+		}
+		if err == nil {
+			_, err = group[1].Exchange([]transport.Message{{To: 0, Tag: transport.TagControl, Payload: []byte{}}})
+		}
+		if err == nil {
+			group[1].Broadcast(0, transport.Message{})
+		}
+		peer <- err
+	}()
+	r, err := New(group[0], Config{Graph: testGraph(t, n, seed), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Step()
+	group[0].Abort()
+	if perr := <-peer; perr != nil {
+		t.Fatal(perr)
+	}
+	if !errors.Is(err, transport.ErrPayloadKind) || !strings.Contains(err.Error(), "from rank 1") {
+		t.Fatalf("got %v, want ErrPayloadKind naming rank 1", err)
 	}
 }

@@ -15,97 +15,57 @@ import (
 // per-processor load gauges, the live load-imbalance gauge (the paper's
 // Fig. 5 metric, per RC step), and per-route HTTP latency histograms.
 
-// engineTotals is the subset of core.Metrics exported as Prometheus
+// engineCounters is the subset of core.Metrics exported as Prometheus
 // counters. Engine metrics reset when the driver restarts from a
 // checkpoint, so the registry renders base + view totals, where base
 // accumulates what each dead engine had counted beyond its replacement.
-type engineTotals struct {
-	rcSteps       float64
-	virtualSec    float64
-	ddOps         float64
-	iaOps         float64
-	rcOps         float64
-	changeOps     float64
-	commMessages  float64
-	commBytes     float64
-	commResends   float64
-	commDropped   float64
-	commFailed    float64
-	crashes       float64
-	recoveries    float64
-	shardsWritten float64
-	shardBytes    float64
+var engineCounters = []struct {
+	name, help, labels string
+	pick               func(core.Metrics) float64
+}{
+	{"aa_engine_rc_steps_total", "Recombination steps performed across engine generations.", "",
+		func(m core.Metrics) float64 { return float64(m.RCSteps) }},
+	{"aa_engine_virtual_seconds_total", "Simulated LogP cluster time elapsed, in seconds.", "",
+		func(m core.Metrics) float64 { return m.VirtualTime.Seconds() }},
+	{"aa_engine_ops_total", opsHelp, obs.Labels("phase", "dd"),
+		func(m core.Metrics) float64 { return float64(m.DDOps) }},
+	{"aa_engine_ops_total", opsHelp, obs.Labels("phase", "ia"),
+		func(m core.Metrics) float64 { return float64(m.IAOps) }},
+	{"aa_engine_ops_total", opsHelp, obs.Labels("phase", "rc"),
+		func(m core.Metrics) float64 { return float64(m.RCOps) }},
+	{"aa_engine_ops_total", opsHelp, obs.Labels("phase", "change"),
+		func(m core.Metrics) float64 { return float64(m.ChangeOps) }},
+	{"aa_comm_messages_total", "Logical messages exchanged on the simulated cluster.", "",
+		func(m core.Metrics) float64 { return float64(m.Comm.Messages) }},
+	{"aa_comm_bytes_total", "Payload bytes exchanged on the simulated cluster.", "",
+		func(m core.Metrics) float64 { return float64(m.Comm.Bytes) }},
+	{"aa_comm_resends_total", "Retransmissions after injected drops/corruption.", "",
+		func(m core.Metrics) float64 { return float64(m.Comm.Resends) }},
+	{"aa_comm_dropped_total", "Delivery attempts lost in the injected-fault network.", "",
+		func(m core.Metrics) float64 { return float64(m.Comm.Dropped) }},
+	{"aa_comm_failed_total", "Messages abandoned after the resend budget.", "",
+		func(m core.Metrics) float64 { return float64(m.Comm.Failed) }},
+	{"aa_engine_crashes_total", "Scheduled processor crashes applied.", "",
+		func(m core.Metrics) float64 { return float64(m.Crashes) }},
+	{"aa_engine_recoveries_total", "Processor rejoin protocols completed.", "",
+		func(m core.Metrics) float64 { return float64(m.Recoveries) }},
+	{"aa_engine_shards_written_total", "Recovery shards serialized.", "",
+		func(m core.Metrics) float64 { return float64(m.ShardsWritten) }},
+	{"aa_engine_shard_bytes_total", "Total bytes of recovery shards written.", "",
+		func(m core.Metrics) float64 { return float64(m.ShardBytes) }},
 }
 
-func totalsOf(m core.Metrics) engineTotals {
-	return engineTotals{
-		rcSteps:       float64(m.RCSteps),
-		virtualSec:    m.VirtualTime.Seconds(),
-		ddOps:         float64(m.DDOps),
-		iaOps:         float64(m.IAOps),
-		rcOps:         float64(m.RCOps),
-		changeOps:     float64(m.ChangeOps),
-		commMessages:  float64(m.Comm.Messages),
-		commBytes:     float64(m.Comm.Bytes),
-		commResends:   float64(m.Comm.Resends),
-		commDropped:   float64(m.Comm.Dropped),
-		commFailed:    float64(m.Comm.Failed),
-		crashes:       float64(m.Crashes),
-		recoveries:    float64(m.Recoveries),
-		shardsWritten: float64(m.ShardsWritten),
-		shardBytes:    float64(m.ShardBytes),
-	}
-}
-
-func (t engineTotals) sub(o engineTotals) engineTotals {
-	return engineTotals{
-		rcSteps:       t.rcSteps - o.rcSteps,
-		virtualSec:    t.virtualSec - o.virtualSec,
-		ddOps:         t.ddOps - o.ddOps,
-		iaOps:         t.iaOps - o.iaOps,
-		rcOps:         t.rcOps - o.rcOps,
-		changeOps:     t.changeOps - o.changeOps,
-		commMessages:  t.commMessages - o.commMessages,
-		commBytes:     t.commBytes - o.commBytes,
-		commResends:   t.commResends - o.commResends,
-		commDropped:   t.commDropped - o.commDropped,
-		commFailed:    t.commFailed - o.commFailed,
-		crashes:       t.crashes - o.crashes,
-		recoveries:    t.recoveries - o.recoveries,
-		shardsWritten: t.shardsWritten - o.shardsWritten,
-		shardBytes:    t.shardBytes - o.shardBytes,
-	}
-}
-
-func (t engineTotals) add(o engineTotals) engineTotals {
-	return engineTotals{
-		rcSteps:       t.rcSteps + o.rcSteps,
-		virtualSec:    t.virtualSec + o.virtualSec,
-		ddOps:         t.ddOps + o.ddOps,
-		iaOps:         t.iaOps + o.iaOps,
-		rcOps:         t.rcOps + o.rcOps,
-		changeOps:     t.changeOps + o.changeOps,
-		commMessages:  t.commMessages + o.commMessages,
-		commBytes:     t.commBytes + o.commBytes,
-		commResends:   t.commResends + o.commResends,
-		commDropped:   t.commDropped + o.commDropped,
-		commFailed:    t.commFailed + o.commFailed,
-		crashes:       t.crashes + o.crashes,
-		recoveries:    t.recoveries + o.recoveries,
-		shardsWritten: t.shardsWritten + o.shardsWritten,
-		shardBytes:    t.shardBytes + o.shardBytes,
-	}
-}
+const opsHelp = "Relaxation/heap operations, by engine phase."
 
 // serverMetrics owns the registry and the gauges the driver updates.
 type serverMetrics struct {
 	reg *obs.Registry
 
-	// base rebases engine totals across restarts: rendered counter = base +
-	// latest published View's totals. Written by restart() on the driver
-	// goroutine, read by scrapes.
+	// base rebases engine totals across restarts: rendered counter i =
+	// base[i] + the latest published View's engineCounters[i]. Written by
+	// rebase on the driver goroutine, read by scrapes.
 	mu   sync.Mutex
-	base engineTotals
+	base []float64
 
 	// Step-quality gauges, updated by onStep from StepStats.
 	imbalance       *obs.Gauge
@@ -130,7 +90,8 @@ type serverMetrics struct {
 
 // newServerMetrics wires the registry for a server with P processors.
 func newServerMetrics(s *Server, p int) *serverMetrics {
-	m := &serverMetrics{reg: obs.NewRegistry(), httpLatency: map[string]*obs.Histogram{}}
+	m := &serverMetrics{reg: obs.NewRegistry(), httpLatency: map[string]*obs.Histogram{},
+		base: make([]float64, len(engineCounters))}
 	reg := m.reg
 	c := &s.counters
 
@@ -198,60 +159,17 @@ func newServerMetrics(s *Server, p int) *serverMetrics {
 		})
 
 	// Engine totals, rebased so restarts never step a counter backwards.
-	totals := func() engineTotals {
-		m.mu.Lock()
-		base := m.base
-		m.mu.Unlock()
-		if v := view(); v != nil {
-			return base.add(totalsOf(v.Metrics))
-		}
-		return base
+	for i, c := range engineCounters {
+		reg.CounterFunc(c.name, c.help, c.labels, func() float64 {
+			m.mu.Lock()
+			base := m.base[i]
+			m.mu.Unlock()
+			if v := view(); v != nil {
+				return base + c.pick(v.Metrics)
+			}
+			return base
+		})
 	}
-	engCounter := func(name, help, labels string, pick func(engineTotals) float64) {
-		reg.CounterFunc(name, help, labels, func() float64 { return pick(totals()) })
-	}
-	engCounter("aa_engine_rc_steps_total",
-		"Recombination steps performed across engine generations.", "",
-		func(t engineTotals) float64 { return t.rcSteps })
-	engCounter("aa_engine_virtual_seconds_total",
-		"Simulated LogP cluster time elapsed, in seconds.", "",
-		func(t engineTotals) float64 { return t.virtualSec })
-	opsHelp := "Relaxation/heap operations, by engine phase."
-	engCounter("aa_engine_ops_total", opsHelp, obs.Labels("phase", "dd"),
-		func(t engineTotals) float64 { return t.ddOps })
-	engCounter("aa_engine_ops_total", opsHelp, obs.Labels("phase", "ia"),
-		func(t engineTotals) float64 { return t.iaOps })
-	engCounter("aa_engine_ops_total", opsHelp, obs.Labels("phase", "rc"),
-		func(t engineTotals) float64 { return t.rcOps })
-	engCounter("aa_engine_ops_total", opsHelp, obs.Labels("phase", "change"),
-		func(t engineTotals) float64 { return t.changeOps })
-	engCounter("aa_comm_messages_total",
-		"Logical messages exchanged on the simulated cluster.", "",
-		func(t engineTotals) float64 { return t.commMessages })
-	engCounter("aa_comm_bytes_total",
-		"Payload bytes exchanged on the simulated cluster.", "",
-		func(t engineTotals) float64 { return t.commBytes })
-	engCounter("aa_comm_resends_total",
-		"Retransmissions after injected drops/corruption.", "",
-		func(t engineTotals) float64 { return t.commResends })
-	engCounter("aa_comm_dropped_total",
-		"Delivery attempts lost in the injected-fault network.", "",
-		func(t engineTotals) float64 { return t.commDropped })
-	engCounter("aa_comm_failed_total",
-		"Messages abandoned after the resend budget.", "",
-		func(t engineTotals) float64 { return t.commFailed })
-	engCounter("aa_engine_crashes_total",
-		"Scheduled processor crashes applied.", "",
-		func(t engineTotals) float64 { return t.crashes })
-	engCounter("aa_engine_recoveries_total",
-		"Processor rejoin protocols completed.", "",
-		func(t engineTotals) float64 { return t.recoveries })
-	engCounter("aa_engine_shards_written_total",
-		"Recovery shards serialized.", "",
-		func(t engineTotals) float64 { return t.shardsWritten })
-	engCounter("aa_engine_shard_bytes_total",
-		"Total bytes of recovery shards written.", "",
-		func(t engineTotals) float64 { return t.shardBytes })
 
 	// Convergence-quality telemetry of the most recent RC step.
 	m.imbalance = reg.Gauge("aa_step_imbalance",
@@ -328,9 +246,10 @@ func (m *serverMetrics) observeStep(st core.StepStats) {
 // rebase folds a dead engine's totals beyond its replacement's into the
 // base, so the rendered engine counters stay monotone across a restart.
 func (m *serverMetrics) rebase(dead, restored core.Metrics) {
-	d := totalsOf(dead).sub(totalsOf(restored))
 	m.mu.Lock()
-	m.base = m.base.add(d)
+	for i, c := range engineCounters {
+		m.base[i] += c.pick(dead) - c.pick(restored)
+	}
 	m.mu.Unlock()
 }
 

@@ -173,7 +173,9 @@ func pingPong(t Transport, rounds, bytes, count int) (time.Duration, error) {
 		return 0, err
 	}
 	if t.Rank() != 0 {
-		buf = got.Payload.([]byte)
+		if buf, err = got.Control(8); err != nil {
+			return 0, fmt.Errorf("transport: calibration median: %w", err)
+		}
 	}
 	return time.Duration(binary.LittleEndian.Uint64(buf)), nil
 }

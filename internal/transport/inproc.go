@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Hub is the single-process delivery fabric of the inproc Transport
+// hub is the single-process delivery fabric of the inproc Transport
 // backend: per-rank mailboxes guarded by one mutex.
-type Hub struct {
+type hub struct {
 	mu    sync.Mutex
 	boxes [][]hubMsg
 	seq   []uint32 // per-sender sequence within the current step
@@ -19,10 +19,10 @@ type Hub struct {
 	// Inproc.Abort is down — sticky until RejoinInproc + Activate.
 	live    []bool
 	pending []bool
-	events  [][]LivenessEvent // per-rank observation queues
-	goCh    []chan []byte     // per-rank rejoin-go channels
+	down    [][]int       // per-rank queues of peers newly seen down
+	goCh    []chan []byte // per-rank rejoin-go channels
 
-	steps []int64 // per-rank step table (the inproc StepReporter plane)
+	steps []int64 // per-rank step table (the inproc step-ID plane)
 }
 
 type hubMsg struct {
@@ -30,14 +30,14 @@ type hubMsg struct {
 	seq uint32
 }
 
-// NewHub creates a hub for n ranks.
-func NewHub(n int) *Hub {
-	h := &Hub{
+// newHub creates a hub for n ranks.
+func newHub(n int) *hub {
+	h := &hub{
 		boxes:   make([][]hubMsg, n),
 		seq:     make([]uint32, n),
 		live:    make([]bool, n),
 		pending: make([]bool, n),
-		events:  make([][]LivenessEvent, n),
+		down:    make([][]int, n),
 		goCh:    make([]chan []byte, n),
 		steps:   make([]int64, n),
 	}
@@ -48,11 +48,11 @@ func NewHub(n int) *Hub {
 }
 
 // Size returns the number of ranks.
-func (h *Hub) Size() int { return len(h.boxes) }
+func (h *hub) Size() int { return len(h.boxes) }
 
-// Deliver appends msg to its destination mailbox, stamped with its
+// deliver appends msg to its destination mailbox, stamped with its
 // position in the sender's traffic for this step.
-func (h *Hub) Deliver(msg Message) {
+func (h *hub) deliver(msg Message) {
 	h.mu.Lock()
 	s := h.seq[msg.From]
 	h.seq[msg.From]++
@@ -67,7 +67,7 @@ func (h *Hub) Deliver(msg Message) {
 // collectSorted removes rank's pending messages ordered by (sender rank,
 // send order) — the deterministic inbox order of the Transport contract,
 // independent of the interleaving of concurrent senders.
-func (h *Hub) collectSorted(rank int) []Message {
+func (h *hub) collectSorted(rank int) []Message {
 	h.mu.Lock()
 	box := h.boxes[rank]
 	h.boxes[rank] = nil
@@ -86,7 +86,7 @@ func (h *Hub) collectSorted(rank int) []Message {
 }
 
 // Stats returns a snapshot of the hub counters.
-func (h *Hub) Stats() Stats { return h.ctr.snapshot() }
+func (h *hub) Stats() Stats { return h.ctr.snapshot() }
 
 // groupBarrier is a reusable cyclic barrier for n in-process ranks.
 type groupBarrier struct {
@@ -142,13 +142,13 @@ func (b *groupBarrier) join() {
 }
 
 // Inproc is the in-process Transport backend: n endpoints over one shared
-// Hub, synchronized by a group barrier. It carries payloads by reference
+// hub, synchronized by a group barrier. It carries payloads by reference
 // (no serialization), so an engine run over it is bit-identical to the
 // pre-transport in-process engine. NewInprocGroup wires a full group; the
 // endpoints are used from one goroutine each.
 type Inproc struct {
 	rank    int
-	hub     *Hub
+	hub     *hub
 	barrier *groupBarrier
 	closed  bool
 	failed  []Message // messages addressed to down ranks
@@ -156,11 +156,11 @@ type Inproc struct {
 
 // NewInprocGroup creates n connected in-process endpoints.
 func NewInprocGroup(n int) []*Inproc {
-	hub := NewHub(n)
+	h := newHub(n)
 	bar := newGroupBarrier(n)
 	group := make([]*Inproc, n)
 	for i := range group {
-		group[i] = &Inproc{rank: i, hub: hub, barrier: bar}
+		group[i] = &Inproc{rank: i, hub: h, barrier: bar}
 	}
 	return group
 }
@@ -170,25 +170,6 @@ func (t *Inproc) Rank() int { return t.rank }
 
 // Size implements Transport.
 func (t *Inproc) Size() int { return t.hub.Size() }
-
-// MarkStep implements StepReporter: in-process, the shared hub table *is*
-// the gossip (peers see the step immediately instead of after a heartbeat
-// interval — strictly fresher than TCP, same observational contract).
-func (t *Inproc) MarkStep(step int64) {
-	t.hub.mu.Lock()
-	t.hub.steps[t.rank] = step
-	t.hub.mu.Unlock()
-}
-
-// PeerStep implements StepReporter.
-func (t *Inproc) PeerStep(q int) int64 {
-	if q < 0 || q >= t.hub.Size() {
-		return 0
-	}
-	t.hub.mu.Lock()
-	defer t.hub.mu.Unlock()
-	return t.hub.steps[q]
-}
 
 // Exchange implements Transport: deposit, barrier (all traffic in), sort
 // and collect, barrier (all collected before the next step's deposits).
@@ -215,7 +196,7 @@ func (t *Inproc) Exchange(out []Message) ([]Message, error) {
 			t.failed = append(t.failed, msg)
 			continue
 		}
-		t.hub.Deliver(msg)
+		t.hub.deliver(msg)
 	}
 	if t.rank == 0 {
 		t.hub.ctr.exchanges.Add(1)
@@ -285,7 +266,7 @@ func (t *Inproc) Abort() {
 	h.boxes[t.rank] = nil
 	for q := range h.live {
 		if q != t.rank && h.live[q] {
-			h.events[q] = append(h.events[q], LivenessEvent{Rank: t.rank, Kind: LiveDown})
+			h.down[q] = append(h.down[q], t.rank)
 		}
 	}
 	h.mu.Unlock()
@@ -308,17 +289,17 @@ func RejoinInproc(peer *Inproc, rank int) *Inproc {
 	return &Inproc{rank: rank, hub: h, barrier: peer.barrier}
 }
 
-// TakeLiveness implements Liveness.
-func (t *Inproc) TakeLiveness() []LivenessEvent {
+// TakeDown implements Transport.
+func (t *Inproc) TakeDown() []int {
 	h := t.hub
 	h.mu.Lock()
-	evs := h.events[t.rank]
-	h.events[t.rank] = nil
+	down := h.down[t.rank]
+	h.down[t.rank] = nil
 	h.mu.Unlock()
-	return evs
+	return down
 }
 
-// PeerDown implements Liveness (a pending rejoiner is still down — it
+// PeerDown implements Transport (a pending rejoiner is still down — it
 // carries no traffic until activated).
 func (t *Inproc) PeerDown(q int) bool {
 	if q == t.rank || q < 0 || q >= t.hub.Size() {
@@ -330,7 +311,7 @@ func (t *Inproc) PeerDown(q int) bool {
 	return !h.live[q]
 }
 
-// PendingRejoin implements Liveness.
+// PendingRejoin implements Transport.
 func (t *Inproc) PendingRejoin(q int) bool {
 	if q < 0 || q >= t.hub.Size() {
 		return false
@@ -341,9 +322,8 @@ func (t *Inproc) PendingRejoin(q int) bool {
 	return h.pending[q]
 }
 
-// Activate implements Liveness: the first caller flips the pending rank
-// live and rejoins it to the barrier group; every live rank observes the
-// transition in its own event queue. Idempotent across callers.
+// Activate implements Transport: the first caller flips the pending rank
+// live and rejoins it to the barrier group. Idempotent across callers.
 func (t *Inproc) Activate(q int) {
 	if q < 0 || q >= t.hub.Size() {
 		return
@@ -354,11 +334,6 @@ func (t *Inproc) Activate(q int) {
 	if first {
 		h.pending[q] = false
 		h.live[q] = true
-		for p := range h.live {
-			if p != q && h.live[p] {
-				h.events[p] = append(h.events[p], LivenessEvent{Rank: q, Kind: LiveRejoin})
-			}
-		}
 	}
 	h.mu.Unlock()
 	if first {
@@ -366,10 +341,10 @@ func (t *Inproc) Activate(q int) {
 	}
 }
 
-// HeartbeatAge implements Liveness: in-process peers are always fresh.
+// HeartbeatAge implements Transport: in-process peers are always fresh.
 func (t *Inproc) HeartbeatAge(int) time.Duration { return 0 }
 
-// SendRejoinGo implements Liveness.
+// SendRejoinGo implements Transport.
 func (t *Inproc) SendRejoinGo(q int, payload []byte) error {
 	if q < 0 || q >= t.hub.Size() {
 		return fmt.Errorf("transport: rejoin-go to invalid rank %d", q)
@@ -388,7 +363,7 @@ func (t *Inproc) SendRejoinGo(q int, payload []byte) error {
 	return nil
 }
 
-// AwaitRejoinGo implements RejoinWaiter for an endpoint created by
+// AwaitRejoinGo implements Transport for an endpoint created by
 // RejoinInproc.
 func (t *Inproc) AwaitRejoinGo(timeout time.Duration) ([]byte, error) {
 	h := t.hub

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -287,6 +289,31 @@ func TestCalibrateInproc(t *testing.T) {
 	}
 	if c.String() == "" {
 		t.Fatal("empty report row")
+	}
+}
+
+// A median broadcast shorter than 8 bytes fails the receiving rank with
+// an error naming rank 0, instead of panicking it.
+func TestPingPongShortMedian(t *testing.T) {
+	group := NewInprocGroup(2)
+	sent := make(chan error, 1)
+	go func() {
+		// Rank 0's side of one round, then a 3-byte "median".
+		_, err := group[0].Exchange([]Message{{To: 1, Tag: TagControl, Bytes: 1, Payload: []byte{0}}})
+		if err == nil {
+			_, err = group[0].Exchange(nil)
+		}
+		if err == nil {
+			_, err = group[0].Broadcast(0, Message{Tag: TagControl, Bytes: 3, Payload: []byte{1, 2, 3}})
+		}
+		sent <- err
+	}()
+	_, err := pingPong(group[1], 1, 1, 1)
+	if !errors.Is(err, ErrPayloadKind) || !strings.Contains(err.Error(), "rank 0") {
+		t.Fatalf("got %v, want ErrPayloadKind naming rank 0", err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,11 +2,11 @@ package transport
 
 import "time"
 
-// The liveness plane: both backends can detect a dead peer (real heartbeat
-// timeouts over TCP, an explicit crash call in-process) and surface the
-// death — and a later rejoin — to the runner without changing the core
-// Transport interface. Liveness is an optional capability discovered by
-// type assertion; the bulk-synchronous collectives keep working across a
+// The liveness plane: every backend detects a dead peer (heartbeat
+// timeouts over TCP, an explicit crash call in-process) and surfaces the
+// death through Transport.TakeDown, and re-admits a restarted process
+// through the rejoin handshake (PendingRejoin, Activate, SendRejoinGo,
+// AwaitRejoinGo). The bulk-synchronous collectives keep working across a
 // death by treating a down peer as contributing no traffic.
 //
 // Down is sticky: once a peer is marked down it stays down until the
@@ -17,75 +17,6 @@ import "time"
 // pending links in the convergence vote, rank 0 broadcasts the activation
 // set in the decision, and every rank activates the link at the same
 // exchange boundary — so the step-end marker streams stay aligned.
-
-// LiveKind is the kind of a liveness transition.
-type LiveKind uint8
-
-const (
-	// LiveDown reports a peer newly marked down (heartbeat timeout, or
-	// reconnect budget exhausted).
-	LiveDown LiveKind = iota
-	// LiveRejoin reports a pending peer activated back into the plane.
-	LiveRejoin
-)
-
-// LivenessEvent is one liveness transition observed by an endpoint.
-type LivenessEvent struct {
-	Rank int
-	Kind LiveKind
-}
-
-// Liveness is the optional failure-detection surface of a Transport
-// backend. Backends without liveness (or with it disabled) simply do not
-// implement it.
-type Liveness interface {
-	// TakeLiveness returns the liveness transitions observed since the
-	// last call and clears the list.
-	TakeLiveness() []LivenessEvent
-	// PeerDown reports whether rank q is currently considered down
-	// (including pending-rejoin: a pending peer carries no traffic yet).
-	PeerDown(q int) bool
-	// PendingRejoin reports whether rank q has completed the rejoin
-	// handshake and waits for activation.
-	PendingRejoin(q int) bool
-	// Activate integrates a pending peer into the plane at the current
-	// exchange boundary. All live ranks must call it at the same boundary
-	// (the runner's decision broadcast coordinates this). Idempotent.
-	Activate(q int)
-	// HeartbeatAge is the time since rank q was last heard from; zero for
-	// self or when unknown.
-	HeartbeatAge(q int) time.Duration
-	// SendRejoinGo releases a pending-activated rejoiner into the step
-	// loop, handing it the opaque go payload (the runner's state digest:
-	// partition checksum plus the dynamic-event journal). Only the
-	// coordinating rank calls it, after Activate.
-	SendRejoinGo(q int, payload []byte) error
-}
-
-// RejoinWaiter is the rejoiner's side of the rejoin handshake: an endpoint
-// created by RejoinTCP / RejoinInproc blocks here until the coordinator
-// releases it.
-type RejoinWaiter interface {
-	// AwaitRejoinGo blocks until the coordinator's go signal arrives and
-	// returns its payload.
-	AwaitRejoinGo(timeout time.Duration) ([]byte, error)
-}
-
-// AsLiveness discovers the liveness surface of a transport, unwrapping the
-// fault layer: the Lossy wrapper sits above the backend and does not carry
-// liveness itself, but its backend might.
-func AsLiveness(t Transport) (Liveness, bool) {
-	for {
-		if lv, ok := t.(Liveness); ok {
-			return lv, true
-		}
-		if l, ok := t.(*Lossy); ok {
-			t = l.inner
-			continue
-		}
-		return nil, false
-	}
-}
 
 // splitmix64 is the seeded mixer behind the jittered backoff (and the
 // fault plane's fate schedule) — deterministic, dependency-free.

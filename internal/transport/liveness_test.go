@@ -82,19 +82,27 @@ func TestEventCodecRejectsUnsupportedAndCorrupt(t *testing.T) {
 	}
 }
 
-// newLiveMesh brings up an n-rank heartbeat-enabled TCP mesh and returns
-// the endpoints plus the peer table (needed to rejoin a rank later).
+// newLiveMesh brings up an n-rank TCP mesh with a fast heartbeat and
+// returns the endpoints plus the peer table (needed to rejoin a rank
+// later).
 func newLiveMesh(t testing.TB, n int, interval, timeout time.Duration) ([]*TCP, []Peer, TCPOptions) {
+	t.Helper()
+	opts := TCPOptions{
+		MeshTimeout: 10 * time.Second, ExchangeTimeout: 10 * time.Second,
+		HeartbeatInterval: interval, heartbeatTimeout: timeout,
+		redialAttempts: 2, redialBackoff: 5 * time.Millisecond,
+	}
+	ts, peers := newMeshWith(t, n, opts)
+	return ts, peers, opts
+}
+
+// newMeshWith brings up an n-rank TCP mesh with the given options.
+func newMeshWith(t testing.TB, n int, opts TCPOptions) ([]*TCP, []Peer) {
 	t.Helper()
 	addrs := freePorts(t, n)
 	peers := make([]Peer, n)
 	for i, a := range addrs {
 		peers[i] = Peer{Rank: i, Addr: a}
-	}
-	opts := TCPOptions{
-		MeshTimeout: 10 * time.Second, ExchangeTimeout: 10 * time.Second,
-		HeartbeatInterval: interval, heartbeatTimeout: timeout,
-		redialAttempts: 2, redialBackoff: 5 * time.Millisecond,
 	}
 	ts := make([]*TCP, n)
 	errs := make([]error, n)
@@ -117,7 +125,7 @@ func newLiveMesh(t testing.TB, n int, interval, timeout time.Duration) ([]*TCP, 
 			tr.Close()
 		}
 	})
-	return ts, peers, opts
+	return ts, peers
 }
 
 // waitFor polls a condition with a deadline — liveness transitions are
@@ -134,15 +142,15 @@ func waitFor(t testing.TB, d time.Duration, what string, cond func() bool) {
 }
 
 // A silent peer must be marked down after the heartbeat timeout, the death
-// must surface exactly once as a LiveDown event, and the down state must be
+// must surface exactly once through TakeDown, and the down state must be
 // sticky: resumed heartbeats alone (no rejoin handshake) never revive it.
 func TestTCPHeartbeatTimeoutIsSticky(t *testing.T) {
 	ts, _, _ := newLiveMesh(t, 2, 20*time.Millisecond, 100*time.Millisecond)
 	ts[1].hbPaused.Store(true)
 	waitFor(t, 5*time.Second, "rank 0 to mark rank 1 down", func() bool { return ts[0].PeerDown(1) })
-	waitFor(t, time.Second, "LiveDown event", func() bool {
-		for _, ev := range ts[0].TakeLiveness() {
-			if ev.Rank == 1 && ev.Kind == LiveDown {
+	waitFor(t, time.Second, "TakeDown to report rank 1", func() bool {
+		for _, q := range ts[0].TakeDown() {
+			if q == 1 {
 				return true
 			}
 		}
@@ -158,8 +166,27 @@ func TestTCPHeartbeatTimeoutIsSticky(t *testing.T) {
 	if !ts[0].PeerDown(1) {
 		t.Fatal("down state not sticky: resumed heartbeats revived the link without a rejoin")
 	}
-	if evs := ts[0].TakeLiveness(); len(evs) != 0 {
-		t.Fatalf("flapping produced %d extra liveness events: %+v", len(evs), evs)
+	if down := ts[0].TakeDown(); len(down) != 0 {
+		t.Fatalf("flapping produced %d extra down reports: %v", len(down), down)
+	}
+}
+
+// A mesh built with zero TCPOptions runs the liveness plane too: a peer
+// whose heartbeats stop is marked down within the default 2 s of silence,
+// and an exchange then completes without it, handing the message addressed
+// to it back through TakeFailed.
+func TestTCPZeroOptionsDetectDeadPeer(t *testing.T) {
+	ts, _ := newMeshWith(t, 2, TCPOptions{})
+	ts[1].hbPaused.Store(true)
+	waitFor(t, 5*time.Second, "rank 0 to mark rank 1 down", func() bool { return ts[0].PeerDown(1) })
+	if down := ts[0].TakeDown(); len(down) != 1 || down[0] != 1 {
+		t.Fatalf("TakeDown = %v, want [1]", down)
+	}
+	if _, err := ts[0].Exchange([]Message{{To: 1, Tag: TagControl, Bytes: 1, Payload: []byte{1}}}); err != nil {
+		t.Fatalf("exchange with a dead peer: %v", err)
+	}
+	if failed := ts[0].TakeFailed(); len(failed) != 1 || failed[0].To != 1 {
+		t.Fatalf("want the message to rank 1 in TakeFailed, got %+v", failed)
 	}
 }
 
@@ -255,8 +282,8 @@ func TestTCPRejoinHandshakeAndActivate(t *testing.T) {
 	}
 }
 
-// The in-process fabric mirrors the protocol: Abort surfaces LiveDown and
-// failed sends, RejoinInproc + Activate + the go payload restore a full
+// The in-process fabric mirrors the protocol: Abort surfaces through
+// TakeDown and failed sends, RejoinInproc + Activate + the go payload restore a full
 // three-way group.
 func TestInprocAbortRejoin(t *testing.T) {
 	group := NewInprocGroup(3)
@@ -281,12 +308,8 @@ func TestInprocAbortRejoin(t *testing.T) {
 		if !group[r].PeerDown(2) {
 			t.Fatalf("survivor %d does not see rank 2 down", r)
 		}
-		found := false
-		for _, ev := range group[r].TakeLiveness() {
-			found = found || (ev.Rank == 2 && ev.Kind == LiveDown)
-		}
-		if !found {
-			t.Fatalf("survivor %d got no LiveDown event", r)
+		if down := group[r].TakeDown(); len(down) != 1 || down[0] != 2 {
+			t.Fatalf("survivor %d: TakeDown = %v, want [2]", r, down)
 		}
 		if failed := group[r].TakeFailed(); len(failed) != 1 || failed[0].To != 2 {
 			t.Fatalf("survivor %d: want 1 failed message to rank 2, got %+v", r, failed)
@@ -301,15 +324,6 @@ func TestInprocAbortRejoin(t *testing.T) {
 	group[1].Activate(2) // second activation is a no-op
 	if group[0].PeerDown(2) {
 		t.Fatal("activation did not mark rank 2 live")
-	}
-	rejoinEvents := 0
-	for _, ev := range group[0].TakeLiveness() {
-		if ev.Rank == 2 && ev.Kind == LiveRejoin {
-			rejoinEvents++
-		}
-	}
-	if rejoinEvents != 1 {
-		t.Fatalf("want exactly 1 LiveRejoin on rank 0, got %d", rejoinEvents)
 	}
 	if err := group[0].SendRejoinGo(2, []byte{9}); err != nil {
 		t.Fatal(err)

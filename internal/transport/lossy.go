@@ -169,9 +169,11 @@ func (pl *FaultPlane) Close() {
 // over TCP can be subjected to the same seeded drop/dup/delay/corrupt chaos
 // as the in-process simulator — and both injected faults and the backend's
 // real delivery failures surface through one TakeFailed channel, driving
-// one recovery path (re-mark the rows for a full re-ship).
+// one recovery path (re-mark the rows for a full re-ship). Everything but
+// the data plane — broadcasts (which ride the reliable plane), barriers,
+// stats, liveness and step gossip — is the backend's own.
 type Lossy struct {
-	inner Transport
+	Transport
 	plane *FaultPlane
 }
 
@@ -181,14 +183,8 @@ func WithFaults(t Transport, hook FaultHook) Transport {
 	if hook == nil {
 		return t
 	}
-	return &Lossy{inner: t, plane: NewFaultPlane(hook)}
+	return &Lossy{Transport: t, plane: NewFaultPlane(hook)}
 }
-
-// Rank implements Transport.
-func (l *Lossy) Rank() int { return l.inner.Rank() }
-
-// Size implements Transport.
-func (l *Lossy) Size() int { return l.inner.Size() }
 
 // Exchange implements Transport: messages released from a previous delay
 // go first (they are older), then this step's traffic as the plane
@@ -207,28 +203,17 @@ func (l *Lossy) Exchange(out []Message) ([]Message, error) {
 			}
 		}
 	}
-	return l.inner.Exchange(send)
+	return l.Transport.Exchange(send)
 }
-
-// Broadcast implements Transport: broadcasts ride the reliable plane.
-func (l *Lossy) Broadcast(root int, msg Message) (*Message, error) {
-	return l.inner.Broadcast(root, msg)
-}
-
-// Barrier implements Transport.
-func (l *Lossy) Barrier() error { return l.inner.Barrier() }
 
 // TakeFailed implements Transport: fate-abandoned messages plus whatever
 // the backend itself could not deliver.
 func (l *Lossy) TakeFailed() []Message {
-	return append(l.plane.TakeFailed(), l.inner.TakeFailed()...)
+	return append(l.plane.TakeFailed(), l.Transport.TakeFailed()...)
 }
 
 // InFlight implements Transport: delay-held messages count as in flight.
-func (l *Lossy) InFlight() int { return l.plane.InFlight() + l.inner.InFlight() }
-
-// Stats implements Transport with the backend's counters (see FaultStats).
-func (l *Lossy) Stats() Stats { return l.inner.Stats() }
+func (l *Lossy) InFlight() int { return l.plane.InFlight() + l.Transport.InFlight() }
 
 // FaultStats returns the fault-plane counters.
 func (l *Lossy) FaultStats() FaultStats { return l.plane.Stats() }
@@ -237,5 +222,5 @@ func (l *Lossy) FaultStats() FaultStats { return l.plane.Stats() }
 // first; callers can collect them with TakeFailed after Close.
 func (l *Lossy) Close() error {
 	l.plane.Close()
-	return l.inner.Close()
+	return l.Transport.Close()
 }

@@ -1,38 +1,47 @@
 package transport
 
 // The step-ID plane: cross-rank observability needs to know how far each
-// peer has progressed through recombination without adding traffic. Both
-// backends piggyback the reporter on machinery they already have — the TCP
-// mesh stamps the sender's current RC step into the (previously unused)
-// Seq field of every heartbeat frame, and the in-process hub keeps a
-// shared step table — so a rank's metrics endpoint can export its peers'
-// step positions (aa_rank_peer_step) and the cluster aggregator can
-// compute step skew across real processes. Step IDs are observational
-// only: nothing in the BSP collectives or the liveness protocol reads
-// them.
+// peer has progressed through recombination without adding traffic. Every
+// backend piggybacks Transport.MarkStep/PeerStep on machinery it already
+// has — the TCP mesh stamps the sender's current RC step into the
+// (otherwise unused) Seq field of every heartbeat frame, and the
+// in-process hub keeps a shared step table — so a rank's metrics endpoint
+// can export its peers' step positions (aa_rank_peer_step) and the
+// cluster aggregator can compute step skew across real processes. Step IDs
+// are observational only: nothing in the BSP collectives or the liveness
+// protocol reads them.
 
-// StepReporter is the optional step-observability surface of a Transport
-// backend, discovered by type assertion like Liveness.
-type StepReporter interface {
-	// MarkStep records this rank's current RC step; the backend gossips it
-	// to peers on its own schedule (TCP: the next heartbeat round).
-	MarkStep(step int64)
-	// PeerStep returns the most recent step heard from rank q (own step
-	// for q == Rank(); 0 before anything was heard).
-	PeerStep(q int) int64
+// MarkStep implements Transport: the step rides the Seq field of every
+// subsequent heartbeat frame, so peers learn it within one heartbeat
+// interval at zero extra traffic.
+func (t *TCP) MarkStep(step int64) { t.step.Store(step) }
+
+// PeerStep implements Transport.
+func (t *TCP) PeerStep(q int) int64 {
+	if q == t.rank {
+		return t.step.Load()
+	}
+	if q < 0 || q >= len(t.links) || t.links[q] == nil {
+		return 0
+	}
+	return t.links[q].peerStep.Load()
 }
 
-// AsStepReporter discovers the step surface of a transport, unwrapping the
-// fault layer like AsLiveness.
-func AsStepReporter(t Transport) (StepReporter, bool) {
-	for {
-		if sr, ok := t.(StepReporter); ok {
-			return sr, true
-		}
-		if l, ok := t.(*Lossy); ok {
-			t = l.inner
-			continue
-		}
-		return nil, false
+// MarkStep implements Transport: in-process, the shared hub table *is*
+// the gossip (peers see the step immediately instead of after a heartbeat
+// interval — strictly fresher than TCP, same observational contract).
+func (t *Inproc) MarkStep(step int64) {
+	t.hub.mu.Lock()
+	t.hub.steps[t.rank] = step
+	t.hub.mu.Unlock()
+}
+
+// PeerStep implements Transport.
+func (t *Inproc) PeerStep(q int) int64 {
+	if q < 0 || q >= t.hub.Size() {
+		return 0
 	}
+	t.hub.mu.Lock()
+	defer t.hub.mu.Unlock()
+	return t.hub.steps[q]
 }

@@ -11,12 +11,8 @@ import (
 func TestTCPStepGossip(t *testing.T) {
 	ts, _, _ := newLiveMesh(t, 3, 10*time.Millisecond, time.Second)
 
-	sr0, ok := AsStepReporter(Transport(ts[0]))
-	if !ok {
-		t.Fatal("TCP endpoint must implement StepReporter")
-	}
-	sr0.MarkStep(7)
-	if got := sr0.PeerStep(0); got != 7 {
+	ts[0].MarkStep(7)
+	if got := ts[0].PeerStep(0); got != 7 {
 		t.Fatalf("own step = %d, want 7", got)
 	}
 	for _, q := range []int{1, 2} {
@@ -37,15 +33,11 @@ func TestTCPStepGossip(t *testing.T) {
 }
 
 // TestInprocStepTable checks the in-process backend's shared step table,
-// including discovery through the Lossy fault wrapper.
+// including a step marked through the Lossy fault wrapper.
 func TestInprocStepTable(t *testing.T) {
 	group := NewInprocGroup(3)
-	lossy := &Lossy{inner: group[1]}
-	sr, ok := AsStepReporter(Transport(lossy))
-	if !ok {
-		t.Fatal("AsStepReporter must unwrap Lossy to the inproc backend")
-	}
-	sr.MarkStep(4)
+	lossy := WithFaults(group[1], &scriptHook{budget: 1})
+	lossy.MarkStep(4)
 	if got := group[0].PeerStep(1); got != 4 {
 		t.Fatalf("hub step table: rank 0 sees rank 1 at %d, want 4", got)
 	}

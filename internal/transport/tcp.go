@@ -26,14 +26,14 @@ type TCPOptions struct {
 	// accepting every higher rank (default 30s).
 	MeshTimeout time.Duration
 	// ExchangeTimeout bounds the wait for the peers' step traffic in one
-	// Exchange (default 60s). A peer that dies mid-run surfaces here.
+	// Exchange (default 60s). A peer that dies is marked down by the
+	// heartbeat timeout long before; one that lives but stops stepping
+	// surfaces here.
 	ExchangeTimeout time.Duration
-	// HeartbeatInterval enables the liveness plane: every active link
-	// carries a heartbeat frame this often, and the endpoint implements
-	// the Liveness interface. A peer silent for 4 intervals is marked
-	// down; down is sticky, and only the rejoin handshake revives the
-	// link. 0 disables liveness (legacy behavior: a peer death surfaces as
-	// an Exchange error).
+	// HeartbeatInterval is the liveness plane's keepalive period (default
+	// 500ms): every active link carries a heartbeat frame this often. A
+	// peer silent for 4 intervals is marked down; down is sticky, and only
+	// the rejoin handshake revives the link.
 	HeartbeatInterval time.Duration
 
 	// Test-only variation, never set outside this package: a heartbeat
@@ -65,6 +65,9 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	}
 	if o.ExchangeTimeout <= 0 {
 		o.ExchangeTimeout = 60 * time.Second
+	}
+	if o.HeartbeatInterval <= 0 {
+		o.HeartbeatInterval = 500 * time.Millisecond
 	}
 	if o.heartbeatTimeout <= 0 {
 		o.heartbeatTimeout = 4 * o.HeartbeatInterval
@@ -99,15 +102,13 @@ const (
 // arrive before its k-th marker, so the inbox is complete when every
 // peer's marker is in — no global clock needed.
 //
-// With HeartbeatInterval set the endpoint also implements Liveness: every
-// link carries periodic heartbeats, a silent or unreachable peer is marked
-// down (sticky), collectives continue without it, and a restarted process
-// re-enters through RejoinTCP's pending handshake.
+// Every link carries periodic heartbeats, a silent or unreachable peer is
+// marked down (sticky), collectives continue without it, and a restarted
+// process re-enters through RejoinTCP's pending handshake.
 type TCP struct {
 	rank  int
 	peers []Peer
 	opts  TCPOptions
-	live  bool // liveness plane enabled
 
 	ln     net.Listener
 	links  []*tcpLink // by rank; links[rank] == nil
@@ -121,8 +122,8 @@ type TCP struct {
 	hbPaused atomic.Bool  // test hook: stop sending heartbeats, keep receiving
 	step     atomic.Int64 // this rank's RC step, gossiped in heartbeat Seq
 
-	lmu    sync.Mutex
-	events []LivenessEvent
+	lmu  sync.Mutex
+	down []int // peers newly marked down, for TakeDown
 
 	goCh chan []byte // rejoiner side: the coordinator's go signal
 }
@@ -167,7 +168,7 @@ func newTCPEndpoint(peers []Peer, rank int, opts TCPOptions) (*TCP, error) {
 		}
 	}
 	opts = opts.withDefaults()
-	t := &TCP{rank: rank, peers: peers, opts: opts, live: opts.HeartbeatInterval > 0, links: make([]*tcpLink, len(peers))}
+	t := &TCP{rank: rank, peers: peers, opts: opts, links: make([]*tcpLink, len(peers))}
 	for q := range peers {
 		if q == rank {
 			continue
@@ -234,11 +235,8 @@ func NewTCP(peers []Peer, rank int, opts TCPOptions) (*TCP, error) {
 // rank are gone) with the rejoin handshake, which the survivors install in
 // the pending state. The caller must then block in AwaitRejoinGo until the
 // coordinator activates the rank at a step boundary and releases it with
-// the go payload. Requires HeartbeatInterval (the liveness plane).
+// the go payload.
 func RejoinTCP(peers []Peer, rank int, opts TCPOptions) (*TCP, error) {
-	if opts.HeartbeatInterval <= 0 {
-		return nil, fmt.Errorf("transport: rejoin requires HeartbeatInterval (the liveness plane)")
-	}
 	t, err := newTCPEndpoint(peers, rank, opts)
 	if err != nil {
 		return nil, err
@@ -275,7 +273,7 @@ func RejoinTCP(peers []Peer, rank int, opts TCPOptions) (*TCP, error) {
 	return t, nil
 }
 
-// AwaitRejoinGo implements RejoinWaiter: block until the coordinator's
+// AwaitRejoinGo implements Transport: block until the coordinator's
 // tagRejoinGo frame arrives and return its payload.
 func (t *TCP) AwaitRejoinGo(timeout time.Duration) ([]byte, error) {
 	if t.goCh == nil {
@@ -302,23 +300,16 @@ func (t *TCP) Rank() int { return t.rank }
 // Size implements Transport.
 func (t *TCP) Size() int { return len(t.peers) }
 
-// pushEvent queues one liveness transition for TakeLiveness.
-func (t *TCP) pushEvent(ev LivenessEvent) {
+// TakeDown implements Transport.
+func (t *TCP) TakeDown() []int {
 	t.lmu.Lock()
-	t.events = append(t.events, ev)
+	down := t.down
+	t.down = nil
 	t.lmu.Unlock()
+	return down
 }
 
-// TakeLiveness implements Liveness.
-func (t *TCP) TakeLiveness() []LivenessEvent {
-	t.lmu.Lock()
-	evs := t.events
-	t.events = nil
-	t.lmu.Unlock()
-	return evs
-}
-
-// PeerDown implements Liveness: a pending peer is still down (it carries
+// PeerDown implements Transport: a pending peer is still down (it carries
 // no step traffic until activated).
 func (t *TCP) PeerDown(q int) bool {
 	if q == t.rank || q < 0 || q >= len(t.links) {
@@ -327,7 +318,7 @@ func (t *TCP) PeerDown(q int) bool {
 	return t.links[q].state.Load() != linkActive
 }
 
-// PendingRejoin implements Liveness.
+// PendingRejoin implements Transport.
 func (t *TCP) PendingRejoin(q int) bool {
 	if q == t.rank || q < 0 || q >= len(t.links) {
 		return false
@@ -335,7 +326,7 @@ func (t *TCP) PendingRejoin(q int) bool {
 	return t.links[q].state.Load() == linkPending
 }
 
-// Activate implements Liveness: flip a pending link to active. All live
+// Activate implements Transport: flip a pending link to active. All live
 // ranks must do this at the same exchange boundary; the link's marker
 // stream then starts at the next Exchange on both sides. Idempotent.
 func (t *TCP) Activate(q int) {
@@ -350,12 +341,11 @@ func (t *TCP) Activate(q int) {
 	}
 	l.rmu.Unlock()
 	if pending {
-		t.pushEvent(LivenessEvent{Rank: q, Kind: LiveRejoin})
 		l.rcond.Broadcast()
 	}
 }
 
-// HeartbeatAge implements Liveness.
+// HeartbeatAge implements Transport.
 func (t *TCP) HeartbeatAge(q int) time.Duration {
 	if q == t.rank || q < 0 || q >= len(t.links) {
 		return 0
@@ -367,23 +357,7 @@ func (t *TCP) HeartbeatAge(q int) time.Duration {
 	return time.Since(time.Unix(0, last))
 }
 
-// MarkStep implements StepReporter: the step rides the Seq field of every
-// subsequent heartbeat frame, so peers learn it within one heartbeat
-// interval at zero extra traffic.
-func (t *TCP) MarkStep(step int64) { t.step.Store(step) }
-
-// PeerStep implements StepReporter.
-func (t *TCP) PeerStep(q int) int64 {
-	if q == t.rank {
-		return t.step.Load()
-	}
-	if q < 0 || q >= len(t.links) || t.links[q] == nil {
-		return 0
-	}
-	return t.links[q].peerStep.Load()
-}
-
-// SendRejoinGo implements Liveness: release an activated rejoiner into the
+// SendRejoinGo implements Transport: release an activated rejoiner into the
 // step loop with the opaque go payload.
 func (t *TCP) SendRejoinGo(q int, payload []byte) error {
 	if q == t.rank || q < 0 || q >= len(t.links) {
@@ -396,11 +370,8 @@ func (t *TCP) SendRejoinGo(q int, payload []byte) error {
 
 // startHeartbeat launches the liveness loop: send a heartbeat on every
 // connected link each interval, and mark links silent past the timeout
-// down. No-op when the liveness plane is disabled.
+// down.
 func (t *TCP) startHeartbeat() {
-	if !t.live || t.hbStop != nil {
-		return
-	}
 	t.hbStop = make(chan struct{})
 	t.wg.Add(1)
 	go func() {
@@ -472,9 +443,9 @@ func (l *tcpLink) markDown(reason string) {
 	}
 	l.mu.Unlock()
 	l.rcond.Broadcast()
-	if l.t.live {
-		l.t.pushEvent(LivenessEvent{Rank: l.peer, Kind: LiveDown})
-	}
+	l.t.lmu.Lock()
+	l.t.down = append(l.t.down, l.peer)
+	l.t.lmu.Unlock()
 }
 
 // acceptLoop installs inbound connections onto their links for the whole
@@ -526,7 +497,7 @@ func (t *TCP) handshakeInbound(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		if t.live && l.state.Load() == linkDown {
+		if l.state.Load() == linkDown {
 			// Down is sticky: a flapping old connection must not silently
 			// revive the link — only the rejoin protocol does.
 			conn.Close()
@@ -636,9 +607,8 @@ func (l *tcpLink) dialOnce(hs Tag) (net.Conn, error) {
 }
 
 // install replaces the link's connection (counting a reconnect if one
-// existed) and starts its reader. Installing revives a link the legacy
-// (no-liveness) path had marked down; with liveness, down links only
-// revive through installPending + Activate.
+// existed) and starts its reader. It never revives a down link: that takes
+// installPending + Activate.
 func (l *tcpLink) install(conn net.Conn) {
 	l.mu.Lock()
 	if l.conn != nil {
@@ -650,11 +620,6 @@ func (l *tcpLink) install(conn net.Conn) {
 	l.gen++
 	gen := l.gen
 	l.mu.Unlock()
-	if !l.t.live {
-		l.rmu.Lock()
-		l.state.Store(linkActive)
-		l.rmu.Unlock()
-	}
 	l.lastHeard.Store(time.Now().UnixNano())
 	l.rcond.Broadcast()
 	l.t.wg.Add(1)
@@ -728,7 +693,7 @@ func (l *tcpLink) readLoop(conn net.Conn, gen int) {
 
 // readerGone handles a failed connection: the dialer side redials with
 // jittered backoff under the retry budget; the acceptor side waits for the
-// dialer's new connection (or, with liveness, the heartbeat timeout). If
+// dialer's new connection (or the heartbeat timeout). If
 // the endpoint is closing, or the budget runs out, the link goes down so
 // waiting receivers move on.
 func (l *tcpLink) readerGone(conn net.Conn, gen int, err error) {
@@ -744,9 +709,8 @@ func (l *tcpLink) readerGone(conn net.Conn, gen int, err error) {
 		return // already down or pending a rejoin; nothing to repair
 	}
 	if !l.dialer {
-		// The dialer redials; nothing to do but wait. With liveness the
-		// heartbeat timeout marks the link down if the peer never returns;
-		// without, receivers keep waiting under the Exchange timeout.
+		// The dialer redials; nothing to do but wait. The heartbeat
+		// timeout marks the link down if the peer never returns.
 		return
 	}
 	seed := uint64(t.rank)<<32 | uint64(l.peer) | 1<<63
@@ -775,11 +739,6 @@ func (l *tcpLink) installReconnected(conn net.Conn) {
 	l.gen++
 	gen := l.gen
 	l.mu.Unlock()
-	if !l.t.live {
-		l.rmu.Lock()
-		l.state.Store(linkActive)
-		l.rmu.Unlock()
-	}
 	l.lastHeard.Store(time.Now().UnixNano())
 	l.rcond.Broadcast()
 	l.t.wg.Add(1)
@@ -808,7 +767,7 @@ func (l *tcpLink) send(buf []byte) error {
 	deadline := time.Now().Add(t.opts.ExchangeTimeout)
 	seed := uint64(t.rank)<<32 | uint64(l.peer) | 1<<62
 	for attempt := 0; ; attempt++ {
-		if t.live && l.state.Load() == linkDown {
+		if l.state.Load() == linkDown {
 			return fmt.Errorf("transport: rank %d is down", l.peer)
 		}
 		l.mu.Lock()
@@ -856,8 +815,7 @@ func (l *tcpLink) send(buf []byte) error {
 // takeStep blocks until the link's next step-end marker arrives, then
 // removes and returns the data messages queued before it (the peer's
 // traffic for the current exchange). A link that goes down mid-wait
-// contributes nothing: with liveness that is a normal skip (the runner
-// handles the degraded step), without it is an error.
+// contributes nothing: the runner handles the degraded step.
 func (l *tcpLink) takeStep(deadline time.Time) ([]Message, error) {
 	// A timer kicks the cond so the wait honors the deadline.
 	stop := make(chan struct{})
@@ -889,10 +847,7 @@ func (l *tcpLink) takeStep(deadline time.Time) ([]Message, error) {
 			return nil, fmt.Errorf("transport: endpoint closed")
 		}
 		if l.state.Load() != linkActive {
-			if l.t.live {
-				return nil, nil // down or pending peer: no traffic this step
-			}
-			return nil, fmt.Errorf("transport: link to rank %d is down", l.peer)
+			return nil, nil // down or pending peer: no traffic this step
 		}
 		if time.Now().After(deadline) {
 			return nil, fmt.Errorf("transport: rank %d timed out waiting for rank %d's step traffic", l.t.rank, l.peer)
@@ -924,7 +879,7 @@ func (t *TCP) Exchange(out []Message) ([]Message, error) {
 			local = append(local, msg)
 			continue
 		}
-		if t.live && t.links[msg.To].state.Load() != linkActive {
+		if t.links[msg.To].state.Load() != linkActive {
 			t.ctr.sendFailures.Add(1)
 			t.failed = append(t.failed, msg)
 			continue
@@ -948,12 +903,12 @@ func (t *TCP) Exchange(out []Message) ([]Message, error) {
 		t.ctr.bytesSent.Add(int64(len(body)))
 	}
 	for q, l := range t.links {
-		if l == nil || (t.live && l.state.Load() != linkActive) {
+		if l == nil || l.state.Load() != linkActive {
 			continue
 		}
 		marker := appendFrame(nil, frame{Tag: tagStepEnd, From: t.rank, To: q, Seq: xid})
 		if err := l.send(marker); err != nil {
-			if t.live && l.state.Load() != linkActive {
+			if l.state.Load() != linkActive {
 				continue // went down while sending: skip it this step
 			}
 			return nil, fmt.Errorf("transport: step marker to rank %d: %w", q, err)
@@ -966,7 +921,7 @@ func (t *TCP) Exchange(out []Message) ([]Message, error) {
 			in = append(in, local...)
 			continue
 		}
-		if t.live && t.links[q].state.Load() != linkActive {
+		if t.links[q].state.Load() != linkActive {
 			continue
 		}
 		msgs, err := t.links[q].takeStep(deadline)

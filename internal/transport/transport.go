@@ -18,8 +18,10 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
+	"time"
 )
 
 // Tag distinguishes message kinds on the wire: the public kinds every
@@ -73,6 +75,23 @@ type Message struct {
 	Payload  interface{}
 }
 
+// ErrPayloadKind reports a control message whose payload is not a []byte
+// of the size its reader needs.
+var ErrPayloadKind = errors.New("transport: malformed control payload")
+
+// Control returns the message's []byte payload if it holds at least n
+// bytes; otherwise an error wrapping ErrPayloadKind that names the sender.
+// It is the one checked reader for control payloads, which arrive from
+// other processes and must not be trusted to be well formed.
+func (m Message) Control(n int) ([]byte, error) {
+	b, ok := m.Payload.([]byte)
+	if !ok || len(b) < n {
+		return nil, fmt.Errorf("%w from rank %d: %T of %d bytes, want >= %d bytes",
+			ErrPayloadKind, m.From, m.Payload, len(b), n)
+	}
+	return b, nil
+}
+
 // Fate is the outcome the fault layer assigns to one delivery attempt of
 // a message on a lossy link.
 type Fate uint8
@@ -116,6 +135,8 @@ type FaultHook interface {
 // Transport is one rank's attachment to the message plane. All collective
 // calls (Exchange, Broadcast, Barrier) must be made by every rank in the
 // same order — the bulk-synchronous discipline of the recombination loop.
+// Every backend also runs the liveness plane (failure detection and
+// rejoin, liveness.go) and the step-ID plane (steps.go).
 type Transport interface {
 	// Rank is this endpoint's rank in [0, Size).
 	Rank() int
@@ -146,6 +167,40 @@ type Transport interface {
 	Stats() Stats
 	// Close tears the endpoint down. Collective calls after Close error.
 	Close() error
+
+	// TakeDown returns the peers newly marked down (heartbeat timeout,
+	// reconnect budget exhausted, or an in-process abort) since the last
+	// call and clears the list.
+	TakeDown() []int
+	// PeerDown reports whether rank q is currently considered down
+	// (including pending-rejoin: a pending peer carries no traffic yet).
+	PeerDown(q int) bool
+	// PendingRejoin reports whether rank q has completed the rejoin
+	// handshake and waits for activation.
+	PendingRejoin(q int) bool
+	// Activate integrates a pending peer into the plane at the current
+	// exchange boundary. All live ranks must call it at the same boundary
+	// (the runner's decision broadcast coordinates this). Idempotent.
+	Activate(q int)
+	// HeartbeatAge is the time since rank q was last heard from; zero for
+	// self or when unknown.
+	HeartbeatAge(q int) time.Duration
+	// SendRejoinGo releases a pending-activated rejoiner into the step
+	// loop, handing it the opaque go payload (the runner's state digest:
+	// partition checksum plus the dynamic-event journal). Only the
+	// coordinating rank calls it, after Activate.
+	SendRejoinGo(q int, payload []byte) error
+	// AwaitRejoinGo blocks an endpoint created by RejoinTCP or
+	// RejoinInproc until the coordinator's go signal arrives and returns
+	// its payload; any other endpoint errors at once.
+	AwaitRejoinGo(timeout time.Duration) ([]byte, error)
+
+	// MarkStep records this rank's current RC step; the backend gossips it
+	// to peers on its own schedule (TCP: the next heartbeat round).
+	MarkStep(step int64)
+	// PeerStep returns the most recent step heard from rank q (own step
+	// for q == Rank(); 0 before anything was heard).
+	PeerStep(q int) int64
 }
 
 // Stats aggregates transport counters. All fields are cumulative.
@@ -154,7 +209,7 @@ type Stats struct {
 	MessagesRecv  int64
 	BytesSent     int64
 	BytesRecv     int64
-	FramesSent    int64 // wire frames, incl. step-end markers (TCP only)
+	FramesSent    int64 // wire frames, incl. step-end markers and heartbeats (TCP only)
 	FramesRecv    int64
 	Exchanges     int64
 	Broadcasts    int64
