@@ -119,12 +119,16 @@ bench-paper:
 # entry point rank.Main (cmd/aacluster only calls it) under the race
 # detector — including the integration test that spawns real OS processes
 # over a TCP mesh and checks bit-identical convergence against inproc —
-# plus short fuzzing runs of the frame decoder, the mesh manifest loader
-# and the rejoin-go payload parser past their seeds.
+# plus short fuzzing runs past their seeds of the frame decoder, the delta
+# and event payload codecs (the delta one also holding the bulk encoder to
+# its per-element reference), the mesh manifest loader and the rejoin-go
+# payload parser.
 transport-check:
 	$(GO) vet ./internal/transport ./internal/rank
 	$(GO) test -race -count=1 ./internal/transport ./internal/rank
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzDeltaCodec$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEvents$$' -fuzztime 10s ./internal/transport
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadPeers$$' -fuzztime 10s ./internal/rank
 	$(GO) test -run '^$$' -fuzz '^FuzzRejoinGo$$' -fuzztime 10s ./internal/rank
 

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"anytime/internal/cluster"
@@ -17,6 +18,7 @@ import (
 	"anytime/internal/graph"
 	"anytime/internal/kernel"
 	"anytime/internal/obs"
+	"anytime/internal/transport"
 )
 
 // Checkpointing addresses the paper's stated future work on fault
@@ -384,9 +386,10 @@ func RestoreFile(path string, opts Options) (*Engine, error) {
 
 // binWriter/binReader are little-endian encoders with sticky errors.
 type binWriter struct {
-	w   io.Writer
-	buf [8]byte
-	err error
+	w       io.Writer
+	buf     [8]byte
+	scratch []byte
+	err     error
 }
 
 func (b *binWriter) i32(v int32) {
@@ -405,6 +408,14 @@ func (b *binWriter) i64(v int64) {
 	_, b.err = b.w.Write(b.buf[:8])
 }
 
+func (b *binWriter) i32s(s []int32) {
+	if b.err != nil {
+		return
+	}
+	b.scratch = transport.AppendLE(b.scratch[:0], s)
+	_, b.err = b.w.Write(b.scratch)
+}
+
 func (b *binWriter) bool(v bool) {
 	if v {
 		b.i32(1)
@@ -414,9 +425,10 @@ func (b *binWriter) bool(v bool) {
 }
 
 type binReader struct {
-	r   io.Reader
-	buf [8]byte
-	err error
+	r       io.Reader
+	buf     [8]byte
+	scratch []byte
+	err     error
 }
 
 func (b *binReader) i32() int32 {
@@ -437,6 +449,16 @@ func (b *binReader) i64() int64 {
 		return 0
 	}
 	return int64(binary.LittleEndian.Uint64(b.buf[:8]))
+}
+
+func (b *binReader) i32s(dst []int32) {
+	if b.err != nil {
+		return
+	}
+	b.scratch = slices.Grow(b.scratch[:0], 4*len(dst))[:4*len(dst)]
+	if _, b.err = io.ReadFull(b.r, b.scratch); b.err == nil {
+		transport.ReadLE(dst, b.scratch)
+	}
 }
 
 func (b *binReader) bool() bool { return b.i32() != 0 }

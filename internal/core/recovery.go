@@ -76,12 +76,8 @@ func encodeRows(enc *binWriter, t *dv.Matrix) {
 		enc.bool(all)
 		enc.i32(lo)
 		enc.i32(hi)
-		for _, d := range r.D[:n] {
-			enc.i32(d)
-		}
-		for _, h := range r.NH[:n] {
-			enc.i32(h)
-		}
+		enc.i32s(r.D[:n])
+		enc.i32s(r.NH[:n])
 	}
 	enc.i64(t.ResizeCopies)
 }
@@ -117,12 +113,8 @@ func decodeRows(dec *binReader, t *dv.Matrix, w int, keep func(owner int32) bool
 			continue
 		}
 		row := t.AddRow(owner)
-		for j := 0; j < w; j++ {
-			row.D[j] = dec.i32()
-		}
-		for j := 0; j < w; j++ {
-			row.NH[j] = dec.i32()
-		}
+		dec.i32s(row.D[:w])
+		dec.i32s(row.NH[:w])
 		if dec.err == nil && row.D[owner] != 0 {
 			return fmt.Errorf("row %d: nonzero self distance", owner)
 		}

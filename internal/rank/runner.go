@@ -411,7 +411,7 @@ func (r *Runner) GatherDistances() ([][]graph.Dist, error) {
 			if int(d.Owner) >= n || d.Lo != 0 || len(d.D) != n {
 				return nil, fmt.Errorf("rank 0: gathered malformed row (owner=%d lo=%d len=%d)", d.Owner, d.Lo, len(d.D))
 			}
-			all[d.Owner] = append([]graph.Dist(nil), d.D...)
+			all[d.Owner] = d.D // decoded rows own their memory
 		}
 	}
 	for v := 0; v < n; v++ {

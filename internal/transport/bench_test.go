@@ -1,11 +1,13 @@
 package transport
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
 	"anytime/internal/dv"
 	"anytime/internal/graph"
+	"anytime/internal/kernel"
 )
 
 // benchRoundTrip measures one boundary-DV round trip (rank 0 ships a
@@ -56,4 +58,56 @@ func BenchmarkTransportRoundTripInproc(b *testing.B) {
 
 func BenchmarkTransportRoundTripTCP(b *testing.B) {
 	benchRoundTrip(b, newTCPMesh(b, 2), 256)
+}
+
+// BenchmarkTransportBulkTCP ships about 1 MB of boundary deltas each way in
+// one exchange over a 2-rank loopback mesh — the benchmark module's
+// wire_exchange bulk round: 60 % of the rows full width (2000 columns),
+// the rest 64-aligned windows with their frontier words. Encode, frame,
+// CRC, socket and decode all land in ns/op.
+func BenchmarkTransportBulkTCP(b *testing.B) {
+	ts := newTCPMesh(b, 2)
+	rng := rand.New(rand.NewSource(1))
+	var out [2][]Message
+	var total int64
+	for r := range out {
+		ds := bulkDeltas(rng, 2000, 1<<20)
+		out[r] = []Message{{To: 1 - r, Tag: TagBoundaryDV, Bytes: EncodedDeltaBytes(ds), Payload: ds}}
+		total += int64(out[r][0].Bytes)
+	}
+	b.SetBytes(total)
+	b.ResetTimer()
+	runGroup(b, ts, func(tr Transport) (int, error) {
+		for i := 0; i < b.N; i++ {
+			if _, err := tr.Exchange(out[tr.Rank()]); err != nil {
+				return i, err
+			}
+		}
+		return b.N, nil
+	})
+}
+
+// bulkDeltas builds boundary deltas of about the given encoded size over
+// rows of cols columns, in wire_exchange's full/window mix.
+func bulkDeltas(rng *rand.Rand, cols, size int) []*dv.Delta {
+	var ds []*dv.Delta
+	for n := 0; n < size; {
+		d := &dv.Delta{Owner: int32(rng.Intn(cols))}
+		width := cols
+		if rng.Intn(10) >= 6 {
+			d.Lo = int32(rng.Intn(cols/64)) * 64
+			width = min(64+rng.Intn(448), cols-int(d.Lo))
+			d.F = kernel.NewBitset(width)
+			for c := 0; c < width; c += 1 + rng.Intn(8) {
+				d.F.Set(c)
+			}
+		}
+		d.D = make([]graph.Dist, width)
+		for c := range d.D {
+			d.D[c] = graph.Dist(1 + rng.Intn(12))
+		}
+		ds = append(ds, d)
+		n += d.WireBytes()
+	}
+	return ds
 }

@@ -1,8 +1,11 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"unsafe"
 
 	"anytime/internal/change"
 	"anytime/internal/dv"
@@ -29,68 +32,123 @@ func EncodedDeltaBytes(ds []*dv.Delta) int {
 
 // appendDeltas serializes a delta list onto dst.
 func appendDeltas(dst []byte, ds []*dv.Delta) []byte {
-	var u [8]byte
 	for _, d := range ds {
-		binary.LittleEndian.PutUint32(u[:4], uint32(d.Owner))
-		dst = append(dst, u[:4]...)
-		binary.LittleEndian.PutUint32(u[:4], uint32(d.Lo))
-		dst = append(dst, u[:4]...)
-		binary.LittleEndian.PutUint32(u[:4], uint32(len(d.D)))
-		dst = append(dst, u[:4]...)
-		binary.LittleEndian.PutUint32(u[:4], uint32(len(d.F)))
-		dst = append(dst, u[:4]...)
-		for _, x := range d.D {
-			binary.LittleEndian.PutUint32(u[:4], uint32(x))
-			dst = append(dst, u[:4]...)
-		}
-		for _, w := range d.F {
-			binary.LittleEndian.PutUint64(u[:], w)
-			dst = append(dst, u[:]...)
-		}
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(d.Owner))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(d.Lo))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(d.D)))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(d.F)))
+		dst = AppendLE(dst, d.D)
+		dst = AppendLE(dst, d.F)
 	}
 	return dst
 }
 
-// decodeDeltas parses a frame body produced by appendDeltas. It rejects
-// truncated bodies, negative headers, windows that do not fit an int32
-// column range, frontier sections wider than the window, and frontier
-// sections on an unaligned window (bit positions would not line up with
-// window offsets, so a masked sweep could skip live columns).
+// deltaHeader checks the 16-byte delta header at the front of body and the
+// room the delta claims after it, returning its owner, window start and
+// distance and frontier word counts. It rejects truncated bodies, negative
+// headers, windows that do not fit an int32 column range, frontier
+// sections wider than the window, and frontier sections on an unaligned
+// window (bit positions would not line up with window offsets, so a masked
+// sweep could skip live columns).
+func deltaHeader(body []byte) (owner, lo int32, count, fwords int, err error) {
+	if len(body) < 16 {
+		return 0, 0, 0, 0, fmt.Errorf("transport: truncated delta header (%d bytes left)", len(body))
+	}
+	owner = int32(binary.LittleEndian.Uint32(body[0:]))
+	lo = int32(binary.LittleEndian.Uint32(body[4:]))
+	c := int32(binary.LittleEndian.Uint32(body[8:]))
+	fw := int32(binary.LittleEndian.Uint32(body[12:]))
+	if owner < 0 || lo < 0 || c < 0 || int64(lo)+int64(c) > int64(1)<<31-1 {
+		return 0, 0, 0, 0, fmt.Errorf("transport: invalid delta header owner=%d lo=%d count=%d", owner, lo, c)
+	}
+	if fw < 0 || int64(fw) > (int64(c)+63)>>6 || (fw > 0 && lo&63 != 0) {
+		return 0, 0, 0, 0, fmt.Errorf("transport: invalid delta frontier lo=%d count=%d fwords=%d", lo, c, fw)
+	}
+	if int64(len(body)-16) < int64(c)*4+int64(fw)*8 {
+		return 0, 0, 0, 0, fmt.Errorf("transport: truncated delta body (%d distances + %d frontier words claimed, %d bytes left)", c, fw, len(body)-16)
+	}
+	return owner, lo, int(c), int(fw), nil
+}
+
+// decodeDeltas parses a frame body produced by appendDeltas. It validates
+// every header before it allocates the Delta structs, their pointers, one
+// distance arena and one frontier arena; each D and F is a capacity-bounded
+// window of its arena, so nothing decoded aliases body.
 func decodeDeltas(body []byte) ([]*dv.Delta, error) {
-	var out []*dv.Delta
-	for len(body) > 0 {
-		if len(body) < 16 {
-			return nil, fmt.Errorf("transport: truncated delta header (%d bytes left)", len(body))
+	var n, nDist, nWords int
+	for rest := body; len(rest) > 0; n++ {
+		_, _, count, fwords, err := deltaHeader(rest)
+		if err != nil {
+			return nil, err
 		}
-		owner := int32(binary.LittleEndian.Uint32(body[0:]))
-		lo := int32(binary.LittleEndian.Uint32(body[4:]))
-		count := int32(binary.LittleEndian.Uint32(body[8:]))
-		fwords := int32(binary.LittleEndian.Uint32(body[12:]))
+		rest = rest[16+4*count+8*fwords:]
+		nDist += count
+		nWords += fwords
+	}
+	ds := make([]dv.Delta, n)
+	out := make([]*dv.Delta, n)
+	dist := make([]graph.Dist, nDist)
+	words := make(kernel.Bitset, nWords)
+	for i := range ds {
+		owner, lo, count, fwords, _ := deltaHeader(body) // checked above
 		body = body[16:]
-		if owner < 0 || lo < 0 || count < 0 || int64(lo)+int64(count) > int64(1)<<31-1 {
-			return nil, fmt.Errorf("transport: invalid delta header owner=%d lo=%d count=%d", owner, lo, count)
-		}
-		if fwords < 0 || int64(fwords) > (int64(count)+63)>>6 || (fwords > 0 && lo&63 != 0) {
-			return nil, fmt.Errorf("transport: invalid delta frontier lo=%d count=%d fwords=%d", lo, count, fwords)
-		}
-		if int64(len(body)) < int64(count)*4+int64(fwords)*8 {
-			return nil, fmt.Errorf("transport: truncated delta body (%d distances + %d frontier words claimed, %d bytes left)", count, fwords, len(body))
-		}
-		d := &dv.Delta{Owner: owner, Lo: lo, D: make([]graph.Dist, count)}
-		for i := range d.D {
-			d.D[i] = graph.Dist(binary.LittleEndian.Uint32(body[i*4:]))
-		}
-		body = body[count*4:]
+		d := &ds[i]
+		d.Owner, d.Lo, d.D, dist = owner, lo, dist[:count:count], dist[count:]
+		ReadLE(d.D, body)
+		body = body[4*count:]
 		if fwords > 0 {
-			d.F = make(kernel.Bitset, fwords)
-			for i := range d.F {
-				d.F[i] = binary.LittleEndian.Uint64(body[i*8:])
-			}
-			body = body[fwords*8:]
+			d.F, words = words[:fwords:fwords], words[fwords:]
+			ReadLE(d.F, body)
+			body = body[8*fwords:]
 		}
-		out = append(out, d)
+		out[i] = d
 	}
 	return out, nil
+}
+
+// hostLE reports whether the host stores integers little-endian, like the
+// wire and checkpoints: a typed slice's memory then is its encoding.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// AppendLE appends s to dst as little-endian words of s's element width —
+// the encoding of delta rows on the wire and of DV rows in checkpoints and
+// recovery shards. On a little-endian host it is one bulk copy.
+func AppendLE[T int32 | uint64](dst []byte, s []T) []byte {
+	if hostLE {
+		return append(dst, asBytes(s)...)
+	}
+	return appendLEPortable(dst, s)
+}
+
+// ReadLE fills dst from the first len(dst) words of src, the inverse of
+// AppendLE. src may start at any offset.
+func ReadLE[T int32 | uint64](dst []T, src []byte) {
+	src = src[:len(dst)*int(unsafe.Sizeof(T(0)))]
+	if hostLE {
+		copy(asBytes(dst), src)
+		return
+	}
+	readLEPortable(dst, src)
+}
+
+// asBytes views a typed slice's memory as bytes. Only this direction is
+// ever converted — never a byte offset to a typed pointer — so the view
+// keeps s's alignment and the encoded side may sit at any offset.
+func asBytes[T int32 | uint64](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(T(0))))
+}
+
+// appendLEPortable and readLEPortable are AppendLE's and ReadLE's
+// per-element branch, taken on big-endian hosts: encoding/binary converts
+// one element at a time.
+func appendLEPortable[T int32 | uint64](dst []byte, s []T) []byte {
+	b := bytes.NewBuffer(dst)
+	binary.Write(b, binary.LittleEndian, s) // cannot fail on a bytes.Buffer
+	return b.Bytes()
+}
+
+func readLEPortable[T int32 | uint64](dst []T, src []byte) {
+	_ = binary.Read(bytes.NewReader(src), binary.LittleEndian, dst) // cannot fail: src holds every word
 }
 
 // The event payload codec ships dynamic-graph change descriptors between
@@ -249,34 +307,40 @@ func decodeEvents(body []byte) ([]change.Event, error) {
 	return evs, nil
 }
 
-// encodePayload turns a message payload into a frame body plus its kind
-// byte. The TCP backend supports delta lists (the boundary-DV plane),
-// dynamic-event lists, and opaque bytes (control traffic); anything else
-// is a caller bug.
-func encodePayload(payload interface{}) (kind uint8, body []byte, err error) {
+// appendMessageFrame appends the frame of a message carrying payload onto
+// dst, encoding the payload in place after the header: delta lists (the
+// boundary-DV plane), dynamic-event lists, or opaque bytes (control
+// traffic); any other payload type is a caller bug.
+func appendMessageFrame(dst []byte, f frame, payload interface{}) ([]byte, error) {
+	start := len(dst)
+	f.Kind = payloadRaw
+	dst = appendHeader(dst, f)
+	var err error
 	switch p := payload.(type) {
 	case nil:
-		return payloadRaw, nil, nil
 	case []byte:
-		return payloadRaw, p, nil
+		dst = append(dst, p...)
 	case []*dv.Delta:
-		return payloadDeltas, appendDeltas(make([]byte, 0, EncodedDeltaBytes(p)), p), nil
+		dst[start+4] = payloadDeltas
+		dst = appendDeltas(slices.Grow(dst, EncodedDeltaBytes(p)+trailerLen), p)
 	case []change.Event:
-		body, err := appendEvents(nil, p)
-		if err != nil {
-			return 0, nil, err
-		}
-		return payloadEvents, body, nil
+		dst[start+4] = payloadEvents
+		dst, err = appendEvents(dst, p)
 	default:
-		return 0, nil, fmt.Errorf("transport: payload type %T is not wire-encodable", payload)
+		err = fmt.Errorf("transport: payload type %T is not wire-encodable", payload)
 	}
+	if err != nil {
+		return nil, err
+	}
+	return closeFrame(dst, start), nil
 }
 
-// decodePayload is the inverse of encodePayload.
+// decodePayload is the inverse of appendMessageFrame's payload encoding.
+// Nothing it returns aliases body: raw bytes are copied out.
 func decodePayload(kind uint8, body []byte) (interface{}, error) {
 	switch kind {
 	case payloadRaw:
-		return body, nil
+		return bytes.Clone(body), nil
 	case payloadDeltas:
 		ds, err := decodeDeltas(body)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // The TCP backend moves length-prefixed binary frames. Layout (all
@@ -15,7 +16,8 @@ import (
 //	0       2     magic 0xAA7A
 //	2       1     protocol version (1)
 //	3       1     tag
-//	4       1     payload kind (0 = raw bytes, 1 = dv.Delta list)
+//	4       1     payload kind (0 = raw bytes, 1 = dv.Delta list,
+//	              2 = change.Event list)
 //	5       2     from rank (uint16)
 //	7       2     to rank (uint16)
 //	9       4     sequence number within the sender's current exchange
@@ -69,56 +71,65 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds size bound")
 // appendFrame serializes f onto dst and returns the extended slice.
 func appendFrame(dst []byte, f frame) []byte {
 	start := len(dst)
-	var hdr [headerLen]byte
-	binary.LittleEndian.PutUint16(hdr[0:], frameMagic)
-	hdr[2] = frameVersion
-	hdr[3] = byte(f.Tag)
-	hdr[4] = f.Kind
-	binary.LittleEndian.PutUint16(hdr[5:], uint16(f.From))
-	binary.LittleEndian.PutUint16(hdr[7:], uint16(f.To))
-	binary.LittleEndian.PutUint32(hdr[9:], f.Seq)
-	binary.LittleEndian.PutUint32(hdr[13:], uint32(len(f.Body)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, f.Body...)
-	sum := crc32.ChecksumIEEE(dst[start+2:])
-	var tr [trailerLen]byte
-	binary.LittleEndian.PutUint32(tr[:], sum)
-	return append(dst, tr[:]...)
+	dst = slices.Grow(dst, headerLen+len(f.Body)+trailerLen)
+	return closeFrame(append(appendHeader(dst, f), f.Body...), start)
 }
 
-// readFrame reads one frame from r. It returns ErrCorruptFrame for a CRC
-// mismatch after consuming the whole frame (the caller may keep reading
-// the stream), ErrFrameTooLarge for an oversized payload, and io.EOF /
-// io.ErrUnexpectedEOF on a torn stream.
-func readFrame(r io.Reader, maxBytes int) (frame, error) {
+// appendHeader appends f's header with a zero payload length; closeFrame
+// patches the length in once the payload is appended after it, so a
+// payload can be encoded straight into the frame.
+func appendHeader(dst []byte, f frame) []byte {
+	dst = binary.LittleEndian.AppendUint16(dst, frameMagic)
+	dst = append(dst, frameVersion, byte(f.Tag), f.Kind)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(f.From))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(f.To))
+	dst = binary.LittleEndian.AppendUint32(dst, f.Seq)
+	return binary.LittleEndian.AppendUint32(dst, 0)
+}
+
+// closeFrame completes the frame whose header starts at dst[start]: it
+// patches the payload length (everything appended after the header) and
+// appends the CRC trailer.
+func closeFrame(dst []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(dst[start+13:], uint32(len(dst)-start-headerLen))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start+2:]))
+}
+
+// readFrame reads one frame from r. The payload and trailer are read into
+// buf, grown when too small; readFrame returns the frame, whose Body
+// aliases the buffer, and the buffer for the caller's next read. It
+// returns ErrCorruptFrame for a CRC mismatch after consuming the whole
+// frame (the caller may keep reading the stream), ErrFrameTooLarge for an
+// oversized payload, and io.EOF / io.ErrUnexpectedEOF on a torn stream.
+func readFrame(r io.Reader, buf []byte, maxBytes int) (frame, []byte, error) {
 	var hdr [headerLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return frame{}, err
+		return frame{}, buf, err
 	}
 	if binary.LittleEndian.Uint16(hdr[0:]) != frameMagic {
-		return frame{}, fmt.Errorf("transport: bad frame magic %#x", binary.LittleEndian.Uint16(hdr[0:]))
+		return frame{}, buf, fmt.Errorf("transport: bad frame magic %#x", binary.LittleEndian.Uint16(hdr[0:]))
 	}
 	if hdr[2] != frameVersion {
-		return frame{}, fmt.Errorf("transport: unsupported frame version %d", hdr[2])
+		return frame{}, buf, fmt.Errorf("transport: unsupported frame version %d", hdr[2])
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[13:]))
 	if maxBytes <= 0 {
 		maxBytes = maxFrameBytes
 	}
 	if n > maxBytes {
-		return frame{}, ErrFrameTooLarge
+		return frame{}, buf, ErrFrameTooLarge
 	}
-	body := make([]byte, n+trailerLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	buf = slices.Grow(buf[:0], n+trailerLen)[:n+trailerLen]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
-		return frame{}, err
+		return frame{}, buf, err
 	}
 	sum := crc32.ChecksumIEEE(hdr[2:])
-	sum = crc32.Update(sum, crc32.IEEETable, body[:n])
-	if sum != binary.LittleEndian.Uint32(body[n:]) {
-		return frame{}, ErrCorruptFrame
+	sum = crc32.Update(sum, crc32.IEEETable, buf[:n])
+	if sum != binary.LittleEndian.Uint32(buf[n:]) {
+		return frame{}, buf, ErrCorruptFrame
 	}
 	return frame{
 		Tag:  Tag(hdr[3]),
@@ -126,6 +137,6 @@ func readFrame(r io.Reader, maxBytes int) (frame, error) {
 		From: int(binary.LittleEndian.Uint16(hdr[5:])),
 		To:   int(binary.LittleEndian.Uint16(hdr[7:])),
 		Seq:  binary.LittleEndian.Uint32(hdr[9:]),
-		Body: body[:n:n],
-	}, nil
+		Body: buf[:n:n],
+	}, buf, nil
 }

@@ -6,8 +6,10 @@ import (
 	"io"
 	"testing"
 
+	"anytime/internal/change"
 	"anytime/internal/dv"
 	"anytime/internal/graph"
+	"anytime/internal/kernel"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -16,7 +18,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if len(buf) != headerLen+len(in.Body)+trailerLen {
 		t.Fatalf("frame length %d, want %d", len(buf), headerLen+len(in.Body)+trailerLen)
 	}
-	out, err := readFrame(bytes.NewReader(buf), 0)
+	out, err := readOne(bytes.NewReader(buf), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,11 +40,11 @@ func TestFrameCorruptionDetectedAndSkipped(t *testing.T) {
 		stream[i] ^= 0x40
 		stream = append(stream, second...)
 		r := bytes.NewReader(stream)
-		if _, err := readFrame(r, 0); err == nil {
+		if _, err := readOne(r, 0); err == nil {
 			t.Fatalf("flip at byte %d not detected", i)
 		} else if errors.Is(err, ErrCorruptFrame) {
 			// CRC-detected: the stream must still be in sync.
-			f, err := readFrame(r, 0)
+			f, err := readOne(r, 0)
 			if err != nil || !bytes.Equal(f.Body, []byte("second")) {
 				t.Fatalf("flip at byte %d desynced the stream: %v", i, err)
 			}
@@ -54,14 +56,14 @@ func TestFrameCorruptionDetectedAndSkipped(t *testing.T) {
 
 func TestFrameTooLargeRejected(t *testing.T) {
 	buf := appendFrame(nil, frame{Tag: TagControl, Body: make([]byte, 2048)})
-	if _, err := readFrame(bytes.NewReader(buf), 1024); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readOne(bytes.NewReader(buf), 1024); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
 func TestFrameTornStream(t *testing.T) {
 	buf := appendFrame(nil, frame{Tag: TagControl, Body: []byte("abcdef")})
-	if _, err := readFrame(bytes.NewReader(buf[:len(buf)-3]), 0); err != io.ErrUnexpectedEOF {
+	if _, err := readOne(bytes.NewReader(buf[:len(buf)-3]), 0); err != io.ErrUnexpectedEOF {
 		t.Fatalf("err = %v, want ErrUnexpectedEOF", err)
 	}
 }
@@ -116,20 +118,78 @@ func TestDecodeDeltasRejectsTruncation(t *testing.T) {
 	}
 }
 
+// readOne reads one frame into a fresh buffer.
+func readOne(r io.Reader, maxBytes int) (frame, error) {
+	f, _, err := readFrame(r, nil, maxBytes)
+	return f, err
+}
+
 func TestEncodePayloadTypes(t *testing.T) {
-	if kind, body, err := encodePayload(nil); err != nil || kind != payloadRaw || len(body) != 0 {
-		t.Fatalf("nil payload: kind=%d body=%v err=%v", kind, body, err)
+	evs := []change.Event{{EdgeAdds: []change.EdgeAdd{{U: 1, V: 2, Weight: 3}}}}
+	evBody, err := EncodeEvents(evs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if kind, body, err := encodePayload([]byte("x")); err != nil || kind != payloadRaw || string(body) != "x" {
-		t.Fatalf("byte payload: kind=%d body=%v err=%v", kind, body, err)
+	for _, c := range []struct {
+		payload interface{}
+		kind    uint8
+		body    []byte
+	}{
+		{nil, payloadRaw, nil},
+		{[]byte("x"), payloadRaw, []byte("x")},
+		{sampleDeltas(), payloadDeltas, appendDeltas(nil, sampleDeltas())},
+		{evs, payloadEvents, evBody},
+	} {
+		buf, err := appendMessageFrame([]byte("prefix"), frame{Tag: TagControl, From: 1, To: 2, Seq: 3}, c.payload)
+		if err != nil {
+			t.Fatalf("%T payload: %v", c.payload, err)
+		}
+		if string(buf[:6]) != "prefix" {
+			t.Fatalf("%T payload: prefix overwritten", c.payload)
+		}
+		f, err := readOne(bytes.NewReader(buf[6:]), 0)
+		if err != nil || f.Kind != c.kind || !bytes.Equal(f.Body, c.body) || f.Seq != 3 {
+			t.Fatalf("%T payload: frame %+v err=%v, want kind %d body %v", c.payload, f, err, c.kind, c.body)
+		}
 	}
-	if kind, _, err := encodePayload(sampleDeltas()); err != nil || kind != payloadDeltas {
-		t.Fatalf("delta payload: kind=%d err=%v", kind, err)
-	}
-	if _, _, err := encodePayload(42); err == nil {
+	if _, err := appendMessageFrame(nil, frame{}, 42); err == nil {
 		t.Fatal("int payload not rejected")
 	}
 	if _, err := decodePayload(99, nil); err == nil {
 		t.Fatal("unknown payload kind not rejected")
+	}
+}
+
+// decodeDeltas allocates per frame, not per delta: the Delta structs, their
+// pointers, one distance arena and one frontier arena.
+func TestDecodeDeltasAllocsPerFrame(t *testing.T) {
+	for _, n := range []int{1, 200, 2000} {
+		ds := make([]*dv.Delta, n)
+		for i := range ds {
+			ds[i] = &dv.Delta{Owner: int32(i), Lo: 64, D: make([]graph.Dist, 100), F: kernel.Bitset{1, 2}}
+		}
+		body := appendDeltas(nil, ds)
+		if got := testing.AllocsPerRun(10, func() { decodeDeltas(body) }); got > 4 {
+			t.Fatalf("%d deltas: %v allocations per decode, want <= 4", n, got)
+		}
+	}
+}
+
+// Encoding a message into a warmed send buffer allocates no frame.
+func TestMessageFrameWarmBufferNoAlloc(t *testing.T) {
+	payloads := []interface{}{
+		sampleDeltas(),
+		[]byte("control"),
+		[]change.Event{{EdgeAdds: []change.EdgeAdd{{U: 1, V: 2, Weight: 3}}}},
+		nil,
+	}
+	buf := make([]byte, 0, 1<<10)
+	for _, p := range payloads {
+		got := testing.AllocsPerRun(10, func() {
+			buf, _ = appendMessageFrame(buf[:0], frame{Tag: TagBoundaryDV, From: 0, To: 1}, p)
+		})
+		if got != 0 {
+			t.Fatalf("%T payload: %v allocations per encode into a warm buffer", p, got)
+		}
 	}
 }

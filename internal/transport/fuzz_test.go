@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"anytime/internal/change"
 	"anytime/internal/dv"
@@ -17,8 +19,10 @@ import (
 // bytes must never panic the decoder, anything it accepts must re-encode
 // to the identical bytes (the codec is a bijection on its valid range),
 // and a framed encoding must be rejected whenever any byte is flipped.
-// The seed corpus pins the interesting shapes: empty windows, full rows,
-// max-width rows, infinite distances.
+// The bulk encoder is held byte-identical to appendDeltasRef, and the bulk
+// little-endian helpers to their per-element (big-endian host) branch, on
+// the input read as words. The seed corpus pins the interesting shapes:
+// empty windows, full rows, max-width rows, infinite distances.
 func FuzzDeltaCodec(f *testing.F) {
 	seed := func(ds []*dv.Delta) { f.Add(appendDeltas(nil, ds)) }
 	seed(nil)
@@ -36,15 +40,21 @@ func FuzzDeltaCodec(f *testing.F) {
 	f.Add(bytes.Repeat([]byte{0xff}, 40)) // negative headers
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkLEBranches(t, make([]int32, len(data)/4), data)
+		checkLEBranches(t, make([]uint64, len(data)/8), data)
 		ds, err := decodeDeltas(data)
 		if err != nil {
 			return // rejected input: fine, as long as it did not panic
 		}
-		// Accepted: the re-encoding must reproduce the input bytes exactly
-		// and the accounted size must match.
+		// Accepted: the re-encoding must reproduce the input bytes exactly,
+		// match the per-element reference, and the accounted size must
+		// match.
 		enc := appendDeltas(nil, ds)
 		if !bytes.Equal(enc, data) {
 			t.Fatalf("roundtrip mismatch: in %d bytes, out %d bytes", len(data), len(enc))
+		}
+		if !bytes.Equal(enc, appendDeltasRef(nil, ds)) {
+			t.Fatal("bulk encoding differs from the per-element reference")
 		}
 		if EncodedDeltaBytes(ds) != len(enc) {
 			t.Fatalf("EncodedDeltaBytes = %d, encoded %d", EncodedDeltaBytes(ds), len(enc))
@@ -58,7 +68,10 @@ func FuzzDeltaCodec(f *testing.F) {
 		// byte under the CRC must surface an error, and a CRC-flagged frame
 		// must leave the stream in sync.
 		buf := appendFrame(nil, frame{Tag: TagBoundaryDV, Kind: payloadDeltas, From: 1, To: 2, Body: enc})
-		if f2, err := readFrame(bytes.NewReader(buf), 0); err != nil {
+		if inPlace, err := appendMessageFrame(nil, frame{Tag: TagBoundaryDV, From: 1, To: 2}, ds); err != nil || !bytes.Equal(inPlace, buf) {
+			t.Fatalf("in-place frame differs from the framed body (err %v)", err)
+		}
+		if f2, err := readOne(bytes.NewReader(buf), 0); err != nil {
 			t.Fatalf("clean frame rejected: %v", err)
 		} else if !bytes.Equal(f2.Body, enc) {
 			t.Fatal("clean frame body mismatch")
@@ -71,7 +84,7 @@ func FuzzDeltaCodec(f *testing.F) {
 		mut[pos] ^= 0x55
 		next := appendFrame(nil, frame{Tag: tagStepEnd, From: 1, To: 2})
 		r := bytes.NewReader(append(mut, next...))
-		_, err = readFrame(r, 0)
+		_, err = readOne(r, 0)
 		if err == nil {
 			t.Fatalf("flip at byte %d of %d-byte frame not detected", pos, len(buf))
 		}
@@ -79,11 +92,48 @@ func FuzzDeltaCodec(f *testing.F) {
 		// length prefix itself was intact (a torn length legitimately
 		// desyncs framing and surfaces as a hard error instead).
 		if pos >= headerLen && errors.Is(err, ErrCorruptFrame) {
-			if f3, err := readFrame(r, 0); err != nil || f3.Tag != tagStepEnd {
+			if f3, err := readOne(r, 0); err != nil || f3.Tag != tagStepEnd {
 				t.Fatalf("stream desynced after corrupt frame: %v", err)
 			}
 		}
 	})
+}
+
+// appendDeltasRef is the per-element delta encoder the bulk one replaced,
+// kept as the reference FuzzDeltaCodec holds appendDeltas to.
+func appendDeltasRef(dst []byte, ds []*dv.Delta) []byte {
+	for _, d := range ds {
+		for _, h := range []int32{d.Owner, d.Lo, int32(len(d.D)), int32(len(d.F))} {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(h))
+		}
+		for _, x := range d.D {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(x))
+		}
+		for _, w := range d.F {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+		}
+	}
+	return dst
+}
+
+// checkLEBranches reads the words of src into dst through ReadLE and
+// through the per-element branch, and writes them back through AppendLE
+// and the per-element branch: all four must agree with src.
+func checkLEBranches[T int32 | uint64](t *testing.T, dst []T, src []byte) {
+	t.Helper()
+	ReadLE(dst, src)
+	ref := make([]T, len(dst))
+	readLEPortable(ref, src)
+	if !slices.Equal(dst, ref) {
+		t.Fatalf("ReadLE differs from the per-element branch on %d words", len(dst))
+	}
+	want := src[:len(src)-len(src)%int(unsafe.Sizeof(T(0)))]
+	if got := AppendLE(nil, dst); !bytes.Equal(got, want) {
+		t.Fatalf("AppendLE does not re-encode %d words", len(dst))
+	}
+	if got := appendLEPortable(nil, dst); !bytes.Equal(got, want) {
+		t.Fatalf("per-element branch does not re-encode %d words", len(dst))
+	}
 }
 
 // FuzzDecodeEvents fuzzes the dynamic-event codec, the body of every event
@@ -159,13 +209,13 @@ func FuzzReadFrame(f *testing.F) {
 		bit := 16 + int(flip%uint(8*(len(fr)-2)))
 		mut := append([]byte(nil), fr...)
 		mut[bit/8] ^= 1 << (bit % 8)
-		if got, err := readFrame(bytes.NewReader(mut), maxBytes); err == nil {
+		if got, err := readOne(bytes.NewReader(mut), maxBytes); err == nil {
 			t.Fatalf("frame with bit %d flipped accepted as %+v", bit, got)
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte, flip uint) {
 		r := bytes.NewReader(data)
-		if fr, err := readFrame(r, maxBytes); err == nil {
+		if fr, err := readOne(r, maxBytes); err == nil {
 			consumed := data[:len(data)-r.Len()]
 			if enc := appendFrame(nil, fr); !bytes.Equal(enc, consumed) {
 				t.Fatalf("accepted frame re-encodes to %d bytes, consumed %d", len(enc), len(consumed))
@@ -179,7 +229,7 @@ func FuzzReadFrame(f *testing.F) {
 			seq = binary.LittleEndian.Uint32(data)
 		}
 		enc := appendFrame(nil, frame{Tag: Tag(flip), Kind: uint8(flip >> 8), From: int(flip>>3) & 0xffff, To: int(seq & 0xffff), Seq: seq, Body: body})
-		fr, err := readFrame(bytes.NewReader(enc), maxBytes)
+		fr, err := readOne(bytes.NewReader(enc), maxBytes)
 		if err != nil {
 			t.Fatalf("encoded frame refused: %v", err)
 		}

@@ -118,6 +118,10 @@ type TCP struct {
 	closed atomic.Bool
 	wg     sync.WaitGroup
 
+	// sendBuf holds the frame being written; only Exchange uses it, and
+	// it is reused (grown, never shrunk) across exchanges.
+	sendBuf []byte
+
 	hbStop   chan struct{}
 	hbPaused atomic.Bool  // test hook: stop sending heartbeats, keep receiving
 	step     atomic.Int64 // this rank's RC step, gossiped in heartbeat Seq
@@ -471,7 +475,8 @@ func readHandshake(conn net.Conn) (frame, error) {
 	if _, err := io.ReadFull(conn, buf); err != nil {
 		return frame{}, err
 	}
-	return readFrame(bytes.NewReader(buf), maxFrameBytes)
+	f, _, err := readFrame(bytes.NewReader(buf), nil, maxFrameBytes)
+	return f, err
 }
 
 // handshakeInbound reads the dialer's handshake, replies, and installs the
@@ -646,11 +651,15 @@ func (l *tcpLink) waitConnected(deadline time.Time) error {
 // readLoop decodes frames from one connection until it fails or is
 // replaced. Corrupt frames are counted and skipped (the length prefix
 // keeps the stream in sync); a read error marks the link for repair.
+// Every frame is read into one buffer the loop reuses, so nothing queued
+// may alias it: decodePayload copies out, and so does the rejoin-go path.
 func (l *tcpLink) readLoop(conn net.Conn, gen int) {
 	defer l.t.wg.Done()
 	r := bufio.NewReaderSize(conn, 64<<10)
+	var buf []byte
 	for {
-		f, err := readFrame(r, maxFrameBytes)
+		f, next, err := readFrame(r, buf, maxFrameBytes)
+		buf = next
 		if err != nil {
 			if errors.Is(err, ErrCorruptFrame) {
 				l.t.ctr.crcErrors.Add(1)
@@ -668,7 +677,7 @@ func (l *tcpLink) readLoop(conn net.Conn, gen int) {
 		case tagRejoinGo:
 			if l.t.goCh != nil {
 				select {
-				case l.t.goCh <- f.Body:
+				case l.t.goCh <- bytes.Clone(f.Body):
 				default:
 				}
 			}
@@ -884,13 +893,13 @@ func (t *TCP) Exchange(out []Message) ([]Message, error) {
 			t.failed = append(t.failed, msg)
 			continue
 		}
-		kind, body, err := encodePayload(msg.Payload)
+		buf, err := appendMessageFrame(t.sendBuf[:0], frame{
+			Tag: msg.Tag, From: t.rank, To: msg.To, Seq: seq[msg.To],
+		}, msg.Payload)
 		if err != nil {
 			return nil, err
 		}
-		buf := appendFrame(make([]byte, 0, headerLen+len(body)+trailerLen), frame{
-			Tag: msg.Tag, Kind: kind, From: t.rank, To: msg.To, Seq: seq[msg.To], Body: body,
-		})
+		t.sendBuf = buf
 		seq[msg.To]++
 		if err := t.links[msg.To].send(buf); err != nil {
 			// Real packet loss: surface through the same path as the fault
@@ -900,7 +909,7 @@ func (t *TCP) Exchange(out []Message) ([]Message, error) {
 			continue
 		}
 		t.ctr.msgsSent.Add(1)
-		t.ctr.bytesSent.Add(int64(len(body)))
+		t.ctr.bytesSent.Add(int64(len(buf) - headerLen - trailerLen))
 	}
 	for q, l := range t.links {
 		if l == nil || l.state.Load() != linkActive {

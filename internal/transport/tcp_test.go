@@ -1,13 +1,16 @@
 package transport
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"anytime/internal/change"
 	"anytime/internal/dv"
 	"anytime/internal/graph"
+	"anytime/internal/kernel"
 )
 
 // freePorts reserves n distinct localhost ports by listening on :0 and
@@ -229,5 +232,62 @@ func TestTCPCalibrate(t *testing.T) {
 	}
 	if cals[0].RTTSmall <= 0 {
 		t.Fatalf("calibration = %v", cals[0])
+	}
+}
+
+// Every payload an Exchange returns owns its memory: the reader reuses one
+// buffer per connection and the sender one frame buffer, so a delta list,
+// a control body or an event list from one exchange must read the same
+// after the next exchange has carried different contents over the link.
+func TestTCPPayloadsOwnTheirMemory(t *testing.T) {
+	ts := newTCPMesh(t, 2)
+	traffic := func(k int) []Message {
+		ds := []*dv.Delta{
+			{Owner: 1, Lo: 0, D: []graph.Dist{graph.Dist(k), 2, graph.InfDist}},
+			{Owner: 2, Lo: 64, D: make([]graph.Dist, 70), F: kernel.Bitset{uint64(k), 1}},
+		}
+		for i := range ds[1].D {
+			ds[1].D[i] = graph.Dist(k + i)
+		}
+		evs := []change.Event{{EdgeAdds: []change.EdgeAdd{{U: 1, V: 2, Weight: graph.Weight(k)}}}}
+		return []Message{
+			{To: 1, Tag: TagBoundaryDV, Bytes: EncodedDeltaBytes(ds), Payload: ds},
+			{To: 1, Tag: TagControl, Bytes: 64, Payload: bytes.Repeat([]byte{byte(k)}, 64)},
+			{To: 1, Tag: TagControl, Payload: evs},
+		}
+	}
+	// encoded snapshots a payload as its frame bytes.
+	encoded := func(p interface{}) []byte {
+		buf, err := appendMessageFrame(nil, frame{}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	exchange := func(k int) []Message {
+		in := runGroup(t, ts, func(tr Transport) ([]Message, error) {
+			if tr.Rank() == 0 {
+				return tr.Exchange(traffic(k))
+			}
+			return tr.Exchange(nil)
+		})
+		if len(in[1]) != 3 {
+			t.Fatalf("exchange %d: rank 1 got %d messages, want 3", k, len(in[1]))
+		}
+		return in[1]
+	}
+	first := exchange(1)
+	var want [][]byte
+	for i, msg := range first {
+		if got, sent := encoded(msg.Payload), encoded(traffic(1)[i].Payload); !bytes.Equal(got, sent) {
+			t.Fatalf("message %d decoded unlike what was sent", i)
+		}
+		want = append(want, encoded(msg.Payload))
+	}
+	exchange(2)
+	for i, msg := range first {
+		if !bytes.Equal(encoded(msg.Payload), want[i]) {
+			t.Fatalf("message %d of the first exchange changed when the second was read", i)
+		}
 	}
 }

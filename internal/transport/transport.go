@@ -64,8 +64,9 @@ const NumTags = int(TagControl) + 1
 
 // Message is one logical message between ranks. Payload stays in-process
 // on the inproc backend (no serialization); on the TCP backend it must be
-// a codec-known type ([]*dv.Delta or []byte) and is encoded into the
-// frame body. Bytes is the accounted wire size; for delta payloads it
+// a codec-known type ([]*dv.Delta, []change.Event or []byte) and is
+// encoded into the frame body, and the decoded payload a receiver gets
+// owns its memory. Bytes is the accounted wire size; for delta payloads it
 // equals the sum of the deltas' WireBytes, which the TCP frame body
 // realizes exactly.
 type Message struct {
