@@ -14,13 +14,15 @@ test:
 	$(GO) test ./...
 
 # vet also covers the nested benchmark module (the root ./... skips it),
-# fails on any file gofmt would rewrite, and fails on a control payload read
-# by a bare type assertion instead of the checked transport.Message.Control.
+# fails on any file gofmt would rewrite, and fails on a control or delta
+# payload read by a bare type assertion instead of the checked
+# transport.Message.Control or Message.Deltas.
 vet:
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	@bare=$$(grep -rn --include='*.go' --exclude='*_test.go' 'Payload\.(\[\]byte)' internal cmd | grep -v '^internal/transport/transport.go:.*b, ok := m.Payload'); if [ -n "$$bare" ]; then echo "unchecked control payload (use Message.Control):"; echo "$$bare"; exit 1; fi
+	@bare=$$(grep -rn --include='*.go' --exclude='*_test.go' 'Payload\.(\[\]\*dv\.Delta)' internal cmd | grep -v '^internal/transport/transport.go:.*ds, ok := m.Payload'); if [ -n "$$bare" ]; then echo "unchecked delta payload (use Message.Deltas):"; echo "$$bare"; exit 1; fi
 
 # The serving subsystem's single-writer/multi-reader contract, the engine
 # underneath it (chaos soak included) and the fault and cluster layers are
@@ -34,7 +36,8 @@ race:
 # frame layout against its Go declarations; the default-tag run holds the
 # vector body to the scalar one (fuzz seeds, body-selection test), and short
 # fuzzing runs of the masked block body and of the grouped multi-pivot body
-# against the scalar bodies and a one-pivot-at-a-time reference go past the
+# against the scalar bodies and a one-pivot-at-a-time reference, and of the
+# tile's count-only pass (exact-state steps) against its sweep, go past the
 # seeds; the purego run repeats the tile/worker/masked invariance,
 # pruned-edge-scan and Runner==Engine tests on the scalar body alone. -race
 # builds select the scalar body through the same build tag, so the race
@@ -44,6 +47,7 @@ kernel-check:
 	$(GO) test -count=1 ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusHopsMasked$$' -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusGroup$$' -fuzztime 10s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzTileCount$$' -fuzztime 10s ./internal/kernel
 	$(GO) test -count=1 -tags purego ./internal/kernel ./internal/core ./internal/rank
 
 # Codec gate: short fuzzing runs past the seeds of the decoders that read

@@ -32,6 +32,12 @@ func (e *Engine) applyEdgeAdds(ev change.Event) {
 //	D(x,t) = min(D(x,t), D(x,u)+w+D_v(t), D(x,v)+w+D_u(t))
 //
 // dynamicCut, when true, counts a created cut edge into the metrics.
+//
+// On an exact APSP matrix the update leaves an exact APSP matrix of the
+// grown graph: a shortest path uses the new edge at most once, and the two
+// compositions above are exactly the paths that do. So the Engine's exact
+// bit (DESIGN.md, "Exact-state steps") survives an absorbEdge; the one path
+// here that records an edge without updating the rows clears it.
 func (e *Engine) absorbEdge(u, v int, w graph.Weight, dynamicCut bool) {
 	e.metrics.EdgesAdded++
 	if dynamicCut && e.part.Part[u] != e.part.Part[v] {
@@ -43,6 +49,7 @@ func (e *Engine) absorbEdge(u, v int, w graph.Weight, dynamicCut bool) {
 	rowV := e.procs[ownerV].table.Row(int32(v))
 	if rowU == nil || rowV == nil {
 		// deleted endpoint: topology recorded, DV reset handles the rest
+		e.exact = false
 		return
 	}
 	// The edge's endpoints are the only vertices whose part-adjacency the
@@ -289,6 +296,7 @@ func (e *Engine) resetDVs() {
 	e.writeShards()
 	e.forceRefine = true
 	e.converged = false
+	e.exact = false
 }
 
 // applyWeightChanges incorporates dynamic edge-weight changes. A decrease

@@ -40,6 +40,7 @@ type Engine struct {
 
 	step        int
 	converged   bool
+	exact       bool // the DV state is exact APSP of e.g (DESIGN.md, "Exact-state steps")
 	forceRefine bool // set once a change requires local pivoting for exactness
 	unitWeight  bool // every live edge weighs 1: IA runs BFS instead of Dijkstra
 	globalIA    bool // NewConverged: IA sweeps the whole graph (exact warm start)
@@ -136,6 +137,7 @@ func newEngine(g *graph.Graph, opts Options, globalIA bool) (*Engine, error) {
 			p.table.ClearFrontiers()
 		}
 		e.converged = true
+		e.exact = e.exactEligible()
 	}
 	e.writeShards() // initial recovery shards (no-op without Options.Faults)
 	e.metrics.WallTime += time.Since(start)
@@ -412,7 +414,7 @@ func (e *Engine) Step() bool {
 	}
 	start := time.Now()
 	sm := e.mark()
-	rcOpsBefore := e.metrics.RCOps
+	rcOpsBefore, execBefore := e.metrics.RCOps, e.metrics.RCExecOps
 	commBefore := e.mach.Stats()
 	e.snapshotBusy()
 	e.applyFaultSchedule()
@@ -422,7 +424,11 @@ func (e *Engine) Step() bool {
 	for _, msgs := range outbox {
 		shipped += len(msgs)
 		for _, msg := range msgs {
-			deltas := msg.Payload.([]*dv.Delta)
+			deltas, err := msg.Deltas()
+			if err != nil {
+				e.fail(err)
+				return false
+			}
 			rowsShipped += len(deltas)
 			for _, d := range deltas {
 				if d.Lo == 0 && len(d.D) == width {
@@ -439,7 +445,10 @@ func (e *Engine) Step() bool {
 		e.fail(xerr)
 		return false
 	}
-	e.relaxAll(inbox)
+	if err := e.relaxAll(inbox); err != nil {
+		e.fail(err)
+		return false
+	}
 	e.handleFailedDeliveries()
 	e.converged = e.reduceConvergence()
 	if e.converged && !e.anyDown() {
@@ -452,6 +461,7 @@ func (e *Engine) Step() bool {
 		FullRowsShipped:  fullRows,
 		Bytes:            e.mach.Stats().Bytes - commBefore.Bytes,
 		RelaxOps:         e.metrics.RCOps - rcOpsBefore,
+		RelaxExecOps:     e.metrics.RCExecOps - execBefore,
 		ConvergedAfter:   e.converged,
 		MaxDeltaWidth:    maxDelta,
 	}
@@ -461,8 +471,10 @@ func (e *Engine) Step() bool {
 		// system (reduceConvergence already refused while any processor was
 		// down or messages were in flight): re-anchor the masked kernels'
 		// skip rule by clearing every row's dirty frontier, before any
-		// queued change perturbs the state again.
+		// queued change perturbs the state again. The fixpoint is exact APSP
+		// unless a relax setting keeps it from being one.
 		e.clearFrontiers()
+		e.exact = e.exactEligible()
 	}
 	if len(e.queue) > 0 {
 		ev := e.queue[0]
@@ -538,6 +550,19 @@ func (e *Engine) gatherStepTelemetry(stats *StepStats) {
 		})
 	}
 }
+
+// exactEligible reports whether a clean convergence of this engine is exact
+// APSP that exact-state steps may rely on: not with a fault injector (a
+// restored shard or a lost delivery makes no exact state, and the
+// injector's schedule runs beside the relax phase), and not when local
+// refinement is off, since RC steps without it can converge short of exact
+// APSP.
+func (e *Engine) exactEligible() bool {
+	return e.inj == nil && e.refines()
+}
+
+// refines reports whether relax phases run the local refinement pass.
+func (e *Engine) refines() bool { return !e.opts.NoLocalRefine || e.forceRefine }
 
 // clearFrontiers resets every processor's row frontiers at a clean global
 // convergence — the fixpoint the masked kernels' soundness argument is
@@ -615,13 +640,30 @@ func (e *Engine) shipBoundary() [][]transport.Message {
 
 // relaxAll applies the received boundary deltas on every processor and
 // runs the recombination strategy (see Proc.Relax), fanning the relax work
-// across opts.Workers goroutines per processor.
-func (e *Engine) relaxAll(inbox [][]transport.Message) {
-	refine := !e.opts.NoLocalRefine || e.forceRefine
+// across opts.Workers goroutines per processor. On an exact state the relax
+// phases count their charge instead of sweeping (see Proc.exact). It fails,
+// relaxing nothing, on a boundary message that does not carry deltas.
+func (e *Engine) relaxAll(inbox [][]transport.Message) error {
+	refine := e.refines()
 	workers := e.opts.Workers
 	if workers < 1 {
 		workers = 1
 	}
+	// flatten each processor's received boundary deltas in delivery order
+	exts := make([][]*dv.Delta, e.opts.P)
+	for pid, msgs := range inbox {
+		for _, msg := range msgs {
+			if msg.Tag != transport.TagBoundaryDV {
+				continue
+			}
+			deltas, err := msg.Deltas()
+			if err != nil {
+				return err
+			}
+			exts[pid] = append(exts[pid], deltas...)
+		}
+	}
+	exact := e.exact && !e.opts.forceExec
 	e.mach.Parallel(func(pid int) {
 		p := e.procs[pid]
 		if e.down(pid) {
@@ -630,22 +672,19 @@ func (e *Engine) relaxAll(inbox [][]transport.Message) {
 		}
 		rm := e.markProc(pid)
 		p.curStep = int32(e.step)
-		// flatten the received boundary deltas in delivery order
-		var ext []*dv.Delta
-		for _, msg := range inbox[pid] {
-			if msg.Tag != transport.TagBoundaryDV {
-				continue
-			}
-			ext = append(ext, msg.Payload.([]*dv.Delta)...)
-		}
-		ops := p.Relax(ext, refine, workers, e.opts.tileSize)
+		p.exact = exact
+		ops := p.Relax(exts[pid], refine, workers, e.opts.tileSize)
 		// The paper's OpenMP accounting: the relax wall-cost of the step
 		// divides over the processor's worker threads.
 		e.mach.Charge(pid, ops/int64(workers))
 		addOps(&e.metrics.RCOps, ops)
+		if !exact {
+			addOps(&e.metrics.RCExecOps, ops)
+		}
 		e.spanProc(obs.KindRCRelax, pid, rm, ops)
 	})
 	e.mach.Barrier()
+	return nil
 }
 
 // reduceConvergence performs the "no more updates in any processor"
@@ -679,6 +718,12 @@ func (e *Engine) reduceConvergence() bool {
 func (e *Engine) applyEvent(ev change.Event) {
 	cm := e.mark()
 	defer e.span(obs.KindChange, cm, 0)
+	// The state stays exact APSP only through Fig. 3 absorptions (absorbEdge)
+	// that start from a clean convergence: vertex batches, edge additions and
+	// weight decreases. The paths inside those events that change the DV
+	// state any other way — Repartition-S, the IA reset of a weight
+	// increase, an edge to a deleted vertex — clear the bit themselves.
+	e.exact = e.exact && e.converged && (ev.Batch != nil || len(ev.EdgeAdds) > 0 || len(ev.WeightChanges) > 0)
 	switch {
 	case ev.Batch != nil:
 		e.applyBatch(ev.Batch)

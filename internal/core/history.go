@@ -17,8 +17,11 @@ type StepStats struct {
 	FullRowsShipped int
 	// Bytes is the boundary-DV payload shipped this step.
 	Bytes int64
-	// RelaxOps is the relax/refine work performed this step.
+	// RelaxOps is the relax/refine work charged this step.
 	RelaxOps int64
+	// RelaxExecOps is the part of RelaxOps the kernels ran: 0 on an
+	// exact-state step, which counts its charge, RelaxOps otherwise.
+	RelaxExecOps int64
 	// Virtual is the cumulative simulated time after the step.
 	Virtual time.Duration
 	// ConvergedAfter reports whether the step ended converged (before any

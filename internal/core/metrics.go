@@ -19,8 +19,14 @@ type Metrics struct {
 	// Work counters, in abstract relaxation/heap operations, per phase.
 	DDOps     int64 // domain decomposition (partitioning) work
 	IAOps     int64 // initial approximation Dijkstra work
-	RCOps     int64 // recombination relax/refine work
+	RCOps     int64 // recombination relax/refine work (the charge)
 	ChangeOps int64 // dynamic-change incorporation work
+
+	// RCExecOps is the part of RCOps the relax kernels actually ran: an
+	// exact-state relax phase (DESIGN.md, "Exact-state steps") charges its
+	// sweeps without running them. It is not checkpointed, so it counts
+	// from the engine's construction or restore.
+	RCExecOps int64
 
 	// Dynamic-change accounting.
 	VerticesAdded int   // vertices added dynamically
@@ -57,6 +63,7 @@ func (m *Metrics) add(o Metrics) {
 	m.DDOps += o.DDOps
 	m.IAOps += o.IAOps
 	m.RCOps += o.RCOps
+	m.RCExecOps += o.RCExecOps
 	m.ChangeOps += o.ChangeOps
 	m.VerticesAdded += o.VerticesAdded
 	m.EdgesAdded += o.EdgesAdded

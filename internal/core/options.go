@@ -155,10 +155,13 @@ type Options struct {
 	// overrides TileSize (the tile-invariance matrix), shardEvery
 	// overrides ShardEvery (denser shards for the crash tests), and
 	// noFrontierMask restores the full-row sweeps on every pass (the
-	// masked ≡ unmasked matrix; results are bit-identical either way).
+	// masked ≡ unmasked matrix; results are bit-identical either way), and
+	// forceExec runs the sweeps of exact-state relax phases instead of
+	// counting their charge (the counted ≡ executed matrix).
 	tileSize       int
 	shardEvery     int
 	noFrontierMask bool
+	forceExec      bool
 }
 
 // withDefaults fills unset fields.

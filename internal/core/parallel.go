@@ -205,7 +205,10 @@ func (p *Proc) extMasks(ext []*dv.Delta) []*kernel.BlockMask {
 // relaxStep runs one processor's relax phase — external-delta relaxation
 // followed (optionally) by tiled local refinement — across w worker
 // goroutines, returning the total relax ops. w == 1 runs inline with no
-// pool. tile is the pivot-tile edge.
+// pool. tile is the pivot-tile edge. On an exact state (p.exact) every
+// decision is made as usual — masks compiled, tiles pushed, pivots
+// scheduled — but no sweep runs: each row charges what its sweeps would
+// have (kernel.Tile.Count, and the diagonal loop of advanceRound).
 func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
 	n := p.table.Len()
 	if w > n {
@@ -332,12 +335,19 @@ func (p *Proc) relaxExternalBlock(ext []*dv.Delta, masks []*kernel.BlockMask, lo
 		if t.Len() == 0 {
 			continue
 		}
-		t.Prepare(cols)
+		if !p.exact {
+			t.Prepare(cols)
+		}
 		for i := lo; i < hi; i++ {
 			u := rows[i]
 			rec := u.F
 			if p.maskOff {
 				rec = nil
+			}
+			if p.exact {
+				o, m := t.Count(u.D, rec, u.FAll)
+				ops, maskedOps = ops+o, maskedOps+m
+				continue
 			}
 			clo, chi, o, m := t.Relax(u.D, u.NH, rec, u.FAll)
 			ops += o
@@ -430,16 +440,20 @@ func (p *Proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
 				continue
 			}
 			var clo, chi int
-			if mask != nil && !u.FAll && !u.F.Get(int(pr.Owner)) {
-				clo, chi = kernel.MinPlusHopsBlocks(u.D, u.NH, pr.D, d, u.NH[pr.Owner], mask, u.F, 0)
-				ops += int64(mask.Ops())
-				masked += int64(mask.Ops())
-			} else {
-				rec := u.F
-				if p.maskOff {
-					rec = nil
+			if m := kernel.SweepMask(mask, u.F, int(pr.Owner), u.FAll); m != nil {
+				if !p.exact {
+					clo, chi = kernel.MinPlusHopsBlocks(u.D, u.NH, pr.D, d, u.NH[pr.Owner], m, u.F, 0)
 				}
-				clo, chi = kernel.MinPlusHopsRec(u.D, u.NH, pr.D, d, u.NH[pr.Owner], rec, 0)
+				ops += int64(m.Ops())
+				masked += int64(m.Ops())
+			} else {
+				if !p.exact {
+					rec := u.F
+					if p.maskOff {
+						rec = nil
+					}
+					clo, chi = kernel.MinPlusHopsRec(u.D, u.NH, pr.D, d, u.NH[pr.Owner], rec, 0)
+				}
 				ops += int64(len(pr.D))
 			}
 			if clo < chi {
@@ -499,7 +513,9 @@ func (p *Proc) phaseB(r *refineRound, lo, hi int, t *kernel.Tile) (int64, int64)
 				break
 			}
 		}
-		t.Prepare(cols)
+		if !p.exact {
+			t.Prepare(cols)
+		}
 		for ui := lo; ui < hi; ui++ {
 			if ui >= r.tLo && ui < r.tHi {
 				continue
@@ -508,6 +524,11 @@ func (p *Proc) phaseB(r *refineRound, lo, hi int, t *kernel.Tile) (int64, int64)
 			rec := u.F
 			if p.maskOff {
 				rec = nil
+			}
+			if p.exact {
+				o, m := t.Count(u.D, rec, u.FAll)
+				ops, masked = ops+o, masked+m
+				continue
 			}
 			clo, chi, o, m := t.Relax(u.D, u.NH, rec, u.FAll)
 			ops += o

@@ -45,6 +45,11 @@ type Proc struct {
 	hasUpdate     bool // a local-boundary row is dirty: the vote against convergence
 	// maskOff mirrors Options.noFrontierMask: full-row sweeps everywhere.
 	maskOff bool
+	// exact is set by the Engine for a relax phase over a table that is
+	// exact APSP of the current graph (DESIGN.md, "Exact-state steps"): no
+	// sweep can improve a cell, so the phase counts the ops its sweeps
+	// would charge instead of running them. rank.Runner never sets it.
+	exact bool
 	// relax-phase scratch reused across steps (parallel.go): the compiled
 	// frontier masks — extBlocks[i] for received delta i (extMaskRefs
 	// points at the ones in use), pivotBlocks for the active pivots of one

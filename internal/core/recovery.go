@@ -283,6 +283,11 @@ func (e *Engine) handleFailedDeliveries() {
 		return
 	}
 	for _, msg := range e.mach.TakeFailed() {
-		e.procs[msg.From].ReMarkFailed(msg.Payload.([]*dv.Delta))
+		deltas, err := msg.Deltas()
+		if err != nil {
+			e.fail(err)
+			continue
+		}
+		e.procs[msg.From].ReMarkFailed(deltas)
 	}
 }

@@ -32,6 +32,7 @@ import (
 // remains valid; the dirty cascade plus the forced local refinement close
 // the remaining compositions (see Engine.forceRefine).
 func (e *Engine) applyRepartition(b *change.VertexBatch) {
+	e.exact = false // migrated rows and new vertices are re-seeded, not updated
 	cutBefore := graph.EdgeCut(e.g, e.part)
 	oldPart := e.part.Part // still sized for the old vertex set
 
@@ -120,7 +121,12 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 				// Treat it as a failed delivery: re-mark the sender's rows
 				// for a full re-ship (migrated rows are marked ship-all
 				// below regardless).
-				e.procs[msg.From].ReMarkFailed(msg.Payload.([]*dv.Delta))
+				deltas, err := msg.Deltas()
+				if err != nil {
+					e.fail(err)
+					continue
+				}
+				e.procs[msg.From].ReMarkFailed(deltas)
 			}
 		}
 	}

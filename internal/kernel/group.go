@@ -333,12 +333,13 @@ func (g *Group) RelaxMasked(dst []graph.Dist, nh []int32, masks []*BlockMask, re
 	for j := range g.p[:g.k] {
 		pj := &g.p[j]
 		owner := int(pj.owner)
-		if m := masks[j]; m != nil && (rec == nil || !rec.Get(owner)) {
+		if m := SweepMask(masks[j], rec, owner, false); m != nil {
 			if run != 0 {
 				clo, chi, o := g.relax(dst, nh, rec, run)
 				lo, hi, ops, run = min(lo, clo), max(hi, chi), ops+o, 0
+				m = SweepMask(m, rec, owner, false) // the run may have set the owner bit
 			}
-			if rec == nil || !rec.Get(owner) {
+			if m != nil {
 				add := dst[owner]
 				if add == graph.InfDist {
 					continue
@@ -358,6 +359,19 @@ func (g *Group) RelaxMasked(dst []graph.Dist, nh []int32, masks []*BlockMask, re
 		lo, hi, ops = min(lo, clo), max(hi, chi), ops+o
 	}
 	return lo, hi, ops, maskedOps
+}
+
+// SweepMask is the one masked-versus-full rule of every relax sweep: a
+// pivot whose distance sits in destination column owner is swept under its
+// compiled mask m, which SweepMask returns, unless the sweep must be full —
+// no mask, the destination row's change extent is unknown (dstFull), or its
+// frontier rec has the owner bit set (the add operand moved since the last
+// convergence) — when it returns nil. A nil rec has no bits set.
+func SweepMask(m *BlockMask, rec Bitset, owner int, dstFull bool) *BlockMask {
+	if m == nil || dstFull || (rec != nil && rec.Get(owner)) {
+		return nil
+	}
+	return m
 }
 
 // groupGeneric relaxes columns [from, len(dst)) of dst and nh through the
@@ -465,6 +479,32 @@ func (t *Tile) Prepare(n int) {
 		t.g[i].pad = t.pad[i*GroupK*n : (i+1)*GroupK*n : (i+1)*GroupK*n]
 		t.g[i].Prepare(n)
 	}
+}
+
+// Count returns the ops and masked ops Relax would charge dst when no pivot
+// improves it, without sweeping and without Prepare: a pivot whose distance
+// dst[owner] is InfDist charges nothing, and any other charges its mask's
+// columns when SweepMask picks the mask, else its row's length as pushed.
+// With no improvement the adds, the frontier and so every pivot's
+// full/masked decision stay what they were when the row came in, which is
+// what makes the count exact.
+func (t *Tile) Count(dst []graph.Dist, rec Bitset, dstFull bool) (ops, maskedOps int64) {
+	for i := range t.g[:t.ng+1] {
+		g := &t.g[i]
+		for j := range g.p[:g.k] {
+			pj := &g.p[j]
+			if dst[pj.owner] == graph.InfDist {
+				continue
+			}
+			if m := SweepMask(t.m[i][j], rec, int(pj.owner), dstFull); m != nil {
+				ops += int64(m.ops)
+				maskedOps += int64(m.ops)
+			} else {
+				ops += int64(pj.ops)
+			}
+		}
+	}
+	return ops, maskedOps
 }
 
 // Relax relaxes dst through the tile's pivots in push order, as

@@ -354,3 +354,92 @@ func TestTileMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// FuzzTileCount holds Tile.Count to Tile.Relax on rows that no pivot
+// improves — the state of a row in an exact APSP matrix: the same ops and
+// masked ops, and Relax leaves dst, nh and rec as they were. Pivots span
+// several groups, windows are full rows (some trailing past dst), 64-aligned
+// delta windows or arbitrary ones, half carry a compiled mask, and owners
+// are often InfDist or have their frontier bit set, so every branch of the
+// full/masked rule is taken.
+func FuzzTileCount(f *testing.F) {
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 100; i++ {
+		raw := make([]byte, 1+rng.Intn(16))
+		rng.Read(raw)
+		f.Add(raw, uint16(rng.Intn(300)), uint8(i), uint8(i/4), i%7 == 0, i%5 == 0)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, n uint16, k, shape uint8, dstFull, nilRec bool) {
+		seed := int64(n)<<16 | int64(k)<<8 | int64(shape)
+		for _, b := range raw {
+			seed = seed*131 + int64(b)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		w := 1 + int(n)%300
+		dst := make([]graph.Dist, w)
+		nh := make([]int32, w)
+		for c := range dst {
+			dst[c] = groupDist(rng)
+			nh[c] = int32(rng.Intn(w))
+		}
+		var rec Bitset
+		if !nilRec {
+			rec = NewBitset(w)
+			for c := 0; c < w; c += 1 + rng.Intn(8) {
+				rec.Set(c)
+			}
+		}
+		var tile Tile
+		np := 1 + int(k)%40
+		for j := 0; j < np; {
+			tile.Reset()
+			for ; j < np; j++ {
+				off, sw := 0, w
+				switch mode := int(shape) % 3; {
+				case mode == 0:
+					sw += rng.Intn(3) * 5 // shipped columns may trail the local width
+				case mode == 1:
+					off = 64 * rng.Intn((w+63)/64)
+					sw = 1 + rng.Intn(w-off+8)
+				default:
+					off = rng.Intn(w)
+					sw = rng.Intn(w - off + 10)
+				}
+				owner := int32(rng.Intn(w))
+				src := make([]graph.Dist, sw)
+				for c := range src {
+					src[c] = groupDist(rng)
+					// No improvement: add + src >= dst at every column.
+					if add := dst[owner]; add != graph.InfDist && off+c < w && add+src[c] < dst[off+c] {
+						src[c] = dst[off+c] - add
+					}
+				}
+				var mask *BlockMask
+				if rng.Intn(2) == 0 {
+					mw := min(sw, w-off) // compiled for the width it is swept at
+					mask = compiled(fuzzMask(raw, mw, uint8(rng.Intn(5))), mw)
+				}
+				if !tile.Push(src, off, owner, mask) {
+					break
+				}
+			}
+			wantOps, wantMasked := tile.Count(dst, rec, dstFull)
+			d0, nh0, rec0 := append([]graph.Dist(nil), dst...), append([]int32(nil), nh...), append(Bitset(nil), rec...)
+			tile.Prepare(w)
+			lo, hi, ops, masked := tile.Relax(dst, nh, rec, dstFull)
+			if lo < hi || ops != wantOps || masked != wantMasked {
+				t.Fatalf("width %d, %d pivots: Relax window (%d,%d) ops %d masked %d, Count %d %d", w, tile.Len(), lo, hi, ops, masked, wantOps, wantMasked)
+			}
+			for c := range dst {
+				if dst[c] != d0[c] || nh[c] != nh0[c] {
+					t.Fatalf("width %d: column %d (%d,%d), was (%d,%d)", w, c, dst[c], nh[c], d0[c], nh0[c])
+				}
+			}
+			for i := range rec {
+				if rec[i] != rec0[i] {
+					t.Fatalf("width %d: rec word %d = %#x, was %#x", w, i, rec[i], rec0[i])
+				}
+			}
+		}
+	})
+}

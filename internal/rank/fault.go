@@ -41,7 +41,6 @@ import (
 
 	"anytime/internal/change"
 	"anytime/internal/core"
-	"anytime/internal/dv"
 	"anytime/internal/graph"
 	"anytime/internal/obs"
 	"anytime/internal/transport"
@@ -179,7 +178,11 @@ func (r *Runner) voteConvergence() (bool, error) {
 			// A delayed boundary delivery released during the vote: keep
 			// it for the next relax phase. Its sender voted to continue
 			// (the message counted as in flight), so no step is lost.
-			r.carry = append(r.carry, msg.Payload.([]*dv.Delta)...)
+			deltas, err := msg.Deltas()
+			if err != nil {
+				return false, fmt.Errorf("rank %d: delayed boundary deltas: %w", r.t.Rank(), err)
+			}
+			r.carry = append(r.carry, deltas...)
 		}
 	}
 	decision := make([]byte, 1+2*B)

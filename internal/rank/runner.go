@@ -293,7 +293,11 @@ func (r *Runner) Step() (bool, error) {
 	for _, msg := range in {
 		switch msg.Tag {
 		case transport.TagBoundaryDV:
-			ext = append(ext, msg.Payload.([]*dv.Delta)...)
+			deltas, err := msg.Deltas()
+			if err != nil {
+				return false, fmt.Errorf("rank %d: boundary deltas: %w", r.t.Rank(), err)
+			}
+			ext = append(ext, deltas...)
 		case transport.TagNewVertexRow:
 			if evs, ok := msg.Payload.([]change.Event); ok {
 				events = append(events, evs...)
@@ -313,7 +317,8 @@ func (r *Runner) Step() (bool, error) {
 	if failed := r.t.TakeFailed(); len(failed) > 0 {
 		r.stats.Reships += len(failed)
 		for _, msg := range failed {
-			if deltas, ok := msg.Payload.([]*dv.Delta); ok {
+			// only boundary messages carry rows to re-mark
+			if deltas, err := msg.Deltas(); err == nil {
 				r.rs.ReMarkFailed(deltas)
 			}
 		}
@@ -407,7 +412,11 @@ func (r *Runner) GatherDistances() ([][]graph.Dist, error) {
 		if msg.Tag != transport.TagMigrateRows {
 			continue
 		}
-		for _, d := range msg.Payload.([]*dv.Delta) {
+		deltas, err := msg.Deltas()
+		if err != nil {
+			return nil, fmt.Errorf("rank 0: gather: %w", err)
+		}
+		for _, d := range deltas {
 			if int(d.Owner) >= n || d.Lo != 0 || len(d.D) != n {
 				return nil, fmt.Errorf("rank 0: gathered malformed row (owner=%d lo=%d len=%d)", d.Owner, d.Lo, len(d.D))
 			}

@@ -253,6 +253,38 @@ func TestGatherWantedMalformedRoot(t *testing.T) {
 	}
 }
 
+// TestBoundaryRawPayloadIsError: a boundary message whose payload is not a
+// delta list — on the wire the payload kind is independent of the tag, so a
+// CRC-valid frame can carry raw bytes under TagBoundaryDV — fails the
+// receiving rank's step with an error naming the sender, instead of
+// panicking it.
+func TestBoundaryRawPayloadIsError(t *testing.T) {
+	const n, seed = 40, 3
+	group := transport.NewInprocGroup(2)
+	peer := make(chan error, 1)
+	go func() {
+		// Rank 1 by hand: the partition checksum, then a data exchange
+		// whose boundary message carries bytes.
+		_, err := group[1].Broadcast(0, transport.Message{})
+		if err == nil {
+			_, err = group[1].Exchange([]transport.Message{{To: 0, Tag: transport.TagBoundaryDV, Bytes: 3, Payload: []byte{1, 2, 3}}})
+		}
+		peer <- err
+	}()
+	r, err := New(group[0], Config{Graph: testGraph(t, n, seed), Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.Step()
+	group[0].Abort()
+	if perr := <-peer; perr != nil {
+		t.Fatal(perr)
+	}
+	if !errors.Is(err, transport.ErrPayloadKind) || !strings.Contains(err.Error(), "from rank 1") {
+		t.Fatalf("got %v, want ErrPayloadKind naming rank 1", err)
+	}
+}
+
 // TestMalformedVoteIsError: rank 0 must not read an empty convergence vote
 // as "no updates" — the voter may be dirty — but fail the step with an
 // error naming the voter.

@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"anytime/internal/dv"
 )
 
 // Tag distinguishes message kinds on the wire: the public kinds every
@@ -76,9 +78,23 @@ type Message struct {
 	Payload  interface{}
 }
 
-// ErrPayloadKind reports a control message whose payload is not a []byte
-// of the size its reader needs.
-var ErrPayloadKind = errors.New("transport: malformed control payload")
+// ErrPayloadKind reports a message whose payload is not the kind its reader
+// needs: a control payload that is not a []byte of the size it needs, or a
+// delta payload that is not a delta list. On the wire the payload kind is
+// independent of the tag, so a well-framed message can carry either.
+var ErrPayloadKind = errors.New("transport: malformed payload")
+
+// Deltas returns the message's delta-list payload; otherwise an error
+// wrapping ErrPayloadKind that names the sender. It is the one checked
+// reader for delta lists: boundary deltas and the rows a gather ships.
+func (m Message) Deltas() ([]*dv.Delta, error) {
+	ds, ok := m.Payload.([]*dv.Delta)
+	if !ok {
+		return nil, fmt.Errorf("%w from rank %d: %T with tag %d, want a delta list",
+			ErrPayloadKind, m.From, m.Payload, m.Tag)
+	}
+	return ds, nil
+}
 
 // Control returns the message's []byte payload if it holds at least n
 // bytes; otherwise an error wrapping ErrPayloadKind that names the sender.
