@@ -14,15 +14,15 @@ test:
 	$(GO) test ./...
 
 # vet also covers the nested benchmark module (the root ./... skips it),
-# fails on any file gofmt would rewrite, and fails on a control or delta
-# payload read by a bare type assertion instead of the checked
-# transport.Message.Control or Message.Deltas.
+# fails on any file gofmt would rewrite, and fails on a message payload
+# read by a bare type assertion anywhere in non-test code under internal/
+# and cmd/ outside transport.go's checked accessors (Message.Deltas,
+# Events, Row and Control).
 vet:
 	$(GO) vet ./...
 	cd benchmark && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
-	@bare=$$(grep -rn --include='*.go' --exclude='*_test.go' 'Payload\.(\[\]byte)' internal cmd | grep -v '^internal/transport/transport.go:.*b, ok := m.Payload'); if [ -n "$$bare" ]; then echo "unchecked control payload (use Message.Control):"; echo "$$bare"; exit 1; fi
-	@bare=$$(grep -rn --include='*.go' --exclude='*_test.go' 'Payload\.(\[\]\*dv\.Delta)' internal cmd | grep -v '^internal/transport/transport.go:.*ds, ok := m.Payload'); if [ -n "$$bare" ]; then echo "unchecked delta payload (use Message.Deltas):"; echo "$$bare"; exit 1; fi
+	@bare=$$(grep -rn --include='*.go' --exclude='*_test.go' '\.Payload\.(' internal cmd | grep -v '^internal/transport/transport.go:'); if [ -n "$$bare" ]; then echo "unchecked payload read (use transport.Message.Deltas, Events, Row or Control):"; echo "$$bare"; exit 1; fi
 
 # The serving subsystem's single-writer/multi-reader contract, the engine
 # underneath it (chaos soak included) and the fault and cluster layers are

@@ -30,7 +30,7 @@ func (e *Engine) applyBatch(b *change.VertexBatch) {
 	if strat == CutEdgePS {
 		place = e.assignCutEdge
 	}
-	res, err := e.log.apply(e.g, e.part, change.Event{Batch: b}, place)
+	res, err := e.log.apply(e.g, e.part, change.Event{Batch: b}, place, e.alive)
 	if err != nil {
 		e.fail(err)
 		return

@@ -12,7 +12,7 @@ import (
 // against the graph (new edges inserted, lighter duplicates lowered, heavier
 // ones dropped) and every edge that changed the graph is absorbed.
 func (e *Engine) applyEdgeAdds(ev change.Event) {
-	res, err := e.log.apply(e.g, e.part, ev, nil)
+	res, err := e.log.apply(e.g, e.part, ev, nil, e.alive)
 	if err != nil {
 		e.fail(err)
 		return
@@ -33,11 +33,13 @@ func (e *Engine) applyEdgeAdds(ev change.Event) {
 //
 // dynamicCut, when true, counts a created cut edge into the metrics.
 //
+// Both endpoints are live: no edge to a deleted vertex enters the graph
+// (admission refuses it, EventLog.apply and applyWeightChanges drop it).
+//
 // On an exact APSP matrix the update leaves an exact APSP matrix of the
 // grown graph: a shortest path uses the new edge at most once, and the two
 // compositions above are exactly the paths that do. So the Engine's exact
-// bit (DESIGN.md, "Exact-state steps") survives an absorbEdge; the one path
-// here that records an edge without updating the rows clears it.
+// bit (DESIGN.md, "Exact-state steps") survives an absorbEdge.
 func (e *Engine) absorbEdge(u, v int, w graph.Weight, dynamicCut bool) {
 	e.metrics.EdgesAdded++
 	if dynamicCut && e.part.Part[u] != e.part.Part[v] {
@@ -47,11 +49,6 @@ func (e *Engine) absorbEdge(u, v int, w graph.Weight, dynamicCut bool) {
 	ownerV := int(e.part.Part[v])
 	rowU := e.procs[ownerU].table.Row(int32(u))
 	rowV := e.procs[ownerV].table.Row(int32(v))
-	if rowU == nil || rowV == nil {
-		// deleted endpoint: topology recorded, DV reset handles the rest
-		e.exact = false
-		return
-	}
 	// The edge's endpoints are the only vertices whose part-adjacency the
 	// new edge can change: each may now border a part that has never seen
 	// any version of its row, so their next ship carries the full row.
@@ -308,6 +305,9 @@ func (e *Engine) resetDVs() {
 func (e *Engine) applyWeightChanges(chs []change.EdgeWeight) {
 	needReset := false
 	for _, c := range chs {
+		if !e.Alive(c.U) || !e.Alive(c.V) {
+			continue // the vertex was deleted after the change was admitted
+		}
 		old, ok := e.g.EdgeWeight(int(c.U), int(c.V))
 		switch {
 		case !ok || c.Weight > old:

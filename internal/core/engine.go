@@ -322,6 +322,11 @@ func (e *Engine) QueueBatch(b *change.VertexBatch) error {
 	if err := b.Validate(e.pendingNumVertices()); err != nil {
 		return err
 	}
+	for _, ed := range b.External {
+		if e.deleted(ed.Existing) {
+			return fmt.Errorf("core: external edge to deleted vertex %d", ed.Existing)
+		}
+	}
 	e.queue = append(e.queue, change.Event{Batch: b})
 	return nil
 }
@@ -339,11 +344,17 @@ func (e *Engine) pendingNumVertices() int {
 	return n
 }
 
-// QueueEdgeAdds schedules dynamic edge additions between existing vertices.
+// deleted reports whether v is a tombstone: deleted by an applied event.
+// An edge to it is refused at admission; one admitted while v's deletion
+// was still queued is dropped when it applies.
+func (e *Engine) deleted(v int32) bool { return v >= 0 && deleted(e.alive, int(v)) }
+
+// QueueEdgeAdds schedules dynamic edge additions between existing, not
+// deleted vertices.
 func (e *Engine) QueueEdgeAdds(adds ...change.EdgeAdd) error {
 	n := e.pendingNumVertices()
 	for _, a := range adds {
-		if int(a.U) >= n || int(a.V) >= n || a.U < 0 || a.V < 0 || a.U == a.V || a.Weight <= 0 {
+		if int(a.U) >= n || int(a.V) >= n || a.U < 0 || a.V < 0 || a.U == a.V || a.Weight <= 0 || e.deleted(a.U) || e.deleted(a.V) {
 			return fmt.Errorf("core: invalid edge addition {%d,%d,w=%d}", a.U, a.V, a.Weight)
 		}
 	}
@@ -365,12 +376,13 @@ func (e *Engine) QueueEdgeDels(dels ...change.EdgeDel) error {
 	return nil
 }
 
-// QueueEdgeWeightChanges schedules dynamic edge-weight changes. Decreases
-// are absorbed incrementally; increases fall back to the IA-reset path.
+// QueueEdgeWeightChanges schedules dynamic edge-weight changes between
+// vertices not deleted. Decreases are absorbed incrementally; increases
+// fall back to the IA-reset path.
 func (e *Engine) QueueEdgeWeightChanges(chs ...change.EdgeWeight) error {
 	n := e.pendingNumVertices()
 	for _, c := range chs {
-		if int(c.U) >= n || int(c.V) >= n || c.U < 0 || c.V < 0 || c.U == c.V || c.Weight <= 0 {
+		if int(c.U) >= n || int(c.V) >= n || c.U < 0 || c.V < 0 || c.U == c.V || c.Weight <= 0 || e.deleted(c.U) || e.deleted(c.V) {
 			return fmt.Errorf("core: invalid weight change {%d,%d,w=%d}", c.U, c.V, c.Weight)
 		}
 	}

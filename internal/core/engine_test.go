@@ -369,6 +369,46 @@ func TestVertexDeletion(t *testing.T) {
 	}
 }
 
+// An edge to a deleted vertex never enters the graph: once the deletion
+// has applied, admission refuses it (edge additions, weight changes and a
+// batch's external edges); admitted while the deletion was still queued,
+// it is dropped when it applies. Either way the engine stays exact and the
+// tombstone keeps no edge.
+func TestEdgeToDeletedVertex(t *testing.T) {
+	batch := &change.VertexBatch{NumVertices: 1, External: []change.ExternalEdge{{New: 0, Existing: 5, Weight: 1}, {New: 0, Existing: 20, Weight: 2}}}
+	for _, applied := range []bool{true, false} {
+		e, err := New(testGraph(t, 60, 7), defaultTestOptions(3, 7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Run()
+		if err := e.QueueVertexDel(5); err != nil {
+			t.Fatal(err)
+		}
+		if applied {
+			e.Run()
+		}
+		errs := []error{
+			e.QueueEdgeAdds(change.EdgeAdd{U: 5, V: 10, Weight: 1}, change.EdgeAdd{U: 5, V: 40, Weight: 1}),
+			e.QueueEdgeWeightChanges(change.EdgeWeight{U: 40, V: 5, Weight: 1}),
+			e.QueueBatch(batch),
+		}
+		for i, err := range errs {
+			if (err != nil) != applied {
+				t.Fatalf("deletion applied %t: admission %d returned %v", applied, i, err)
+			}
+		}
+		e.Run()
+		if e.Err() != nil {
+			t.Fatal(e.Err())
+		}
+		if d := e.Graph().Degree(5); d != 0 {
+			t.Fatalf("deletion applied %t: tombstone 5 has %d edges", applied, d)
+		}
+		requireExact(t, e)
+	}
+}
+
 func TestBaselineRestartMatches(t *testing.T) {
 	g := testGraph(t, 80, 41)
 	o := defaultTestOptions(4, 41)

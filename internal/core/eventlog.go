@@ -72,11 +72,14 @@ type resolved struct {
 // everywhere: an edge that already exists keeps the better weight, so a
 // lighter re-add lowers it and a heavier one is a no-op; exactly the edges
 // that changed the graph are reported back. place == nil leaves the
-// partition alone (the caller repartitions, or has none).
+// partition alone (the caller repartitions, or has none). An edge with an
+// endpoint that alive marks deleted — admitted while the vertex's deletion
+// was still queued — is dropped before it enters the graph; alive == nil
+// (every runtime without deletions) drops nothing.
 //
 // Only vertex batches and edge additions resolve here; the non-monotone
 // kinds (deletions, weight increases) need the Engine's reset path.
-func (l *EventLog) apply(g *graph.Graph, part *graph.Partition, ev change.Event, place placement) (resolved, error) {
+func (l *EventLog) apply(g *graph.Graph, part *graph.Partition, ev change.Event, place placement, alive []bool) (resolved, error) {
 	var res resolved
 	switch {
 	case ev.Batch != nil:
@@ -119,6 +122,9 @@ func (l *EventLog) apply(g *graph.Graph, part *graph.Partition, ev change.Event,
 	}
 	kept := res.edges[:0]
 	for _, ed := range res.edges {
+		if deleted(alive, ed.u) || deleted(alive, ed.v) {
+			continue
+		}
 		changed, err := g.AddOrLowerEdge(ed.u, ed.v, ed.w)
 		if err != nil {
 			return res, err
@@ -131,13 +137,17 @@ func (l *EventLog) apply(g *graph.Graph, part *graph.Partition, ev change.Event,
 	return res, nil
 }
 
+// deleted reports whether alive marks v deleted; vertices beyond it (added
+// since) are live.
+func deleted(alive []bool, v int) bool { return v < len(alive) && !alive[v] }
+
 // Replay re-derives the graph and partition evolution of a journal — the
 // rejoin path: a returning rank applies the journal it missed to the base
 // graph and provably arrives at the survivors' exact topology, because
 // every mutation is a deterministic function of (base state, journal).
 func (l *EventLog) Replay(g *graph.Graph, part *graph.Partition, journal []change.Event) error {
 	for i, ev := range journal {
-		if _, err := l.apply(g, part, ev, l.roundRobin); err != nil {
+		if _, err := l.apply(g, part, ev, l.roundRobin, nil); err != nil {
 			return fmt.Errorf("core: journal replay event %d: %w", i, err)
 		}
 		l.journal = append(l.journal, ev)

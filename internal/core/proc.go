@@ -437,7 +437,7 @@ func (p *Proc) ApplyEvents(log *EventLog, evs []change.Event) error {
 		return nil
 	}
 	for _, ev := range evs {
-		res, err := log.apply(p.g, p.part, ev, log.roundRobin)
+		res, err := log.apply(p.g, p.part, ev, log.roundRobin, nil)
 		if err != nil {
 			return err
 		}

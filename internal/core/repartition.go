@@ -38,7 +38,7 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 
 	// 1. Grow the topology: vertices and edges only — no placement (the
 	// repartition below decides it) and no DV updates.
-	res, err := e.log.apply(e.g, nil, change.Event{Batch: b}, nil)
+	res, err := e.log.apply(e.g, nil, change.Event{Batch: b}, nil, e.alive)
 	if err != nil {
 		e.fail(err)
 		return
@@ -114,7 +114,12 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 		for _, msg := range msgs {
 			switch msg.Tag {
 			case transport.TagMigrateRows:
-				e.procs[pid].table.AdoptRow(msg.Payload.(*dv.Row))
+				row, err := msg.Row()
+				if err != nil {
+					e.fail(err)
+					continue
+				}
+				e.procs[pid].table.AdoptRow(row)
 			case transport.TagBoundaryDV:
 				// A boundary delta delayed by the lossy network releases at
 				// the next exchange — which can be this migration exchange.

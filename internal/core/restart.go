@@ -44,7 +44,7 @@ func (r *Restart) recompute() error {
 // ApplyBatch incorporates a vertex-addition batch by mutating the graph
 // and restarting the analysis from scratch.
 func (r *Restart) ApplyBatch(b *change.VertexBatch) error {
-	if _, err := r.log.apply(r.g, nil, change.Event{Batch: b}, nil); err != nil {
+	if _, err := r.log.apply(r.g, nil, change.Event{Batch: b}, nil, nil); err != nil {
 		return err
 	}
 	return r.recompute()

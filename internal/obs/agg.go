@@ -217,7 +217,8 @@ func (c *countWriter) Write(p []byte) (int, error) {
 func (a *Aggregator) computedLocked() []TextFamily {
 	up := 0
 	var busy []time.Duration
-	var rows, dirty, converged, frontierBits, frontierWeighted float64
+	var rows, dirty, converged, frontierBits float64
+	haveDensity := false
 	var maxStep, minStep float64
 	haveStep := false
 	staleSamples := make([]TextSample, 0, a.ranks)
@@ -252,15 +253,17 @@ func (a *Aggregator) computedLocked() []TextFamily {
 		}
 		r, _ := a.rankSeries(i, "aa_rank_rows", "")
 		rows += r
-		if v, ok := a.rankSeries(i, "aa_rank_dirty_rows", ""); ok {
-			dirty += v
-		}
+		d, _ := a.rankSeries(i, "aa_rank_dirty_rows", "")
+		dirty += d
 		if v, ok := a.rankSeries(i, "aa_rank_converged_rows", ""); ok {
 			converged += v
 		}
+		// A rank's density is bits / (dirty rows x cols): weighting it by
+		// the rank's dirty rows sums the bits, and the cluster density is
+		// that sum over the cluster's dirty cells.
 		if v, ok := a.rankSeries(i, "aa_rank_frontier_density", ""); ok {
-			frontierBits += v * r
-			frontierWeighted += r
+			haveDensity = true
+			frontierBits += v * d
 		}
 	}
 
@@ -291,9 +294,13 @@ func (a *Aggregator) computedLocked() []TextFamily {
 			one("aa_cluster_converged_rows", "Converged rows across all ranks.", converged),
 		)
 	}
-	if frontierWeighted > 0 {
+	if haveDensity {
+		density := 0.0
+		if dirty > 0 {
+			density = frontierBits / dirty
+		}
 		fams = append(fams,
-			one("aa_cluster_frontier_density", "Row-weighted mean frontier density across ranks.", frontierBits/frontierWeighted),
+			one("aa_cluster_frontier_density", "Change-frontier bit density within the dirty rows of all ranks (per-rank densities weighted by dirty rows).", density),
 		)
 	}
 

@@ -186,3 +186,22 @@ func TestAggregatorNeverSeenRank(t *testing.T) {
 		t.Errorf("phantom series for never-seen rank")
 	}
 }
+
+// TestAggregatorFrontierDensityWeightsDirtyRows: a rank's frontier density
+// is bits / (dirty rows x cols), so the cluster density weights each rank
+// by its dirty rows, not its rows. Rank 0 has 1 dirty row fully set, rank
+// 1 has 100 dirty rows with no bits: 1 set row of 101 dirty ones.
+func TestAggregatorFrontierDensityWeightsDirtyRows(t *testing.T) {
+	density := func(rank int, v float64) string {
+		return fmt.Sprintf("# HELP aa_rank_frontier_density Frontier density.\n# TYPE aa_rank_frontier_density gauge\naa_rank_frontier_density{rank=\"%d\"} %g\n", rank, v)
+	}
+	ranks := []*fakeRank{
+		{text: rankText(0, 3, 0.1, 100, 1, false, 0) + density(0, 1)},
+		{text: rankText(1, 3, 0.1, 100, 100, false, 0) + density(1, 0)},
+	}
+	m := scrapeMap(t, NewAggregator(2, 0, fakeFetch(ranks)))
+	want := 1.0 / 101
+	if got := m["aa_cluster_frontier_density"]; got < want-1e-12 || got > want+1e-12 {
+		t.Fatalf("aa_cluster_frontier_density = %g, want %g", got, want)
+	}
+}

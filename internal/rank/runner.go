@@ -299,9 +299,11 @@ func (r *Runner) Step() (bool, error) {
 			}
 			ext = append(ext, deltas...)
 		case transport.TagNewVertexRow:
-			if evs, ok := msg.Payload.([]change.Event); ok {
-				events = append(events, evs...)
+			evs, err := msg.Events()
+			if err != nil {
+				return false, fmt.Errorf("rank %d: vertex batch: %w", r.t.Rank(), err)
 			}
+			events = append(events, evs...)
 		}
 	}
 

@@ -259,15 +259,30 @@ func TestGatherWantedMalformedRoot(t *testing.T) {
 // receiving rank's step with an error naming the sender, instead of
 // panicking it.
 func TestBoundaryRawPayloadIsError(t *testing.T) {
+	rawPayloadStepFails(t, transport.TagBoundaryDV)
+}
+
+// TestVertexBatchRawPayloadIsError: a vertex batch (TagNewVertexRow) whose
+// payload is not an event list fails the step the same way, instead of
+// being skipped — which would leave this rank's graph behind its peers'.
+func TestVertexBatchRawPayloadIsError(t *testing.T) {
+	rawPayloadStepFails(t, transport.TagNewVertexRow)
+}
+
+// rawPayloadStepFails runs rank 0's first step while rank 1, driven by
+// hand, sends it a message with the given tag and a raw-bytes payload, and
+// requires the step to fail with ErrPayloadKind naming rank 1.
+func rawPayloadStepFails(t *testing.T, tag transport.Tag) {
+	t.Helper()
 	const n, seed = 40, 3
 	group := transport.NewInprocGroup(2)
 	peer := make(chan error, 1)
 	go func() {
 		// Rank 1 by hand: the partition checksum, then a data exchange
-		// whose boundary message carries bytes.
+		// whose message carries bytes.
 		_, err := group[1].Broadcast(0, transport.Message{})
 		if err == nil {
-			_, err = group[1].Exchange([]transport.Message{{To: 0, Tag: transport.TagBoundaryDV, Bytes: 3, Payload: []byte{1, 2, 3}}})
+			_, err = group[1].Exchange([]transport.Message{{To: 0, Tag: tag, Bytes: 3, Payload: []byte{1, 2, 3}}})
 		}
 		peer <- err
 	}()

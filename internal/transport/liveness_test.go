@@ -282,6 +282,49 @@ func TestTCPRejoinHandshakeAndActivate(t *testing.T) {
 	}
 }
 
+// A rejoined rank dials every peer once, but afterwards its links keep one
+// repair owner each, the higher rank, as in the initial mesh: a link broken
+// after the rejoin is redialed by the survivor alone, nobody is marked
+// down, each side counts one reconnect, and the next exchange delivers.
+func TestTCPRejoinedLinkKeepsOneRepairOwner(t *testing.T) {
+	ts, peers, opts := newLiveMesh(t, 2, 20*time.Millisecond, 300*time.Millisecond)
+	ts[0].Close()
+	waitFor(t, 5*time.Second, "rank 1 to mark rank 0 down", func() bool { return ts[1].PeerDown(0) })
+	nt, err := RejoinTCP(peers, 0, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nt.Close()
+	waitFor(t, 5*time.Second, "rank 1 to see rank 0 pending", func() bool { return ts[1].PendingRejoin(0) })
+	ts[1].Activate(0)
+	before := [2]int64{nt.Stats().Reconnects, ts[1].Stats().Reconnects}
+
+	l := ts[1].links[0]
+	l.mu.Lock()
+	l.conn.Close()
+	l.mu.Unlock()
+	waitFor(t, 5*time.Second, "the repair", func() bool {
+		return nt.Stats().Reconnects == before[0]+1 && ts[1].Stats().Reconnects == before[1]+1
+	})
+	// Outlast a second owner's redial budget (2 attempts from 5 ms): its
+	// dials to a higher rank are refused, so it would mark the link down.
+	time.Sleep(200 * time.Millisecond)
+	in := runGroup(t, []Transport{nt, ts[1]}, func(tr Transport) ([]Message, error) {
+		return tr.Exchange([]Message{{To: 1 - tr.Rank(), Tag: TagControl, Bytes: 1, Payload: []byte{byte(tr.Rank())}}})
+	})
+	for r := 0; r < 2; r++ {
+		if len(in[r]) != 1 || in[r][0].From != 1-r {
+			t.Fatalf("rank %d after the repair: %+v", r, in[r])
+		}
+	}
+	if nt.PeerDown(1) || ts[1].PeerDown(0) {
+		t.Fatal("a repaired link was marked down")
+	}
+	if got := [2]int64{nt.Stats().Reconnects, ts[1].Stats().Reconnects}; got != [2]int64{before[0] + 1, before[1] + 1} {
+		t.Fatalf("reconnects %v -> %v, want one more on each side", before, got)
+	}
+}
+
 // The in-process fabric mirrors the protocol: Abort surfaces through
 // TakeDown and failed sends, RejoinInproc + Activate + the go payload restore a full
 // three-way group.

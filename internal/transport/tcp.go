@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -133,15 +134,23 @@ type TCP struct {
 }
 
 // tcpLink is the connection state for one peer.
+//
+// Its lifecycle has one path per job. Every connection goes in through
+// install; the link's reader owns repair (the dialer side redials, the
+// acceptor side waits for that redial); a failed write only closes the
+// connection and waits for the reader's repair. Waiters on rcond — a
+// collective's takeStep, a send awaiting repair, the mesh setup awaiting
+// an inbound link — are woken by every install, push, state change and
+// Close, and by a timer at their own deadline.
 type tcpLink struct {
 	t      *TCP
 	peer   int
-	dialer bool // this side re-establishes the link after failures
+	dialer bool // this side (the higher rank) re-establishes the link after failures
 
 	mu   sync.Mutex // guards conn/w and the write path
 	conn net.Conn
 	w    *bufio.Writer
-	gen  int // bumped on every (re)connect
+	gen  atomic.Int64 // bumped under mu on every (re)connect
 
 	state     atomic.Int32 // linkActive / linkDown / linkPending (transitions under rmu)
 	lastHeard atomic.Int64 // UnixNano of the last frame from this peer
@@ -159,7 +168,32 @@ type tcpItem struct {
 	msg    Message
 }
 
-func newTCPEndpoint(peers []Peer, rank int, opts TCPOptions) (*TCP, error) {
+// NewTCP joins the mesh described by the manifest as the given rank: it
+// listens on peers[rank].Addr, dials every lower rank (retrying while
+// those processes are still starting), accepts every higher rank, and
+// returns once all Size()-1 links are up.
+func NewTCP(peers []Peer, rank int, opts TCPOptions) (*TCP, error) {
+	return openTCP(peers, rank, opts, tagHandshake)
+}
+
+// RejoinTCP re-enters an existing mesh as a restarted rank: it listens on
+// its manifest address again and dials *every* peer (the dial asymmetry of
+// the initial mesh does not apply — the survivors' old connections to this
+// rank are gone) with the rejoin handshake, which the survivors install in
+// the pending state. The caller must then block in AwaitRejoinGo until the
+// coordinator activates the rank at a step boundary and releases it with
+// the go payload.
+func RejoinTCP(peers []Peer, rank int, opts TCPOptions) (*TCP, error) {
+	return openTCP(peers, rank, opts, tagRejoin)
+}
+
+// openTCP validates the manifest, listens, and brings every link up within
+// the mesh timeout: dialer links dial in parallel with handshake hs,
+// acceptor links wait for the peer's dial. A rejoiner (hs == tagRejoin)
+// dials every link, but repairs only its dialer links, like any rank: a
+// higher rank owns the repair of its link to a lower one, rejoined or not,
+// so every link keeps exactly one repair owner.
+func openTCP(peers []Peer, rank int, opts TCPOptions, hs Tag) (*TCP, error) {
 	if len(peers) < 2 {
 		return nil, fmt.Errorf("transport: tcp mesh needs >= 2 peers, got %d", len(peers))
 	}
@@ -173,6 +207,9 @@ func newTCPEndpoint(peers []Peer, rank int, opts TCPOptions) (*TCP, error) {
 	}
 	opts = opts.withDefaults()
 	t := &TCP{rank: rank, peers: peers, opts: opts, links: make([]*tcpLink, len(peers))}
+	if hs == tagRejoin {
+		t.goCh = make(chan []byte, 1)
+	}
 	for q := range peers {
 		if q == rank {
 			continue
@@ -188,90 +225,28 @@ func newTCPEndpoint(peers []Peer, rank int, opts TCPOptions) (*TCP, error) {
 	t.ln = ln
 	t.wg.Add(1)
 	go t.acceptLoop()
-	return t, nil
-}
 
-// NewTCP joins the mesh described by the manifest as the given rank: it
-// listens on peers[rank].Addr, dials every lower rank (retrying while
-// those processes are still starting), accepts every higher rank, and
-// returns once all Size()-1 links are up.
-func NewTCP(peers []Peer, rank int, opts TCPOptions) (*TCP, error) {
-	t, err := newTCPEndpoint(peers, rank, opts)
-	if err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(t.opts.MeshTimeout)
-	var dialErr error
-	var dialWG sync.WaitGroup
-	var dialMu sync.Mutex
-	for q := 0; q < rank; q++ {
-		dialWG.Add(1)
-		go func(q int) {
-			defer dialWG.Done()
-			if err := t.links[q].dial(deadline, tagHandshake); err != nil {
-				dialMu.Lock()
-				if dialErr == nil {
-					dialErr = err
-				}
-				dialMu.Unlock()
-			}
-		}(q)
-	}
-	dialWG.Wait()
-	if dialErr != nil {
-		t.Close()
-		return nil, dialErr
-	}
-	// Wait for every higher rank to dial in.
-	for q := rank + 1; q < len(peers); q++ {
-		if err := t.links[q].waitConnected(deadline); err != nil {
-			t.Close()
-			return nil, err
-		}
-	}
-	t.startHeartbeat()
-	return t, nil
-}
-
-// RejoinTCP re-enters an existing mesh as a restarted rank: it listens on
-// its manifest address again and dials *every* peer (the dial asymmetry of
-// the initial mesh does not apply — the survivors' old connections to this
-// rank are gone) with the rejoin handshake, which the survivors install in
-// the pending state. The caller must then block in AwaitRejoinGo until the
-// coordinator activates the rank at a step boundary and releases it with
-// the go payload.
-func RejoinTCP(peers []Peer, rank int, opts TCPOptions) (*TCP, error) {
-	t, err := newTCPEndpoint(peers, rank, opts)
-	if err != nil {
-		return nil, err
-	}
-	t.goCh = make(chan []byte, 1)
-	deadline := time.Now().Add(t.opts.MeshTimeout)
-	var dialErr error
-	var dialWG sync.WaitGroup
-	var dialMu sync.Mutex
-	for q := range peers {
-		if q == rank {
+	deadline := time.Now().Add(opts.MeshTimeout)
+	errs := make([]error, len(peers))
+	var wg sync.WaitGroup
+	for q, l := range t.links {
+		if l == nil {
 			continue
 		}
-		l := t.links[q]
-		l.dialer = true // the rejoiner repairs every link from now on
-		dialWG.Add(1)
-		go func(l *tcpLink) {
-			defer dialWG.Done()
-			if err := l.dial(deadline, tagRejoin); err != nil {
-				dialMu.Lock()
-				if dialErr == nil {
-					dialErr = err
-				}
-				dialMu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if l.dialer || hs == tagRejoin {
+				errs[q] = l.dial(hs, math.MaxInt, deadline)
+			} else if !l.awaitConn(0, deadline) {
+				errs[q] = fmt.Errorf("transport: rank %d never heard from rank %d", rank, q)
 			}
-		}(l)
+		}()
 	}
-	dialWG.Wait()
-	if dialErr != nil {
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Close()
-		return nil, dialErr
+		return nil, err
 	}
 	t.startHeartbeat()
 	return t, nil
@@ -388,50 +363,30 @@ func (t *TCP) startHeartbeat() {
 				return
 			case <-ticker.C:
 			}
-			for q, l := range t.links {
+			for _, l := range t.links {
 				if l == nil || l.state.Load() == linkDown {
 					continue
 				}
 				if !t.hbPaused.Load() {
-					l.sendHeartbeat(q)
+					// Seq carries the sender's RC step (unused otherwise on
+					// heartbeats): free step-ID gossip for the observability
+					// plane. A failed write just drops the connection (the
+					// reader's repair or the peer's timeout takes over).
+					l.write(appendFrame(nil, frame{Tag: tagHeartbeat, From: t.rank, To: l.peer, Seq: uint32(t.step.Load())}))
 				}
 				last := l.lastHeard.Load()
 				if last != 0 && time.Since(time.Unix(0, last)) > t.opts.heartbeatTimeout {
-					l.markDown(fmt.Sprintf("silent for %v", t.opts.heartbeatTimeout))
+					l.markDown()
 				}
 			}
 		}
 	}()
 }
 
-// sendHeartbeat writes one keepalive frame; a failed write just drops the
-// connection (the reader's repair path or the peer's timeout takes over).
-func (l *tcpLink) sendHeartbeat(q int) {
-	// Seq carries the sender's RC step (unused otherwise on heartbeats):
-	// free step-ID gossip for the observability plane.
-	hb := appendFrame(nil, frame{Tag: tagHeartbeat, From: l.t.rank, To: q, Seq: uint32(l.t.step.Load())})
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.conn == nil {
-		return
-	}
-	l.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-	_, err := l.w.Write(hb)
-	if err == nil {
-		err = l.w.Flush()
-	}
-	l.conn.SetWriteDeadline(time.Time{})
-	if err != nil {
-		l.conn.Close()
-	} else {
-		l.t.ctr.framesSent.Add(1)
-	}
-}
-
 // markDown makes the link's peer down: sticky until a rejoin handshake.
 // Queued items are stale (a dead peer's partial step) and are discarded;
 // waiting collectives wake and skip the peer.
-func (l *tcpLink) markDown(reason string) {
+func (l *tcpLink) markDown() {
 	l.rmu.Lock()
 	if l.state.Load() == linkDown {
 		l.rmu.Unlock()
@@ -450,6 +405,14 @@ func (l *tcpLink) markDown(reason string) {
 	l.t.lmu.Lock()
 	l.t.down = append(l.t.down, l.peer)
 	l.t.lmu.Unlock()
+}
+
+// wake rouses every waiter on the link's cond. Taking rmu orders the wake
+// after any waiter's check of what just changed, so none misses it.
+func (l *tcpLink) wake() {
+	l.rmu.Lock()
+	l.rcond.Broadcast()
+	l.rmu.Unlock()
 }
 
 // acceptLoop installs inbound connections onto their links for the whole
@@ -497,17 +460,15 @@ func (t *TCP) handshakeInbound(conn net.Conn) {
 		return
 	}
 	l := t.links[peer]
+	state := linkPending
 	if f.Tag == tagHandshake {
-		if peer <= t.rank {
+		// Down is sticky: a flapping old connection must not silently
+		// revive the link — only the rejoin protocol does.
+		if peer <= t.rank || l.state.Load() == linkDown {
 			conn.Close()
 			return
 		}
-		if l.state.Load() == linkDown {
-			// Down is sticky: a flapping old connection must not silently
-			// revive the link — only the rejoin protocol does.
-			conn.Close()
-			return
-		}
+		state = linkActive
 	}
 	reply := appendFrame(nil, frame{Tag: f.Tag, From: t.rank, To: peer, Seq: frameVersion})
 	if _, err := conn.Write(reply); err != nil {
@@ -515,72 +476,7 @@ func (t *TCP) handshakeInbound(conn net.Conn) {
 		return
 	}
 	conn.SetDeadline(time.Time{})
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
-	if f.Tag == tagRejoin {
-		l.installPending(conn)
-		return
-	}
-	l.install(conn)
-}
-
-// installPending installs a rejoined peer's connection: the link's old
-// life ends (if the death was never noticed locally, it is marked down
-// now, so the runner's liveness view agrees with the rejoin), the queue is
-// cleared, and the link parks in pending until Activate.
-func (l *tcpLink) installPending(conn net.Conn) {
-	if l.state.Load() != linkDown {
-		// The peer restarted faster than our failure detector: its old
-		// connection is dead even if we never noticed.
-		l.markDown("peer restarted")
-	}
-	l.mu.Lock()
-	if l.conn != nil {
-		l.conn.Close()
-	}
-	l.conn = conn
-	l.w = bufio.NewWriterSize(conn, 64<<10)
-	l.gen++
-	gen := l.gen
-	l.mu.Unlock()
-	l.rmu.Lock()
-	l.state.Store(linkPending)
-	l.items = nil
-	l.rmu.Unlock()
-	l.lastHeard.Store(time.Now().UnixNano())
-	l.t.ctr.reconnects.Add(1)
-	l.rcond.Broadcast()
-	l.t.wg.Add(1)
-	go l.readLoop(conn, gen)
-}
-
-// dial establishes the link to a peer, retrying with jittered backoff
-// until the deadline while the peer process may still be starting. hs is
-// the handshake tag: tagHandshake for the initial mesh, tagRejoin when
-// re-entering as a restarted rank.
-func (l *tcpLink) dial(deadline time.Time, hs Tag) error {
-	t := l.t
-	seed := uint64(t.rank)<<32 | uint64(l.peer)
-	for attempt := 0; ; attempt++ {
-		if t.closed.Load() {
-			return fmt.Errorf("transport: endpoint closed while dialing rank %d", l.peer)
-		}
-		conn, err := l.dialOnce(hs)
-		if err == nil {
-			l.install(conn)
-			return nil
-		}
-		if attempt > 0 {
-			t.ctr.retryAttempts.Add(1)
-		}
-		pause := jitterBackoff(attempt, t.opts.redialBackoff, maxBackoff, seed)
-		if time.Now().Add(pause).After(deadline) {
-			return fmt.Errorf("transport: rank %d could not reach rank %d at %s: %w",
-				t.rank, l.peer, t.peers[l.peer].Addr, err)
-		}
-		time.Sleep(pause)
-	}
+	l.install(conn, state)
 }
 
 // dialOnce performs one dial + handshake round trip.
@@ -605,55 +501,91 @@ func (l *tcpLink) dialOnce(hs Tag) (net.Conn, error) {
 		return nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.SetNoDelay(true)
-	}
 	return conn, nil
 }
 
-// install replaces the link's connection (counting a reconnect if one
-// existed) and starts its reader. It never revives a down link: that takes
-// installPending + Activate.
-func (l *tcpLink) install(conn net.Conn) {
+// dial connects the link with jittered exponential backoff and installs
+// the connection: at most attempts dials, no pause that would end past the
+// deadline, and none once the endpoint closes or the link leaves the
+// active state. hs is the handshake tag: tagHandshake for the initial mesh
+// and its repairs, tagRejoin when re-entering as a restarted rank. Every
+// dial after the first counts one retry.
+func (l *tcpLink) dial(hs Tag, attempts int, deadline time.Time) error {
+	t := l.t
+	seed := uint64(t.rank)<<32 | uint64(l.peer)
+	for attempt := 0; ; attempt++ {
+		if t.closed.Load() || l.state.Load() != linkActive {
+			return fmt.Errorf("transport: link to rank %d closed or down while dialing", l.peer)
+		}
+		conn, err := l.dialOnce(hs)
+		if err == nil {
+			l.install(conn, linkActive)
+			return nil
+		}
+		pause := jitterBackoff(attempt, t.opts.redialBackoff, maxBackoff, seed)
+		if attempt+1 >= attempts || time.Now().Add(pause).After(deadline) {
+			return fmt.Errorf("transport: rank %d could not reach rank %d at %s: %w",
+				t.rank, l.peer, t.peers[l.peer].Addr, err)
+		}
+		t.ctr.retryAttempts.Add(1)
+		time.Sleep(pause)
+	}
+}
+
+// install is the one way a connection enters a link: it replaces (and
+// closes) the current one, counting a reconnect unless this is the link's
+// first connection, and starts the connection's reader. state is
+// linkActive for the mesh and its repairs, which never revive a down link
+// (callers refuse those first), or linkPending for a rejoined peer: the
+// link's old life ends — marked down now if the death went unnoticed, so
+// the runner's liveness view agrees with the rejoin — and the link waits
+// for Activate.
+func (l *tcpLink) install(conn net.Conn, state int32) {
+	if state == linkPending {
+		l.markDown()
+	}
 	l.mu.Lock()
 	if l.conn != nil {
 		l.conn.Close()
+	}
+	if l.gen.Load() > 0 {
 		l.t.ctr.reconnects.Add(1)
 	}
 	l.conn = conn
 	l.w = bufio.NewWriterSize(conn, 64<<10)
-	l.gen++
-	gen := l.gen
+	gen := l.gen.Add(1)
 	l.mu.Unlock()
 	l.lastHeard.Store(time.Now().UnixNano())
+	l.rmu.Lock()
+	if state == linkPending {
+		l.state.Store(linkPending)
+	}
 	l.rcond.Broadcast()
+	l.rmu.Unlock()
 	l.t.wg.Add(1)
 	go l.readLoop(conn, gen)
 }
 
-// waitConnected blocks until the link has a connection or the deadline
-// passes.
-func (l *tcpLink) waitConnected(deadline time.Time) error {
-	for {
-		l.mu.Lock()
-		ok := l.conn != nil
-		l.mu.Unlock()
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("transport: rank %d never heard from rank %d", l.t.rank, l.peer)
-		}
-		time.Sleep(5 * time.Millisecond)
+// awaitConn blocks until the link holds a connection newer than gen, goes
+// down, or the endpoint closes, or until the deadline; it reports whether
+// a newer connection is in.
+func (l *tcpLink) awaitConn(gen int64, deadline time.Time) bool {
+	timer := time.AfterFunc(time.Until(deadline), l.wake)
+	defer timer.Stop()
+	l.rmu.Lock()
+	defer l.rmu.Unlock()
+	for l.gen.Load() == gen && l.state.Load() != linkDown && !l.t.closed.Load() && time.Now().Before(deadline) {
+		l.rcond.Wait()
 	}
+	return l.gen.Load() != gen
 }
 
 // readLoop decodes frames from one connection until it fails or is
 // replaced. Corrupt frames are counted and skipped (the length prefix
-// keeps the stream in sync); a read error marks the link for repair.
+// keeps the stream in sync); a read error hands the link to readerGone.
 // Every frame is read into one buffer the loop reuses, so nothing queued
 // may alias it: decodePayload copies out, and so does the rejoin-go path.
-func (l *tcpLink) readLoop(conn net.Conn, gen int) {
+func (l *tcpLink) readLoop(conn net.Conn, gen int64) {
 	defer l.t.wg.Done()
 	r := bufio.NewReaderSize(conn, 64<<10)
 	var buf []byte
@@ -665,7 +597,7 @@ func (l *tcpLink) readLoop(conn net.Conn, gen int) {
 				l.t.ctr.crcErrors.Add(1)
 				continue
 			}
-			l.readerGone(conn, gen, err)
+			l.readerGone(conn, gen)
 			return
 		}
 		l.t.ctr.framesRecv.Add(1)
@@ -700,58 +632,21 @@ func (l *tcpLink) readLoop(conn net.Conn, gen int) {
 	}
 }
 
-// readerGone handles a failed connection: the dialer side redials with
-// jittered backoff under the retry budget; the acceptor side waits for the
-// dialer's new connection (or the heartbeat timeout). If
-// the endpoint is closing, or the budget runs out, the link goes down so
-// waiting receivers move on.
-func (l *tcpLink) readerGone(conn net.Conn, gen int, err error) {
-	t := l.t
-	l.mu.Lock()
-	stale := l.gen != gen // already replaced by a newer connection
-	l.mu.Unlock()
-	if stale || t.closed.Load() {
-		return
-	}
+// readerGone ends connection gen and, if it is still the link's current
+// one on an active link, repairs the link: the dialer side redials under
+// the retry budget and marks the link down when the budget runs out; the
+// acceptor side waits for the dialer's new connection (or the heartbeat
+// timeout).
+func (l *tcpLink) readerGone(conn net.Conn, gen int64) {
 	conn.Close()
-	if l.state.Load() != linkActive {
-		return // already down or pending a rejoin; nothing to repair
-	}
-	if !l.dialer {
-		// The dialer redials; nothing to do but wait. The heartbeat
-		// timeout marks the link down if the peer never returns.
+	t := l.t
+	if !l.dialer || l.gen.Load() != gen || t.closed.Load() || l.state.Load() != linkActive {
 		return
 	}
-	seed := uint64(t.rank)<<32 | uint64(l.peer) | 1<<63
-	for attempt := 0; attempt < t.opts.redialAttempts; attempt++ {
-		if t.closed.Load() || l.state.Load() != linkActive {
-			return
-		}
-		t.ctr.retryAttempts.Add(1)
-		time.Sleep(jitterBackoff(attempt, t.opts.redialBackoff, maxBackoff, seed))
-		c, derr := l.dialOnce(tagHandshake)
-		if derr == nil {
-			t.ctr.reconnects.Add(1)
-			l.installReconnected(c)
-			return
-		}
+	err := l.dial(tagHandshake, t.opts.redialAttempts, time.Now().Add(t.opts.MeshTimeout))
+	if err != nil && !t.closed.Load() && l.state.Load() == linkActive {
+		l.markDown()
 	}
-	l.markDown("reconnect budget exhausted")
-}
-
-// installReconnected swaps in a redialed connection without double-counting
-// the reconnect (the caller counted it).
-func (l *tcpLink) installReconnected(conn net.Conn) {
-	l.mu.Lock()
-	l.conn = conn
-	l.w = bufio.NewWriterSize(conn, 64<<10)
-	l.gen++
-	gen := l.gen
-	l.mu.Unlock()
-	l.lastHeard.Store(time.Now().UnixNano())
-	l.rcond.Broadcast()
-	l.t.wg.Add(1)
-	go l.readLoop(conn, gen)
 }
 
 // push appends one received item and wakes the collector. Items are
@@ -768,56 +663,52 @@ func (l *tcpLink) push(it tcpItem) {
 	l.rcond.Broadcast()
 }
 
-// send writes one encoded frame with the write deadline, redialing with
-// jittered backoff on failure (dialer side) or waiting briefly for the
-// peer's redial (acceptor side). Reports whether the frame was written.
+// write writes one encoded frame on the current connection under the
+// write deadline and returns that connection's generation. A failed write
+// closes the connection, which fails its reader too, and so starts the
+// reader's repair.
+func (l *tcpLink) write(buf []byte) (int64, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	gen := l.gen.Load()
+	if l.conn == nil {
+		return gen, fmt.Errorf("transport: no connection to rank %d", l.peer)
+	}
+	l.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+	_, err := l.w.Write(buf)
+	if err == nil {
+		err = l.w.Flush()
+	}
+	l.conn.SetWriteDeadline(time.Time{})
+	if err != nil {
+		l.conn.Close()
+		return gen, err
+	}
+	l.t.ctr.framesSent.Add(1)
+	return gen, nil
+}
+
+// send writes one encoded frame, and after a failed write waits for the
+// reader's repair and writes again, within the retry budget and the
+// exchange timeout. Each rewrite counts one retry.
 func (l *tcpLink) send(buf []byte) error {
 	t := l.t
 	deadline := time.Now().Add(t.opts.ExchangeTimeout)
-	seed := uint64(t.rank)<<32 | uint64(l.peer) | 1<<62
 	for attempt := 0; ; attempt++ {
 		if l.state.Load() == linkDown {
 			return fmt.Errorf("transport: rank %d is down", l.peer)
 		}
-		l.mu.Lock()
-		conn, w := l.conn, l.w
-		if conn != nil {
-			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-			_, err := w.Write(buf)
-			if err == nil {
-				err = w.Flush()
-			}
-			conn.SetWriteDeadline(time.Time{})
-			if err == nil {
-				l.mu.Unlock()
-				t.ctr.framesSent.Add(1)
-				return nil
-			}
-			// The write failed: drop the connection; the reader's repair
-			// path (or our redial below) re-establishes it.
-			conn.Close()
-			if l.dialer {
-				l.conn, l.w = nil, nil
-			}
-			l.mu.Unlock()
-		} else {
-			l.mu.Unlock()
-		}
 		if t.closed.Load() {
 			return fmt.Errorf("transport: endpoint closed")
 		}
-		if attempt >= t.opts.redialAttempts || time.Now().After(deadline) {
-			return fmt.Errorf("transport: rank %d cannot reach rank %d after %d attempts", t.rank, l.peer, attempt)
+		gen, err := l.write(buf)
+		if err == nil {
+			return nil
+		}
+		if attempt >= t.opts.redialAttempts || !l.awaitConn(gen, deadline) {
+			return fmt.Errorf("transport: rank %d cannot reach rank %d after %d attempts: %w", t.rank, l.peer, attempt+1, err)
 		}
 		t.ctr.retryAttempts.Add(1)
-		if l.dialer {
-			if c, err := l.dialOnce(tagHandshake); err == nil {
-				t.ctr.reconnects.Add(1)
-				l.installReconnected(c)
-				continue
-			}
-		}
-		time.Sleep(jitterBackoff(attempt, t.opts.redialBackoff, maxBackoff, seed))
 	}
 }
 
@@ -826,19 +717,8 @@ func (l *tcpLink) send(buf []byte) error {
 // traffic for the current exchange). A link that goes down mid-wait
 // contributes nothing: the runner handles the degraded step.
 func (l *tcpLink) takeStep(deadline time.Time) ([]Message, error) {
-	// A timer kicks the cond so the wait honors the deadline.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(50 * time.Millisecond):
-				l.rcond.Broadcast()
-			}
-		}
-	}()
+	timer := time.AfterFunc(time.Until(deadline), l.wake)
+	defer timer.Stop()
 	l.rmu.Lock()
 	defer l.rmu.Unlock()
 	for {
@@ -858,7 +738,7 @@ func (l *tcpLink) takeStep(deadline time.Time) ([]Message, error) {
 		if l.state.Load() != linkActive {
 			return nil, nil // down or pending peer: no traffic this step
 		}
-		if time.Now().After(deadline) {
+		if !time.Now().Before(deadline) {
 			return nil, fmt.Errorf("transport: rank %d timed out waiting for rank %d's step traffic", l.t.rank, l.peer)
 		}
 		l.rcond.Wait()
@@ -991,7 +871,7 @@ func (t *TCP) Close() error {
 			l.conn.Close()
 		}
 		l.mu.Unlock()
-		l.rcond.Broadcast()
+		l.wake()
 	}
 	t.wg.Wait()
 	return nil

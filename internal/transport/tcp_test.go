@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -171,6 +173,62 @@ func TestTCPReconnectAfterLinkFailure(t *testing.T) {
 		if len(in[r]) != 1 || in[r][0].Payload.([]byte)[0] != 2 {
 			t.Fatalf("rank %d after reconnect: %+v", r, in[r])
 		}
+	}
+}
+
+// failingWriteConn is a connection whose writes fail while its reads
+// still work: a link broken under a sending rank, not under its reader.
+type failingWriteConn struct{ net.Conn }
+
+func (failingWriteConn) Write([]byte) (int, error) { return 0, errors.New("injected write failure") }
+
+// A write that fails under a sending rank only closes the connection: the
+// link's reader owns the repair, so each side counts exactly one
+// reconnect, the sender writes again on the repaired link, and the next
+// exchange delivers on both ranks. Run with the failing sender on the
+// dialer side and on the acceptor side.
+func TestTCPWriteFailureRepairedByReader(t *testing.T) {
+	for sender := 0; sender < 2; sender++ {
+		ts, _ := newMeshWith(t, 2, TCPOptions{MeshTimeout: 10 * time.Second, ExchangeTimeout: 10 * time.Second})
+		ts[sender].hbPaused.Store(true) // keep the first failing write in Exchange
+		l := ts[sender].links[1-sender]
+		l.mu.Lock()
+		l.conn = failingWriteConn{l.conn}
+		l.w = bufio.NewWriter(l.conn)
+		l.mu.Unlock()
+
+		exchange := func(tr *TCP) ([]Message, error) {
+			return tr.Exchange([]Message{{To: 1 - tr.Rank(), Tag: TagControl, Bytes: 1, Payload: []byte{byte(10 + tr.Rank())}}})
+		}
+		// The failing sender goes first, so its peer's frames all travel on
+		// the repaired connection.
+		var in [2][]Message
+		var errs [2]error
+		done := make(chan struct{})
+		go func() {
+			in[sender], errs[sender] = exchange(ts[sender])
+			close(done)
+		}()
+		waitFor(t, 5*time.Second, "the reader's repair", func() bool {
+			return ts[0].Stats().Reconnects == 1 && ts[1].Stats().Reconnects == 1
+		})
+		in[1-sender], errs[1-sender] = exchange(ts[1-sender])
+		<-done
+		for r := 0; r < 2; r++ {
+			if errs[r] != nil {
+				t.Fatalf("sender %d: rank %d exchange: %v", sender, r, errs[r])
+			}
+			if len(in[r]) != 1 || in[r][0].Payload.([]byte)[0] != byte(10+1-r) {
+				t.Fatalf("sender %d: rank %d after repair: %+v", sender, r, in[r])
+			}
+			if got := ts[r].Stats().Reconnects; got != 1 {
+				t.Fatalf("sender %d: rank %d counted %d reconnects, want 1", sender, r, got)
+			}
+		}
+		if ts[sender].Stats().RetryAttempts == 0 {
+			t.Fatalf("sender %d: the failed write was never retried", sender)
+		}
+		ts[sender].hbPaused.Store(false)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"anytime/internal/change"
 	"anytime/internal/dv"
 )
 
@@ -34,7 +35,8 @@ type Tag uint8
 const (
 	// TagBoundaryDV carries updated boundary distance vectors (RC phase).
 	TagBoundaryDV Tag = iota
-	// TagNewVertexRow carries a new vertex's distance vector (vertex addition).
+	// TagNewVertexRow carries a vertex batch's event list (vertex addition),
+	// which every rank applies to its own copy of the graph.
 	TagNewVertexRow
 	// TagMigrateRows carries rows of vertices relocated by repartitioning.
 	TagMigrateRows
@@ -80,21 +82,37 @@ type Message struct {
 
 // ErrPayloadKind reports a message whose payload is not the kind its reader
 // needs: a control payload that is not a []byte of the size it needs, or a
-// delta payload that is not a delta list. On the wire the payload kind is
-// independent of the tag, so a well-framed message can carry either.
+// delta, event or row payload of another type. On the wire the payload kind
+// is independent of the tag, so a well-framed message can carry any.
 var ErrPayloadKind = errors.New("transport: malformed payload")
+
+// payloadAs returns the message's payload as a T; otherwise an error
+// wrapping ErrPayloadKind that names the sender and what was wanted.
+func payloadAs[T any](m Message, want string) (T, error) {
+	v, ok := m.Payload.(T)
+	if !ok {
+		return v, fmt.Errorf("%w from rank %d: %T with tag %d, want %s",
+			ErrPayloadKind, m.From, m.Payload, m.Tag, want)
+	}
+	return v, nil
+}
 
 // Deltas returns the message's delta-list payload; otherwise an error
 // wrapping ErrPayloadKind that names the sender. It is the one checked
 // reader for delta lists: boundary deltas and the rows a gather ships.
-func (m Message) Deltas() ([]*dv.Delta, error) {
-	ds, ok := m.Payload.([]*dv.Delta)
-	if !ok {
-		return nil, fmt.Errorf("%w from rank %d: %T with tag %d, want a delta list",
-			ErrPayloadKind, m.From, m.Payload, m.Tag)
-	}
-	return ds, nil
+func (m Message) Deltas() ([]*dv.Delta, error) { return payloadAs[[]*dv.Delta](m, "a delta list") }
+
+// Events returns the message's event-list payload (a vertex batch under
+// TagNewVertexRow); otherwise an error wrapping ErrPayloadKind that names
+// the sender.
+func (m Message) Events() ([]change.Event, error) {
+	return payloadAs[[]change.Event](m, "an event list")
 }
+
+// Row returns the message's DV row payload (a row migrated under
+// TagMigrateRows, in process only); otherwise an error wrapping
+// ErrPayloadKind that names the sender.
+func (m Message) Row() (*dv.Row, error) { return payloadAs[*dv.Row](m, "a DV row") }
 
 // Control returns the message's []byte payload if it holds at least n
 // bytes; otherwise an error wrapping ErrPayloadKind that names the sender.
