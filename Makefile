@@ -36,9 +36,12 @@ race:
 # frame layout against its Go declarations; the default-tag run holds the
 # vector body to the scalar one (fuzz seeds, body-selection test), and short
 # fuzzing runs of the masked block body and of the grouped multi-pivot body
-# against the scalar bodies and a one-pivot-at-a-time reference, and of the
-# tile's count-only pass (exact-state steps) against its sweep, go past the
-# seeds; the purego run repeats the tile/worker/masked invariance,
+# against the scalar bodies and a one-pivot-at-a-time reference, and of
+# exact-state steps (FuzzExactSteps: the closed-form charge of
+# internal/core/exact.go against an engine forced to run the sweeps, on
+# random small graphs of any component count), go past the seeds
+# (FuzzTileCount's seeds, the per-pivot charge rule the closed form sums,
+# run with the package tests); the purego run repeats the tile/worker/masked invariance,
 # pruned-edge-scan and Runner==Engine tests on the scalar body alone. -race
 # builds select the scalar body through the same build tag, so the race
 # detector sees every row write.
@@ -47,7 +50,7 @@ kernel-check:
 	$(GO) test -count=1 ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusHopsMasked$$' -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusGroup$$' -fuzztime 10s ./internal/kernel
-	$(GO) test -run '^$$' -fuzz '^FuzzTileCount$$' -fuzztime 10s ./internal/kernel
+	$(GO) test -run '^$$' -fuzz '^FuzzExactSteps$$' -fuzztime 10s ./internal/core
 	$(GO) test -count=1 -tags purego ./internal/kernel ./internal/core ./internal/rank
 
 # Codec gate: short fuzzing runs past the seeds of the decoders that read

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -432,4 +433,68 @@ func BenchmarkSnapshot(b *testing.B) {
 			m.r.MarkChanged(m.lo, m.lo+1)
 		}
 	})
+}
+
+// ---------------------------------------------------------------------------
+// Exact-state step benchmark: the RC step that follows a 16-vertex
+// CutEdge-PS community batch absorbed by Fig. 3 into a warm (NewConverged)
+// BA n=1000 engine — the step whose relax phase charges in closed form
+// instead of sweeping (exact.go). p=4 is absorb_cutedge's shape, p=1 the
+// serving engine's. Each iteration restores the warm engine and applies the
+// batch untimed, so run it with a fixed count, e.g. -benchtime 200x.
+// ---------------------------------------------------------------------------
+
+func BenchmarkExactStep(b *testing.B) {
+	g, err := gen.BarabasiAlbert(1000, 3, gen.Weights{}, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch, err := gen.CommunityBatch(g, 16, 1.5, gen.Weights{}, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, procs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("p=%d", procs), func(b *testing.B) {
+			opts := NewOptions()
+			opts.P = procs
+			opts.Workers = 1
+			opts.Seed = 5
+			opts.Strategy = CutEdgePS
+			warm, err := NewConverged(g, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := warm.WriteCheckpoint(&buf); err != nil {
+				b.Fatal(err)
+			}
+			var relaxOps int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e, err := Restore(bytes.NewReader(buf.Bytes()), opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := e.QueueBatch(batch); err != nil {
+					b.Fatal(err)
+				}
+				e.Step() // converges cleanly, then applies the batch at its end
+				if !e.exact {
+					b.Fatal("the batch cleared the exact bit")
+				}
+				b.StartTimer()
+				e.Step()
+				b.StopTimer()
+				s := e.History()[len(e.History())-1]
+				if s.RelaxExecOps != 0 {
+					b.Fatalf("the exact step executed %d relax ops", s.RelaxExecOps)
+				}
+				relaxOps += s.RelaxOps
+				b.StartTimer()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(relaxOps)/float64(b.N), "relaxops/op")
+		})
+	}
 }

@@ -653,8 +653,10 @@ func (e *Engine) shipBoundary() [][]transport.Message {
 // relaxAll applies the received boundary deltas on every processor and
 // runs the recombination strategy (see Proc.Relax), fanning the relax work
 // across opts.Workers goroutines per processor. On an exact state the relax
-// phases count their charge instead of sweeping (see Proc.exact). It fails,
-// relaxing nothing, on a boundary message that does not carry deltas.
+// phases compute their charge in closed form instead of sweeping, over one
+// component labelling of the graph shared by every processor (see
+// Proc.exact). It fails, relaxing nothing, on a boundary message that does
+// not carry deltas.
 func (e *Engine) relaxAll(inbox [][]transport.Message) error {
 	refine := e.refines()
 	workers := e.opts.Workers
@@ -675,7 +677,10 @@ func (e *Engine) relaxAll(inbox [][]transport.Message) error {
 			exts[pid] = append(exts[pid], deltas...)
 		}
 	}
-	exact := e.exact && !e.opts.forceExec
+	var exact *components
+	if e.exact && !e.opts.forceExec {
+		exact = labelComponents(e.g)
+	}
 	e.mach.Parallel(func(pid int) {
 		p := e.procs[pid]
 		if e.down(pid) {
@@ -690,7 +695,7 @@ func (e *Engine) relaxAll(inbox [][]transport.Message) error {
 		// divides over the processor's worker threads.
 		e.mach.Charge(pid, ops/int64(workers))
 		addOps(&e.metrics.RCOps, ops)
-		if !exact {
+		if exact == nil {
 			addOps(&e.metrics.RCExecOps, ops)
 		}
 		e.spanProc(obs.KindRCRelax, pid, rm, ops)

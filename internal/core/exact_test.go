@@ -13,13 +13,15 @@ import (
 )
 
 // exactPair drives two engines over one event stream in lockstep: count
-// relaxes exact-state steps by counting their charge, exec (forceExec) runs
-// their sweeps. Everything but the executed-work counters must agree.
+// charges exact-state relax phases in closed form (exact.go), exec
+// (forceExec) runs their sweeps. Everything but the executed-work counters
+// must agree.
 type exactPair struct {
 	t           *testing.T
 	label       string
 	count, exec *Engine
 	exactSteps  int // steps relaxed with the bit set
+	splitSteps  int // exact steps over a graph of more than one component
 }
 
 func newExactPair(t *testing.T, label string, g *graph.Graph, o Options, converged bool) *exactPair {
@@ -73,6 +75,9 @@ func (p *exactPair) step() StepStats {
 	sc, sx := hc[len(hc)-1], hx[len(hx)-1]
 	if exact {
 		p.exactSteps++
+		if labelComponents(p.count.g).n > 1 {
+			p.splitSteps++
+		}
 		if sc.RelaxExecOps != 0 {
 			t.Fatalf("%s: exact step executed %d ops", label, sc.RelaxExecOps)
 		}
@@ -174,31 +179,73 @@ func randomEdge(t *testing.T, rng *rand.Rand, g *graph.Graph, minW graph.Weight)
 // batches under RoundRobin-PS, CutEdge-PS and AutoPS, edge additions,
 // weight decreases), which keep the exact bit, then the events that must
 // clear it (weight increase, edge deletion, Repartition-S batch, rebalance)
-// and a batch applied mid-convergence. The counting engine and the one
-// forced to execute must agree on every step's stats, the metrics, the
-// snapshot and every row; an executed exact step changes no cell, and the
-// executed-work counters read 0 on exact steps and the charge elsewhere.
+// and a batch applied mid-convergence. One run has a single processor
+// (the serving engine's shape), and one starts from a graph of two
+// components and absorbs a vertex with no edges and a batch with internal
+// edges only, so that rows hold InfDist at pivot owners. The counting
+// engine and the one forced to execute must agree on every step's stats,
+// the metrics, the snapshot and every row; an executed exact step changes
+// no cell, and the executed-work counters read 0 on exact steps and the
+// charge elsewhere.
 func TestExactStepsMatchExecuted(t *testing.T) {
 	type run struct {
 		strat     Strategy
 		converged bool // start from NewConverged
 		workers   int  // 1 relaxes inline, more through the worker pool
 		seed      int64
+		p         int
+		split     bool // a second component, and batches that keep the graph split
 	}
-	runs := []run{{RoundRobinPS, false, 2, 5}, {CutEdgePS, false, 1, 6}, {CutEdgePS, true, 2, 7}, {AutoPS, false, 1, 8}}
-	mid := 0 // batches applied mid-convergence (a NewConverged engine's global IA reconverges at once)
+	runs := []run{
+		{RoundRobinPS, false, 2, 5, 4, false},
+		{CutEdgePS, false, 1, 6, 4, false},
+		{CutEdgePS, true, 2, 7, 4, false},
+		{AutoPS, false, 1, 8, 4, false},
+		{CutEdgePS, true, 1, 9, 1, false},
+		{CutEdgePS, false, 2, 10, 3, true},
+	}
+	mid := 0   // batches applied mid-convergence (a NewConverged engine's global IA reconverges at once)
+	split := 0 // exact steps over a graph of more than one component
 	for _, r := range runs {
 		label := fmt.Sprintf("%v/converged=%v/workers=%d", r.strat, r.converged, r.workers)
+		if r.p != 4 {
+			label += fmt.Sprintf("/P=%d", r.p)
+		}
+		if r.split {
+			label += "/split"
+		}
 		t.Run(label, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(r.seed))
 			g := testGraph(t, 120, r.seed)
-			o := defaultTestOptions(4, r.seed)
+			if r.split {
+				// a 12-vertex cycle beside the BA graph
+				first := g.AddVertices(12)
+				for i := 0; i < 12; i++ {
+					g.MustAddEdge(first+i, first+(i+1)%12, graph.Weight(1+i%3))
+				}
+			}
+			o := defaultTestOptions(r.p, r.seed)
 			o.Strategy = r.strat
 			o.Workers = r.workers
 			p := newExactPair(t, label, g, o, r.converged)
+			defer func() { split += p.splitSteps }()
 			p.run()
 			if !p.count.exact {
 				t.Fatal("clean convergence did not set the exact bit")
+			}
+			if r.split {
+				// Exact steps over new components: a vertex with no edges,
+				// then a batch whose edges are all internal.
+				for _, b := range []*change.VertexBatch{
+					{NumVertices: 1},
+					{NumVertices: 3, Internal: []change.InternalEdge{{A: 0, B: 1, Weight: 2}, {A: 1, B: 2, Weight: 1}}},
+				} {
+					p.queue(func(e *Engine) error { return e.QueueBatch(b) })
+					if _, kept := p.applyNext(); !kept {
+						t.Fatal("a batch without external edges cleared the exact bit")
+					}
+					p.run()
+				}
 			}
 
 			// Fig. 3 absorptions from a clean convergence keep the bit.
@@ -272,6 +319,9 @@ func TestExactStepsMatchExecuted(t *testing.T) {
 	if mid == 0 {
 		t.Fatal("no batch applied mid-convergence")
 	}
+	if split == 0 {
+		t.Fatal("no exact step ran over more than one component")
+	}
 }
 
 // queueBatch queues one community batch of k vertices on the current
@@ -311,4 +361,83 @@ func TestExactBitNeverSetWithFaultsOrWithoutRefine(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzExactSteps is the counted ≡ executed gate of the exact-state closed
+// form: a random small graph, often of several components and isolated
+// vertices, P ∈ {1, 2, 4} processors of 1 or 2 workers, under RoundRobin-PS
+// or CutEdge-PS, absorbs a random stream of vertex batches (isolated
+// vertices, internal-only and external edges), edge additions and weight
+// decreases, each from a clean convergence. The counting engine and the
+// one forced to execute must agree on every step's stats, the metrics, the
+// snapshot and every row (exactPair.step), and each convergence must match
+// the oracle.
+func FuzzExactSteps(f *testing.F) {
+	rng := rand.New(rand.NewSource(45))
+	for i := 0; i < 24; i++ {
+		ev := make([]byte, 1+rng.Intn(6))
+		rng.Read(ev)
+		f.Add(rng.Int63(), uint8(rng.Intn(40)), uint8(i), ev)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, size, shape uint8, events []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		procs := []int{1, 2, 4}[int(shape)%3]
+		n := 4 + int(size)%40
+		g := graph.New(n)
+		for m := rng.Intn(2 * n); m > 0; m-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				if _, err := g.AddOrLowerEdge(u, v, graph.Weight(1+rng.Intn(4))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		o := defaultTestOptions(procs, seed)
+		o.Workers = 1 + int(shape/3)%2
+		o.Strategy = []Strategy{RoundRobinPS, CutEdgePS}[int(shape/6)%2]
+		label := fmt.Sprintf("n=%d/P=%d/workers=%d/%v", n, procs, o.Workers, o.Strategy)
+		p := newExactPair(t, label, g, o, shape&16 != 0)
+		p.run()
+		if len(events) > 8 {
+			events = events[:8]
+		}
+		for _, b := range events {
+			cur := p.count.Graph()
+			nv := cur.NumVertices()
+			switch b % 3 {
+			case 0:
+				batch := &change.VertexBatch{NumVertices: 1 + int(b/3)%4}
+				for i := rng.Intn(2 * batch.NumVertices); i > 0; i-- {
+					if a, c := rng.Intn(batch.NumVertices), rng.Intn(batch.NumVertices); a != c {
+						batch.Internal = append(batch.Internal, change.InternalEdge{A: int32(a), B: int32(c), Weight: graph.Weight(1 + rng.Intn(4))})
+					}
+				}
+				for i := rng.Intn(3); i > 0; i-- {
+					batch.External = append(batch.External, change.ExternalEdge{New: int32(rng.Intn(batch.NumVertices)), Existing: int32(rng.Intn(nv)), Weight: graph.Weight(1 + rng.Intn(4))})
+				}
+				p.queue(func(e *Engine) error { return e.QueueBatch(batch) })
+			case 1:
+				u, v := rng.Intn(nv), rng.Intn(nv)
+				if u == v {
+					v = (u + 1) % nv
+				}
+				add := change.EdgeAdd{U: int32(u), V: int32(v), Weight: graph.Weight(1 + rng.Intn(4))}
+				p.queue(func(e *Engine) error { return e.QueueEdgeAdds(add) })
+			default:
+				var ch *change.EdgeWeight
+				cur.ForEachEdge(func(u, v int, w graph.Weight) {
+					if ch == nil && w >= 2 && rng.Intn(4) == 0 {
+						ch = &change.EdgeWeight{U: int32(u), V: int32(v), Weight: w - 1}
+					}
+				})
+				if ch == nil {
+					continue
+				}
+				p.queue(func(e *Engine) error { return e.QueueEdgeWeightChanges(*ch) })
+			}
+			if _, kept := p.applyNext(); !kept {
+				t.Fatalf("%s: a Fig. 3 absorption from a clean convergence cleared the exact bit", label)
+			}
+			p.run()
+		}
+	})
 }

@@ -127,8 +127,10 @@ type refineRound struct {
 // loop, sparse late passes skip untouched columns entirely.
 const maskDensityCut = 4 // mask only below 25% density
 
-// pivotMask returns the frontier mask to use for pivot row pr, or nil when
-// a full sweep is required (masking off, unknown change extent, or density
+// pivotMask is the masked-versus-full rule of a refinement pivot, shared by
+// the sweeps and the exact-state charge: it returns the frontier mask to
+// compile for pivot row pr at the table width, or nil when every sweep
+// through it must be full (masking off, unknown change extent, or density
 // above the cutover).
 func (p *Proc) pivotMask(pr *dv.Row) kernel.Bitset {
 	if p.maskOff || pr.FAll {
@@ -148,16 +150,28 @@ func growBlockMasks(ms []kernel.BlockMask, n int) []kernel.BlockMask {
 	return ms
 }
 
-// extMasks decides, once per relax phase, which received deltas' sweeps
-// may be frontier-masked, and compiles those masks: delta i gets its
-// shipped frontier words unless masking is off, the sender's change extent
-// was unknown (no words), the window is not 64-aligned (bit positions would
-// not line up), or the window's frontier is past the density cutover
-// (streaming the full window is cheaper). Each mask is compiled once for
-// the width every local row sweeps it at, into per-processor scratch. The
-// per-row decision — whether the receiving row's own distance to the
-// sender moved — stays in the inner loop, exactly like the pivot-tile
-// kernel's rec.Get(owner) check.
+// deltaMask is the masked-versus-full rule of a received delta, shared by
+// the sweeps and the exact-state charge: it returns the shipped frontier
+// words to compile for br and the width every local row sweeps it at, or
+// nil when every sweep through it must be full — masking is off, the
+// sender's change extent was unknown (no words), the window is not
+// 64-aligned (bit positions would not line up) or starts past the table,
+// or the window's frontier is past the density cutover (streaming the full
+// window is cheaper).
+func (p *Proc) deltaMask(br *dv.Delta) (kernel.Bitset, int) {
+	cols := p.table.Cols()
+	off := int(br.Lo)
+	if p.maskOff || br.F == nil || off&63 != 0 || off >= cols || br.F.OnesCount()*maskDensityCut > len(br.D) {
+		return nil, 0
+	}
+	return br.F, min(len(br.D), cols-off)
+}
+
+// extMasks compiles, once per relax phase, the masks deltaMask grants the
+// received deltas, each for the width every local row sweeps it at, into
+// per-processor scratch. The per-row decision — whether the receiving
+// row's own distance to the sender moved — stays in the inner loop,
+// exactly like the pivot-tile kernel's rec.Get(owner) check.
 func (p *Proc) extMasks(ext []*dv.Delta) []*kernel.BlockMask {
 	if p.maskOff {
 		return nil
@@ -167,22 +181,20 @@ func (p *Proc) extMasks(ext []*dv.Delta) []*kernel.BlockMask {
 		p.extMaskRefs = make([]*kernel.BlockMask, len(ext))
 	}
 	ms := p.extMaskRefs[:len(ext)]
-	cols := p.table.Cols()
+	if cap(p.extWidths) < len(ext) {
+		p.extWidths = make([]int, len(ext))
+	}
+	widths := p.extWidths[:len(ext)]
 	// First pass: decide, and bound the blocks (at most one per mask bit).
 	need, any := 0, false
 	for i, br := range ext {
 		ms[i] = nil
-		m := br.F
-		off := int(br.Lo)
-		if m == nil || off&63 != 0 || off >= cols {
+		f, w := p.deltaMask(br)
+		if f == nil {
 			continue
 		}
-		bits := m.OnesCount()
-		if bits*maskDensityCut > len(br.D) {
-			continue
-		}
-		ms[i] = &p.extBlocks[i]
-		need += min(bits, kernel.MaxBlocks(len(br.D)))
+		ms[i], widths[i] = &p.extBlocks[i], w
+		need += min(f.OnesCount(), kernel.MaxBlocks(w))
 		any = true
 	}
 	if !any {
@@ -194,8 +206,7 @@ func (p *Proc) extMasks(ext []*dv.Delta) []*kernel.BlockMask {
 	}
 	for i, m := range ms {
 		if m != nil {
-			br := ext[i]
-			arena = m.Compile(arena, br.F, min(len(br.D), cols-int(br.Lo)))
+			arena = m.Compile(arena, ext[i].F, widths[i])
 		}
 	}
 	p.extArena = arena
@@ -205,11 +216,14 @@ func (p *Proc) extMasks(ext []*dv.Delta) []*kernel.BlockMask {
 // relaxStep runs one processor's relax phase — external-delta relaxation
 // followed (optionally) by tiled local refinement — across w worker
 // goroutines, returning the total relax ops. w == 1 runs inline with no
-// pool. tile is the pivot-tile edge. On an exact state (p.exact) every
-// decision is made as usual — masks compiled, tiles pushed, pivots
-// scheduled — but no sweep runs: each row charges what its sweeps would
-// have (kernel.Tile.Count, and the diagonal loop of advanceRound).
+// pool. tile is the pivot-tile edge. On an exact state (p.exact) no sweep
+// runs: the phase's charge is computed in closed form (exact.go).
 func (p *Proc) relaxStep(ext []*dv.Delta, refine bool, w, tile int) int64 {
+	if p.exact != nil {
+		ops, masked := p.exactCharge(ext)
+		p.stepMaskedOps = masked
+		return ops
+	}
 	n := p.table.Len()
 	if w > n {
 		w = n
@@ -335,19 +349,12 @@ func (p *Proc) relaxExternalBlock(ext []*dv.Delta, masks []*kernel.BlockMask, lo
 		if t.Len() == 0 {
 			continue
 		}
-		if !p.exact {
-			t.Prepare(cols)
-		}
+		t.Prepare(cols)
 		for i := lo; i < hi; i++ {
 			u := rows[i]
 			rec := u.F
 			if p.maskOff {
 				rec = nil
-			}
-			if p.exact {
-				o, m := t.Count(u.D, rec, u.FAll)
-				ops, maskedOps = ops+o, maskedOps+m
-				continue
 			}
 			clo, chi, o, m := t.Relax(u.D, u.NH, rec, u.FAll)
 			ops += o
@@ -441,19 +448,15 @@ func (p *Proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
 			}
 			var clo, chi int
 			if m := kernel.SweepMask(mask, u.F, int(pr.Owner), u.FAll); m != nil {
-				if !p.exact {
-					clo, chi = kernel.MinPlusHopsBlocks(u.D, u.NH, pr.D, d, u.NH[pr.Owner], m, u.F, 0)
-				}
+				clo, chi = kernel.MinPlusHopsBlocks(u.D, u.NH, pr.D, d, u.NH[pr.Owner], m, u.F, 0)
 				ops += int64(m.Ops())
 				masked += int64(m.Ops())
 			} else {
-				if !p.exact {
-					rec := u.F
-					if p.maskOff {
-						rec = nil
-					}
-					clo, chi = kernel.MinPlusHopsRec(u.D, u.NH, pr.D, d, u.NH[pr.Owner], rec, 0)
+				rec := u.F
+				if p.maskOff {
+					rec = nil
 				}
+				clo, chi = kernel.MinPlusHopsRec(u.D, u.NH, pr.D, d, u.NH[pr.Owner], rec, 0)
 				ops += int64(len(pr.D))
 			}
 			if clo < chi {
@@ -513,9 +516,7 @@ func (p *Proc) phaseB(r *refineRound, lo, hi int, t *kernel.Tile) (int64, int64)
 				break
 			}
 		}
-		if !p.exact {
-			t.Prepare(cols)
-		}
+		t.Prepare(cols)
 		for ui := lo; ui < hi; ui++ {
 			if ui >= r.tLo && ui < r.tHi {
 				continue
@@ -524,11 +525,6 @@ func (p *Proc) phaseB(r *refineRound, lo, hi int, t *kernel.Tile) (int64, int64)
 			rec := u.F
 			if p.maskOff {
 				rec = nil
-			}
-			if p.exact {
-				o, m := t.Count(u.D, rec, u.FAll)
-				ops, masked = ops+o, masked+m
-				continue
 			}
 			clo, chi, o, m := t.Relax(u.D, u.NH, rec, u.FAll)
 			ops += o

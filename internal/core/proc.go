@@ -46,18 +46,23 @@ type Proc struct {
 	// maskOff mirrors Options.noFrontierMask: full-row sweeps everywhere.
 	maskOff bool
 	// exact is set by the Engine for a relax phase over a table that is
-	// exact APSP of the current graph (DESIGN.md, "Exact-state steps"): no
-	// sweep can improve a cell, so the phase counts the ops its sweeps
-	// would charge instead of running them. rank.Runner never sets it.
-	exact bool
+	// exact APSP of the current graph (DESIGN.md, "Exact-state steps"),
+	// with the graph's component labels: no sweep can improve a cell, so
+	// the phase computes the charge its sweeps would have in closed form
+	// (exact.go) instead of running them. nil otherwise; rank.Runner never
+	// sets it.
+	exact *components
+	sums  chargeSums // the closed form's scratch
 	// relax-phase scratch reused across steps (parallel.go): the compiled
 	// frontier masks — extBlocks[i] for received delta i (extMaskRefs
-	// points at the ones in use), pivotBlocks for the active pivots of one
-	// refine tile round, each set's blocks in one arena — and that round's
-	// schedule — and one kernel.Tile per worker (tiles[k-1] for worker k >
-	// 0), whose padding is kept across steps
+	// points at the ones in use, extWidths holds their widths),
+	// pivotBlocks for the active pivots of one refine tile round, each
+	// set's blocks in one arena — and that round's schedule — and one
+	// kernel.Tile per worker (tiles[k-1] for worker k > 0), whose padding
+	// is kept across steps
 	extBlocks   []kernel.BlockMask
 	extMaskRefs []*kernel.BlockMask
+	extWidths   []int
 	extArena    []uint32
 	pivotBlocks []kernel.BlockMask
 	pivotArena  []uint32

@@ -94,6 +94,20 @@ func (b Bitset) OnesCount() int {
 	return c
 }
 
+// OnesCountBelow returns the number of set bits below n: the columns a
+// mask compiled for width n visits (BlockMask.Ops).
+func (b Bitset) OnesCountBelow(n int) int {
+	whole := min(len(b), n>>6)
+	c := 0
+	for _, word := range b[:whole] {
+		c += bits.OnesCount64(word)
+	}
+	if whole < len(b) && n&63 != 0 {
+		c += bits.OnesCount64(b[whole] & (1<<uint(n&63) - 1))
+	}
+	return c
+}
+
 // NonzeroWords returns how many words hold at least one set bit (the
 // FrontierWords telemetry unit).
 func (b Bitset) NonzeroWords() int {

@@ -173,3 +173,30 @@ func FuzzBitset(f *testing.F) {
 		}
 	})
 }
+
+// TestBitsetOnesCountBelow: the bits below n, which is what a mask
+// compiled for width n charges (BlockMask.Ops), at every width around the
+// word boundaries and past the bitset's end.
+func TestBitsetOnesCountBelow(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	b := NewBitset(200)
+	for i := 0; i < 200; i += 1 + rng.Intn(5) {
+		b.Set(i)
+	}
+	for n := 0; n <= 260; n++ {
+		want := 0
+		for i := 0; i < min(n, 200); i++ {
+			if b.Get(i) {
+				want++
+			}
+		}
+		if got := b.OnesCountBelow(n); got != want {
+			t.Fatalf("OnesCountBelow(%d) = %d, want %d", n, got, want)
+		}
+		var m BlockMask
+		m.Compile(nil, b, n)
+		if m.Ops() != want {
+			t.Fatalf("width %d: compiled mask charges %d, OnesCountBelow %d", n, m.Ops(), want)
+		}
+	}
+}

@@ -481,32 +481,6 @@ func (t *Tile) Prepare(n int) {
 	}
 }
 
-// Count returns the ops and masked ops Relax would charge dst when no pivot
-// improves it, without sweeping and without Prepare: a pivot whose distance
-// dst[owner] is InfDist charges nothing, and any other charges its mask's
-// columns when SweepMask picks the mask, else its row's length as pushed.
-// With no improvement the adds, the frontier and so every pivot's
-// full/masked decision stay what they were when the row came in, which is
-// what makes the count exact.
-func (t *Tile) Count(dst []graph.Dist, rec Bitset, dstFull bool) (ops, maskedOps int64) {
-	for i := range t.g[:t.ng+1] {
-		g := &t.g[i]
-		for j := range g.p[:g.k] {
-			pj := &g.p[j]
-			if dst[pj.owner] == graph.InfDist {
-				continue
-			}
-			if m := SweepMask(t.m[i][j], rec, int(pj.owner), dstFull); m != nil {
-				ops += int64(m.ops)
-				maskedOps += int64(m.ops)
-			} else {
-				ops += int64(pj.ops)
-			}
-		}
-	}
-	return ops, maskedOps
-}
-
 // Relax relaxes dst through the tile's pivots in push order, as
 // Group.RelaxMasked does for each group, and returns the same window and
 // counts for the whole tile.

@@ -355,13 +355,16 @@ func TestTileMatchesSequential(t *testing.T) {
 	}
 }
 
-// FuzzTileCount holds Tile.Count to Tile.Relax on rows that no pivot
-// improves — the state of a row in an exact APSP matrix: the same ops and
-// masked ops, and Relax leaves dst, nh and rec as they were. Pivots span
-// several groups, windows are full rows (some trailing past dst), 64-aligned
-// delta windows or arbitrary ones, half carry a compiled mask, and owners
-// are often InfDist or have their frontier bit set, so every branch of the
-// full/masked rule is taken.
+// FuzzTileCount holds Tile.Relax, on rows that no pivot improves — the
+// state of a row in an exact APSP matrix —, to the per-pivot charge that
+// the exact-state closed form (internal/core/exact.go) sums: nothing when
+// the row's distance to the pivot's owner is InfDist, the mask's bits below
+// its width (Bitset.OnesCountBelow) when SweepMask picks the mask, the
+// pivot's length as pushed otherwise; and Relax leaves dst, nh and rec as
+// they were. Pivots span several groups, windows are full rows (some
+// trailing past dst), 64-aligned delta windows or arbitrary ones, half
+// carry a compiled mask, and owners are often InfDist or have their
+// frontier bit set, so every branch of the full/masked rule is taken.
 func FuzzTileCount(f *testing.F) {
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 100; i++ {
@@ -393,6 +396,7 @@ func FuzzTileCount(f *testing.F) {
 		np := 1 + int(k)%40
 		for j := 0; j < np; {
 			tile.Reset()
+			var wantOps, wantMasked int64
 			for ; j < np; j++ {
 				off, sw := 0, w
 				switch mode := int(shape) % 3; {
@@ -415,20 +419,29 @@ func FuzzTileCount(f *testing.F) {
 					}
 				}
 				var mask *BlockMask
+				var bits Bitset
+				mw := min(sw, w-off) // compiled for the width it is swept at
 				if rng.Intn(2) == 0 {
-					mw := min(sw, w-off) // compiled for the width it is swept at
-					mask = compiled(fuzzMask(raw, mw, uint8(rng.Intn(5))), mw)
+					bits = fuzzMask(raw, mw, uint8(rng.Intn(5)))
+					mask = compiled(bits, mw)
 				}
 				if !tile.Push(src, off, owner, mask) {
 					break
 				}
+				switch {
+				case dst[owner] == graph.InfDist:
+				case mask != nil && !dstFull && (rec == nil || !rec.Get(int(owner))):
+					wantOps += int64(bits.OnesCountBelow(mw))
+					wantMasked += int64(bits.OnesCountBelow(mw))
+				default:
+					wantOps += int64(sw)
+				}
 			}
-			wantOps, wantMasked := tile.Count(dst, rec, dstFull)
 			d0, nh0, rec0 := append([]graph.Dist(nil), dst...), append([]int32(nil), nh...), append(Bitset(nil), rec...)
 			tile.Prepare(w)
 			lo, hi, ops, masked := tile.Relax(dst, nh, rec, dstFull)
 			if lo < hi || ops != wantOps || masked != wantMasked {
-				t.Fatalf("width %d, %d pivots: Relax window (%d,%d) ops %d masked %d, Count %d %d", w, tile.Len(), lo, hi, ops, masked, wantOps, wantMasked)
+				t.Fatalf("width %d, %d pivots: Relax window (%d,%d) ops %d masked %d, want %d %d", w, tile.Len(), lo, hi, ops, masked, wantOps, wantMasked)
 			}
 			for c := range dst {
 				if dst[c] != d0[c] || nh[c] != nh0[c] {

@@ -216,8 +216,8 @@ func TestPartChecksumPinned(t *testing.T) {
 }
 
 // TestVerifyPartitionMalformedRoot: a partition-checksum broadcast from
-// rank 0 that is not 8 bytes fails the receiving rank with an error naming
-// rank 0, instead of panicking it.
+// rank 0 that is not 8 bytes fails the receiving rank with an
+// ErrPayloadKind error naming rank 0, instead of panicking it.
 func TestVerifyPartitionMalformedRoot(t *testing.T) {
 	group := transport.NewInprocGroup(2)
 	sent := make(chan error, 1)
@@ -226,8 +226,8 @@ func TestVerifyPartitionMalformedRoot(t *testing.T) {
 		sent <- err
 	}()
 	err := verifyPartition(group[1], &graph.Partition{K: 2, Part: []int32{0, 1}})
-	if err == nil || !strings.Contains(err.Error(), "rank 0") {
-		t.Fatalf("got %v, want an error naming rank 0", err)
+	if !errors.Is(err, transport.ErrPayloadKind) || !strings.Contains(err.Error(), "rank 0") {
+		t.Fatalf("got %v, want ErrPayloadKind naming rank 0", err)
 	}
 	if err := <-sent; err != nil {
 		t.Fatal(err)
