@@ -32,26 +32,29 @@ race:
 	$(GO) test -race -count=1 ./internal/fault ./internal/cluster
 
 # Kernel gate: the min-plus kernels have an AVX2 assembly body and a scalar
-# one (internal/kernel/minplus_*). vet's asmdecl pass checks the assembly's
-# frame layout against its Go declarations; the default-tag run holds the
-# vector body to the scalar one (fuzz seeds, body-selection test), and short
-# fuzzing runs of the masked block body and of the grouped multi-pivot body
-# against the scalar bodies and a one-pivot-at-a-time reference, and of
-# exact-state steps (FuzzExactSteps: the closed-form charge of
-# internal/core/exact.go against an engine forced to run the sweeps, on
-# random small graphs of any component count), go past the seeds
-# (FuzzTileCount's seeds, the per-pivot charge rule the closed form sums,
-# run with the package tests); the purego run repeats the tile/worker/masked invariance,
-# pruned-edge-scan and Runner==Engine tests on the scalar body alone. -race
-# builds select the scalar body through the same build tag, so the race
-# detector sees every row write.
+# one (internal/kernel/minplus_*), distances only. vet's asmdecl pass checks
+# the assembly's frame layout against its Go declarations; the default-tag
+# run holds the vector bodies to the scalar ones (fuzz seeds, body-selection
+# test), and short fuzzing runs go past the seeds: FuzzMinPlusHopsMasked
+# (the masked block sweep MinPlusBlocks and its one-shot form
+# MinPlusHopsMasked against the scalar block body and a one-column-at-a-time
+# reference), FuzzMinPlusGroup (Group.Relax, the grouped multi-pivot sweep,
+# against the scalar body and MinPlusRec one pivot at a time) and
+# FuzzExactSteps (the closed-form charge of internal/core/exact.go against
+# an engine forced to run the sweeps, on random small graphs of any
+# component count; FuzzTileCount's seeds, the per-pivot charge rule the
+# closed form sums, run with the package tests). The purego run repeats the
+# tile/worker/masked invariance, pruned-edge-scan and Runner==Engine tests
+# and the Floyd–Warshall oracle (internal/sssp, on MinPlus's one-pivot body)
+# on the scalar body alone. -race builds select the scalar body through the
+# same build tag, so the race detector sees every row write.
 kernel-check:
 	$(GO) vet ./internal/kernel
 	$(GO) test -count=1 ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusHopsMasked$$' -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusGroup$$' -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzExactSteps$$' -fuzztime 10s ./internal/core
-	$(GO) test -count=1 -tags purego ./internal/kernel ./internal/core ./internal/rank
+	$(GO) test -count=1 -tags purego ./internal/kernel ./internal/sssp ./internal/core ./internal/rank
 
 # Codec gate: short fuzzing runs past the seeds of the decoders that read
 # bytes from outside the process — the checkpoint restore and the recovery
@@ -115,7 +118,7 @@ bench-compare:
 		| $(GO) run ./cmd/benchjson -compare BENCH_rc.json
 
 # Paper-scale tier (opt-in, not part of `make check`): one full n=50,000 /
-# P=16 absorption trajectory — ~20 GB of DV state and minutes of wall time.
+# P=16 absorption trajectory — ~10 GB of DV state and minutes of wall time.
 # The AA_PAPER_BENCH gate keeps `bench`/`bench-json` laptop-safe; -benchtime
 # 1x runs exactly one trajectory. Results belong in EXPERIMENTS.md.
 bench-paper:

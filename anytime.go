@@ -322,6 +322,11 @@ type ServeClient = serve.Client
 // configured wait: ingestion is outrunning recombination (HTTP: 429).
 var ErrBackpressure = serve.ErrBackpressure
 
+// ErrNotConverged is returned by Engine.Path while the engine has not
+// converged (recombination not at a fixpoint, or events still queued):
+// paths are read off exact distances only.
+var ErrNotConverged = core.ErrNotConverged
+
 // ErrServerClosed is returned by admission once a Server is closing
 // (HTTP: 503).
 var ErrServerClosed = serve.ErrClosed

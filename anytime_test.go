@@ -2,6 +2,7 @@ package anytime_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -53,6 +54,9 @@ func TestPublicAPIDynamicFlow(t *testing.T) {
 		}
 		if err := e.QueueBatch(batch); err != nil {
 			t.Fatal(err)
+		}
+		if _, err := e.Path(0, 5); !errors.Is(err, anytime.ErrNotConverged) {
+			t.Fatalf("%v: Path with a queued batch: got %v, want ErrNotConverged", strat, err)
 		}
 		e.Run()
 		if !e.Converged() {
@@ -167,7 +171,7 @@ func ExampleEngine_QueueBatch() {
 }
 
 // ExampleEngine_Path demonstrates shortest-path reconstruction from the
-// distance-vector routing tables.
+// converged distances.
 func ExampleEngine_Path() {
 	g := anytime.NewGraph(4)
 	g.MustAddEdge(0, 1, 1)

@@ -57,8 +57,8 @@ func main() {
 		fmt.Printf("  %d. vertex %-6d C=%.6g\n", rank+1, v, snap.Closeness[v])
 	}
 
-	// 6. The recombination phase maintains DVR routing tables, so exact
-	// shortest paths can be reconstructed across the simulated processors.
+	// 6. The converged distances are exact, so a shortest path can be read
+	// off them by walking tight edges across the simulated processors.
 	top := snap.TopK(1)[0]
 	newest := int32(e.Graph().NumVertices() - 1) // a dynamically added vertex
 	path, err := e.Path(int32(top), newest)

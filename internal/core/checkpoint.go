@@ -33,22 +33,23 @@ import (
 // are not serializable), which the caller supplies again at Restore and
 // which must use the same P.
 
-// checkpointMagic is the one readable format (v7), CRC-guarded: per table
+// checkpointMagic is the one readable format (v8), CRC-guarded: per table
 // the DV rows in the recovery shard's row codec (see encodeRows), followed
 // by each row's change-frontier state (an FAll flag and, when the row's
 // frontier is tracked precisely, its bitmask words), so a restored engine
 // resumes masked min-plus sweeps without a conservative full-frontier
 // epoch. Any other AACKPT version is refused with ErrCheckpointVersion
-// (03–06 have no producer left).
-const checkpointMagic = "AACKPT07"
+// (03–07 have no producer left; v7 rows also carried a next-hop column).
+const checkpointMagic = "AACKPT08"
 
 var (
 	// ErrCorruptCheckpoint reports a checkpoint whose CRC32 trailer does
 	// not match its payload: the file was truncated or bit-flipped and
 	// must not be restored.
 	ErrCorruptCheckpoint = errors.New("core: corrupt checkpoint (CRC32 mismatch)")
-	// ErrCheckpointVersion reports an engine checkpoint of a format
-	// version this build does not read; the error names the version.
+	// ErrCheckpointVersion reports an engine checkpoint or a recovery
+	// shard of a format version this build does not read; the error names
+	// the version.
 	ErrCheckpointVersion = errors.New("core: unsupported checkpoint version")
 )
 
@@ -167,7 +168,7 @@ func (e *Engine) writeMetrics(enc *binWriter) {
 	enc.bool(e.degraded)
 }
 
-// Restore reconstructs an engine from an AACKPT07 checkpoint, CRC32-verified
+// Restore reconstructs an engine from an AACKPT08 checkpoint, CRC32-verified
 // before any decoding: a flipped byte yields ErrCorruptCheckpoint, never a
 // silently wrong engine. opts must use the same P as the checkpointed
 // engine; the partitioners and LogP model may differ (they affect only

@@ -238,17 +238,17 @@ func TestCheckpointCorruptionDetected(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsOldVersions: the AACKPT03–06 readers are gone (nothing
+// TestRestoreRejectsOldVersions: the AACKPT03–07 readers are gone (nothing
 // can produce those streams any more); an old magic fails with
 // ErrCheckpointVersion, wrapped with the version's name, instead of a
-// generic "not a checkpoint".
+// generic "not a checkpoint" or a v7 table misread without its next hops.
 func TestRestoreRejectsOldVersions(t *testing.T) {
 	e := checkpointTestEngine(t)
 	var buf bytes.Buffer
 	if err := e.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, magic := range []string{"AACKPT03", "AACKPT04", "AACKPT05", "AACKPT06"} {
+	for _, magic := range []string{"AACKPT03", "AACKPT04", "AACKPT05", "AACKPT06", "AACKPT07"} {
 		old := append([]byte(magic), buf.Bytes()[len(checkpointMagic):]...)
 		_, err := Restore(bytes.NewReader(old), e.Options())
 		if !errors.Is(err, ErrCheckpointVersion) || !strings.Contains(err.Error(), magic) {
@@ -257,15 +257,16 @@ func TestRestoreRejectsOldVersions(t *testing.T) {
 	}
 }
 
-// TestCheckpointGoldenV7 pins the on-disk format against a committed file:
+// TestCheckpointGoldenV8 pins the on-disk format against a committed file:
 // a small graph (n=24 + two 2-vertex round-robin batches, P=3)
 // checkpointed mid-convergence, so the stream map and cursor are non-empty
 // and rows carry dirty marks, pending windows and frontier words. The file
-// was converted from the AACKPT06 golden (decoded by the v6 reader, encoded
-// by the v7 writer), so it holds the same engine state. It must restore,
-// re-encode byte-for-byte, and continue to the exact oracle.
-func TestCheckpointGoldenV7(t *testing.T) {
-	golden, err := os.ReadFile(filepath.Join("testdata", "v7.ckpt"))
+// was converted from the AACKPT07 golden (decoded by the v7 reader, encoded
+// by the v8 writer), which was converted from the v6 one the same way, so
+// it holds the same engine state. It must restore, re-encode byte-for-byte,
+// and continue to the exact oracle.
+func TestCheckpointGoldenV8(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "v8.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestCheckpointGoldenV7(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), golden) {
-		t.Fatalf("re-encoded checkpoint differs from testdata/v7.ckpt (%d vs %d bytes): the AACKPT07 layout moved", buf.Len(), len(golden))
+		t.Fatalf("re-encoded checkpoint differs from testdata/v8.ckpt (%d vs %d bytes): the AACKPT08 layout moved", buf.Len(), len(golden))
 	}
 	e.Run()
 	requireExact(t, e)

@@ -14,7 +14,9 @@ import (
 type Snapshot struct {
 	// Step is the RC step count at capture time.
 	Step int
-	// Converged reports whether the snapshot is exact.
+	// Converged is Engine.Converged at capture time: the recombination was
+	// at a fixpoint (no processor had an update left to propagate) and no
+	// dynamic events were queued.
 	Converged bool
 	// Closeness[v] = 1 / Σ_t d(v,t) over reachable t ≠ v (the paper's
 	// definition); 0 for vertices with no known finite distance and for

@@ -153,23 +153,13 @@ func (tg *edgeTargets) compile(m *kernel.BlockMask, w graph.Weight, from, far []
 // < D(x,v), an O(1) test on the row; and by D(x,t) <= D(x,u) + D(u,t) only
 // at the targets t with w + D(v,t) < D(u,t), which tg.viaU lists; the
 // other prefix likewise. Every skipped composition is provably
-// non-improving, so distances, next hops and changed windows are the full
-// scan's, and the frontier records the same [lo,hi) hull.
+// non-improving, so distances and changed windows are the full scan's, and
+// the frontier records the same [lo,hi) hull.
 func relaxViaEdge(x *dv.Row, u, v int32, w graph.Weight, du, dvv []graph.Dist, tg *edgeTargets) int64 {
 	xu := graph.AddDist(x.D[u], w) // prefix x → u → v
 	xv := graph.AddDist(x.D[v], w) // prefix x → v → u
 	if xu == graph.InfDist && xv == graph.InfDist {
 		return 2
-	}
-	// first hops of the two prefixes (the new edge itself when x is an
-	// endpoint)
-	nhu := v
-	if x.Owner != u {
-		nhu = x.NH[u]
-	}
-	nhv := u
-	if x.Owner != v {
-		nhv = x.NH[v]
 	}
 	// Snapshots may be narrower than x.D if columns were extended after
 	// they were taken; the missing tail is InfDist.
@@ -180,7 +170,7 @@ func relaxViaEdge(x *dv.Row, u, v int32, w graph.Weight, du, dvv []graph.Dist, t
 	if len(dvv) < n {
 		n = len(dvv)
 	}
-	xD, xNH := x.D[:n], x.NH[:n]
+	xD := x.D[:n]
 	// Two kernel passes over the two compositions. Equivalent to the fused
 	// per-target min: every applied update is a strict decrease, and the
 	// second pass compares against the first pass's result.
@@ -192,25 +182,25 @@ func relaxViaEdge(x *dv.Row, u, v int32, w graph.Weight, du, dvv []graph.Dist, t
 		toV, toU = &tg.viaU, &tg.viaV
 	}
 	if viaU {
-		relaxPrefix(x, xD, xNH, dvv[:n], xu, nhu, toV)
+		relaxPrefix(x, xD, dvv[:n], xu, toV)
 	}
 	if viaV {
-		relaxPrefix(x, xD, xNH, du[:n], xv, nhv, toU)
+		relaxPrefix(x, xD, du[:n], xv, toU)
 	}
 	return 2 * int64(n)
 }
 
-// relaxPrefix is one pass of the Fig. 3 scan: row x (its views xD, xNH)
-// through a prefix of length add whose first hop is hop, followed by the
-// far endpoint's snapshot src — at every target, or only at those listed
-// in targets when it is non-nil. The changed window lands in x's frontier
-// as a hull, so later masked sweeps see it, and in x's pending ship window.
-func relaxPrefix(x *dv.Row, xD []graph.Dist, xNH []int32, src []graph.Dist, add graph.Dist, hop int32, targets *kernel.BlockMask) {
+// relaxPrefix is one pass of the Fig. 3 scan: row x (its view xD) through
+// a prefix of length add followed by the far endpoint's snapshot src — at
+// every target, or only at those listed in targets when it is non-nil. The
+// changed window lands in x's frontier as a hull, so later masked sweeps
+// see it, and in x's pending ship window.
+func relaxPrefix(x *dv.Row, xD, src []graph.Dist, add graph.Dist, targets *kernel.BlockMask) {
 	var lo, hi int
 	if targets == nil {
-		lo, hi = kernel.MinPlusHops(xD, xNH, src, add, hop)
+		lo, hi = kernel.MinPlusWindow(xD, src, add)
 	} else {
-		lo, hi = kernel.MinPlusHopsBlocks(xD, xNH, src, add, hop, targets, nil, 0)
+		lo, hi = kernel.MinPlusBlocks(xD, src, add, targets, nil, 0)
 	}
 	if lo < hi {
 		if x.F != nil {

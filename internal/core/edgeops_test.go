@@ -10,33 +10,31 @@ import (
 	"anytime/internal/sssp"
 )
 
-// exactMatrix holds one row per vertex of g with its exact distances and
-// next hops, dirty marks and frontiers clear: the state of a clean
-// convergence.
+// exactMatrix holds one row per vertex of g with its exact distances,
+// dirty marks and frontiers clear: the state of a clean convergence.
 func exactMatrix(g *graph.Graph) *dv.Matrix {
 	n := g.NumVertices()
 	m := dv.NewMatrix(n)
 	sources := make([]int32, n)
 	rows := make([][]graph.Dist, n)
-	hops := make([][]int32, n)
 	for v := 0; v < n; v++ {
 		m.AddRow(int32(v))
 	}
 	for v, r := range m.Rows() { // views taken once the arena stops growing
-		sources[v], rows[v], hops[v] = r.Owner, r.D, r.NH
+		sources[v], rows[v] = r.Owner, r.D
 	}
-	sssp.MultiSourceHops(g, sources, rows, hops, nil, 1)
+	sssp.MultiSource(g, sources, rows, nil, 1)
 	m.ClearDirty()
 	m.ClearFrontiers()
 	return m
 }
 
-// sameRow reports the first way two rows differ: distances, next hops,
-// frontier, dirty mark or pending ship window.
+// sameRow reports the first way two rows differ: distances, frontier,
+// dirty mark or pending ship window.
 func sameRow(a, b *dv.Row) string {
 	for t := range a.D {
-		if a.D[t] != b.D[t] || a.NH[t] != b.NH[t] {
-			return "distances or next hops"
+		if a.D[t] != b.D[t] {
+			return "distances"
 		}
 	}
 	for w := range a.F {

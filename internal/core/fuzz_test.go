@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"anytime/internal/change"
@@ -70,10 +72,10 @@ func checkpointLayout(e *Engine) (cursor, stream0, table0 int) {
 func dupOwnerCheckpoint(tb testing.TB) []byte {
 	blob, table0 := fuzzCheckpoint(tb)
 	// the row count, then per row: owner, dirty, pendAll, pendLo, pendHi,
-	// n distances, n next hops
+	// n distances
 	const n = 30
 	row0 := table0 + 8
-	row1 := row0 + 5*4 + 2*4*n
+	row1 := row0 + 5*4 + 4*n
 	copy(blob[row1:row1+4], blob[row0:row0+4])
 	return reseal(blob, checkpointMagic)
 }
@@ -167,8 +169,8 @@ func dupOwnerShard() []byte {
 	t.AddRow(2)
 	blob := EncodeShard(t, 3)
 	// magic, step, width, row count, then row 0: owner, 4 flag/window words,
-	// 4 distances, 4 next hops; row 1's owner follows.
-	row1 := len(shardMagic) + 3*8 + 5*4 + 2*4*4
+	// 4 distances; row 1's owner follows.
+	row1 := len(shardMagic) + 3*8 + 5*4 + 4*4
 	copy(blob[row1:row1+4], blob[len(shardMagic)+3*8:len(shardMagic)+3*8+4])
 	return reseal(blob, shardMagic)
 }
@@ -176,6 +178,20 @@ func dupOwnerShard() []byte {
 func TestDecodeShardRejectsDuplicateOwner(t *testing.T) {
 	if _, _, err := DecodeShard(dupOwnerShard(), 4, nil); err == nil {
 		t.Fatal("a shard with two rows for one owner was accepted")
+	}
+}
+
+// TestDecodeShardRejectsOldVersion: an AASHRD01 shard (rows with a
+// next-hop column) left on disk by an older build is refused with
+// ErrCheckpointVersion naming the version, never decoded as the current
+// layout; a rejoining rank then recomputes its rows from scratch.
+func TestDecodeShardRejectsOldVersion(t *testing.T) {
+	t4 := dv.NewMatrix(4)
+	t4.AddRow(1)
+	old := reseal(append([]byte("AASHRD01"), EncodeShard(t4, 3)[len(shardMagic):]...), shardMagic)
+	_, _, err := DecodeShard(old, 4, nil)
+	if !errors.Is(err, ErrCheckpointVersion) || !strings.Contains(err.Error(), "AASHRD01") {
+		t.Fatalf("got %v, want ErrCheckpointVersion naming AASHRD01", err)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestGoldenCounters(t *testing.T) {
 				e.Run()
 				return e
 			},
-			want: "virt=22438145 dd=3176 ia=36808 rc=9798786 change=1816626 steps=6 msgs=265 chunks=265 bytes=623216 bcasts=72 barriers=142 newcut=29 migrated=0 crashes=1 recoveries=1 shardbytes=918144 rows=820 fullrows=731 masked=0 resends=2 dropped=2 duplicated=0 delayed=0 corrupted=0 failed=0 droppeddown=6",
+			want: "virt=22288865 dd=3176 ia=36808 rc=9798786 change=1816626 steps=6 msgs=265 chunks=265 bytes=623216 bcasts=72 barriers=142 newcut=29 migrated=0 crashes=1 recoveries=1 shardbytes=466176 rows=820 fullrows=731 masked=0 resends=2 dropped=2 duplicated=0 delayed=0 corrupted=0 failed=0 droppeddown=6",
 		},
 		{
 			// Every fate at once, a budget small enough that messages are
@@ -179,7 +179,7 @@ func TestGoldenCounters(t *testing.T) {
 				e.Run()
 				return e
 			},
-			want: "virt=25779924 dd=3176 ia=39136 rc=10266762 change=1498316 steps=8 msgs=266 chunks=266 bytes=642964 bcasts=68 barriers=144 newcut=26 migrated=0 crashes=1 recoveries=1 shardbytes=1169408 rows=853 fullrows=719 masked=0 resends=14 dropped=17 duplicated=7 delayed=9 corrupted=4 failed=7 droppeddown=3",
+			want: "virt=25593524 dd=3176 ia=39136 rc=10266762 change=1498316 steps=8 msgs=266 chunks=266 bytes=642964 bcasts=68 barriers=144 newcut=26 migrated=0 crashes=1 recoveries=1 shardbytes=593664 rows=853 fullrows=719 masked=0 resends=14 dropped=17 duplicated=7 delayed=9 corrupted=4 failed=7 droppeddown=3",
 		},
 	}
 	for _, tc := range cases {

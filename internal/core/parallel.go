@@ -356,7 +356,7 @@ func (p *Proc) relaxExternalBlock(ext []*dv.Delta, masks []*kernel.BlockMask, lo
 			if p.maskOff {
 				rec = nil
 			}
-			clo, chi, o, m := t.Relax(u.D, u.NH, rec, u.FAll)
+			clo, chi, o, m := t.Relax(u.D, rec, u.FAll)
 			ops += o
 			maskedOps += m
 			if clo < chi {
@@ -448,7 +448,7 @@ func (p *Proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
 			}
 			var clo, chi int
 			if m := kernel.SweepMask(mask, u.F, int(pr.Owner), u.FAll); m != nil {
-				clo, chi = kernel.MinPlusHopsBlocks(u.D, u.NH, pr.D, d, u.NH[pr.Owner], m, u.F, 0)
+				clo, chi = kernel.MinPlusBlocks(u.D, pr.D, d, m, u.F, 0)
 				ops += int64(m.Ops())
 				masked += int64(m.Ops())
 			} else {
@@ -456,7 +456,7 @@ func (p *Proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
 				if p.maskOff {
 					rec = nil
 				}
-				clo, chi = kernel.MinPlusHopsRec(u.D, u.NH, pr.D, d, u.NH[pr.Owner], rec, 0)
+				clo, chi = kernel.MinPlusRec(u.D, pr.D, d, rec, 0)
 				ops += int64(len(pr.D))
 			}
 			if clo < chi {
@@ -526,7 +526,7 @@ func (p *Proc) phaseB(r *refineRound, lo, hi int, t *kernel.Tile) (int64, int64)
 			if p.maskOff {
 				rec = nil
 			}
-			clo, chi, o, m := t.Relax(u.D, u.NH, rec, u.FAll)
+			clo, chi, o, m := t.Relax(u.D, rec, u.FAll)
 			ops += o
 			masked += m
 			if clo < chi {

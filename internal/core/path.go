@@ -1,18 +1,25 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"anytime/internal/graph"
 )
 
-// Path reconstructs a shortest path from u to t (inclusive of both
-// endpoints) from the distance-vector routing tables the recombination
-// phase maintains: each row stores, per target, the neighbor its best
-// known path leaves through. Once the engine has converged the result is
-// an exact shortest path whose length equals the DV distance; before
-// convergence the routing tables may still be inconsistent, in which case
-// an error is returned.
+// ErrNotConverged reports a query that needs exact distances on an engine
+// that is not converged: the recombination is not at a fixpoint, or
+// dynamic events are still queued (see Engine.Converged).
+var ErrNotConverged = errors.New("core: engine not converged")
+
+// Path returns a shortest path from u to t, both endpoints included, read
+// off the converged distances by walking tight edges: from cur it steps to
+// the lowest-id neighbour x with w(cur,x) + D[x][t] == D[cur][t]. Such a
+// neighbour exists on every exact distance matrix, and weights are
+// positive, so each step lowers the distance left and the walk ends at t.
+// D[x][t] is read as D[t][x] (the graph is undirected), so the walk uses t's
+// row only. Before convergence the distances are upper bounds and the walk
+// may stall, so Path returns ErrNotConverged.
 func (e *Engine) Path(u, t int32) ([]int32, error) {
 	n := int32(e.g.NumVertices())
 	if u < 0 || u >= n || t < 0 || t >= n {
@@ -21,38 +28,26 @@ func (e *Engine) Path(u, t int32) ([]int32, error) {
 	if !e.Alive(u) || !e.Alive(t) {
 		return nil, fmt.Errorf("core: path endpoint deleted")
 	}
-	if u == t {
-		return []int32{u}, nil
+	if !e.Converged() {
+		return nil, fmt.Errorf("path %d -> %d: %w", u, t, ErrNotConverged)
+	}
+	dt := e.procs[e.part.Part[t]].table.Row(t).D
+	if dt[u] == graph.InfDist {
+		return nil, fmt.Errorf("core: no path %d -> %d", u, t)
 	}
 	path := []int32{u}
-	var total graph.Dist
-	cur := u
-	for range e.alive {
-		row := e.procs[e.part.Part[cur]].table.Row(cur)
-		if row == nil {
-			return nil, fmt.Errorf("core: no DV row for vertex %d", cur)
-		}
-		nh := row.NH[t]
-		if nh < 0 {
-			return nil, fmt.Errorf("core: no known path %d -> %d (next hop unknown at %d)", u, t, cur)
-		}
-		w, ok := e.g.EdgeWeight(int(cur), int(nh))
-		if !ok {
-			return nil, fmt.Errorf("core: routing table at %d names non-neighbor %d", cur, nh)
-		}
-		total += w
-		path = append(path, nh)
-		if nh == t {
-			// sanity: the walked length must match the DV distance once
-			// converged
-			if e.Converged() {
-				if d := e.procs[e.part.Part[u]].table.Row(u).D[t]; d != total {
-					return nil, fmt.Errorf("core: path length %d disagrees with DV distance %d", total, d)
-				}
+	for cur := u; cur != t; {
+		next := int32(-1)
+		for _, a := range e.g.Neighbors(int(cur)) {
+			if (next < 0 || a.To < next) && graph.AddDist(dt[a.To], a.Weight) == dt[cur] {
+				next = a.To
 			}
-			return path, nil
 		}
-		cur = nh
+		if next < 0 {
+			return nil, fmt.Errorf("core: no tight edge out of %d toward %d", cur, t)
+		}
+		path = append(path, next)
+		cur = next
 	}
-	return nil, fmt.Errorf("core: routing loop reconstructing %d -> %d (engine not converged?)", u, t)
+	return path, nil
 }

@@ -161,20 +161,18 @@ func (p *Proc) grow(first, count int) {
 func (p *Proc) IA(rows []*dv.Row, global, unitWeight bool, workers int) int64 {
 	sources := make([]int32, len(rows))
 	slices := make([][]graph.Dist, len(rows))
-	hops := make([][]int32, len(rows))
 	for i, r := range rows {
 		sources[i] = r.Owner
 		slices[i] = r.D
-		hops[i] = r.NH
 	}
 	mask := p.sub.IsLocal
 	if global {
 		mask = nil
 	}
 	if unitWeight {
-		return sssp.MultiSourceHopsBFS(p.g, sources, slices, hops, mask, workers)
+		return sssp.MultiSourceBFS(p.g, sources, slices, mask, workers)
 	}
-	return sssp.MultiSourceHops(p.g, sources, slices, hops, mask, workers)
+	return sssp.MultiSource(p.g, sources, slices, mask, workers)
 }
 
 // Ship builds this step's outgoing boundary deltas: for every dirty
@@ -224,7 +222,7 @@ func (p *Proc) Ship(shipAll, reuse bool) (groups [][]*dv.Delta, ops int64) {
 					snap = r.ShipDelta()
 				}
 				if p.maskOff {
-					// MinPlusHopsRec ran with rec == nil here, so the
+					// MinPlusRec ran with rec == nil here, so the
 					// row's frontier bits are stale — never ship them.
 					snap.F = nil
 				}
@@ -396,7 +394,7 @@ func (p *Proc) ReseedDirectEdges() int64 {
 	var ops int64
 	for _, row := range p.table.Rows() {
 		for _, a := range p.g.Neighbors(int(row.Owner)) {
-			row.RelaxVia(a.To, a.Weight, a.To)
+			row.Relax(a.To, a.Weight)
 			ops++
 		}
 	}
@@ -450,11 +448,11 @@ func (p *Proc) ApplyEvents(log *EventLog, evs []change.Event) error {
 		p.grow(res.first, res.count)
 		for _, ed := range res.edges {
 			if r := p.table.Row(int32(ed.u)); r != nil {
-				r.RelaxVia(int32(ed.v), graph.Dist(ed.w), int32(ed.v))
+				r.Relax(int32(ed.v), graph.Dist(ed.w))
 				r.MarkShipAll()
 			}
 			if r := p.table.Row(int32(ed.v)); r != nil {
-				r.RelaxVia(int32(ed.u), graph.Dist(ed.w), int32(ed.u))
+				r.Relax(int32(ed.u), graph.Dist(ed.w))
 				r.MarkShipAll()
 			}
 		}

@@ -35,8 +35,11 @@ import (
 // reconverges to the exact sequential oracle — the chaos soak pins this.
 
 // shardMagic versions the recovery-shard encoding: one processor's table
-// in the row codec every checkpoint table also uses, CRC32-guarded.
-const shardMagic = "AASHRD01"
+// in the row codec every checkpoint table also uses, CRC32-guarded. Other
+// versions are refused with ErrCheckpointVersion (AASHRD01 rows also
+// carried a next-hop column), so a rank holding a stale shard file falls
+// back to a fresh IA instead of misreading it.
+const shardMagic = "AASHRD02"
 
 // ErrCorruptShard reports a recovery shard whose CRC32 trailer does not
 // match its payload.
@@ -63,8 +66,8 @@ func (e *Engine) anyDown() bool { return e.inj != nil && e.inj.AnyDown() }
 
 // encodeRows is the one DV-table row codec, the body of a recovery shard
 // and of every checkpoint table: the row count, then per row the owner,
-// the dirty mark, the pending window (all flag, lo, hi), the Cols()
-// distances and the Cols() next hops, then the table's ResizeCopies.
+// the dirty mark, the pending window (all flag, lo, hi) and the Cols()
+// distances, then the table's ResizeCopies.
 func encodeRows(enc *binWriter, t *dv.Matrix) {
 	n := t.Cols()
 	rows := t.Rows()
@@ -77,7 +80,6 @@ func encodeRows(enc *binWriter, t *dv.Matrix) {
 		enc.i32(lo)
 		enc.i32(hi)
 		enc.i32s(r.D[:n])
-		enc.i32s(r.NH[:n])
 	}
 	enc.i64(t.ResizeCopies)
 }
@@ -107,14 +109,13 @@ func decodeRows(dec *binReader, t *dv.Matrix, w int, keep func(owner int32) bool
 			return fmt.Errorf("row %d: bad pending window [%d, %d)", owner, lo, hi)
 		}
 		if keep != nil && !keep(owner) {
-			for j := 0; j < 2*w; j++ {
+			for j := 0; j < w; j++ {
 				dec.i32()
 			}
 			continue
 		}
 		row := t.AddRow(owner)
 		dec.i32s(row.D[:w])
-		dec.i32s(row.NH[:w])
 		if dec.err == nil && row.D[owner] != 0 {
 			return fmt.Errorf("row %d: nonzero self distance", owner)
 		}
@@ -127,7 +128,7 @@ func decodeRows(dec *binReader, t *dv.Matrix, w int, keep func(owner int32) bool
 
 // EncodeShard serializes one DV table as a recovery shard: magic, the RC
 // step it captures, width, the rows (encodeRows), and a CRC32-IEEE trailer
-// over everything after the magic. The format (AASHRD01) is shared by the
+// over everything after the magic. The format (AASHRD02) is shared by the
 // in-process simulator's in-memory shards and the multi-process runner's
 // on-disk shard files.
 func EncodeShard(t *dv.Matrix, step int) []byte {
@@ -152,8 +153,11 @@ func DecodeShard(blob []byte, n int, keep func(owner int32) bool) (*dv.Matrix, i
 	if len(blob) < len(shardMagic)+8 {
 		return nil, 0, fmt.Errorf("core: recovery shard truncated (%d bytes)", len(blob))
 	}
-	if string(blob[:len(shardMagic)]) != shardMagic {
-		return nil, 0, fmt.Errorf("core: not a recovery shard (magic %q)", blob[:len(shardMagic)])
+	if magic := blob[:len(shardMagic)]; string(magic) != shardMagic {
+		if bytes.HasPrefix(magic, []byte(shardMagic[:6])) {
+			return nil, 0, fmt.Errorf("%w %s (this build reads %s only)", ErrCheckpointVersion, magic, shardMagic)
+		}
+		return nil, 0, fmt.Errorf("core: not a recovery shard (magic %q)", magic)
 	}
 	payload := blob[len(shardMagic) : len(blob)-8]
 	if crc32.ChecksumIEEE(payload) != uint32(binary.LittleEndian.Uint64(blob[len(blob)-8:])) {

@@ -19,18 +19,15 @@ import (
 
 // Row is the distance vector of one vertex: D[t] is the best known
 // distance from the row's owner to global vertex t (InfDist = none known).
-// NH[t] is the distance-vector-routing next hop: the neighbor of Owner on
-// the path realizing D[t] (-1 = unknown; NH[Owner] = Owner). Next hops
-// enable shortest-path reconstruction across processors once the engine
-// has converged.
+// Rows hold distances only; a shortest path is recovered from converged
+// distances by walking tight edges (core.Engine.Path).
 //
-// While a row is attached to a Matrix, D and NH alias the matrix arena;
-// RemoveRow detaches them onto private backing so migrated rows stay valid
+// While a row is attached to a Matrix, D aliases the matrix arena;
+// RemoveRow detaches it onto private backing so migrated rows stay valid
 // after the slot is reused.
 type Row struct {
 	Owner int32
 	D     []graph.Dist
-	NH    []int32
 	// Dirty marks the row as changed since it was last shipped to
 	// neighboring processors.
 	Dirty bool
@@ -65,7 +62,7 @@ type Row struct {
 	pre       []Agg
 	agg       Agg
 
-	mx *Matrix // non-nil while D/NH alias mx's arena
+	mx *Matrix // non-nil while D aliases mx's arena
 }
 
 // Agg is the snapshot aggregate of a row prefix: over the finite entries
@@ -124,18 +121,11 @@ func (r *Row) Aggregates() (Agg, int) {
 	return r.agg, len(r.D) - k<<6
 }
 
-// Relax lowers D[t] to d if d is an improvement, marking the row dirty.
-// The next hop for t becomes unknown. Reports whether an update happened.
+// Relax lowers D[t] to d if d is an improvement, marking the row dirty
+// and recording t in its frontier. Reports whether an update happened.
 func (r *Row) Relax(t int32, d graph.Dist) bool {
-	return r.RelaxVia(t, d, -1)
-}
-
-// RelaxVia lowers D[t] to d if d is an improvement, recording nh as the
-// next hop toward t. Reports whether an update happened.
-func (r *Row) RelaxVia(t int32, d graph.Dist, nh int32) bool {
 	if d < r.D[t] {
 		r.D[t] = d
-		r.NH[t] = nh
 		if r.F != nil {
 			r.F.Set(int(t))
 		}
@@ -230,10 +220,10 @@ func (r *Row) SetPendingState(all bool, lo, hi int32) {
 }
 
 // Matrix is the per-processor DV store. All rows share one flat row-major
-// arena: the row at position i views d[i*stride : i*stride+cols] (and nh
-// likewise), so consecutive rows are contiguous in memory and the refine
-// phase can stream pivot tiles straight out of the arena (see
-// internal/kernel.MinPlusTile). stride (>= cols) is the allocated column
+// arena: the row at position i views d[i*stride : i*stride+cols], so
+// consecutive rows are contiguous in memory and the refine phase can
+// stream pivot tiles straight out of the arena (see internal/kernel.Tile).
+// stride (>= cols) is the allocated column
 // capacity per row slot: column extension first fills the slack
 // [cols, stride) in place and re-lays the arena with a doubled stride only
 // when the slack runs out — the paper's amortized-doubling O(n+k) resize,
@@ -242,7 +232,6 @@ type Matrix struct {
 	cols   int
 	stride int
 	d      []graph.Dist // len == slot capacity * stride
-	nh     []int32
 	// fw backs the rows' frontier bitmasks at wstride words per slot
 	// (wstride = BitsetWords(stride), so in-place column extension never
 	// re-lays the words). Bits at or beyond cols are kept zero — Set is
@@ -297,14 +286,13 @@ func (m *Matrix) Row(v int32) *Row {
 	return nil
 }
 
-// view re-points row i's D/NH slices at its arena slot. The capacity is
+// view re-points row i's D slice at its arena slot. The capacity is
 // clamped to the slot so an accidental append can never bleed into the
 // next row.
 func (m *Matrix) view(i int) {
 	base := i * m.stride
 	r := m.rows[i]
 	r.D = m.d[base : base+m.cols : base+m.stride]
-	r.NH = m.nh[base : base+m.cols : base+m.stride]
 	wbase := i * m.wstride
 	r.F = kernel.Bitset(m.fw[wbase : wbase+kernel.BitsetWords(m.cols) : wbase+m.wstride])
 }
@@ -325,25 +313,21 @@ func (m *Matrix) ensureSlots(need int) {
 		newCap = 4
 	}
 	d := make([]graph.Dist, newCap*m.stride)
-	nh := make([]int32, newCap*m.stride)
 	fw := make([]uint64, newCap*m.wstride)
 	copy(d, m.d)
-	copy(nh, m.nh)
 	copy(fw, m.fw)
-	m.d, m.nh, m.fw = d, nh, fw
+	m.d, m.fw = d, fw
 	for i := range m.rows {
 		m.view(i)
 	}
 }
 
-// fillSlot initializes columns [lo, cols) of slot i to the fresh-row
-// state (InfDist / unknown next hop), clearing any stale data left by a
-// previously removed row.
+// fillSlot initializes columns [lo, cols) of slot i to InfDist, clearing
+// any stale data left by a previously removed row.
 func (m *Matrix) fillSlot(i, lo int) {
 	base := i * m.stride
 	for c := lo; c < m.cols; c++ {
 		m.d[base+c] = graph.InfDist
-		m.nh[base+c] = -1
 	}
 }
 
@@ -372,7 +356,6 @@ func (m *Matrix) AddRow(v int32) *Row {
 	m.fillSlotWords(i)
 	base := i * m.stride
 	m.d[base+int(v)] = 0
-	m.nh[base+int(v)] = v
 	r := &Row{Owner: v, mx: m}
 	m.index[v] = i
 	m.rows = append(m.rows, r)
@@ -393,19 +376,16 @@ func (m *Matrix) RemoveRow(v int32) *Row {
 	}
 	r := m.rows[i]
 	d := make([]graph.Dist, m.cols)
-	nh := make([]int32, m.cols)
 	fw := make(kernel.Bitset, kernel.BitsetWords(m.cols))
 	copy(d, r.D)
-	copy(nh, r.NH)
 	copy(fw, r.F)
-	r.D, r.NH, r.F, r.mx = d, nh, fw, nil
+	r.D, r.F, r.mx = d, fw, nil
 
 	last := len(m.rows) - 1
 	if i != last {
 		srcBase := last * m.stride
 		dstBase := i * m.stride
 		copy(m.d[dstBase:dstBase+m.cols], m.d[srcBase:srcBase+m.cols])
-		copy(m.nh[dstBase:dstBase+m.cols], m.nh[srcBase:srcBase+m.cols])
 		wSrc := last * m.wstride
 		wDst := i * m.wstride
 		copy(m.fw[wDst:wDst+m.wstride], m.fw[wSrc:wSrc+m.wstride])
@@ -438,7 +418,6 @@ func (m *Matrix) AdoptRow(r *Row) {
 		n = m.cols
 	}
 	copy(m.d[base:base+n], r.D[:n])
-	copy(m.nh[base:base+n], r.NH[:n])
 	m.fillSlot(i, n)
 	m.fillSlotWords(i)
 	wbase := i * m.wstride
@@ -483,16 +462,14 @@ func (m *Matrix) ExtendCols(k int) {
 	}
 	newWstride := kernel.BitsetWords(newStride)
 	d := make([]graph.Dist, slotCap*newStride)
-	nh := make([]int32, slotCap*newStride)
 	fw := make([]uint64, slotCap*newWstride)
 	for i := range m.rows {
 		copy(d[i*newStride:], m.d[i*m.stride:i*m.stride+old])
-		copy(nh[i*newStride:], m.nh[i*m.stride:i*m.stride+old])
 		// frontier bits at/above old cols are zero, so whole words move
 		copy(fw[i*newWstride:], m.fw[i*m.wstride:(i+1)*m.wstride])
 		m.ResizeCopies += int64(old)
 	}
-	m.d, m.nh, m.fw = d, nh, fw
+	m.d, m.fw = d, fw
 	m.stride, m.wstride = newStride, newWstride
 	for i := range m.rows {
 		m.fillSlot(i, old)
@@ -546,9 +523,9 @@ func (m *Matrix) FrontierStats() (words int, bits int64) {
 	return words, bits
 }
 
-// CopyRow returns a deep copy of row r's shippable content — distances
-// only. Next hops are processor-local routing state and the dirty/pending
-// marks are the sender's bookkeeping, so neither travels with a snapshot.
+// CopyRow returns a deep copy of row r's shippable content — its
+// distances. The dirty/pending marks are the sender's bookkeeping and do
+// not travel with a snapshot.
 func CopyRow(r *Row) *Row {
 	return &Row{Owner: r.Owner, D: append([]graph.Dist(nil), r.D...)}
 }

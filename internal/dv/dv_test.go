@@ -275,9 +275,8 @@ func TestCopyRow(t *testing.T) {
 	if c.Owner != 3 {
 		t.Fatal("owner lost")
 	}
-	// Snapshots carry distances only: no next hops, and never the sender's
-	// dirty bookkeeping.
-	if c.NH != nil || c.Dirty {
+	// Snapshots carry distances only, never the sender's dirty bookkeeping.
+	if c.Dirty {
 		t.Fatalf("CopyRow leaked processor-local state: %+v", c)
 	}
 }
@@ -442,7 +441,7 @@ func TestRowAggregates(t *testing.T) {
 	}
 	check("fresh row", 128)
 	check("unchanged", 0)
-	r.RelaxVia(100, 1, 4)
+	r.Relax(100, 1)
 	check("relax at 100", 64)
 	r.D[64] = 2
 	r.MarkChanged(64, 65)

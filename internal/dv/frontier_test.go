@@ -6,7 +6,7 @@ import (
 	"anytime/internal/kernel"
 )
 
-func TestFrontierRelaxViaRecordsBits(t *testing.T) {
+func TestFrontierRelaxRecordsBits(t *testing.T) {
 	m := NewMatrix(10)
 	r := m.AddRow(3)
 	if !r.FAll {
@@ -16,14 +16,14 @@ func TestFrontierRelaxViaRecordsBits(t *testing.T) {
 	if r.FAll || r.F.Any() {
 		t.Fatal("ClearFrontier left state behind")
 	}
-	if !r.RelaxVia(7, 5, 2) {
+	if !r.Relax(7, 5) {
 		t.Fatal("relax should improve")
 	}
 	if !r.F.Get(7) || r.F.OnesCount() != 1 {
 		t.Fatalf("frontier bits wrong: %v", r.F)
 	}
 	// Non-improving relax records nothing.
-	if r.RelaxVia(7, 9, 2) || r.F.OnesCount() != 1 {
+	if r.Relax(7, 9) || r.F.OnesCount() != 1 {
 		t.Fatal("non-improving relax touched the frontier")
 	}
 	r.MarkShipAll()
@@ -46,8 +46,8 @@ func TestFrontierSurvivesArenaMoves(t *testing.T) {
 	for _, r := range m.Rows() {
 		r.ClearFrontier()
 	}
-	m.Row(2).RelaxVia(65, 9, 1)
-	m.Row(4).RelaxVia(3, 9, 1)
+	m.Row(2).Relax(65, 9)
+	m.Row(4).Relax(3, 9)
 
 	// RemoveRow detaches frontier onto private backing and the slot-swap
 	// must carry the last row's words along.
@@ -59,7 +59,7 @@ func TestFrontierSurvivesArenaMoves(t *testing.T) {
 		t.Fatalf("slot-swapped row 4 frontier wrong: %v", got)
 	}
 	// Mutating the matrix after detach must not alias the removed row.
-	m.Row(4).RelaxVia(60, 1, 1)
+	m.Row(4).Relax(60, 1)
 	if r2.F.Get(60) {
 		t.Fatal("detached frontier aliases the arena")
 	}
@@ -81,7 +81,7 @@ func TestFrontierExtendCols(t *testing.T) {
 	m := NewMatrix(100)
 	r := m.AddRow(0)
 	r.ClearFrontier()
-	r.RelaxVia(99, 5, 0)
+	r.Relax(99, 5)
 	m.ExtendCols(0) // no-op
 	if !r.F.Get(99) {
 		t.Fatal("no-op extend lost a bit")
@@ -102,7 +102,7 @@ func TestFrontierExtendCols(t *testing.T) {
 			t.Fatalf("new column %d marked changed", c)
 		}
 	}
-	r.RelaxVia(159, 2, 0)
+	r.Relax(159, 2)
 	if !r.F.Get(159) {
 		t.Fatal("cannot set bit in extended region")
 	}
@@ -115,7 +115,7 @@ func TestFrontierSlotReuseIsClean(t *testing.T) {
 	m := NewMatrix(64)
 	a := m.AddRow(1)
 	a.ClearFrontier()
-	a.RelaxVia(10, 3, 1)
+	a.Relax(10, 3)
 	m.RemoveRow(1)
 	// The freed slot is reused by the next AddRow; stale bits must not leak.
 	b := m.AddRow(2)
@@ -139,8 +139,8 @@ func TestFrontierStats(t *testing.T) {
 	if words, bits = m.FrontierStats(); words != 0 || bits != 0 {
 		t.Fatalf("cleared stats: words=%d bits=%d", words, bits)
 	}
-	m.Row(1).RelaxVia(5, 1, 0)
-	m.Row(1).RelaxVia(128, 1, 0)
+	m.Row(1).Relax(5, 1)
+	m.Row(1).Relax(128, 1)
 	if words, bits = m.FrontierStats(); words != 2 || bits != 2 {
 		t.Fatalf("sparse stats: words=%d bits=%d", words, bits)
 	}

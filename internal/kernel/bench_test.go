@@ -15,14 +15,12 @@ import (
 // regime (2%) is what RC steady state looks like — most relaxations fail
 // once the cascade is near convergence — while the dense regime (40%)
 // stresses the store path right after a disturbance.
-func benchRows(n int, improve float64, seed int64) (dst []graph.Dist, nh []int32, src []graph.Dist) {
+func benchRows(n int, improve float64, seed int64) (dst, src []graph.Dist) {
 	rng := rand.New(rand.NewSource(seed))
 	dst = make([]graph.Dist, n)
-	nh = make([]int32, n)
 	src = make([]graph.Dist, n)
 	const add = 3
 	for i := range dst {
-		nh[i] = -1
 		if rng.Float64() < 0.1 {
 			src[i] = graph.InfDist
 			dst[i] = graph.Dist(500 + rng.Intn(500))
@@ -35,20 +33,20 @@ func benchRows(n int, improve float64, seed int64) (dst []graph.Dist, nh []int32
 			dst[i] = src[i]
 		}
 	}
-	return dst, nh, src
+	return dst, src
 }
 
 // benchKernel relaxes one 4096-column row per iteration; the copy that
 // resets the row is inside the timed loop.
 func benchKernel(b *testing.B, improve float64) {
-	dst, nh, src := benchRows(4096, improve, 1)
+	dst, src := benchRows(4096, improve, 1)
 	work := append([]graph.Dist(nil), dst...)
 	b.SetBytes(int64(4 * len(src)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, dst)
-		MinPlusHops(work, nh, src, 3, 7)
+		MinPlusWindow(work, src, 3)
 	}
 }
 
@@ -61,11 +59,11 @@ func benchKernel(b *testing.B, improve float64) {
 func BenchmarkRCKernelHops(b *testing.B) {
 	for _, n := range []int{8, 24, 56, 1000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			dst, nh, src := benchRows(n, 0, 1)
+			dst, src := benchRows(n, 0, 1)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MinPlusHops(dst, nh, src, 3, 7)
+				MinPlusWindow(dst, src, 3)
 			}
 		})
 	}
@@ -74,13 +72,13 @@ func BenchmarkRCKernelHops(b *testing.B) {
 // benchTile builds a refine-tile workload: one destination row relaxed
 // through tileRows pivot rows that live either packed in a flat row-major
 // arena (the dv.Matrix layout MinPlusTile streams) or as individually
-// heap-allocated rows driven by a per-pivot MinPlusHops loop (the pre-PR
-// layout). The relax arithmetic and apply order are identical — the pair
+// heap-allocated rows driven by a per-pivot MinPlusWindow loop (the
+// pre-arena layout). The relax arithmetic and apply order are identical — the pair
 // isolates the memory-layout effect of streaming contiguous pivot rows.
 func benchTile(b *testing.B, packed bool) {
 	const n, tileRows = 4096, 32
 	rng := rand.New(rand.NewSource(9))
-	dst, nh, _ := benchRows(n, 0.02, 1)
+	dst, _ := benchRows(n, 0.02, 1)
 	arena := make([]graph.Dist, tileRows*n)
 	rows := make([][]graph.Dist, tileRows)
 	offs := make([]int32, tileRows)
@@ -106,14 +104,14 @@ func benchTile(b *testing.B, packed bool) {
 	for i := 0; i < b.N; i++ {
 		copy(work, dst)
 		if packed {
-			MinPlusTile(work, nh, arena, n, offs, owners)
+			MinPlusTile(work, nil, arena, n, offs, owners)
 		} else {
 			for p := range rows {
 				add := work[owners[p]]
 				if add == graph.InfDist {
 					continue
 				}
-				MinPlusHops(work, nh, rows[p], add, nh[owners[p]])
+				MinPlusWindow(work, rows[p], add)
 			}
 		}
 	}
@@ -155,14 +153,14 @@ func BenchmarkRCKernelMasked(b *testing.B) {
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))
-			dst, nh, src := benchRows(n, 0, 1)
+			dst, src := benchRows(n, 0, 1)
 			var m BlockMask
 			m.Compile(nil, maskedShape(n, c.band, c.pct, rng), n)
 			rec := NewBitset(n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				MinPlusHopsBlocks(dst, nh, src, 3, 7, &m, rec, 0)
+				MinPlusBlocks(dst, src, 3, &m, rec, 0)
 			}
 		})
 	}
@@ -172,7 +170,7 @@ func BenchmarkRCKernelMasked(b *testing.B) {
 // n=1000, P=4 refine pass: 250 destination rows relaxed through a 32-pivot
 // tile of 1,000-column rows. "grouped" runs the tile the way the engine
 // does: GroupK pivots at a time, each run prepared once as a Group, rows
-// inner. "per-pivot" is the loop it replaced: rows outer, MinPlusHops per
+// inner. "per-pivot" is the loop it replaced: rows outer, MinPlusWindow per
 // pivot with the add re-read between pivots. In "converged" no composition
 // improves, the steady state of every RC step after the first; in
 // "improve=2%" 2 % of each row's columns sit above their relaxed value, as
@@ -191,7 +189,6 @@ func BenchmarkRCKernelGroup(b *testing.B) {
 		arena[p*n+int(owners[p])] = 0
 	}
 	fixed := make([][]graph.Dist, rows)
-	nh := make([]int32, n)
 	for r := range fixed {
 		row := make([]graph.Dist, n)
 		for t := range row {
@@ -201,7 +198,7 @@ func BenchmarkRCKernelGroup(b *testing.B) {
 			row[o] = graph.Dist(1 + rng.Intn(4))
 		}
 		for { // the tile's fixpoint
-			if lo, hi, _ := MinPlusTile(row, nh, arena, n, offs, owners); lo >= hi {
+			if lo, hi, _ := MinPlusTile(row, nil, arena, n, offs, owners); lo >= hi {
 				break
 			}
 		}
@@ -249,7 +246,7 @@ func BenchmarkRCKernelGroup(b *testing.B) {
 					if grouped {
 						for c := range groups {
 							for _, row := range work {
-								groups[c].Relax(row, nh, nil)
+								groups[c].Relax(row, nil)
 							}
 						}
 						continue
@@ -257,7 +254,7 @@ func BenchmarkRCKernelGroup(b *testing.B) {
 					for _, row := range work {
 						for p, o := range owners {
 							if add := row[o]; add != graph.InfDist {
-								MinPlusHops(row, nh, arena[p*n:(p+1)*n], add, nh[o])
+								MinPlusWindow(row, arena[p*n:(p+1)*n], add)
 							}
 						}
 					}

@@ -17,15 +17,15 @@ import (
 // 32-column block that improves replays the pivots in order.
 //
 // The result is bit-identical to relaxing the pivots one at a time in push
-// order — dst, nh, every pivot's changed window, its rec bits and the op
-// count — because each column is independent of the others once every
-// pivot's add and hop are known:
+// order — dst, every pivot's changed window, its rec bits and the op count
+// — because each column is independent of the others once every pivot's
+// add is known:
 //
-//   - Adds and hops by recurrence. One at a time, pivot j reads add_j =
-//     dst[b_j] and hop_j = nh[b_j] after pivots < j have swept (b_j is its
-//     owner's column). Relax computes both before the sweep: column b_j
-//     starts at dst[b_j], and pivot i < j lowers it iff b_j is in pivot i's
-//     window and add_i + src_i[b_j] < the value so far (unsigned). A pivot
+//   - Adds by recurrence. One at a time, pivot j reads add_j = dst[b_j]
+//     after pivots < j have swept (b_j is its owner's column). Relax
+//     computes it before the sweep: column b_j starts at dst[b_j], and
+//     pivot i < j lowers it iff b_j is in pivot i's window and add_i +
+//     src_i[b_j] < the value so far (unsigned). A pivot
 //     whose add is still InfDist afterwards is skipped and charges no ops,
 //     exactly as the one-pivot loop skips it.
 //   - Windows. A pivot may cover only part of dst (a delta window; they
@@ -35,7 +35,7 @@ import (
 //     InfDist entry never improves a column — so every column still sees
 //     the pivots that cover it in push order.
 //   - Frontier bits. rec gets each pivot's own changed window, not the
-//     group's hull, as the per-pivot MinPlusHopsRec calls would set them.
+//     group's hull, as the per-pivot MinPlusRec calls would set them.
 //
 // When the union would cost more than half as many lanes again as the
 // windows themselves, and for a single pivot, the group relaxes its pivots
@@ -52,12 +52,11 @@ import (
 const GroupK = 8
 
 // groupState is what the grouped bodies read and write per pivot of a
-// sweep: add and hop in, the changed window [lo, hi) (relative to the swept
-// range, lo starting at the range width) out. minplus_amd64.s addresses it
-// by offset: add at 0, hop at 32, lo at 64, hi at 128.
+// sweep: add in, the changed window [lo, hi) (relative to the swept range,
+// lo starting at the range width) out. minplus_amd64.s addresses it by
+// offset: add at 0, lo at 32, hi at 96.
 type groupState struct {
 	add [GroupK]graph.Dist
-	hop [GroupK]int32
 	lo  [GroupK]int
 	hi  [GroupK]int
 }
@@ -88,7 +87,6 @@ type groupPivot struct {
 	row   []graph.Dist // what the grouped sweep reads from column u0 on
 	ops   int          // len(src) as pushed: the pivot's charge
 	owner int32        // dst column holding the distance to the pivot
-	hop   int32        // nh[owner] at the pivot's turn
 	add   uint32
 	lo    int // changed window in dst columns, lo >= hi when none
 	hi    int
@@ -189,20 +187,20 @@ func (g *Group) prepareSweep() {
 // Relax relaxes dst (at least the prepared width long) through the pivots,
 // bit-identically to calling
 //
-//	MinPlusHopsRec(dst[off:], nh[off:], src, dst[owner], nh[owner], rec, off)
+//	MinPlusRec(dst[off:], src, dst[owner], rec, off)
 //
 // for each in push order and skipping those whose distance is InfDist at
 // their turn. It returns the hull [lo, hi) of the pivots' changed windows
 // (lo >= hi when nothing improved) and the ops charged: len(src) per
 // applied pivot.
-func (g *Group) Relax(dst []graph.Dist, nh []int32, rec Bitset) (lo, hi int, ops int64) {
-	return g.relax(dst, nh, rec, g.all)
+func (g *Group) Relax(dst []graph.Dist, rec Bitset) (lo, hi int, ops int64) {
+	return g.relax(dst, rec, g.all)
 }
 
 // relax is Relax over the pivots whose bits are set in use.
-func (g *Group) relax(dst []graph.Dist, nh []int32, rec Bitset, use uint32) (lo, hi int, ops int64) {
+func (g *Group) relax(dst []graph.Dist, rec Bitset, use uint32) (lo, hi int, ops int64) {
 	n := g.n
-	dst, nh = dst[:n], nh[:n]
+	dst = dst[:n]
 	lo, hi = n, 0
 	if !g.grouped {
 		for m := use; m != 0; m &= m - 1 {
@@ -213,7 +211,7 @@ func (g *Group) relax(dst []graph.Dist, nh []int32, rec Bitset, use uint32) (lo,
 				continue
 			}
 			ops += int64(pj.ops)
-			if clo, chi := MinPlusHops(dst[pj.off:], nh[pj.off:], pj.src, add, nh[pj.owner]); clo < chi {
+			if clo, chi := MinPlusWindow(dst[pj.off:], pj.src, add); clo < chi {
 				pj.lo, pj.hi = pj.off+clo, pj.off+chi
 				if rec != nil {
 					rec.SetRange(pj.lo, pj.hi)
@@ -226,14 +224,14 @@ func (g *Group) relax(dst []graph.Dist, nh []int32, rec Bitset, use uint32) (lo,
 	if !g.ready {
 		g.prepareSweep()
 	}
-	// Adds and hops by recurrence over the applied pivots before each. The
+	// Adds by recurrence over the applied pivots before each. The
 	// owner columns are all read first: they are cache misses more often
 	// than not, and independent. amin, the least add applied so far, skips
 	// the pivots no earlier one can reach: amin + cmin[j] bounds every
 	// add_i + c[i][j] from below.
 	for m := use; m != 0; m &= m - 1 {
 		pj := &g.p[bits.TrailingZeros32(m)&(GroupK-1)]
-		pj.add, pj.hop = uint32(dst[pj.owner]), nh[pj.owner]
+		pj.add = uint32(dst[pj.owner])
 		pj.lo, pj.hi = n, 0
 	}
 	var applied uint32
@@ -241,15 +239,13 @@ func (g *Group) relax(dst []graph.Dist, nh []int32, rec Bitset, use uint32) (lo,
 	for m := use; m != 0; m &= m - 1 {
 		j := bits.TrailingZeros32(m) & (GroupK - 1)
 		pj := &g.p[j]
-		a, h := pj.add, pj.hop
+		a := pj.add
 		if amin+g.cmin[j] < a {
 			for mi := applied; mi != 0; mi &= mi - 1 {
 				i := bits.TrailingZeros32(mi) & (GroupK - 1)
-				if nd := g.p[i].add + g.c[i][j]; nd < a {
-					a, h = nd, g.p[i].hop
-				}
+				a = min(a, g.p[i].add+g.c[i][j])
 			}
-			pj.add, pj.hop = a, h
+			pj.add = a
 		}
 		if graph.Dist(a) != graph.InfDist {
 			applied |= 1 << j
@@ -265,7 +261,7 @@ func (g *Group) relax(dst []graph.Dist, nh []int32, rec Bitset, use uint32) (lo,
 		set = &g.set
 		set.build(g.p[:], cov)
 	}
-	g.sweep(dst, nh, set)
+	g.sweep(dst, set)
 	for m := set.cov; m != 0; m &= m - 1 {
 		pj := &g.p[bits.TrailingZeros32(m)&(GroupK-1)]
 		if pj.lo < pj.hi {
@@ -280,18 +276,18 @@ func (g *Group) relax(dst []graph.Dist, nh []int32, rec Bitset, use uint32) (lo,
 
 // sweep relaxes dst columns [u0, u1) through the pivots of set and folds
 // each one's changes into its window.
-func (g *Group) sweep(dst []graph.Dist, nh []int32, set *groupSet) {
+func (g *Group) sweep(dst []graph.Dist, set *groupSet) {
 	s0, s1 := g.u0, g.u1
 	st := &g.state
 	for c := 0; c < set.k; c++ {
 		pj := &g.p[set.idx[c]]
-		st.add[c], st.hop[c] = graph.Dist(pj.add), pj.hop
+		st.add[c] = graph.Dist(pj.add)
 		st.lo[c], st.hi[c] = s1-s0, 0
 	}
 	if set.k == 1 {
-		st.lo[0], st.hi[0] = MinPlusHops(dst[s0:s1], nh[s0:s1], set.cut[0], st.add[0], st.hop[0])
+		st.lo[0], st.hi[0] = MinPlusWindow(dst[s0:s1], set.cut[0], st.add[0])
 	} else {
-		groupBody(dst[s0:s1], nh[s0:s1], set, st)
+		groupBody(dst[s0:s1], set, st)
 	}
 	for c := 0; c < set.k; c++ {
 		if st.lo[c] < st.hi[c] {
@@ -323,9 +319,9 @@ func (g *Group) sweep(dst []graph.Dist, nh []int32, set *groupSet) {
 // Returns the changed window, total relax operations (len(src) for full
 // sweeps, visited columns for masked ones — the LogP charge), and the
 // masked-visit subtotal (telemetry: how much work the masks let through).
-func (g *Group) RelaxMasked(dst []graph.Dist, nh []int32, masks []*BlockMask, rec Bitset, dstFull bool) (lo, hi int, ops, maskedOps int64) {
+func (g *Group) RelaxMasked(dst []graph.Dist, masks []*BlockMask, rec Bitset, dstFull bool) (lo, hi int, ops, maskedOps int64) {
 	if masks == nil || dstFull {
-		lo, hi, ops = g.relax(dst, nh, rec, g.all)
+		lo, hi, ops = g.relax(dst, rec, g.all)
 		return lo, hi, ops, 0
 	}
 	lo, hi = g.n, 0
@@ -335,7 +331,7 @@ func (g *Group) RelaxMasked(dst []graph.Dist, nh []int32, masks []*BlockMask, re
 		owner := int(pj.owner)
 		if m := SweepMask(masks[j], rec, owner, false); m != nil {
 			if run != 0 {
-				clo, chi, o := g.relax(dst, nh, rec, run)
+				clo, chi, o := g.relax(dst, rec, run)
 				lo, hi, ops, run = min(lo, clo), max(hi, chi), ops+o, 0
 				m = SweepMask(m, rec, owner, false) // the run may have set the owner bit
 			}
@@ -344,7 +340,7 @@ func (g *Group) RelaxMasked(dst []graph.Dist, nh []int32, masks []*BlockMask, re
 				if add == graph.InfDist {
 					continue
 				}
-				if clo, chi := MinPlusHopsBlocks(dst[pj.off:], nh[pj.off:], pj.src, add, nh[owner], m, rec, pj.off); clo < chi {
+				if clo, chi := MinPlusBlocks(dst[pj.off:], pj.src, add, m, rec, pj.off); clo < chi {
 					lo, hi = min(lo, pj.off+clo), max(hi, pj.off+chi)
 				}
 				ops += int64(m.ops)
@@ -355,7 +351,7 @@ func (g *Group) RelaxMasked(dst []graph.Dist, nh []int32, masks []*BlockMask, re
 		run |= 1 << j
 	}
 	if run != 0 {
-		clo, chi, o := g.relax(dst, nh, rec, run)
+		clo, chi, o := g.relax(dst, rec, run)
 		lo, hi, ops = min(lo, clo), max(hi, chi), ops+o
 	}
 	return lo, hi, ops, maskedOps
@@ -374,16 +370,15 @@ func SweepMask(m *BlockMask, rec Bitset, owner int, dstFull bool) *BlockMask {
 	return m
 }
 
-// groupGeneric relaxes columns [from, len(dst)) of dst and nh through the
-// k pivots of st, whose rows srcs[j] are aligned with dst and at least as
-// long: per column the unsigned minimum of add_j + src_j[t] over
-// the group, and only a column it improves replays the pivots in order.
+// groupGeneric relaxes columns [from, len(dst)) of dst through the k
+// pivots of st, whose rows srcs[j] are aligned with dst and at least as
+// long: per column the unsigned minimum of add_j + src_j[t] over the
+// group, and only a column it improves replays the pivots in order.
 // It folds each pivot's changed columns into st's windows. This is the
 // grouped body on builds without the vector one, and the n mod 8 tail of
 // the vector one.
-func groupGeneric(dst []graph.Dist, nh []int32, srcs *[GroupK][]graph.Dist, st *groupState, k, from int) {
+func groupGeneric(dst []graph.Dist, srcs *[GroupK][]graph.Dist, st *groupState, k, from int) {
 	n := len(dst)
-	nh = nh[:n]
 	for t := from; t < n; t++ {
 		d := uint32(dst[t])
 		m := d
@@ -397,7 +392,6 @@ func groupGeneric(dst []graph.Dist, nh []int32, srcs *[GroupK][]graph.Dist, st *
 			if nd := uint32(st.add[j]) + uint32(srcs[j][t]); nd < d {
 				d = nd
 				dst[t] = graph.Dist(nd)
-				nh[t] = st.hop[j]
 				st.lo[j] = min(st.lo[j], t)
 				st.hi[j] = t + 1
 			}
@@ -484,7 +478,7 @@ func (t *Tile) Prepare(n int) {
 // Relax relaxes dst through the tile's pivots in push order, as
 // Group.RelaxMasked does for each group, and returns the same window and
 // counts for the whole tile.
-func (t *Tile) Relax(dst []graph.Dist, nh []int32, rec Bitset, dstFull bool) (lo, hi int, ops, maskedOps int64) {
+func (t *Tile) Relax(dst []graph.Dist, rec Bitset, dstFull bool) (lo, hi int, ops, maskedOps int64) {
 	lo, hi = len(dst), 0
 	for i := range t.g[:t.ng+1] {
 		g := &t.g[i]
@@ -492,7 +486,7 @@ func (t *Tile) Relax(dst []graph.Dist, nh []int32, rec Bitset, dstFull bool) (lo
 		if t.masked {
 			masks = t.m[i][:g.Len()]
 		}
-		clo, chi, o, m := g.RelaxMasked(dst, nh, masks, rec, dstFull)
+		clo, chi, o, m := g.RelaxMasked(dst, masks, rec, dstFull)
 		lo, hi, ops, maskedOps = min(lo, clo), max(hi, chi), ops+o, maskedOps+m
 	}
 	return lo, hi, ops, maskedOps

@@ -12,20 +12,20 @@ import (
 // groupState by.
 func TestGroupStateLayout(t *testing.T) {
 	var st groupState
-	got := [4]uintptr{unsafe.Offsetof(st.add), unsafe.Offsetof(st.hop), unsafe.Offsetof(st.lo), unsafe.Offsetof(st.hi)}
-	if got != [4]uintptr{0, 32, 64, 128} || GroupK != 8 {
-		t.Fatalf("groupState offsets %v with GroupK %d, the assembly expects [0 32 64 128] and 8", got, GroupK)
+	got := [3]uintptr{unsafe.Offsetof(st.add), unsafe.Offsetof(st.lo), unsafe.Offsetof(st.hi)}
+	if got != [3]uintptr{0, 32, 96} || GroupK != 8 {
+		t.Fatalf("groupState offsets %v with GroupK %d, the assembly expects [0 32 96] and 8", got, GroupK)
 	}
 }
 
 // groupCase is one FuzzMinPlusGroup input: a guarded destination row and
 // k pivots, each a row over a window of it and an owner column.
 type groupCase struct {
-	dstBack, nhBack []int32
-	at, n           int
-	srcs            [][]graph.Dist
-	offs            []int
-	owners          []int32
+	dstBack []int32
+	at, n   int
+	srcs    [][]graph.Dist
+	offs    []int
+	owners  []int32
 }
 
 // groupDist draws a distance: unreachable, small, mid-range or just below
@@ -46,7 +46,7 @@ func groupDist(rng *rand.Rand) graph.Dist {
 // newGroupCase derives a case from fuzz arguments. Widths are 1-300 (every
 // n mod 8). shape picks the windows: full rows (some trailing past dst),
 // 64-aligned delta windows, arbitrary windows, or a mix. Owners fall inside
-// earlier pivots' windows with pivot entries there set low, so the add/hop
+// earlier pivots' windows with pivot entries there set low, so the add
 // recurrence fires; some are duplicates, and some start at InfDist so an
 // earlier pivot makes them finite mid-group. With sparse set, dst is first
 // lowered to the initial compositions on most columns, so whole 32-lane
@@ -59,11 +59,9 @@ func newGroupCase(raw []byte, n uint16, k, shape uint8, sparse bool) *groupCase 
 	rng := rand.New(rand.NewSource(seed))
 	c := &groupCase{n: 1 + int(n)%300, at: guard + int(shape>>2)%8}
 	c.dstBack, _ = guarded(c.n, c.at-guard)
-	c.nhBack, _ = guarded(c.n, c.at-guard)
-	dst, nh := c.dstBack[c.at:c.at+c.n], c.nhBack[c.at:c.at+c.n]
+	dst := c.dstBack[c.at : c.at+c.n]
 	for t := range dst {
 		dst[t] = groupDist(rng)
-		nh[t] = int32(t)
 	}
 	np := 1 + int(k)%GroupK
 	for j := 0; j < np; j++ {
@@ -129,37 +127,37 @@ func newGroupCase(raw []byte, n uint16, k, shape uint8, sparse bool) *groupCase 
 }
 
 type groupRun struct {
-	dstBack, nhBack []int32
-	rec             Bitset
-	lo, hi          []int // per pivot
-	hull            [2]int
-	ops             int64
+	dstBack []int32
+	rec     Bitset
+	lo, hi  []int // per pivot
+	hull    [2]int
+	ops     int64
 }
 
 func (c *groupCase) start(withRec bool) groupRun {
-	r := groupRun{dstBack: append([]int32(nil), c.dstBack...), nhBack: append([]int32(nil), c.nhBack...)}
+	r := groupRun{dstBack: append([]int32(nil), c.dstBack...)}
 	if withRec {
 		r.rec = NewBitset(c.n + 64)
 	}
 	return r
 }
 
-func (c *groupCase) views(r *groupRun) ([]graph.Dist, []int32) {
-	return r.dstBack[c.at : c.at+c.n], r.nhBack[c.at : c.at+c.n]
+func (c *groupCase) view(r *groupRun) []graph.Dist {
+	return r.dstBack[c.at : c.at+c.n]
 }
 
-// reference relaxes the pivots one at a time through MinPlusHopsRec, the
-// whole sequence passes times; windows and ops are the last pass's.
+// reference relaxes the pivots one at a time through MinPlusRec, the whole
+// sequence passes times; windows and ops are the last pass's.
 func (c *groupCase) reference(withRec bool, passes int) groupRun {
 	r := c.start(withRec)
-	dst, nh := c.views(&r)
+	dst := c.view(&r)
 	for pass := 0; pass < passes; pass++ {
 		r.hull, r.ops, r.lo, r.hi = [2]int{c.n, 0}, 0, r.lo[:0], r.hi[:0]
 		for j, src := range c.srcs {
 			lo, hi := c.n, 0
 			if b := c.owners[j]; dst[b] != graph.InfDist {
 				off := c.offs[j]
-				if clo, chi := MinPlusHopsRec(dst[off:], nh[off:], src, dst[b], nh[b], r.rec, off); clo < chi {
+				if clo, chi := MinPlusRec(dst[off:], src, dst[b], r.rec, off); clo < chi {
 					lo, hi = off+clo, off+chi
 					r.hull = [2]int{min(r.hull[0], lo), max(r.hull[1], hi)}
 				}
@@ -175,14 +173,14 @@ func (c *groupCase) reference(withRec bool, passes int) groupRun {
 // passes times.
 func (c *groupCase) grouped(withRec bool, passes int) groupRun {
 	r := c.start(withRec)
-	dst, nh := c.views(&r)
+	dst := c.view(&r)
 	var g Group
 	for j, src := range c.srcs {
 		g.Push(src, c.offs[j], c.owners[j])
 	}
 	g.Prepare(c.n)
 	for pass := 0; pass < passes; pass++ {
-		lo, hi, ops := g.Relax(dst, nh, r.rec)
+		lo, hi, ops := g.Relax(dst, r.rec)
 		r.hull, r.ops, r.lo, r.hi = [2]int{lo, hi}, ops, r.lo[:0], r.hi[:0]
 		for j := range c.srcs {
 			r.lo, r.hi = append(r.lo, g.p[j].lo), append(r.hi, g.p[j].hi)
@@ -198,7 +196,7 @@ func windowsEqual(alo, ahi, blo, bhi int) bool {
 
 // FuzzMinPlusGroup holds Group.Relax on the selected body (AVX2 where the
 // machine has it) and on the scalar one to the sequential one-pivot
-// reference: same dst and nh (nothing written outside the row), the same
+// reference: same dst (nothing written outside the row), the same
 // changed window per pivot and hull, the same rec bits (or a nil rec) and
 // the same ops. Some cases relax the row twice through one Prepare, as the
 // engine relaxes many rows through one.
@@ -229,7 +227,6 @@ func FuzzMinPlusGroup(f *testing.F) {
 				}
 			}
 			sameBacking(t, name+" dst", got.dstBack, want.dstBack)
-			sameBacking(t, name+" nh", got.nhBack, want.nhBack)
 			for i := range want.rec {
 				if got.rec[i] != want.rec[i] {
 					t.Fatalf("%s, n %d: rec word %d = %#x, want %#x", name, c.n, i, got.rec[i], want.rec[i])
@@ -239,24 +236,23 @@ func FuzzMinPlusGroup(f *testing.F) {
 	})
 }
 
-// TestGroupRecurrence pins the two cases the add/hop recurrence exists for:
-// a later pivot whose distance an earlier one lowers (so it must relax with
-// the lowered add and the earlier pivot's hop), and one whose distance is
-// InfDist until an earlier pivot reaches it.
+// TestGroupRecurrence pins the two cases the add recurrence exists for: a
+// later pivot whose distance an earlier one lowers (so it must relax with
+// the lowered add), and one whose distance is InfDist until an earlier
+// pivot reaches it.
 func TestGroupRecurrence(t *testing.T) {
 	inf := graph.InfDist
 	for _, start := range []graph.Dist{9, inf} {
 		dst := []graph.Dist{0, 2, start, 50, 50, 50, 50, 50, 50, 50}
-		nh := []int32{0, 1, 2, -1, -1, -1, -1, -1, -1, -1}
 		p0 := []graph.Dist{inf, 0, 1, inf, inf, inf, inf, inf, inf, inf} // owner 1
 		p1 := []graph.Dist{inf, inf, 0, 4, 4, 4, 4, 4, 4, 4}             // owner 2
 		var g Group
 		g.Push(p0, 0, 1)
 		g.Push(p1, 0, 2)
 		g.Prepare(len(dst))
-		_, _, ops := g.Relax(dst, nh, nil)
-		if dst[2] != 3 || nh[2] != 1 || dst[9] != 7 || nh[9] != 1 || ops != 20 {
-			t.Fatalf("start %d: dst %v nh %v ops %d, want dst[2]=3 dst[9]=7 via hop 1, ops 20", start, dst, nh, ops)
+		_, _, ops := g.Relax(dst, nil)
+		if dst[2] != 3 || dst[9] != 7 || ops != 20 {
+			t.Fatalf("start %d: dst %v ops %d, want dst[2]=3 dst[9]=7, ops 20", start, dst, ops)
 		}
 	}
 }
@@ -301,14 +297,13 @@ func TestTileMatchesSequential(t *testing.T) {
 		for t := range dst0 {
 			dst0[t] = groupDist(rng)
 		}
-		nh0 := make([]int32, n)
 		rec0 := NewBitset(n)
 		for t := 0; t < n; t += 1 + rng.Intn(16) {
 			rec0.Set(t)
 		}
 		dstFull := trial%7 == 0
 
-		wantDst, wantNH, wantRec := append([]graph.Dist(nil), dst0...), append([]int32(nil), nh0...), append(Bitset(nil), rec0...)
+		wantDst, wantRec := append([]graph.Dist(nil), dst0...), append(Bitset(nil), rec0...)
 		wlo, whi, wops, wmasked := n, 0, int64(0), int64(0)
 		for _, p := range ps {
 			add := wantDst[p.owner]
@@ -317,11 +312,11 @@ func TestTileMatchesSequential(t *testing.T) {
 			}
 			var lo, hi int
 			if p.mask != nil && !dstFull && !wantRec.Get(int(p.owner)) {
-				lo, hi = MinPlusHopsBlocks(wantDst[p.off:], wantNH[p.off:], p.src, add, wantNH[p.owner], p.mask, wantRec, p.off)
+				lo, hi = MinPlusBlocks(wantDst[p.off:], p.src, add, p.mask, wantRec, p.off)
 				wops += int64(p.mask.Ops())
 				wmasked += int64(p.mask.Ops())
 			} else {
-				lo, hi = MinPlusHopsRec(wantDst[p.off:], wantNH[p.off:], p.src, add, wantNH[p.owner], wantRec, p.off)
+				lo, hi = MinPlusRec(wantDst[p.off:], p.src, add, wantRec, p.off)
 				wops += int64(len(p.src))
 			}
 			if lo < hi {
@@ -329,22 +324,22 @@ func TestTileMatchesSequential(t *testing.T) {
 			}
 		}
 
-		dst, nh, rec := append([]graph.Dist(nil), dst0...), append([]int32(nil), nh0...), append(Bitset(nil), rec0...)
+		dst, rec := append([]graph.Dist(nil), dst0...), append(Bitset(nil), rec0...)
 		lo, hi, ops, masked := n, 0, int64(0), int64(0)
 		for j := 0; j < np; {
 			tile.Reset()
 			for ; j < np && tile.Push(ps[j].src, ps[j].off, ps[j].owner, ps[j].mask); j++ {
 			}
 			tile.Prepare(n)
-			clo, chi, o, m := tile.Relax(dst, nh, rec, dstFull)
+			clo, chi, o, m := tile.Relax(dst, rec, dstFull)
 			lo, hi, ops, masked = min(lo, clo), max(hi, chi), ops+o, masked+m
 		}
 		if !windowsEqual(lo, hi, wlo, whi) || ops != wops || masked != wmasked {
 			t.Fatalf("trial %d: window (%d,%d) ops %d masked %d, want (%d,%d) %d %d", trial, lo, hi, ops, masked, wlo, whi, wops, wmasked)
 		}
 		for i := range dst {
-			if dst[i] != wantDst[i] || nh[i] != wantNH[i] {
-				t.Fatalf("trial %d: column %d (%d,%d), want (%d,%d)", trial, i, dst[i], nh[i], wantDst[i], wantNH[i])
+			if dst[i] != wantDst[i] {
+				t.Fatalf("trial %d: column %d = %d, want %d", trial, i, dst[i], wantDst[i])
 			}
 		}
 		for i := range rec {
@@ -360,7 +355,7 @@ func TestTileMatchesSequential(t *testing.T) {
 // the exact-state closed form (internal/core/exact.go) sums: nothing when
 // the row's distance to the pivot's owner is InfDist, the mask's bits below
 // its width (Bitset.OnesCountBelow) when SweepMask picks the mask, the
-// pivot's length as pushed otherwise; and Relax leaves dst, nh and rec as
+// pivot's length as pushed otherwise; and Relax leaves dst and rec as
 // they were. Pivots span several groups, windows are full rows (some
 // trailing past dst), 64-aligned delta windows or arbitrary ones, half
 // carry a compiled mask, and owners are often InfDist or have their
@@ -380,10 +375,8 @@ func FuzzTileCount(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		w := 1 + int(n)%300
 		dst := make([]graph.Dist, w)
-		nh := make([]int32, w)
 		for c := range dst {
 			dst[c] = groupDist(rng)
-			nh[c] = int32(rng.Intn(w))
 		}
 		var rec Bitset
 		if !nilRec {
@@ -437,15 +430,15 @@ func FuzzTileCount(f *testing.F) {
 					wantOps += int64(sw)
 				}
 			}
-			d0, nh0, rec0 := append([]graph.Dist(nil), dst...), append([]int32(nil), nh...), append(Bitset(nil), rec...)
+			d0, rec0 := append([]graph.Dist(nil), dst...), append(Bitset(nil), rec...)
 			tile.Prepare(w)
-			lo, hi, ops, masked := tile.Relax(dst, nh, rec, dstFull)
+			lo, hi, ops, masked := tile.Relax(dst, rec, dstFull)
 			if lo < hi || ops != wantOps || masked != wantMasked {
 				t.Fatalf("width %d, %d pivots: Relax window (%d,%d) ops %d masked %d, want %d %d", w, tile.Len(), lo, hi, ops, masked, wantOps, wantMasked)
 			}
 			for c := range dst {
-				if dst[c] != d0[c] || nh[c] != nh0[c] {
-					t.Fatalf("width %d: column %d (%d,%d), was (%d,%d)", w, c, dst[c], nh[c], d0[c], nh0[c])
+				if dst[c] != d0[c] {
+					t.Fatalf("width %d: column %d = %d, was %d", w, c, dst[c], d0[c])
 				}
 			}
 			for i := range rec {

@@ -9,7 +9,7 @@ import (
 
 // referenceMinPlus is the pre-extraction inner loop from the engine,
 // kept as the semantic oracle for the kernel.
-func referenceMinPlus(dst []graph.Dist, nh []int32, src []graph.Dist, add graph.Dist, hop int32) (lo, hi int) {
+func referenceMinPlus(dst, src []graph.Dist, add graph.Dist) (lo, hi int) {
 	lo, hi = len(src), 0
 	for t, bt := range src {
 		if t >= len(dst) {
@@ -20,7 +20,6 @@ func referenceMinPlus(dst []graph.Dist, nh []int32, src []graph.Dist, add graph.
 		}
 		if nd := add + bt; nd < dst[t] {
 			dst[t] = nd
-			nh[t] = hop
 			if lo > t {
 				lo = t
 			}
@@ -52,25 +51,18 @@ func TestMinPlusHopsMatchesReference(t *testing.T) {
 		}
 		dst := randomRow(rng, n, 0.2)
 		src := randomRow(rng, srcLen, 0.3)
-		nh := make([]int32, n)
-		for i := range nh {
-			nh[i] = int32(rng.Intn(n))
-		}
 		add := graph.Dist(rng.Intn(500))
-		hop := int32(rng.Intn(n))
 
 		wantDst := append([]graph.Dist(nil), dst...)
-		wantNH := append([]int32(nil), nh...)
-		wlo, whi := referenceMinPlus(wantDst, wantNH, src, add, hop)
+		wlo, whi := referenceMinPlus(wantDst, src, add)
 
-		lo, hi := MinPlusHops(dst, nh, src, add, hop)
+		lo, hi := MinPlusWindow(dst, src, add)
 		if lo != wlo || hi != whi {
 			t.Fatalf("trial %d: window (%d,%d), want (%d,%d)", trial, lo, hi, wlo, whi)
 		}
 		for i := range dst {
-			if dst[i] != wantDst[i] || nh[i] != wantNH[i] {
-				t.Fatalf("trial %d: index %d: got (%d,%d), want (%d,%d)",
-					trial, i, dst[i], nh[i], wantDst[i], wantNH[i])
+			if dst[i] != wantDst[i] {
+				t.Fatalf("trial %d: index %d: got %d, want %d", trial, i, dst[i], wantDst[i])
 			}
 		}
 	}
@@ -79,9 +71,8 @@ func TestMinPlusHopsMatchesReference(t *testing.T) {
 func TestMinPlusHopsWindow(t *testing.T) {
 	inf := graph.InfDist
 	dst := []graph.Dist{9, 9, 9, 9, 9}
-	nh := []int32{-1, -1, -1, -1, -1}
 	src := []graph.Dist{inf, 3, inf, 1, inf}
-	lo, hi := MinPlusHops(dst, nh, src, 2, 7)
+	lo, hi := MinPlusWindow(dst, src, 2)
 	if lo != 1 || hi != 4 {
 		t.Fatalf("window (%d,%d), want (1,4)", lo, hi)
 	}
@@ -91,29 +82,25 @@ func TestMinPlusHopsWindow(t *testing.T) {
 			t.Fatalf("dst[%d] = %d, want %d", i, dst[i], want[i])
 		}
 	}
-	if nh[1] != 7 || nh[3] != 7 || nh[0] != -1 {
-		t.Fatalf("next hops wrong: %v", nh)
-	}
 
 	// no improvement possible: empty window, nothing written
-	lo, hi = MinPlusHops(dst, nh, src, 100, 9)
+	lo, hi = MinPlusWindow(dst, src, 100)
 	if lo < hi {
 		t.Fatalf("expected empty window, got (%d,%d)", lo, hi)
 	}
 }
 
 func TestMinPlusHopsOffsetSlicing(t *testing.T) {
-	// Delta windows relax via pre-sliced dst/nh; the window comes back in
+	// Delta windows relax via a pre-sliced dst; the window comes back in
 	// src index space.
 	dst := []graph.Dist{0, 50, 50, 50}
-	nh := []int32{-1, -1, -1, -1}
 	delta := []graph.Dist{4, graph.InfDist} // columns 2..3 of some row
-	lo, hi := MinPlusHops(dst[2:], nh[2:], delta, 10, 3)
+	lo, hi := MinPlusWindow(dst[2:], delta, 10)
 	if lo != 0 || hi != 1 {
 		t.Fatalf("window (%d,%d), want (0,1)", lo, hi)
 	}
-	if dst[2] != 14 || nh[2] != 3 || dst[3] != 50 {
-		t.Fatalf("offset relax wrong: %v %v", dst, nh)
+	if dst[2] != 14 || dst[3] != 50 {
+		t.Fatalf("offset relax wrong: %v", dst)
 	}
 }
 
@@ -125,10 +112,9 @@ func TestMinPlusMatchesHops(t *testing.T) {
 		src := randomRow(rng, n, 0.3)
 		add := graph.Dist(rng.Intn(300))
 		dst2 := append([]graph.Dist(nil), dst...)
-		nh := make([]int32, n)
 
 		changed := MinPlus(dst, src, add)
-		lo, hi := MinPlusHops(dst2, nh, src, add, 1)
+		lo, hi := MinPlusWindow(dst2, src, add)
 		if changed != (lo < hi) {
 			t.Fatalf("trial %d: changed=%v window=(%d,%d)", trial, changed, lo, hi)
 		}

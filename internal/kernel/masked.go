@@ -40,27 +40,27 @@ import (
 // kinds record at different granularities, trading precision against
 // hot-loop cost to match where each runs:
 //
-//   - MinPlusHopsRec (full sweeps) records the changed *window* [lo, hi) —
+//   - MinPlusRec (full sweeps) records the changed *window* [lo, hi) —
 //     the convex hull of the improved columns — with one SetRange after the
 //     sweep. Full sweeps run on dense passes where most compositions
 //     improve, so any per-improvement instruction is hot: per-bit recording
 //     inside the loop (whether a bounds-checked rec.Set or a register
 //     accumulator flushed per word) measures 2-3× slower end-to-end than
-//     the untouched MinPlusHops loop on the refine benches. The hull is an
+//     the untouched MinPlusWindow loop on the refine benches. The hull is an
 //     over-approximation of the true change set, which is sound — masks
 //     only ever need to be a superset — and matches the granularity the
 //     delta pending windows already use.
-//   - MinPlusHopsBlocks / MinPlusHopsMasked (masked sweeps) record exact
-//     bits: the vector body ORs a block's improved lanes into rec in one
-//     byte store, and precision keeps sparse cascades sparse.
+//   - MinPlusBlocks (masked sweeps) records exact bits: the vector body
+//     ORs a block's improved lanes into rec in one byte store, and
+//     precision keeps sparse cascades sparse.
 
-// MinPlusHopsRec is MinPlusHops plus frontier recording: the changed
-// window [lo, hi) is folded into rec as bits base+lo .. base+hi-1 (rec
-// indexes the destination row's full column space; base is dst's offset
-// within it, nonzero when the caller pre-sliced dst to start mid-row).
-// rec may be nil.
-func MinPlusHopsRec(dst []graph.Dist, nh []int32, src []graph.Dist, add graph.Dist, hop int32, rec Bitset, base int) (lo, hi int) {
-	lo, hi = MinPlusHops(dst, nh, src, add, hop)
+// MinPlusRec is MinPlusWindow plus frontier recording: the changed window
+// [lo, hi) is folded into rec as bits base+lo .. base+hi-1 (rec indexes
+// the destination row's full column space; base is dst's offset within
+// it, nonzero when the caller pre-sliced dst to start mid-row). rec may be
+// nil.
+func MinPlusRec(dst, src []graph.Dist, add graph.Dist, rec Bitset, base int) (lo, hi int) {
+	lo, hi = MinPlusWindow(dst, src, add)
 	if rec != nil && lo < hi {
 		rec.SetRange(base+lo, base+hi)
 	}
@@ -108,7 +108,8 @@ func (m *BlockMask) Compile(arena []uint32, mask Bitset, n int) []uint32 {
 // w0+1, ... of a width-n column space, and returns the extended slice with
 // the count of whole blocks appended and of bits below n. It is a function
 // over the slice, not a method, so a caller's stack buffer passed in stays
-// on the stack.
+// on the stack (MinPlusHopsMasked compiles a few words at a time into
+// one).
 func compileWords(blocks []uint32, words []uint64, w0, n int) (out []uint32, full, ops int) {
 	start := len(blocks)
 	last := BitsetWords(n) - w0
@@ -148,26 +149,25 @@ func MaxBlocks(n int) int { return (n + 7) >> 3 }
 // in place of the full row width.
 func (m *BlockMask) Ops() int { return m.ops }
 
-// MinPlusHopsBlocks relaxes dst through a pivot row src over the columns of
-// a compiled mask only: for every column t of m, dst[t] = min(dst[t],
-// add+src[t]), recording hop as the next hop and setting rec bit base+t
-// (rec may be nil) where the composition improves. dst, nh and src must be
-// at least as long as the width m was compiled for; columns at or past it
-// are not touched.
+// MinPlusBlocks relaxes dst through a pivot row src over the columns of a
+// compiled mask only: for every column t of m, dst[t] = min(dst[t],
+// add+src[t]), setting rec bit base+t (rec may be nil) where the
+// composition improves. dst and src must be at least as long as the width
+// m was compiled for; columns at or past it are not touched.
 //
 // Columns are relaxed in ascending order, as the full sweep does, and the
 // soundness argument above makes the skipped ones provably non-improving,
-// so the result is bit-identical to MinPlusHops. It returns the changed
+// so the result is bit-identical to MinPlusWindow. It returns the changed
 // window [lo, hi), lo >= hi meaning nothing improved.
-func MinPlusHopsBlocks(dst []graph.Dist, nh []int32, src []graph.Dist, add graph.Dist, hop int32, m *BlockMask, rec Bitset, base int) (lo, hi int) {
+func MinPlusBlocks(dst, src []graph.Dist, add graph.Dist, m *BlockMask, rec Bitset, base int) (lo, hi int) {
 	n := m.n
-	dst, nh, src = dst[:n], nh[:n], src[:n]
+	dst, src = dst[:n], src[:n]
 	if rec != nil && len(m.blocks) > 0 {
 		_ = rec[(base+n-1)>>6] // every bit a block can set is below base+n
 	}
-	lo, hi = blocksBody(dst, nh, src, m.blocks[:m.full], add, hop, rec, base)
+	lo, hi = blocksBody(dst, src, m.blocks[:m.full], add, rec, base)
 	if m.full < len(m.blocks) {
-		if tlo, thi := minPlusBlocksGeneric(dst, nh, src, m.blocks[m.full:], add, hop, rec, base); tlo < thi {
+		if tlo, thi := minPlusBlocksGeneric(dst, src, m.blocks[m.full:], add, rec, base); tlo < thi {
 			if lo > tlo {
 				lo = tlo
 			}
@@ -175,49 +175,4 @@ func MinPlusHopsBlocks(dst []graph.Dist, nh []int32, src []graph.Dist, add graph
 		}
 	}
 	return lo, hi
-}
-
-// maskedChunkWords is how many mask words MinPlusHopsMasked compiles at a
-// time into its stack buffer (at most 8 blocks per word).
-const maskedChunkWords = 16
-
-// MinPlusHopsMasked relaxes dst through a pivot row src, visiting only the
-// columns whose bits are set in mask (the pivot's frontier: columns of src
-// that changed since the last convergence) below min(len(dst), len(src)).
-// Improved columns are recorded into rec (may be nil). It returns the
-// changed window [lo, hi) plus the number of columns actually visited,
-// which is what the caller charges to the LogP clock in place of the full
-// row width.
-//
-// It is the one-shot form of Compile + MinPlusHopsBlocks, for a mask swept
-// once: the mask is compiled a few words at a time into a stack buffer, so
-// the call does not allocate.
-func MinPlusHopsMasked(dst []graph.Dist, nh []int32, src []graph.Dist, add graph.Dist, hop int32, mask, rec Bitset, base int) (lo, hi, ops int) {
-	n := len(src)
-	if len(dst) < n {
-		n = len(dst)
-	}
-	var buf [maskedChunkWords * 8]uint32
-	m := BlockMask{n: n}
-	lo, hi = n, 0
-	words := BitsetWords(n)
-	if words > len(mask) {
-		words = len(mask)
-	}
-	for w0 := 0; w0 < words; w0 += maskedChunkWords {
-		w1 := w0 + maskedChunkWords
-		if w1 > words {
-			w1 = words
-		}
-		m.blocks, m.full, m.ops = compileWords(buf[:0], mask[w0:w1], w0, n)
-		clo, chi := MinPlusHopsBlocks(dst, nh, src, add, hop, &m, rec, base)
-		ops += m.ops
-		if clo < chi {
-			if lo > clo {
-				lo = clo
-			}
-			hi = chi
-		}
-	}
-	return lo, hi, ops
 }

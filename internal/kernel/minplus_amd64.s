@@ -4,7 +4,7 @@
 
 // AVX2 bodies of the min-plus kernels. Each lane holds one int32 distance;
 // all compares are unsigned (see minplus_generic.go for why that needs no
-// InfDist mask). Rules the two functions share:
+// InfDist mask). Rules the bodies share:
 //
 //   - n is a positive multiple of 8 and nothing at or past element n is
 //     loaded or stored: rows are views into a shared arena.
@@ -45,55 +45,49 @@
 	VPMOVMSKB Y2, BX; \
 	CMPL BX, $-1
 
-// func minPlusHopsAVX2(dst, nh, src *int32, n int, add, hop int32) (lo, hi int)
+// func minPlusWindowAVX2(dst, src *int32, n int, add int32) (lo, hi int)
 //
 // Returns the changed window [lo, hi) over [0, n); (n, 0) when no lane
 // improved.
-TEXT ·minPlusHopsAVX2(SB), NOSPLIT, $0-56
+TEXT ·minPlusWindowAVX2(SB), NOSPLIT, $0-48
 	MOVQ dst+0(FP), DI
-	MOVQ nh+8(FP), SI
-	MOVQ src+16(FP), DX
-	MOVQ n+24(FP), CX
-	MOVL add+32(FP), AX
-	MOVL hop+36(FP), BX
+	MOVQ src+8(FP), DX
+	MOVQ n+16(FP), CX
+	MOVL add+24(FP), AX
 	VMOVD AX, X0
-	VMOVD BX, X1
 	VPBROADCASTD X0, Y0
-	VPBROADCASTD X1, Y1
 	XORQ AX, AX             // t, in elements
 	MOVQ CX, R8             // lo
 	XORQ R9, R9             // hi
 	MOVQ CX, R10
 	ANDQ $~31, R10          // end of the 32-lane groups
 
-hopsWide:
+windowWide:
 	CMPQ AX, R10
-	JGE  hopsNarrow
+	JGE  windowNarrow
 	UNCHANGED32
-	JNE  hopsGroup
+	JNE  windowGroup
 	ADDQ $32, AX
-	JMP  hopsWide
+	JMP  windowWide
 
-hopsGroup:
+windowGroup:
 	LEAQ 32(AX), R11        // relax this group block by block
-	JMP  hopsBlock
+	JMP  windowBlock
 
-hopsNarrow:
+windowNarrow:
 	MOVQ CX, R11            // relax what is left block by block
 	CMPQ AX, R11
-	JGE  hopsDone
+	JGE  windowDone
 
-hopsBlock:
+windowBlock:
 	VPADDD    (DX)(AX*4), Y0, Y2
 	VMOVDQU   (DI)(AX*4), Y3
 	VPMINUD   Y3, Y2, Y2
 	VPCMPEQD  Y3, Y2, Y3    // all ones where the lane did not improve
 	VPMOVMSKB Y3, BX
 	XORL $-1, BX            // four mask bits per improved lane
-	JZ   hopsNext
+	JZ   windowNext
 	VMOVDQU   Y2, (DI)(AX*4)
-	VPBLENDVB Y3, (SI)(AX*4), Y1, Y4
-	VMOVDQU   Y4, (SI)(AX*4)
 	BSFL BX, R12
 	SHRL $2, R12
 	ADDQ AX, R12
@@ -103,73 +97,17 @@ hopsBlock:
 	SHRL $2, R12
 	LEAQ 1(AX)(R12*1), R9
 
-hopsNext:
+windowNext:
 	ADDQ $8, AX
 	CMPQ AX, R11
-	JLT  hopsBlock
+	JLT  windowBlock
 	CMPQ AX, CX
-	JLT  hopsWide
+	JLT  windowWide
 
-hopsDone:
+windowDone:
 	VZEROUPPER
-	MOVQ R8, lo+40(FP)
-	MOVQ R9, hi+48(FP)
-	RET
-
-// func minPlusAVX2(dst, src *int32, n int, add int32) bool
-//
-// minPlusHopsAVX2 without next hops and window: reports whether any lane
-// improved.
-TEXT ·minPlusAVX2(SB), NOSPLIT, $0-33
-	MOVQ dst+0(FP), DI
-	MOVQ src+8(FP), DX
-	MOVQ n+16(FP), CX
-	MOVL add+24(FP), AX
-	VMOVD AX, X0
-	VPBROADCASTD X0, Y0
-	XORQ AX, AX             // t, in elements
-	XORL R9, R9             // changed
-	MOVQ CX, R10
-	ANDQ $~31, R10          // end of the 32-lane groups
-
-distWide:
-	CMPQ AX, R10
-	JGE  distNarrow
-	UNCHANGED32
-	JNE  distGroup
-	ADDQ $32, AX
-	JMP  distWide
-
-distGroup:
-	LEAQ 32(AX), R11
-	JMP  distBlock
-
-distNarrow:
-	MOVQ CX, R11
-	CMPQ AX, R11
-	JGE  distDone
-
-distBlock:
-	VPADDD    (DX)(AX*4), Y0, Y2
-	VMOVDQU   (DI)(AX*4), Y3
-	VPMINUD   Y3, Y2, Y2
-	VPCMPEQD  Y3, Y2, Y3
-	VPMOVMSKB Y3, BX
-	CMPL BX, $-1
-	JEQ  distNext
-	VMOVDQU   Y2, (DI)(AX*4)
-	MOVL $1, R9
-
-distNext:
-	ADDQ $8, AX
-	CMPQ AX, R11
-	JLT  distBlock
-	CMPQ AX, CX
-	JLT  distWide
-
-distDone:
-	VZEROUPPER
-	MOVB R9, ret+32(FP)
+	MOVQ R8, lo+32(FP)
+	MOVQ R9, hi+40(FP)
 	RET
 
 // laneBits holds 1 << i in lane i: ANDed with a broadcast block word and
@@ -184,7 +122,7 @@ DATA laneBits<>+24(SB)/4, $64
 DATA laneBits<>+28(SB)/4, $128
 GLOBL laneBits<>(SB), RODATA|NOPTR, $32
 
-// func minPlusBlocksAVX2(dst, nh, src *int32, blocks *uint32, nb, n int, rec *uint64, base int, add, hop int32) (lo, hi int)
+// func minPlusBlocksAVX2(dst, src *int32, blocks *uint32, nb, n int, rec *uint64, base int, add int32) (lo, hi int)
 //
 // Relaxes the nb whole blocks of a compiled mask (see BlockMask: column
 // index/8 in bits 8 and up, lane bits in bits 0-7; every block ends at or
@@ -193,21 +131,17 @@ GLOBL laneBits<>(SB), RODATA|NOPTR, $32
 // ORed into rec's byte (base+t)/8 when rec is not nil, which needs base to
 // be a multiple of 8. Returns the changed window [lo, hi); (n, 0) when no
 // lane improved.
-TEXT ·minPlusBlocksAVX2(SB), NOSPLIT, $0-88
+TEXT ·minPlusBlocksAVX2(SB), NOSPLIT, $0-80
 	MOVQ dst+0(FP), DI
-	MOVQ nh+8(FP), SI
-	MOVQ src+16(FP), DX
-	MOVQ blocks+24(FP), R8
-	MOVQ nb+32(FP), CX
-	MOVQ n+40(FP), R9       // lo
-	MOVQ rec+48(FP), R10
-	MOVQ base+56(FP), R14
-	MOVL add+64(FP), AX
-	MOVL hop+68(FP), BX
+	MOVQ src+8(FP), DX
+	MOVQ blocks+16(FP), R8
+	MOVQ nb+24(FP), CX
+	MOVQ n+32(FP), R9       // lo
+	MOVQ rec+40(FP), R10
+	MOVQ base+48(FP), R14
+	MOVL add+56(FP), AX
 	VMOVD AX, X0
-	VMOVD BX, X1
 	VPBROADCASTD X0, Y0
-	VPBROADCASTD X1, Y1
 	VMOVDQU laneBits<>(SB), Y14
 	VPXOR   Y15, Y15, Y15
 	XORQ R11, R11           // hi
@@ -234,8 +168,6 @@ blocksLoop:
 	JZ   blocksNext
 	VPBLENDVB Y4, Y3, Y2, Y6
 	VMOVDQU   Y6, (DI)(BX*4)
-	VPBLENDVB Y4, (SI)(BX*4), Y1, Y7
-	VMOVDQU   Y7, (SI)(BX*4)
 	TESTQ R10, R10
 	JZ    blocksWindow
 	LEAQ (R14)(BX*1), R13
@@ -256,8 +188,8 @@ blocksNext:
 
 blocksDone:
 	VZEROUPPER
-	MOVQ R9, lo+72(FP)
-	MOVQ R11, hi+80(FP)
+	MOVQ R9, lo+64(FP)
+	MOVQ R11, hi+72(FP)
 	RET
 
 // The grouped body: one row relaxed through k = 2..8 pivots in one pass.
@@ -305,15 +237,13 @@ blocksDone:
 	CMPL R14, $-1
 
 // GROUPREPLAY applies the k pivots (row pointers at DX, state at R8) in
-// order to the 8 lanes at element AX of dst (DI) and nh (SI), lowering them
-// in Y0/Y1 and storing both once, and folds each pivot's improved lanes into
-// its window. It has no data-dependent branch: which pivots improve which
-// lanes of a replayed block is close to random, so the window update is
-// made with conditional moves (BX, R10, R11 scratch). The label names its
-// loop.
+// order to the 8 lanes at element AX of dst (DI), lowering them in Y0 and
+// storing once, and folds each pivot's improved lanes into its window. It
+// has no data-dependent branch: which pivots improve which lanes of a
+// replayed block is close to random, so the window update is made with
+// conditional moves (BX, R10, R11 scratch). The label names its loop.
 #define GROUPREPLAY(pivot) \
 	VMOVDQU (DI)(AX*4), Y0; \
-	VMOVDQU (SI)(AX*4), Y1; \
 	XORQ R9, R9; \
 pivot: \
 	MOVQ (DX)(R9*8), R10; \
@@ -322,39 +252,36 @@ pivot: \
 	VPMINUD  Y0, Y2, Y3; \
 	VPCMPEQD Y0, Y3, Y4; \
 	VMOVDQU  Y3, Y0; \
-	VPBROADCASTD 32(R8)(R9*4), Y5; \
-	VPBLENDVB Y4, Y1, Y5, Y1; \
 	VMOVMSKPS Y4, R11; \
 	XORL $0xff, R11; \
-	MOVQ 64(R8)(R9*8), BX; \
+	MOVQ 32(R8)(R9*8), BX; \
 	BSFL R11, R10; \
 	ADDQ AX, R10; \
 	CMPQ R10, BX; \
 	CMOVQLT R10, BX; \
 	TESTL R11, R11; \
-	CMOVQEQ 64(R8)(R9*8), BX; \
-	MOVQ BX, 64(R8)(R9*8); \
-	MOVQ 128(R8)(R9*8), BX; \
+	CMOVQEQ 32(R8)(R9*8), BX; \
+	MOVQ BX, 32(R8)(R9*8); \
+	MOVQ 96(R8)(R9*8), BX; \
 	BSRL R11, R10; \
 	LEAQ 1(AX)(R10*1), R10; \
 	TESTL R11, R11; \
 	CMOVQNE R10, BX; \
-	MOVQ BX, 128(R8)(R9*8); \
+	MOVQ BX, 96(R8)(R9*8); \
 	INCQ R9; \
 	CMPQ R9, R13; \
 	JLT  pivot; \
-	VMOVDQU Y0, (DI)(AX*4); \
-	VMOVDQU Y1, (SI)(AX*4)
+	VMOVDQU Y0, (DI)(AX*4)
 
-// func groupAVX2(dst, nh *int32, srcs *[8]*int32, st *groupState, k, n int)
+// func groupAVX2(dst *int32, srcs *[8]*int32, st *groupState, k, n int)
 //
 // Relaxes dst[0:n) (n a positive multiple of 8) through the k pivots whose
-// rows srcs[0:k] are aligned with dst, with st's add and hop (offsets 0 and
-// 32), in order per lane. Pivot j's changed window is folded into st's lo
-// (offset 64) and hi (offset 128) as lo = min(lo, first), hi = last+1.
-TEXT ·groupAVX2(SB), NOSPLIT, $0-48
+// rows srcs[0:k] are aligned with dst, with st's adds (offset 0), in order
+// per lane. Pivot j's changed window is folded into st's lo (offset 32)
+// and hi (offset 96) as lo = min(lo, first), hi = last+1.
+TEXT ·groupAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
-	MOVQ st+24(FP), R14
+	MOVQ st+16(FP), R14
 	VPBROADCASTD 0(R14), Y8
 	VPBROADCASTD 4(R14), Y9
 	VPBROADCASTD 8(R14), Y10
@@ -363,15 +290,15 @@ TEXT ·groupAVX2(SB), NOSPLIT, $0-48
 	VPBROADCASTD 20(R14), Y13
 	VPBROADCASTD 24(R14), Y14
 	VPBROADCASTD 28(R14), Y15
-	MOVQ k+32(FP), R13
-	MOVQ n+40(FP), CX
+	MOVQ k+24(FP), R13
+	MOVQ n+32(FP), CX
 	ANDQ $~31, CX           // end of the 32-lane groups
 	XORQ AX, AX             // t, in elements
 
 groupResume:
 	CMPQ AX, CX
 	JGE  groupNarrow
-	MOVQ srcs+16(FP), R14
+	MOVQ srcs+8(FP), R14
 	MOVQ 0(R14), BX
 	MOVQ 8(R14), DX
 	MOVQ 16(R14), SI
@@ -509,9 +436,8 @@ groupReplay32:
 	ORL  R10, R14
 	NOTL R14
 	LEAQ 32(AX), R12
-	MOVQ srcs+16(FP), DX
-	MOVQ st+24(FP), R8
-	MOVQ nh+8(FP), SI
+	MOVQ srcs+8(FP), DX
+	MOVQ st+16(FP), R8
 
 groupBlock32:
 	TESTL $0xff, R14
@@ -527,12 +453,11 @@ groupBlock32Next:
 
 // The last n mod 32 lanes: each block's minimum over the pivots first.
 groupNarrow:
-	MOVQ n+40(FP), R12
+	MOVQ n+32(FP), R12
 	CMPQ AX, R12
 	JGE  groupDone
-	MOVQ srcs+16(FP), DX
-	MOVQ st+24(FP), R8
-	MOVQ nh+8(FP), SI
+	MOVQ srcs+8(FP), DX
+	MOVQ st+16(FP), R8
 
 groupBlock:
 	VPCMPEQD Y6, Y6, Y6

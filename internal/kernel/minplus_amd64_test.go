@@ -11,9 +11,9 @@ import (
 // withScalarBodies runs f with the scalar bodies selected, as on a machine
 // without AVX2.
 func withScalarBodies(f func()) {
-	avx, hops, dist := useAVX2, hopsBody, distBody
-	useAVX2, hopsBody, distBody = false, minPlusHopsGeneric, minPlusGeneric
-	defer func() { useAVX2, hopsBody, distBody = avx, hops, dist }()
+	avx, body := useAVX2, windowBody
+	useAVX2, windowBody = false, minPlusGeneric
+	defer func() { useAVX2, windowBody = avx, body }()
 	f()
 }
 

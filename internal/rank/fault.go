@@ -23,7 +23,7 @@
 //
 // The rejoiner (Rejoin) rebuilds deterministically: base graph + journal
 // replay reproduce the survivors' exact topology (checksum-verified), the
-// local AASHRD01 recovery shard restores its rows (fresh IA as fallback),
+// local AASHRD02 recovery shard restores its rows (fresh IA as fallback),
 // every row re-seeds its incident direct edges (the restore soundness
 // repair), and everything ships in full — the in-process engine's rejoin
 // protocol, whose dirty cascade provably reconverges to the sequential
@@ -384,7 +384,7 @@ func (r *Runner) shardPath() string {
 	return filepath.Join(r.cfg.ShardDir, fmt.Sprintf("aarank-%d.shard", r.t.Rank()))
 }
 
-// writeShard persists the rank's AASHRD01 recovery shard, best effort:
+// writeShard persists the rank's AASHRD02 recovery shard, best effort:
 // staged at path+".tmp" and renamed over the previous shard, unsynced — a
 // torn shard fails its CRC and the IA fallback covers it, so an fsync
 // would only tax every step. Failures are logged. No-op unless ShardDir is

@@ -42,7 +42,7 @@ type Config struct {
 	Workers int
 
 	// ShardDir, when set, makes the rank write its CRC'd recovery shard
-	// (the AASHRD01 format of the in-process simulator) to
+	// (the AASHRD02 format of the in-process simulator) to
 	// <ShardDir>/aarank-<rank>.shard after every step — the local state a
 	// relaunched process restores from at rejoin.
 	ShardDir string

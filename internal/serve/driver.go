@@ -94,6 +94,9 @@ func (s *Server) drive() {
 			}
 			s.ingest(evs)
 		}
+		if s.held {
+			s.awaitRelease()
+		}
 		if err := s.safeStep(e); err != nil {
 			if rerr := s.restart(err); rerr != nil {
 				s.die(rerr)
@@ -106,6 +109,22 @@ func (s *Server) drive() {
 		if d := s.cfg.stepDelay; d > 0 {
 			time.Sleep(d)
 		}
+	}
+}
+
+// awaitRelease parks a held driver (Server.held) before an RC step until a
+// step is released or the server closes; closing releases every step.
+func (s *Server) awaitRelease() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.released == 0 && !s.closed {
+		s.parked = true
+		s.cond.Broadcast()
+		s.cond.Wait()
+	}
+	s.parked = false
+	if s.released > 0 {
+		s.released--
 	}
 }
 

@@ -117,6 +117,14 @@ type Server struct {
 	dead    bool           // driver died unrecoverably (closeErr holds the cause)
 	admitN  int            // vertex count after all admitted events apply
 	deleted map[int32]bool // vertices deleted (engine past + admitted)
+	// held, set only by this package's tests before the driver starts,
+	// parks the driver before each RC step of its loop until a test
+	// releases one (see awaitRelease), so the steps taken before an Admit
+	// or a Close are fixed; released counts the steps a held driver may
+	// still take and parked reports it waiting for one.
+	held     bool
+	released int
+	parked   bool
 
 	// driver-goroutine-only state
 	nextID          int32 // next global ID a stream join receives

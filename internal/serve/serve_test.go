@@ -300,13 +300,44 @@ func TestCheckpointOnClose(t *testing.T) {
 	}
 }
 
+// release lets a held driver (Server.held) take k more RC steps and
+// reports true once it has taken them and parked before the next one; k =
+// 0 only waits for it to park. It reports false if the driver has not
+// parked within 10 s: it went idle (converged with nothing admitted)
+// instead, so the test released more steps than the run has.
+func (s *Server) release(k int) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.released += k
+	s.cond.Broadcast()
+	deadline := time.Now().Add(10 * time.Second)
+	wake := time.AfterFunc(10*time.Second, s.cond.Broadcast)
+	defer wake.Stop()
+	for s.released > 0 || !s.parked {
+		if time.Now().After(deadline) {
+			return false
+		}
+		s.cond.Wait()
+	}
+	return true
+}
+
 // TestPublishEvery: with K > 1 the driver publishes fewer views than RC
-// steps, but convergence still forces a final exact publish.
+// steps, but convergence still forces a final exact publish. The driver is
+// held before its first RC step while every event is admitted, and two
+// steps are released before Close, so the event windows it takes and the
+// step at which it sees Close are fixed: the number of views does not
+// depend on goroutine scheduling.
 func TestPublishEvery(t *testing.T) {
 	base := testBase(t, 60, 4)
-	srv, err := New(testEngine(t, base, 2, 4), Config{PublishEvery: 4})
+	srv, err := newServer(testEngine(t, base, 2, 4), Config{PublishEvery: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	srv.held = true
+	go srv.drive()
+	if !srv.release(0) {
+		t.Fatal("held driver did not park before its first step")
 	}
 	var evs []stream.Event
 	next := int32(base.NumVertices())
@@ -318,6 +349,9 @@ func TestPublishEvery(t *testing.T) {
 	}
 	if err := srv.Admit(evs); err != nil {
 		t.Fatal(err)
+	}
+	if !srv.release(2) {
+		t.Fatal("held driver did not park after two released steps")
 	}
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)

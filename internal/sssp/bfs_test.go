@@ -29,46 +29,21 @@ func infRow(n int) []graph.Dist {
 	return d
 }
 
-func negRow(n int) []int32 {
-	h := make([]int32, n)
-	for i := range h {
-		h[i] = -1
-	}
-	return h
-}
-
 // On unit-weight graphs Dijkstra degenerates to BFS: the flat-FIFO fast
-// path must produce bit-identical distances, and its first hops must be
-// valid (a shortest path to t really does leave src through hops[t]).
+// path must produce bit-identical distances.
 func TestBFSMatchesDijkstraUnitWeights(t *testing.T) {
 	const n = 70
 	g := unitGraph(n, 160, 41)
-	apsp := APSP(g)
 	var hb heapBuf
 	var qb queueBuf
 	for src := int32(0); src < n; src += 7 {
-		dd, dh := infRow(n), negRow(n)
-		DijkstraIntoHops(g, src, dd, dh, nil, &hb)
-		bd, bh := infRow(n), negRow(n)
-		BFSIntoHops(g, src, bd, bh, nil, &qb)
+		dd := infRow(n)
+		DijkstraInto(g, src, dd, nil, &hb)
+		bd := infRow(n)
+		BFSInto(g, src, bd, nil, &qb)
 		for t2 := 0; t2 < n; t2++ {
 			if bd[t2] != dd[t2] {
 				t.Fatalf("src %d: BFS dist[%d] = %d, Dijkstra %d", src, t2, bd[t2], dd[t2])
-			}
-			if bd[t2] == graph.InfDist || t2 == int(src) {
-				continue
-			}
-			// First-hop validity: hops[t] neighbors src and lies on a
-			// shortest path (equal-length ties may route differently than
-			// Dijkstra's heap order, so we check the invariant, not
-			// equality).
-			h := bh[t2]
-			if h < 0 || !g.HasEdge(int(src), int(h)) {
-				t.Fatalf("src %d: BFS hop[%d] = %d is not a neighbor", src, t2, h)
-			}
-			w, _ := g.EdgeWeight(int(src), int(h))
-			if graph.Dist(w)+apsp[h][t2] != bd[t2] {
-				t.Fatalf("src %d: hop %d not on a shortest path to %d", src, h, t2)
 			}
 		}
 	}
@@ -86,7 +61,7 @@ func TestBFSMaskSemantics(t *testing.T) {
 	mask := []bool{true, true, true, false, false} // {0,1,2} local
 	dist := infRow(5)
 	var buf queueBuf
-	BFSIntoHops(g, 0, dist, nil, mask, &buf)
+	BFSInto(g, 0, dist, mask, &buf)
 	if dist[3] != 1 {
 		t.Fatalf("dist[3] = %d, want 1", dist[3])
 	}
@@ -101,20 +76,18 @@ func TestMultiSourceBFSMatchesDijkstra(t *testing.T) {
 	const n = 60
 	g := unitGraph(n, 140, 43)
 	sources := []int32{0, 5, 11, 23, 42, 59}
-	mk := func() ([][]graph.Dist, [][]int32) {
+	mk := func() [][]graph.Dist {
 		rows := make([][]graph.Dist, len(sources))
-		hops := make([][]int32, len(sources))
 		for i := range rows {
 			rows[i] = infRow(n)
-			hops[i] = negRow(n)
 		}
-		return rows, hops
+		return rows
 	}
-	refRows, refHops := mk()
-	MultiSourceHops(g, sources, refRows, refHops, nil, 1)
+	refRows := mk()
+	MultiSource(g, sources, refRows, nil, 1)
 	for _, workers := range []int{1, 2, 4} {
-		rows, hops := mk()
-		ops := MultiSourceHopsBFS(g, sources, rows, hops, nil, workers)
+		rows := mk()
+		ops := MultiSourceBFS(g, sources, rows, nil, workers)
 		if ops == 0 {
 			t.Fatal("no ops reported")
 		}
@@ -137,7 +110,7 @@ func TestBFSFrontierMixedDepthSeeds(t *testing.T) {
 	g := unitGraph(n, 180, 47)
 	var qb queueBuf
 	ref := infRow(n)
-	BFSIntoHops(g, 0, ref, nil, nil, &qb)
+	BFSInto(g, 0, ref, nil, &qb)
 	rng := rand.New(rand.NewSource(48))
 	for trial := 0; trial < 10; trial++ {
 		frontier := kernel.NewBitset(n)
@@ -150,7 +123,7 @@ func TestBFSFrontierMixedDepthSeeds(t *testing.T) {
 				dist[v] = ref[v] // seed at its true depth
 			}
 		}
-		BFSFrontierIntoHops(g, 0, frontier, dist, nil, nil, &qb)
+		BFSFrontierInto(g, frontier, dist, nil, &qb)
 		for v := 0; v < n; v++ {
 			if dist[v] != ref[v] {
 				t.Fatalf("trial %d: frontier-seeded dist[%d] = %d, want %d", trial, v, dist[v], ref[v])

@@ -84,24 +84,12 @@ type heapBuf struct{ h heap }
 // boundary vertices receive distances but do not propagate through their
 // (unknown) external edges.
 //
-// If hops is non-nil it receives the distance-vector-routing first hop:
-// hops[t] = the neighbor of src that a shortest path to t leaves through
-// (hops[src] = src; untouched entries stay as provided for unreachable t).
-//
 // The returned count of heap pops plus edge scans feeds the LogP
 // virtual-time accounting.
 func DijkstraInto(g *graph.Graph, src int32, dist []graph.Dist, mask []bool, buf *heapBuf) int64 {
-	return DijkstraIntoHops(g, src, dist, nil, mask, buf)
-}
-
-// DijkstraIntoHops is DijkstraInto with optional first-hop tracking.
-func DijkstraIntoHops(g *graph.Graph, src int32, dist []graph.Dist, hops []int32, mask []bool, buf *heapBuf) int64 {
 	h := &buf.h
 	h.reset()
 	dist[src] = 0
-	if hops != nil {
-		hops[src] = src
-	}
 	h.push(src, 0)
 	var ops int64
 	for !h.empty() {
@@ -118,13 +106,6 @@ func DijkstraIntoHops(g *graph.Graph, src int32, dist []graph.Dist, hops []int32
 			nd := d + a.Weight
 			if nd < dist[a.To] {
 				dist[a.To] = nd
-				if hops != nil {
-					if v == src {
-						hops[a.To] = a.To
-					} else {
-						hops[a.To] = hops[v]
-					}
-				}
 				h.push(a.To, nd)
 			}
 		}

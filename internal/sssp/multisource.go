@@ -8,60 +8,47 @@ import (
 	"anytime/internal/graph"
 )
 
-// MultiSourceHops runs Dijkstra from every source in sources concurrently
-// with `workers` goroutines (0 = GOMAXPROCS), writing results through the
-// caller-provided sink. This is the paper's multithreaded IA kernel: each
+// MultiSource runs Dijkstra from every source in sources concurrently
+// with `workers` goroutines (0 = GOMAXPROCS), writing into the
+// caller-provided rows. This is the paper's multithreaded IA kernel: each
 // processor owns n/P sources and fans them across its cores, for an
 // O(((n/P)·n log n)/t) phase.
 //
 // rows[i] must be a pre-initialized (InfDist-filled, possibly seeded)
 // distance slice for sources[i]; mask carries the local-sub-graph
-// restriction described at DijkstraInto. hops, when non-nil, receives the
-// per-source first-hop vectors (see DijkstraIntoHops); hops[i] may be nil
-// to skip a source.
+// restriction described at DijkstraInto.
 // It returns the total operation count across all sources (for LogP
 // accounting; the caller divides by the worker count to model the
 // parallel-section time).
-func MultiSourceHops(g *graph.Graph, sources []int32, rows [][]graph.Dist, hops [][]int32, mask []bool, workers int) int64 {
-	hopOf := hopIndexer(sources, rows, hops)
-	return multiSourceRun(len(sources), workers, func() func(i int) int64 {
+func MultiSource(g *graph.Graph, sources []int32, rows [][]graph.Dist, mask []bool, workers int) int64 {
+	return multiSourceRun(sources, rows, workers, func() func(i int) int64 {
 		buf := &heapBuf{}
 		return func(i int) int64 {
-			return DijkstraIntoHops(g, sources[i], rows[i], hopOf(i), mask, buf)
+			return DijkstraInto(g, sources[i], rows[i], mask, buf)
 		}
 	})
 }
 
-// MultiSourceHopsBFS is MultiSourceHops for unit-weight graphs: every
-// source runs the flat-FIFO BFS of BFSIntoHops instead of heap Dijkstra.
-// The caller is responsible for ensuring all edge weights equal 1 (see
-// graph.Stats).
-func MultiSourceHopsBFS(g *graph.Graph, sources []int32, rows [][]graph.Dist, hops [][]int32, mask []bool, workers int) int64 {
-	hopOf := hopIndexer(sources, rows, hops)
-	return multiSourceRun(len(sources), workers, func() func(i int) int64 {
+// MultiSourceBFS is MultiSource for unit-weight graphs: every source runs
+// the flat-FIFO BFS of BFSInto instead of heap Dijkstra. The caller is
+// responsible for ensuring all edge weights equal 1 (see graph.Stats).
+func MultiSourceBFS(g *graph.Graph, sources []int32, rows [][]graph.Dist, mask []bool, workers int) int64 {
+	return multiSourceRun(sources, rows, workers, func() func(i int) int64 {
 		buf := &queueBuf{}
 		return func(i int) int64 {
-			return BFSIntoHops(g, sources[i], rows[i], hopOf(i), mask, buf)
+			return BFSInto(g, sources[i], rows[i], mask, buf)
 		}
 	})
 }
 
-func hopIndexer(sources []int32, rows [][]graph.Dist, hops [][]int32) func(int) []int32 {
+// multiSourceRun fans the source indices [0, len(sources)) across
+// `workers` goroutines. newWorker is called once per goroutine to build
+// its runner around private scratch buffers.
+func multiSourceRun(sources []int32, rows [][]graph.Dist, workers int, newWorker func() func(i int) int64) int64 {
 	if len(sources) != len(rows) {
 		panic("sssp: sources/rows length mismatch")
 	}
-	return func(i int) []int32 {
-		if hops == nil {
-			return nil
-		}
-		return hops[i]
-	}
-}
-
-// multiSourceRun fans the source indices [0, n) across `workers`
-// goroutines. newWorker is called once per goroutine to build its runner
-// around private scratch buffers.
-func multiSourceRun(n, workers int, newWorker func() func(i int) int64) int64 {
+	n := len(sources)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

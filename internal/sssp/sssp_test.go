@@ -136,7 +136,7 @@ func TestMultiSourceMatchesSequential(t *testing.T) {
 				rows[i][j] = graph.InfDist
 			}
 		}
-		ops := MultiSourceHops(g, sources, rows, nil, nil, workers)
+		ops := MultiSource(g, sources, rows, nil, workers)
 		if ops == 0 {
 			t.Fatal("no ops reported")
 		}
@@ -164,8 +164,8 @@ func TestMultiSourceOpsDeterministic(t *testing.T) {
 		}
 		return rows
 	}
-	ops1 := MultiSourceHops(g, sources, mk(), nil, nil, 1)
-	ops4 := MultiSourceHops(g, sources, mk(), nil, nil, 4)
+	ops1 := MultiSource(g, sources, mk(), nil, 1)
+	ops4 := MultiSource(g, sources, mk(), nil, 4)
 	if ops1 != ops4 {
 		t.Fatalf("op count depends on workers: %d vs %d", ops1, ops4)
 	}
