@@ -43,7 +43,10 @@ race:
 # FuzzExactSteps (the closed-form charge of internal/core/exact.go against
 # an engine forced to run the sweeps, on random small graphs of any
 # component count; FuzzTileCount's seeds, the per-pivot charge rule the
-# closed form sums, run with the package tests). The purego run repeats the
+# closed form sums, run with the package tests) and FuzzMultiSourceBFS (the
+# unit-weight IA's bit-parallel multi-source BFS, distances and closed-form
+# op count, against one FIFO BFSInto per source under random masks, batch
+# fills and worker counts). The purego run repeats the
 # tile/worker/masked invariance, pruned-edge-scan and Runner==Engine tests
 # and the Floyd–Warshall oracle (internal/sssp, on MinPlus's one-pivot body)
 # on the scalar body alone. -race builds select the scalar body through the
@@ -54,6 +57,7 @@ kernel-check:
 	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusHopsMasked$$' -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzMinPlusGroup$$' -fuzztime 10s ./internal/kernel
 	$(GO) test -run '^$$' -fuzz '^FuzzExactSteps$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzMultiSourceBFS$$' -fuzztime 10s ./internal/sssp
 	$(GO) test -count=1 -tags purego ./internal/kernel ./internal/sssp ./internal/core ./internal/rank
 
 # Codec gate: short fuzzing runs past the seeds of the decoders that read

@@ -187,8 +187,8 @@ func (e *Engine) newProc(pid int) *Proc {
 }
 
 // initialApproximation runs the IA phase: every processor computes APSP
-// over its local sub-graph (multithreaded Dijkstra), producing the first
-// partial results.
+// over its local sub-graph (multithreaded Dijkstra, or the bit-parallel
+// multi-source BFS on unit weights), producing the first partial results.
 func (e *Engine) initialApproximation() {
 	e.mach.Parallel(func(pid int) {
 		im := e.markProc(pid)

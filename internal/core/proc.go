@@ -154,10 +154,14 @@ func (p *Proc) grow(first, count int) {
 // IA runs the initial-approximation search from each of rows' owners into
 // the row: restricted to local-only paths (the paper's IA), or — global —
 // over the whole graph, which on fresh rows is the exact answer. It must
-// run on fresh rows: Dijkstra/BFS never re-expands an entry that already
-// holds a finite (stale-but-correct) distance, so re-sweeping a table would
-// NOT repair it. Unit-weight graphs degenerate Dijkstra to plain BFS,
-// dropping the heap entirely. Returns the search op count.
+// run on fresh rows (InfDist except the owner's own 0, as AddRow leaves
+// them): Dijkstra never re-expands an entry that already holds a finite
+// (stale-but-correct) distance, so re-sweeping a table would NOT repair
+// it, and the unit-weight search writes each distance once, when its
+// source first reaches the vertex. Unit-weight graphs run the bit-parallel
+// multi-source BFS (sssp.MultiSourceBFS), 64 sources per adjacency pass,
+// charged the same ops as one FIFO BFS per source. Returns the search op
+// count.
 func (p *Proc) IA(rows []*dv.Row, global, unitWeight bool, workers int) int64 {
 	sources := make([]int32, len(rows))
 	slices := make([][]graph.Dist, len(rows))

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"anytime/internal/graph"
-	"anytime/internal/kernel"
 )
 
 func unitGraph(n, m int, seed int64) *graph.Graph {
@@ -70,64 +69,103 @@ func TestBFSMaskSemantics(t *testing.T) {
 	}
 }
 
-// The BFS multi-source pool must agree with the Dijkstra pool for every
-// worker count (distances are weight-1 exact either way).
+// The bit-parallel multi-source BFS must agree with the Dijkstra pool for
+// every worker count, unmasked and masked: distances are weight-1 exact
+// either way, and on unit weights Dijkstra pushes each vertex once, so the
+// op counts (pops plus edge scans) are equal too.
 func TestMultiSourceBFSMatchesDijkstra(t *testing.T) {
 	const n = 60
 	g := unitGraph(n, 140, 43)
 	sources := []int32{0, 5, 11, 23, 42, 59}
+	local := make([]bool, n)
+	for v := range local {
+		local[v] = v%3 != 2
+	}
 	mk := func() [][]graph.Dist {
 		rows := make([][]graph.Dist, len(sources))
-		for i := range rows {
+		for i, s := range sources {
 			rows[i] = infRow(n)
+			rows[i][s] = 0
 		}
 		return rows
 	}
-	refRows := mk()
-	MultiSource(g, sources, refRows, nil, 1)
-	for _, workers := range []int{1, 2, 4} {
-		rows := mk()
-		ops := MultiSourceBFS(g, sources, rows, nil, workers)
-		if ops == 0 {
-			t.Fatal("no ops reported")
-		}
-		for i := range sources {
-			for j := 0; j < n; j++ {
-				if rows[i][j] != refRows[i][j] {
-					t.Fatalf("workers=%d source=%d dist mismatch at %d", workers, sources[i], j)
+	for _, mask := range [][]bool{nil, local} {
+		refRows := mk()
+		refOps := MultiSource(g, sources, refRows, mask, 1)
+		for _, workers := range []int{1, 2, 4} {
+			rows := mk()
+			ops := MultiSourceBFS(g, sources, rows, mask, workers)
+			if ops != refOps {
+				t.Fatalf("masked=%v workers=%d: ops %d, Dijkstra %d", mask != nil, workers, ops, refOps)
+			}
+			for i := range sources {
+				for j := 0; j < n; j++ {
+					if rows[i][j] != refRows[i][j] {
+						t.Fatalf("masked=%v workers=%d source=%d dist mismatch at %d", mask != nil, workers, sources[i], j)
+					}
 				}
 			}
 		}
 	}
 }
 
-// The frontier-seeded core must absorb mixed-depth seeds: seeding the
-// queue with any subset of correctly-distanced vertices (src included)
-// reproduces the full single-source answer, because the SPFA-shaped loop
-// re-enqueues on every improvement rather than assuming BFS level order.
-func TestBFSFrontierMixedDepthSeeds(t *testing.T) {
-	const n = 80
-	g := unitGraph(n, 180, 47)
-	var qb queueBuf
-	ref := infRow(n)
-	BFSInto(g, 0, ref, nil, &qb)
-	rng := rand.New(rand.NewSource(48))
-	for trial := 0; trial < 10; trial++ {
-		frontier := kernel.NewBitset(n)
-		dist := infRow(n)
-		frontier.Set(0)
-		dist[0] = 0
-		for v := 1; v < n; v++ {
-			if rng.Intn(3) == 0 {
-				frontier.Set(v)
-				dist[v] = ref[v] // seed at its true depth
-			}
-		}
-		BFSFrontierInto(g, frontier, dist, nil, &qb)
-		for v := 0; v < n; v++ {
-			if dist[v] != ref[v] {
-				t.Fatalf("trial %d: frontier-seeded dist[%d] = %d, want %d", trial, v, dist[v], ref[v])
-			}
-		}
+// FuzzMultiSourceBFS holds the bit-parallel kernel equal — distances and op
+// count — to one FIFO BFSInto per source, on graphs with several components
+// and isolated vertices, n below and across multiples of 64, source lists
+// that fill no, one, part of or more than one batch (repeats allowed), a
+// random mask and 1–3 workers.
+func FuzzMultiSourceBFS(f *testing.F) {
+	for i := 0; i < 12; i++ {
+		f.Add(int64(i), uint8(7+23*i), uint8(i), uint8(1+37*i), uint8(i+i/6))
 	}
+	lengths := []int{0, 1, 63, 64, 65, 130}
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, lenSel, density, workersRaw uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + int(nRaw)%150
+		// Component 0 holds the isolated vertices; edges join two vertices
+		// of one other component.
+		comps := 2 + rng.Intn(3)
+		comp := make([]int, n)
+		for v := range comp {
+			comp[v] = rng.Intn(comps)
+		}
+		g := graph.New(n)
+		for e := rng.Intn(3 * n); e > 0; e-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u != v && comp[u] != 0 && comp[u] == comp[v] && !g.HasEdge(u, v) {
+				g.MustAddEdge(u, v, 1)
+			}
+		}
+		var mask []bool
+		if density%4 != 0 {
+			mask = make([]bool, n)
+			for v := range mask {
+				mask[v] = rng.Intn(256) < int(density)
+			}
+		}
+		sources := make([]int32, lengths[int(lenSel)%len(lengths)])
+		rows := make([][]graph.Dist, len(sources))
+		var qb queueBuf
+		var wantOps int64
+		want := make([][]graph.Dist, len(sources))
+		for i := range sources {
+			sources[i] = int32(rng.Intn(n))
+			rows[i] = infRow(n)
+			rows[i][sources[i]] = 0
+			want[i] = infRow(n)
+			wantOps += BFSInto(g, sources[i], want[i], mask, &qb)
+		}
+		workers := 1 + int(workersRaw)%3
+		if ops := MultiSourceBFS(g, sources, rows, mask, workers); ops != wantOps {
+			t.Fatalf("n=%d sources=%d workers=%d: ops %d, per-source BFS %d", n, len(sources), workers, ops, wantOps)
+		}
+		for i := range sources {
+			for v := 0; v < n; v++ {
+				if rows[i][v] != want[i][v] {
+					t.Fatalf("n=%d sources=%d workers=%d: row %d (source %d) dist[%d] = %d, want %d",
+						n, len(sources), workers, i, sources[i], v, rows[i][v], want[i][v])
+				}
+			}
+		}
+	})
 }

@@ -1,8 +1,9 @@
 // Package sssp implements the shortest-path kernels of the engine:
 // binary-heap Dijkstra (single source), the multithreaded multi-source
-// Dijkstra used by the Initial Approximation phase, Bellman–Ford and
-// Floyd–Warshall reference/refinement algorithms, and a sequential APSP
-// oracle used to verify the distributed computation.
+// Dijkstra and, on unit weights, the bit-parallel multi-source BFS used by
+// the Initial Approximation phase, Bellman–Ford and Floyd–Warshall
+// reference/refinement algorithms, and a sequential APSP oracle used to
+// verify the distributed computation.
 package sssp
 
 import (
@@ -113,20 +114,28 @@ func DijkstraInto(g *graph.Graph, src int32, dist []graph.Dist, mask []bool, buf
 	return ops
 }
 
-// APSP computes all-pairs shortest paths sequentially (one Dijkstra per
-// source); row i is the distance vector of vertex i. It is the verification
-// oracle for the distributed engine.
+// APSP computes all-pairs shortest paths sequentially — one FIFO BFSInto
+// per source on unit weights, one Dijkstra otherwise — into n rows over one
+// backing array; row i is the distance vector of vertex i. It is the
+// verification oracle for the distributed engine; on unit weights it
+// shares no search code with the engine's bit-parallel IA.
 func APSP(g *graph.Graph) [][]graph.Dist {
 	n := g.NumVertices()
+	cells := make([]graph.Dist, n*n)
+	for i := range cells {
+		cells[i] = graph.InfDist
+	}
+	unit := graph.Stats(g).UnitWeights
+	var qb queueBuf
+	var hb heapBuf
 	out := make([][]graph.Dist, n)
-	buf := &heapBuf{}
-	for s := 0; s < n; s++ {
-		row := make([]graph.Dist, n)
-		for i := range row {
-			row[i] = graph.InfDist
+	for s := range out {
+		out[s] = cells[s*n : (s+1)*n : (s+1)*n]
+		if unit {
+			BFSInto(g, int32(s), out[s], nil, &qb)
+		} else {
+			DijkstraInto(g, int32(s), out[s], nil, &hb)
 		}
-		DijkstraInto(g, int32(s), row, nil, buf)
-		out[s] = row
 	}
 	return out
 }

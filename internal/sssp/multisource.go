@@ -21,7 +21,8 @@ import (
 // accounting; the caller divides by the worker count to model the
 // parallel-section time).
 func MultiSource(g *graph.Graph, sources []int32, rows [][]graph.Dist, mask []bool, workers int) int64 {
-	return multiSourceRun(sources, rows, workers, func() func(i int) int64 {
+	checkRows(sources, rows)
+	return multiSourceRun(len(sources), workers, func() func(i int) int64 {
 		buf := &heapBuf{}
 		return func(i int) int64 {
 			return DijkstraInto(g, sources[i], rows[i], mask, buf)
@@ -29,26 +30,39 @@ func MultiSource(g *graph.Graph, sources []int32, rows [][]graph.Dist, mask []bo
 	})
 }
 
-// MultiSourceBFS is MultiSource for unit-weight graphs: every source runs
-// the flat-FIFO BFS of BFSInto instead of heap Dijkstra. The caller is
-// responsible for ensuring all edge weights equal 1 (see graph.Stats).
+// MultiSourceBFS is MultiSource for unit-weight graphs, run as a
+// bit-parallel BFS: sources go in batches of 64, and one pass over the
+// adjacency of each frontier vertex serves every source of its batch that
+// reached the vertex at that level. Batches, not sources, fan out over the
+// workers. The caller is responsible for ensuring all edge weights equal 1
+// (see graph.Stats).
+//
+// rows[i] must be fresh — InfDist except rows[i][sources[i]] = 0 — since
+// each distance is written once, when its source first reaches the vertex.
+// The mask contract is DijkstraInto's, and distances and the returned op
+// count equal a FIFO BFS per source (pops plus edge scans).
 func MultiSourceBFS(g *graph.Graph, sources []int32, rows [][]graph.Dist, mask []bool, workers int) int64 {
-	return multiSourceRun(sources, rows, workers, func() func(i int) int64 {
-		buf := &queueBuf{}
+	checkRows(sources, rows)
+	batches := (len(sources) + batchWidth - 1) / batchWidth
+	return multiSourceRun(batches, workers, func() func(i int) int64 {
+		b := &bitBFS{}
 		return func(i int) int64 {
-			return BFSInto(g, sources[i], rows[i], mask, buf)
+			lo, hi := i*batchWidth, min((i+1)*batchWidth, len(sources))
+			return b.run(g, sources[lo:hi], rows[lo:hi], mask)
 		}
 	})
 }
 
-// multiSourceRun fans the source indices [0, len(sources)) across
-// `workers` goroutines. newWorker is called once per goroutine to build
-// its runner around private scratch buffers.
-func multiSourceRun(sources []int32, rows [][]graph.Dist, workers int, newWorker func() func(i int) int64) int64 {
+func checkRows(sources []int32, rows [][]graph.Dist) {
 	if len(sources) != len(rows) {
 		panic("sssp: sources/rows length mismatch")
 	}
-	n := len(sources)
+}
+
+// multiSourceRun fans the job indices [0, n) across `workers` goroutines.
+// newWorker is called once per goroutine to build its runner around
+// private scratch buffers.
+func multiSourceRun(n, workers int, newWorker func() func(i int) int64) int64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -63,7 +77,7 @@ func multiSourceRun(sources []int32, rows [][]graph.Dist, workers int, newWorker
 		}
 		return ops
 	}
-	// next is the shared source cursor: workers claim indices with one
+	// next is the shared job cursor: workers claim indices with one
 	// atomic fetch-add each — no lock, no contention beyond the cache line.
 	var next int64
 	var totalOps int64

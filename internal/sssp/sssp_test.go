@@ -69,16 +69,37 @@ func TestDijkstraAgainstBellmanFord(t *testing.T) {
 	}
 }
 
+// APSP takes the FIFO BFS path on unit weights and Dijkstra otherwise;
+// both must equal Floyd–Warshall, also where vertices are unreachable.
 func TestAPSPAgainstFloydWarshall(t *testing.T) {
-	g := randomGraph(40, 100, 17)
-	apsp := APSP(g)
-	fw := DenseFromGraph(g)
-	FloydWarshall(fw)
-	for i := range apsp {
-		for j := range apsp[i] {
-			if apsp[i][j] != fw[i][j] {
-				t.Fatalf("APSP[%d][%d]=%d vs FW %d", i, j, apsp[i][j], fw[i][j])
+	for _, c := range []struct {
+		name        string
+		g           *graph.Graph
+		unreachable bool
+	}{
+		{"weighted", randomGraph(40, 100, 17), false},
+		{"unit", unitGraph(40, 100, 17), false},
+		{"weighted-disconnected", randomGraph(50, 30, 19), true},
+		{"unit-disconnected", unitGraph(50, 30, 19), true},
+		{"empty", graph.New(0), false},
+	} {
+		apsp := APSP(c.g)
+		fw := DenseFromGraph(c.g)
+		FloydWarshall(fw)
+		if len(apsp) != len(fw) {
+			t.Fatalf("%s: APSP has %d rows, FW %d", c.name, len(apsp), len(fw))
+		}
+		inf := false
+		for i := range apsp {
+			for j := range apsp[i] {
+				if apsp[i][j] != fw[i][j] {
+					t.Fatalf("%s: APSP[%d][%d]=%d vs FW %d", c.name, i, j, apsp[i][j], fw[i][j])
+				}
+				inf = inf || apsp[i][j] == graph.InfDist
 			}
+		}
+		if inf != c.unreachable {
+			t.Fatalf("%s: unreachable pairs = %v, want %v", c.name, inf, c.unreachable)
 		}
 	}
 }
