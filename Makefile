@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet race kernel-check codec-check bench-smoke examples-check chaos-cluster bench bench-json bench-compare bench-paper obs-cluster-check transport-check clean
+.PHONY: check build test vet race kernel-check codec-check bench-smoke dev-bench examples-check chaos-cluster bench bench-json bench-compare bench-paper obs-cluster-check transport-check clean
 
-check: build test vet race kernel-check codec-check bench-smoke examples-check transport-check chaos-cluster obs-cluster-check
+check: build test vet race kernel-check codec-check bench-smoke dev-bench examples-check transport-check chaos-cluster obs-cluster-check
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,12 @@ codec-check:
 # (~10 s), so a refactor that breaks what the benchmark uses fails here.
 bench-smoke:
 	cd benchmark && $(GO) test -count=1 ./...
+
+# Developer benches: one iteration each of the warm start (NewConverged on
+# BA n=1000, P=4) and of an 8-batch CutEdge-PS absorption on it, so they
+# stay runnable. For numbers, run them with -count and a larger -benchtime.
+dev-bench:
+	$(GO) test -run '^$$' -bench '^(BenchmarkWarmStart|BenchmarkAbsorbCycle)$$' -benchtime 1x -benchmem ./internal/core
 
 # Examples gate: every example runs to completion (~6 s together). Each
 # checks itself and exits non-zero on a mismatch — faulttolerance is the one

@@ -498,3 +498,66 @@ func BenchmarkExactStep(b *testing.B) {
 		})
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Warm start and absorption at absorb_cutedge's shape: a warm
+// (NewConverged) BA n=1000 m=3 unit-weight engine at P=4, one worker,
+// absorbing CutEdge-PS community batches of 16. Both report B/op, which is
+// where the DV table's storage shows.
+// ---------------------------------------------------------------------------
+
+func absorbBenchSetup(b *testing.B) (*graph.Graph, []*change.VertexBatch, Options) {
+	b.Helper()
+	g, err := gen.BarabasiAlbert(1000, 3, gen.Weights{}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := make([]*change.VertexBatch, 8)
+	for i := range batches {
+		if batches[i], err = gen.CommunityBatch(g, 16, 1.5, gen.Weights{}, int64(1000+i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts := NewOptions()
+	opts.P, opts.Workers, opts.Seed, opts.Strategy = 4, 1, 500, CutEdgePS
+	return g, batches, opts
+}
+
+// BenchmarkWarmStart times NewConverged: partitioning, one table per
+// processor, and the global IA into it.
+func BenchmarkWarmStart(b *testing.B) {
+	g, _, opts := absorbBenchSetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewConverged(g, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAbsorbCycle times 8 batches, each queued and run to
+// convergence, on a fresh warm engine built untimed per iteration; run it
+// with a fixed count, e.g. -benchtime 10x.
+func BenchmarkAbsorbCycle(b *testing.B) {
+	g, batches, opts := absorbBenchSetup(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e, err := NewConverged(g, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, batch := range batches {
+			if err := e.QueueBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+			e.Run()
+			if !e.Converged() {
+				b.Fatal("batch did not converge")
+			}
+		}
+	}
+}

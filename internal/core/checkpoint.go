@@ -14,7 +14,6 @@ import (
 
 	"anytime/internal/cluster"
 	"anytime/internal/dv"
-	"anytime/internal/fault"
 	"anytime/internal/graph"
 	"anytime/internal/kernel"
 	"anytime/internal/obs"
@@ -226,21 +225,10 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 	if p != opts.P {
 		return nil, fmt.Errorf("core: checkpoint has P=%d, options have P=%d", p, opts.P)
 	}
-	cfg := opts.clusterConfig()
-	var inj *fault.Injector
-	if opts.Faults != nil {
-		var ferr error
-		if inj, ferr = fault.NewInjector(*opts.Faults, opts.P); ferr != nil {
-			return nil, ferr
-		}
-		cfg.Fault = inj
-	}
-	mach, err := cluster.New(cfg)
+	e, err := newShell(g, alive, opts)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{opts: opts, g: g, mach: mach, alive: alive, log: NewEventLog(p)}
-	e.initFaults(inj)
 	e.step = int(dec.i64())
 	e.converged = dec.bool()
 	e.forceRefine = dec.bool()

@@ -90,29 +90,13 @@ func newEngine(g *graph.Graph, opts Options, globalIA bool) (*Engine, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid input graph: %w", err)
 	}
-	cfg := opts.clusterConfig()
-	var inj *fault.Injector
-	if opts.Faults != nil {
-		var ferr error
-		if inj, ferr = fault.NewInjector(*opts.Faults, opts.P); ferr != nil {
-			return nil, ferr
-		}
-		cfg.Fault = inj
+	alive := make([]bool, g.NumVertices())
+	for i := range alive {
+		alive[i] = true
 	}
-	mach, err := cluster.New(cfg)
+	e, err := newShell(g.Clone(), alive, opts)
 	if err != nil {
 		return nil, err
-	}
-	e := &Engine{
-		opts:  opts,
-		g:     g.Clone(),
-		mach:  mach,
-		alive: make([]bool, g.NumVertices()),
-		log:   NewEventLog(opts.P),
-	}
-	e.initFaults(inj)
-	for i := range e.alive {
-		e.alive[i] = true
 	}
 	// Repartition-S relies on local-refinement pivoting for exactness
 	// after partial-result migration (see applyRepartition), so it is
@@ -143,6 +127,28 @@ func newEngine(g *graph.Graph, opts Options, globalIA bool) (*Engine, error) {
 	e.metrics.WallTime += time.Since(start)
 	e.metrics.VirtualTime = e.mach.VirtualTime()
 	e.refreshLoadMetrics()
+	return e, nil
+}
+
+// newShell builds the engine shell New, NewConverged and Restore share
+// over graph g and liveness mask alive: the LogP machine (with a fault
+// injector when opts.Faults is set), the event log and the fault state.
+func newShell(g *graph.Graph, alive []bool, opts Options) (*Engine, error) {
+	cfg := opts.clusterConfig()
+	var inj *fault.Injector
+	if opts.Faults != nil {
+		var err error
+		if inj, err = fault.NewInjector(*opts.Faults, opts.P); err != nil {
+			return nil, err
+		}
+		cfg.Fault = inj
+	}
+	mach, err := cluster.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{opts: opts, g: g, mach: mach, alive: alive, log: NewEventLog(opts.P)}
+	e.initFaults(inj)
 	return e, nil
 }
 

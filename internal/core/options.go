@@ -57,7 +57,7 @@ const (
 const (
 	// TileSize is the pivot-tile edge of the blocked Floyd–Warshall local
 	// refinement: pivots are processed in tiles of this many consecutive
-	// arena rows, with one worker barrier per tile round instead of per
+	// table rows, with one worker barrier per tile round instead of per
 	// pivot, and the external-relax pass walks received deltas in chunks
 	// of the same size. Converged results are identical for every tile
 	// size; 32 keeps a tile's pivot rows L1/L2-resident for the graph sizes

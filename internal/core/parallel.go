@@ -17,7 +17,7 @@ import (
 //
 // The refine pass is tiled blocked Floyd–Warshall (Venkataraman et al.,
 // JEA 2003): pivots are grouped into tiles of TileSize consecutive
-// arena rows, and each round splits into
+// table rows (slot order), and each round splits into
 //
 //   - phase A (diagonal): the tile's own rows are refined through the
 //     tile's active pivots, one pivot at a time in index order. This runs
@@ -26,9 +26,8 @@ import (
 //     each other.
 //   - phase B (remainder): every row outside the tile is relaxed through
 //     the round's active pivots, kernel.GroupK of them per grouped pass
-//     (kernel.Tile), streaming the pivot rows straight out of the flat
-//     dv.Matrix arena. Rows are
-//     partitioned into contiguous per-worker blocks, one writer per row;
+//     (kernel.Tile), reading each pivot row's distances in place. Rows
+//     are partitioned into contiguous per-worker blocks, one writer per row;
 //     tile rows are read-only during this phase, so no barrier is needed
 //     within a round.
 //
@@ -108,11 +107,11 @@ func splitBlocks(n, w int) []int {
 
 // refineRound is one tile round's schedule, computed by the phaser leader
 // (or inline when w == 1): the pivot tile's row range and the active
-// pivots inside it, as arena row indices plus their owners' global IDs.
+// pivots inside it, as table row indices plus their owners' global IDs.
 // tLo < 0 signals that the pass is over.
 type refineRound struct {
 	tLo, tHi int
-	offs     []int32 // active pivot row indices (arena slots, ascending)
+	offs     []int32 // active pivot row indices (table slots, ascending)
 	owners   []int32 // owners[i] = global vertex of pivot offs[i]
 	// masks[i] is pivot offs[i]'s compiled frontier, or nil to force a full
 	// sweep through that pivot (masking disabled, ship-all row, or frontier
@@ -494,15 +493,14 @@ func (p *Proc) advanceRound(r *refineRound, from, tile int) (int64, int64) {
 //
 //	D(u, t) = min(D(u, t), D(u, w) + D_w(t))  for each pivot w in order.
 //
-// The pivot rows are streamed out of the arena; they are never written
-// here, so workers only need the one barrier that opened the round. The
+// The pivot rows' distances are read in place and never written here,
+// so workers only need the one barrier that opened the round. The
 // round's pivots are taken a kernel.Tile at a time, rows inner, so a tile's
 // pivot rows stay in L1 across the rows; each row still sees the round's
 // pivots in order.
 func (p *Proc) phaseB(r *refineRound, lo, hi int, t *kernel.Tile) (int64, int64) {
 	rows := p.table.Rows()
 	cols := p.table.Cols()
-	arena, stride := p.table.Arena()
 	var ops, masked int64
 	for pi := 0; pi < len(r.offs); {
 		t.Reset()
@@ -511,8 +509,7 @@ func (p *Proc) phaseB(r *refineRound, lo, hi int, t *kernel.Tile) (int64, int64)
 			if !p.maskOff {
 				m = r.masks[pi]
 			}
-			off := int(r.offs[pi]) * stride
-			if !t.Push(arena[off:off+cols], 0, r.owners[pi], m) {
+			if !t.Push(rows[r.offs[pi]].D[:cols], 0, r.owners[pi], m) {
 				break
 			}
 		}

@@ -1,10 +1,10 @@
 // Package dv implements the distance-vector (DV) state each processor
 // maintains in the anytime-anywhere engine: one row per locally owned
 // vertex holding current shortest-distance upper bounds to every vertex of
-// the (growing) graph. Rows are views into one flat row-major arena per
-// processor, so the recombination refine phase streams over contiguous
-// memory; the paper's amortized-doubling column extension for dynamic
-// vertex additions is preserved as amortized-doubling of the arena stride.
+// the (growing) graph. Each row owns its storage; the paper's
+// amortized-doubling column extension for dynamic vertex additions is
+// kept as a per-row capacity (the matrix stride) that doubles when column
+// growth outruns it.
 // Dirty tracking ensures only *updated* boundary DVs are shipped during
 // recombination.
 package dv
@@ -22,9 +22,10 @@ import (
 // Rows hold distances only; a shortest path is recovered from converged
 // distances by walking tight edges (core.Engine.Path).
 //
-// While a row is attached to a Matrix, D aliases the matrix arena;
-// RemoveRow detaches it onto private backing so migrated rows stay valid
-// after the slot is reused.
+// D and F hold the matrix's width and have the matrix stride's capacity,
+// so column growth within the stride fills them in place. A row keeps its
+// storage when it is removed from a matrix; no other row's storage
+// overlaps it.
 type Row struct {
 	Owner int32
 	D     []graph.Dist
@@ -41,7 +42,9 @@ type Row struct {
 	// Unlike the pending ship window, the frontier survives ClearPending/
 	// ClearDirty: it resets only at a clean global convergence
 	// (ClearFrontier), because that is the fixpoint the masking soundness
-	// argument is anchored to.
+	// argument is anchored to. Every bit at or above the row width, up to
+	// F's capacity, is zero (storage starts zeroed and Set is only called
+	// on valid columns), so width growth copies or reslices whole words.
 	F    kernel.Bitset
 	FAll bool
 
@@ -62,7 +65,7 @@ type Row struct {
 	pre       []Agg
 	agg       Agg
 
-	mx *Matrix // non-nil while D aliases mx's arena
+	mx *Matrix // the matrix the row is attached to, or nil
 }
 
 // Agg is the snapshot aggregate of a row prefix: over the finite entries
@@ -219,28 +222,18 @@ func (r *Row) SetPendingState(all bool, lo, hi int32) {
 	r.pendAll, r.pendLo, r.pendHi = all, lo, hi
 }
 
-// Matrix is the per-processor DV store. All rows share one flat row-major
-// arena: the row at position i views d[i*stride : i*stride+cols], so
-// consecutive rows are contiguous in memory and the refine phase can
-// stream pivot tiles straight out of the arena (see internal/kernel.Tile).
-// stride (>= cols) is the allocated column
-// capacity per row slot: column extension first fills the slack
-// [cols, stride) in place and re-lays the arena with a doubled stride only
-// when the slack runs out — the paper's amortized-doubling O(n+k) resize,
-// with element copies tracked in ResizeCopies.
+// Matrix is the per-processor DV store: the rows in slot order and an
+// index from owner to slot. Every row owns its storage. stride (>= cols)
+// is the column capacity all rows share: column extension first fills the
+// slack [cols, stride) of each row in place, and re-allocates the rows
+// with a doubled stride only when the slack runs out — the paper's
+// amortized-doubling O(n+k) resize, with element copies tracked in
+// ResizeCopies.
 type Matrix struct {
 	cols   int
 	stride int
-	d      []graph.Dist // len == slot capacity * stride
-	// fw backs the rows' frontier bitmasks at wstride words per slot
-	// (wstride = BitsetWords(stride), so in-place column extension never
-	// re-lays the words). Bits at or beyond cols are kept zero — Set is
-	// only ever called on valid columns and slots are zeroed on (re)use —
-	// which lets relayouts and width growth copy words verbatim.
-	fw      []uint64
-	wstride int
-	rows    []*Row
-	index   map[int32]int // global vertex ID -> position in rows
+	rows   []*Row
+	index  map[int32]int // global vertex ID -> position in rows
 	// ResizeCopies counts element copies performed by column-extension
 	// reallocations (the paper's O(n+k) amortized DV-resize cost term).
 	ResizeCopies int64
@@ -248,11 +241,7 @@ type Matrix struct {
 
 // NewMatrix creates an empty matrix whose rows span `cols` global vertices.
 func NewMatrix(cols int) *Matrix {
-	stride := cols
-	if stride < 1 {
-		stride = 1
-	}
-	return &Matrix{cols: cols, stride: stride, wstride: kernel.BitsetWords(stride), index: make(map[int32]int)}
+	return &Matrix{cols: cols, stride: max(cols, 1), index: make(map[int32]int)}
 }
 
 // Cols returns the current logical row width (number of global vertices).
@@ -261,16 +250,9 @@ func (m *Matrix) Cols() int { return m.cols }
 // Len returns the number of rows (locally owned vertices).
 func (m *Matrix) Len() int { return len(m.rows) }
 
-// Rows returns the rows in slot order: Rows()[i] views arena columns
-// [i*stride, i*stride+cols). The slice is owned by the matrix; callers
-// must not reorder it.
+// Rows returns the rows in slot order. The slice is owned by the matrix;
+// callers must not reorder it.
 func (m *Matrix) Rows() []*Row { return m.rows }
-
-// Arena exposes the flat distance arena and the row stride. The row at
-// position i occupies arena[i*stride : i*stride+Cols()]. The backing array
-// is invalidated by AddRow/AdoptRow/RemoveRow/ExtendCols; callers use it
-// only within one relax phase.
-func (m *Matrix) Arena() ([]graph.Dist, int) { return m.d, m.stride }
 
 // Has reports whether a row for global vertex v exists.
 func (m *Matrix) Has(v int32) bool {
@@ -286,59 +268,26 @@ func (m *Matrix) Row(v int32) *Row {
 	return nil
 }
 
-// view re-points row i's D slice at its arena slot. The capacity is
-// clamped to the slot so an accidental append can never bleed into the
-// next row.
-func (m *Matrix) view(i int) {
-	base := i * m.stride
-	r := m.rows[i]
-	r.D = m.d[base : base+m.cols : base+m.stride]
-	wbase := i * m.wstride
-	r.F = kernel.Bitset(m.fw[wbase : wbase+kernel.BitsetWords(m.cols) : wbase+m.wstride])
-}
-
-// ensureSlots grows the arena to hold at least `need` row slots, moving
-// the existing rows (one contiguous copy) and re-pointing their views.
-// Slot growth is row-count doubling, not the paper's column-resize term,
-// so it does not count toward ResizeCopies.
-func (m *Matrix) ensureSlots(need int) {
-	if need*m.stride <= len(m.d) {
-		return
-	}
-	newCap := 2 * (len(m.d) / m.stride)
-	if newCap < need {
-		newCap = need
-	}
-	if newCap < 4 {
-		newCap = 4
-	}
-	d := make([]graph.Dist, newCap*m.stride)
-	fw := make([]uint64, newCap*m.wstride)
-	copy(d, m.d)
-	copy(fw, m.fw)
-	m.d, m.fw = d, fw
-	for i := range m.rows {
-		m.view(i)
+// fillInf sets every entry of d to InfDist.
+func fillInf(d []graph.Dist) {
+	for i := range d {
+		d[i] = graph.InfDist
 	}
 }
 
-// fillSlot initializes columns [lo, cols) of slot i to InfDist, clearing
-// any stale data left by a previously removed row.
-func (m *Matrix) fillSlot(i, lo int) {
-	base := i * m.stride
-	for c := lo; c < m.cols; c++ {
-		m.d[base+c] = graph.InfDist
-	}
+// storage allocates one row's distances (all InfDist) and frontier words
+// (clear) at the matrix width, each with the stride's capacity.
+func (m *Matrix) storage() ([]graph.Dist, kernel.Bitset) {
+	d := make([]graph.Dist, m.cols, m.stride)
+	fillInf(d)
+	return d, make(kernel.Bitset, kernel.BitsetWords(m.cols), kernel.BitsetWords(m.stride))
 }
 
-// fillSlotWords zeroes slot i's frontier words, clearing any stale bits
-// left by a previously removed row.
-func (m *Matrix) fillSlotWords(i int) {
-	wbase := i * m.wstride
-	fw := m.fw[wbase : wbase+m.wstride]
-	for w := range fw {
-		fw[w] = 0
-	}
+// attach appends r at the next slot.
+func (m *Matrix) attach(r *Row) {
+	r.mx = m
+	m.index[r.Owner] = len(m.rows)
+	m.rows = append(m.rows, r)
 }
 
 // AddRow inserts a fresh row for global vertex v: all InfDist except
@@ -350,59 +299,40 @@ func (m *Matrix) AddRow(v int32) *Row {
 	if int(v) >= m.cols {
 		panic(fmt.Sprintf("dv: vertex %d outside width %d", v, m.cols))
 	}
-	i := len(m.rows)
-	m.ensureSlots(i + 1)
-	m.fillSlot(i, 0)
-	m.fillSlotWords(i)
-	base := i * m.stride
-	m.d[base+int(v)] = 0
-	r := &Row{Owner: v, mx: m}
-	m.index[v] = i
-	m.rows = append(m.rows, r)
-	m.view(i)
+	r := &Row{Owner: v}
+	r.D, r.F = m.storage()
+	r.D[v] = 0
+	m.attach(r)
 	r.MarkShipAll() // fresh content: first ship carries the whole row
 	return r
 }
 
 // RemoveRow deletes the row of v (repartitioning migrates rows between
-// processors; vertex deletion drops them). The removed row is detached
-// onto private backing — it stays valid and mutation-isolated from the
-// matrix — and the freed slot is filled by the last row so the arena stays
-// dense. Returns the removed row or nil.
+// processors; vertex deletion drops them) and moves the last row into its
+// slot. The removed row keeps its storage and values; no other row's
+// storage overlaps it. Returns the removed row or nil.
 func (m *Matrix) RemoveRow(v int32) *Row {
 	i, ok := m.index[v]
 	if !ok {
 		return nil
 	}
 	r := m.rows[i]
-	d := make([]graph.Dist, m.cols)
-	fw := make(kernel.Bitset, kernel.BitsetWords(m.cols))
-	copy(d, r.D)
-	copy(fw, r.F)
-	r.D, r.F, r.mx = d, fw, nil
-
+	r.mx = nil
 	last := len(m.rows) - 1
-	if i != last {
-		srcBase := last * m.stride
-		dstBase := i * m.stride
-		copy(m.d[dstBase:dstBase+m.cols], m.d[srcBase:srcBase+m.cols])
-		wSrc := last * m.wstride
-		wDst := i * m.wstride
-		copy(m.fw[wDst:wDst+m.wstride], m.fw[wSrc:wSrc+m.wstride])
-		m.rows[i] = m.rows[last]
-		m.index[m.rows[i].Owner] = i
-		m.view(i)
-	}
+	m.rows[i] = m.rows[last]
+	m.index[m.rows[i].Owner] = i
+	m.rows[last] = nil
 	m.rows = m.rows[:last]
 	delete(m.index, v)
 	return r
 }
 
-// AdoptRow installs a detached row (migrated from another processor),
-// copying its content into the next arena slot. Its width is extended to
-// the matrix's width if needed, and its snapshot aggregates are rescanned
-// in full. Panics if the row is still attached to a matrix or a row for
-// its owner already exists.
+// AdoptRow installs a detached row (migrated from another processor) at
+// the next slot and marks its snapshot aggregates for a full rescan. A row
+// whose width is the matrix's and whose capacity covers the stride keeps
+// its storage; any other is copied into fresh storage, cut or padded with
+// InfDist to the matrix's width. Panics if the row is still attached to a
+// matrix or a row for its owner already exists.
 func (m *Matrix) AdoptRow(r *Row) {
 	if _, ok := m.index[r.Owner]; ok {
 		panic(fmt.Sprintf("dv: duplicate adopted row for vertex %d", r.Owner))
@@ -410,82 +340,58 @@ func (m *Matrix) AdoptRow(r *Row) {
 	if r.mx != nil {
 		panic(fmt.Sprintf("dv: adopting row %d still attached to a matrix", r.Owner))
 	}
-	i := len(m.rows)
-	m.ensureSlots(i + 1)
-	base := i * m.stride
-	n := len(r.D)
-	if n > m.cols {
-		n = m.cols
-	}
-	copy(m.d[base:base+n], r.D[:n])
-	m.fillSlot(i, n)
-	m.fillSlotWords(i)
-	wbase := i * m.wstride
 	words := kernel.BitsetWords(m.cols)
-	copy(m.fw[wbase:wbase+words], r.F)
-	if tail := uint(m.cols & 63); tail != 0 {
-		// keep bits at/above cols zero even if the adopted row was wider
-		m.fw[wbase+words-1] &= 1<<tail - 1
+	if len(r.D) != m.cols || cap(r.D) < m.stride || len(r.F) != words || cap(r.F) < kernel.BitsetWords(m.stride) {
+		d, f := m.storage()
+		copy(d, r.D)
+		copy(f, r.F)
+		if tail := uint(m.cols & 63); tail != 0 {
+			// keep bits at/above cols zero even if the adopted row was wider
+			f[words-1] &= 1<<tail - 1
+		}
+		r.D, r.F = d, f
 	}
-	r.mx = m
 	r.staleFrom = 0
-	m.index[r.Owner] = i
-	m.rows = append(m.rows, r)
-	m.view(i)
+	m.attach(r)
 }
 
 // ExtendCols widens every row by k new columns initialized to InfDist.
-// While the new width fits the arena stride the slack is filled in place
-// (zero copies); otherwise the arena is re-laid with a doubled stride (the
-// paper assumes vector size doubles on resize, for an O(n+k) amortized
-// cost, which is tracked in ResizeCopies).
+// While the new width fits the stride each row is filled in place (zero
+// copies); otherwise the stride doubles and every row moves (the paper
+// assumes vector size doubles on resize, for an O(n+k) amortized cost,
+// which is tracked in ResizeCopies). The moved rows take consecutive
+// windows of one distance slab and one frontier slab, in slot order, so
+// the Fig. 3 row test, which reads two columns of every row per improving
+// edge, walks adjacent memory instead of one allocation per row.
 func (m *Matrix) ExtendCols(k int) {
 	if k <= 0 {
 		return
 	}
 	old := m.cols
 	m.cols += k
+	words := kernel.BitsetWords(m.cols)
 	if m.cols <= m.stride {
-		for i := range m.rows {
-			m.fillSlot(i, old)
-			m.view(i)
+		for _, r := range m.rows {
+			r.D = r.D[:m.cols]
+			fillInf(r.D[old:])
+			r.F = r.F[:words]
 		}
 		return
 	}
-	newStride := 2 * m.stride
-	if newStride < m.cols {
-		newStride = m.cols
-	}
-	slotCap := len(m.d) / m.stride
-	if slotCap < len(m.rows) {
-		slotCap = len(m.rows)
-	}
-	newWstride := kernel.BitsetWords(newStride)
-	d := make([]graph.Dist, slotCap*newStride)
-	fw := make([]uint64, slotCap*newWstride)
-	for i := range m.rows {
-		copy(d[i*newStride:], m.d[i*m.stride:i*m.stride+old])
-		// frontier bits at/above old cols are zero, so whole words move
-		copy(fw[i*newWstride:], m.fw[i*m.wstride:(i+1)*m.wstride])
+	m.stride = max(2*m.stride, m.cols)
+	ws := kernel.BitsetWords(m.stride)
+	d := make([]graph.Dist, len(m.rows)*m.stride)
+	fw := make([]uint64, len(m.rows)*ws)
+	for i, r := range m.rows {
+		nd := d[i*m.stride : i*m.stride+m.cols : (i+1)*m.stride]
+		copy(nd, r.D)
+		fillInf(nd[old:])
+		// frontier bits at/above the old width are zero, so whole words move
+		nf := kernel.Bitset(fw[i*ws : i*ws+words : (i+1)*ws])
+		copy(nf, r.F)
+		r.D, r.F = nd, nf
 		m.ResizeCopies += int64(old)
 	}
-	m.d, m.fw = d, fw
-	m.stride, m.wstride = newStride, newWstride
-	for i := range m.rows {
-		m.fillSlot(i, old)
-		m.view(i)
-	}
-}
-
-// DirtyRows returns the rows currently marked dirty, in slot order.
-func (m *Matrix) DirtyRows() []*Row {
-	var out []*Row
-	for _, r := range m.rows {
-		if r.Dirty {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // ClearDirty resets all dirty marks and pending windows (after shipping).
@@ -495,19 +401,16 @@ func (m *Matrix) ClearDirty() {
 	}
 }
 
-// ClearFrontiers resets every attached row's dirty frontier in one arena
-// sweep. Called at a clean global convergence — the fixpoint that
-// re-anchors the masked kernels' skip rule.
+// ClearFrontiers resets every row's dirty frontier. Called at a clean
+// global convergence — the fixpoint that re-anchors the masked kernels'
+// skip rule.
 func (m *Matrix) ClearFrontiers() {
-	for w := range m.fw {
-		m.fw[w] = 0
-	}
 	for _, r := range m.rows {
-		r.FAll = false
+		r.ClearFrontier()
 	}
 }
 
-// FrontierStats scans the frontier arena and returns the number of nonzero
+// FrontierStats scans the rows' frontiers and returns the number of nonzero
 // frontier words and total set bits across all rows; FAll rows count as
 // fully set. Feeds the per-step FrontierWords/FrontierDensity telemetry.
 func (m *Matrix) FrontierStats() (words int, bits int64) {

@@ -2,10 +2,13 @@ package dv
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"anytime/internal/graph"
+	"anytime/internal/kernel"
 )
 
 func TestAddRowInitialState(t *testing.T) {
@@ -157,58 +160,135 @@ func TestAdoptRowWidens(t *testing.T) {
 	}
 }
 
-// The refine phase streams pivot tiles straight out of the arena, so the
-// row-at-slot-i invariant (Rows()[i] views arena[i*stride:]) must survive
-// every mutation: adds, removes (swap-with-last), adoption, and column
-// extension through both the in-place and the re-layout path.
-func TestArenaRowSlotInvariant(t *testing.T) {
-	check := func(m *Matrix) {
-		t.Helper()
-		arena, stride := m.Arena()
-		for i, r := range m.Rows() {
-			if len(r.D) != m.Cols() {
-				t.Fatalf("row %d width %d, want %d", i, len(r.D), m.Cols())
-			}
-			for c, d := range r.D {
-				if arena[i*stride+c] != d {
-					t.Fatalf("row %d col %d: view %d != arena %d", i, c, d, arena[i*stride+c])
-				}
-			}
-			if r.D[r.Owner] != 0 {
-				t.Fatalf("row %d self-distance %d", i, r.D[r.Owner])
+// checkRows asserts the row-storage invariant of every row in m: width and
+// capacity fitted to the matrix, slot index and attachment consistent,
+// self-distance zero, frontier bits at or above the width clear up to the
+// capacity, and no two rows' storage overlapping.
+func checkRows(t *testing.T, m *Matrix) {
+	t.Helper()
+	words := kernel.BitsetWords(m.Cols())
+	for i, r := range m.Rows() {
+		if len(r.D) != m.Cols() || cap(r.D) < m.stride {
+			t.Fatalf("row %d: len %d cap %d, want len %d cap >= %d", r.Owner, len(r.D), cap(r.D), m.Cols(), m.stride)
+		}
+		if len(r.F) != words || cap(r.F) < kernel.BitsetWords(m.stride) {
+			t.Fatalf("row %d: frontier len %d cap %d, want len %d", r.Owner, len(r.F), cap(r.F), words)
+		}
+		if m.index[r.Owner] != i || r.mx != m {
+			t.Fatalf("row %d: slot %d, index %d, attached %v", r.Owner, i, m.index[r.Owner], r.mx == m)
+		}
+		if r.D[r.Owner] != 0 {
+			t.Fatalf("row %d self-distance %d", r.Owner, r.D[r.Owner])
+		}
+		f := r.F[:cap(r.F)]
+		for c := m.Cols(); c < len(f)*64; c++ {
+			if f.Get(c) {
+				t.Fatalf("row %d: frontier bit %d at/above width %d", r.Owner, c, m.Cols())
 			}
 		}
 	}
+	span := func(r *Row) (uintptr, uintptr) {
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(r.D)))
+		return lo, lo + uintptr(cap(r.D))*unsafe.Sizeof(r.D[0])
+	}
+	for i, a := range m.Rows() {
+		for _, b := range m.Rows()[i+1:] {
+			alo, ahi := span(a)
+			blo, bhi := span(b)
+			if alo < bhi && blo < ahi {
+				t.Fatalf("rows %d and %d share storage", a.Owner, b.Owner)
+			}
+		}
+	}
+}
+
+// Every row owns storage of the matrix width with the stride's capacity,
+// through in-place growth, slab growth, swap-remove and adoption of
+// narrower, wider and under-capacity rows; values survive every move.
+func TestRowStorageInvariant(t *testing.T) {
 	m := NewMatrix(3)
 	for v := int32(0); v < 3; v++ {
 		m.AddRow(v)
 	}
 	m.Row(0).Relax(2, 7)
-	check(m)
-	m.ExtendCols(2) // forces a stride re-layout (3 -> >=5)
-	check(m)
-	if m.Row(0).D[2] != 7 {
-		t.Fatal("re-layout lost data")
+	checkRows(t, m)
+
+	m.ExtendCols(2) // past the stride: 3 -> 6, every row moves into the slab
+	checkRows(t, m)
+	if m.stride != 6 || m.ResizeCopies != 9 || m.Row(0).D[2] != 7 || m.Row(0).D[4] != graph.InfDist {
+		t.Fatalf("slab growth: stride %d, copies %d, row 0 %v", m.stride, m.ResizeCopies, m.Row(0).D)
 	}
+	rows := m.Rows()
+	for i := 1; i < len(rows); i++ {
+		step := uintptr(unsafe.Pointer(&rows[i].D[0])) - uintptr(unsafe.Pointer(&rows[i-1].D[0]))
+		if step != uintptr(m.stride)*unsafe.Sizeof(graph.Dist(0)) {
+			t.Fatalf("slab rows %d and %d are %d bytes apart, want consecutive windows", i-1, i, step)
+		}
+	}
+
 	m.AddRow(4)
-	m.ExtendCols(1) // fits the doubled stride: in-place fill
-	check(m)
-	m.RemoveRow(0) // swap-with-last moves row 4 into slot 0
-	check(m)
-	if m.Row(4) == nil || m.Rows()[0].Owner != 4 {
-		t.Fatal("swap-with-last broke indexing")
+	m.ExtendCols(1) // fits the doubled stride: filled in place, no copies
+	checkRows(t, m)
+	if m.ResizeCopies != 9 || m.Row(0).D[2] != 7 || m.Row(4).D[5] != graph.InfDist {
+		t.Fatalf("in-place growth: copies %d, row 0 %v", m.ResizeCopies, m.Row(0).D)
 	}
-	det := NewMatrix(6)
-	det.AddRow(3)
-	det.Row(3).Relax(5, 9)
-	det.AdoptRow(m.RemoveRow(4))
-	check(det)
-	check(m)
+
+	r0 := m.RemoveRow(0) // swap-remove moves row 4 into slot 0
+	checkRows(t, m)
+	if m.Rows()[0].Owner != 4 || m.Row(4) == nil || m.Len() != 3 {
+		t.Fatal("swap-remove broke indexing")
+	}
+	if len(r0.D) != 6 || r0.D[2] != 7 || r0.D[0] != 0 {
+		t.Fatalf("removed row lost its values: %v", r0.D)
+	}
+	m.AdoptRow(r0) // fits width and stride: keeps its storage
+	checkRows(t, m)
+	if &m.Row(0).D[0] != &r0.D[0] {
+		t.Fatal("a fitting adopted row must keep its storage")
+	}
+
+	// A narrower row is padded with InfDist.
+	narrow := NewMatrix(8)
+	narrow.AddRow(7)
+	narrow.AdoptRow(m.RemoveRow(0))
+	checkRows(t, narrow)
+	if d := narrow.Row(0).D; d[2] != 7 || d[6] != graph.InfDist || d[7] != graph.InfDist {
+		t.Fatalf("narrow row adopted as %v", d)
+	}
+
+	// A wider row is cut to the width, frontier bits past it included.
+	wide := NewMatrix(10)
+	w := wide.AddRow(3)
+	w.ClearFrontier()
+	w.Relax(5, 2)
+	w.Relax(8, 1)
+	m.AdoptRow(wide.RemoveRow(3))
+	checkRows(t, m)
+	if d := m.Row(3).D; len(d) != 6 || d[5] != 2 || !m.Row(3).F.Get(5) {
+		t.Fatalf("wide row adopted as %v", d)
+	}
+
+	// A row of the right width but below the stride's capacity is copied.
+	m.ExtendCols(1) // 6 -> 7 columns, stride 12
+	small := NewMatrix(7)
+	s := small.AddRow(6)
+	s.Relax(1, 3)
+	m.AdoptRow(small.RemoveRow(6))
+	checkRows(t, m)
+	if d := m.Row(6).D; cap(d) < 12 || d[1] != 3 {
+		t.Fatalf("under-capacity row adopted as %v (cap %d)", d, cap(d))
+	}
+
+	m.ExtendCols(20) // slab growth again over moved and adopted rows
+	checkRows(t, m)
+	if m.Row(3).D[5] != 2 || m.Row(6).D[1] != 3 || m.Row(4).D[26] != graph.InfDist {
+		t.Fatal("slab growth lost values")
+	}
 }
 
-// Removed rows detach onto private backing: mutating them must not write
-// through to the matrix (whose slot is reused by the swapped-in row), and
-// vice versa.
+// A removed row keeps its own storage: mutating it must not write through
+// to the matrix, and neither writes to the matrix nor its later growth
+// may reach the removed row.
 func TestRemoveRowDetaches(t *testing.T) {
 	m := NewMatrix(4)
 	m.AddRow(0)
@@ -216,11 +296,19 @@ func TestRemoveRowDetaches(t *testing.T) {
 	r := m.RemoveRow(0)
 	r.D[2] = 42
 	if m.Row(1).D[2] == 42 {
-		t.Fatal("detached row still aliases the arena")
+		t.Fatal("removed row still aliases the matrix")
 	}
 	m.Row(1).Relax(3, 5)
 	if r.D[3] == 5 {
-		t.Fatal("arena write leaked into the detached row")
+		t.Fatal("matrix write leaked into the removed row")
+	}
+	m.ExtendCols(6) // slab growth moves the rows still in the matrix
+	m.Row(1).Relax(2, 8)
+	if len(r.D) != 4 || r.D[2] != 42 || r.D[3] != graph.InfDist {
+		t.Fatalf("growth after removal changed the removed row: %v", r.D)
+	}
+	if d := m.Row(1).D; d[2] != 8 || d[3] != 5 || d[9] != graph.InfDist {
+		t.Fatalf("row 1 after growth: %v", d)
 	}
 }
 
@@ -231,36 +319,53 @@ func TestAdoptAttachedRowPanics(t *testing.T) {
 	assertPanic(t, func() { b.AdoptRow(r) }, "adopt attached row")
 }
 
-// Views must survive arena slot growth triggered by row appends: slices
-// captured before an AddRow would otherwise dangle on the old backing.
-func TestViewsRepointedAfterSlotGrowth(t *testing.T) {
-	m := NewMatrix(3)
-	r0 := m.AddRow(0)
-	for v := int32(1); v < 3; v++ {
-		m.AddRow(v) // forces at least one slot-capacity doubling
-	}
-	r0.Relax(2, 6)
-	arena, stride := m.Arena()
-	if arena[0*stride+2] != 6 {
-		t.Fatal("row 0 view detached from arena after slot growth")
-	}
-}
-
 func TestDirtyRowsAndClear(t *testing.T) {
 	tb := NewMatrix(3)
 	tb.AddRow(0)
 	tb.AddRow(1)
-	if len(tb.DirtyRows()) != 2 {
+	dirty := func() (owners []int32) {
+		for _, r := range tb.Rows() {
+			if r.Dirty {
+				owners = append(owners, r.Owner)
+			}
+		}
+		return owners
+	}
+	if len(dirty()) != 2 {
 		t.Fatal("fresh rows must be dirty")
 	}
 	tb.ClearDirty()
-	if len(tb.DirtyRows()) != 0 {
+	if len(dirty()) != 0 {
 		t.Fatal("clear failed")
 	}
 	tb.Row(1).Relax(0, 4)
-	dr := tb.DirtyRows()
-	if len(dr) != 1 || dr[0].Owner != 1 {
+	if dr := dirty(); len(dr) != 1 || dr[0] != 1 {
 		t.Fatalf("dirty rows = %v", dr)
+	}
+}
+
+// Building a table costs about the rows' own bytes: AddRow allocates one
+// row (the Row, its distances and its frontier words) and never re-lays
+// the rows built before it. The constant covers the Matrix, its index
+// map's growth and the rows slice's doublings (measured: 3 per row + 26).
+func TestTableBuildAllocation(t *testing.T) {
+	const rows, cols = 250, 1000
+	build := func() {
+		m := NewMatrix(cols)
+		for v := int32(0); v < rows; v++ {
+			m.AddRow(v)
+		}
+	}
+	own := rows * (4*cols + 8*kernel.BitsetWords(cols))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; float64(got) > 1.25*float64(own) {
+		t.Fatalf("building %d rows of width %d allocated %d bytes, want at most 1.25 x %d", rows, cols, got, own)
+	}
+	if got := testing.AllocsPerRun(5, build); got > 3*rows+26 {
+		t.Fatalf("building %d rows took %.0f allocations, want at most %d", rows, got, 3*rows+26)
 	}
 }
 

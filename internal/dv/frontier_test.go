@@ -38,7 +38,7 @@ func TestFrontierRelaxRecordsBits(t *testing.T) {
 	}
 }
 
-func TestFrontierSurvivesArenaMoves(t *testing.T) {
+func TestFrontierSurvivesRowMoves(t *testing.T) {
 	m := NewMatrix(70) // >1 word per row
 	for v := int32(0); v < 5; v++ {
 		m.AddRow(v)
@@ -49,30 +49,27 @@ func TestFrontierSurvivesArenaMoves(t *testing.T) {
 	m.Row(2).Relax(65, 9)
 	m.Row(4).Relax(3, 9)
 
-	// RemoveRow detaches frontier onto private backing and the slot-swap
-	// must carry the last row's words along.
+	// The removed row keeps its frontier, and the swap-remove moves the
+	// last row into the freed slot with its words.
 	r2 := m.RemoveRow(2)
 	if !r2.F.Get(65) || r2.F.OnesCount() != 1 {
-		t.Fatalf("detached frontier lost bit 65: %v", r2.F)
+		t.Fatalf("removed frontier lost bit 65: %v", r2.F)
 	}
 	if got := m.Row(4).F; !got.Get(3) || got.OnesCount() != 1 {
 		t.Fatalf("slot-swapped row 4 frontier wrong: %v", got)
 	}
-	// Mutating the matrix after detach must not alias the removed row.
+	// Mutating the matrix after removal must not reach the removed row.
 	m.Row(4).Relax(60, 1)
 	if r2.F.Get(60) {
-		t.Fatal("detached frontier aliases the arena")
+		t.Fatal("removed frontier aliases a matrix row")
 	}
 
-	// AdoptRow copies the private frontier back into the new arena.
+	// AdoptRow carries the frontier into the new matrix.
 	m2 := NewMatrix(70)
 	m2.AddRow(10)
 	m2.AdoptRow(r2)
 	if got := m2.Row(2).F; !got.Get(65) || got.OnesCount() != 1 {
 		t.Fatalf("adopted frontier wrong: %v", got)
-	}
-	if &m2.Row(2).F[0] != &m2.fw[1*m2.wstride] {
-		t.Fatal("adopted frontier does not view the arena")
 	}
 }
 

@@ -7,9 +7,9 @@ import "math/bits"
 // per-row dirty frontiers that drive the masked min-plus kernels: bit t set
 // means column t changed since the last clean global convergence.
 //
-// All methods are allocation-free; a Bitset is just a word slice, so views
-// into a shared word arena (see dv.Matrix) and private copies behave
-// identically.
+// All methods are allocation-free; a Bitset is just a word slice, so
+// windows of a shared word slab (see dv.Matrix.ExtendCols) and private
+// copies behave identically.
 type Bitset []uint64
 
 // BitsetWords returns the number of uint64 words needed for n bits.
