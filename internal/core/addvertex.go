@@ -47,7 +47,6 @@ func (e *Engine) applyBatch(b *change.VertexBatch) {
 	for _, ed := range res.edges {
 		e.absorbEdge(ed.u, ed.v, ed.w, true)
 	}
-	e.afterTopologyChange()
 	e.metrics.VerticesAdded += b.NumVertices
 }
 

@@ -20,14 +20,14 @@ func (e *Engine) applyEdgeAdds(ev change.Event) {
 	for _, ed := range res.edges {
 		e.absorbEdge(ed.u, ed.v, ed.w, true)
 	}
-	e.afterTopologyChange()
 }
 
 // absorbEdge updates the DV state for an edge {u,v,w} that just entered the
-// graph or had its weight lowered to w (Fig. 3 lines 19-44): the rows of
-// both endpoints are tree-broadcast, and — if the edge actually shortens
-// the u-v distance — every processor relaxes its local rows through the new
-// edge in both directions:
+// graph or had its weight lowered to w (Fig. 3 lines 19-44): a cut edge
+// joins its endpoints' cut rows, the rows of both endpoints are
+// tree-broadcast, and — if the edge actually shortens the u-v distance —
+// every processor relaxes its local rows through the new edge in both
+// directions:
 //
 //	D(x,t) = min(D(x,t), D(x,u)+w+D_v(t), D(x,v)+w+D_u(t))
 //
@@ -47,6 +47,8 @@ func (e *Engine) absorbEdge(u, v int, w graph.Weight, dynamicCut bool) {
 	}
 	ownerU := int(e.part.Part[u])
 	ownerV := int(e.part.Part[v])
+	e.procs[ownerU].link(u, v)
+	e.procs[ownerV].link(v, u)
 	rowU := e.procs[ownerU].table.Row(int32(u))
 	rowV := e.procs[ownerV].table.Row(int32(v))
 	// The edge's endpoints are the only vertices whose part-adjacency the
@@ -210,25 +212,6 @@ func relaxPrefix(x *dv.Row, xD, src []graph.Dist, add graph.Dist, targets *kerne
 	}
 }
 
-// afterTopologyChange rebuilds the per-processor boundary structures from
-// the mutated graph. The rows the change disturbed are already marked for
-// shipping at the mutation sites: absorbEdge marks the edge endpoints
-// ship-all (the only rows whose receiver set a new edge can extend) and
-// window-marks every row the relax pass improved; deletion paths rebuild
-// the tables outright (every fresh row ships in full).
-func (e *Engine) afterTopologyChange() {
-	e.rebuildSubs()
-	e.converged = false
-}
-
-// rebuildSubs re-extracts every processor's sub-graph structure (local,
-// boundary, and local-boundary sets) after a topology or partition change.
-func (e *Engine) rebuildSubs() {
-	e.mach.Parallel(func(pid int) {
-		e.procs[pid].rebuild(e.part)
-	})
-}
-
 // applyEdgeDels incorporates dynamic edge deletions. Deletions invalidate
 // the monotone upper-bound invariant (previously computed shortest paths
 // may have used the deleted edges), so the engine falls back to the
@@ -262,19 +245,19 @@ func (e *Engine) applyVertexDel(v int32) {
 		}
 	}
 	e.alive[v] = false
-	owner := e.procs[e.part.Part[v]]
-	owner.table.RemoveRow(v)
-	e.resetDVs()
+	e.resetDVs() // the fresh tables hold no row for v
 }
 
 // resetDVs drops all distance state and recomputes the IA phase over the
 // current topology, reusing the existing partition (anytime reuse of the
 // DD phase). All boundary rows become dirty, so the following RC steps
-// rebuild the global solution.
+// rebuild the global solution. Edges may have gone: the cut rows are
+// rebuilt too.
 func (e *Engine) resetDVs() {
-	e.rebuildSubs()
 	e.mach.Parallel(func(pid int) {
-		e.procs[pid].resetTable(e.alive)
+		p := e.procs[pid]
+		p.findCut()
+		p.resetTable(e.alive)
 	})
 	e.initialApproximation()
 	// The reset invalidated the monotone upper-bound invariant for any
@@ -321,7 +304,5 @@ func (e *Engine) applyWeightChanges(chs []change.EdgeWeight) {
 	}
 	if needReset {
 		e.resetDVs()
-		return
 	}
-	e.afterTopologyChange()
 }

@@ -173,8 +173,8 @@ func (e *Engine) domainDecomposition() error {
 	return nil
 }
 
-// buildProcs (re)creates the per-processor units: sub-graph view plus a
-// fresh DV table with one row per live local vertex.
+// buildProcs (re)creates the per-processor units: cut rows plus a fresh
+// DV table with one row per live local vertex.
 func (e *Engine) buildProcs() {
 	e.procs = make([]*Proc, e.opts.P)
 	for pid := range e.procs {
@@ -325,7 +325,7 @@ func (e *Engine) Metrics() Metrics {
 // QueueBatch schedules a dynamic vertex-addition batch; it is incorporated
 // at the end of the next RC step (the paper's anywhere property).
 func (e *Engine) QueueBatch(b *change.VertexBatch) error {
-	if err := b.Validate(e.pendingNumVertices()); err != nil {
+	if err := e.log.Admit(e.g.NumVertices(), e.queue, []change.Event{{Batch: b}}); err != nil {
 		return err
 	}
 	for _, ed := range b.External {
@@ -539,7 +539,7 @@ func (e *Engine) gatherStepTelemetry(stats *StepStats) {
 	for i, p := range e.procs {
 		stats.ProcRows[i] = p.stepRows
 		stats.ProcDirty[i] = p.stepDirty
-		stats.ProcBoundary[i] = len(p.sub.LocalBoundary)
+		stats.ProcBoundary[i] = len(p.cut)
 		stats.ProcRelaxOps[i] = p.stepOps
 		stats.ProcBusy[i] = e.mach.BusyTime(i) - e.prevBusy[i]
 		stats.TotalRows += p.stepRows

@@ -81,17 +81,12 @@ type resolved struct {
 // kinds (deletions, weight increases) need the Engine's reset path.
 func (l *EventLog) apply(g *graph.Graph, part *graph.Partition, ev change.Event, place placement, alive []bool) (resolved, error) {
 	var res resolved
+	if err := check(ev, g.NumVertices(), len(l.streamMap)); err != nil {
+		return res, err
+	}
 	switch {
 	case ev.Batch != nil:
 		b := ev.Batch
-		if err := b.Validate(g.NumVertices()); err != nil {
-			return res, err
-		}
-		for _, ed := range b.Pending {
-			if int(ed.EarlierBatchVertex) >= len(l.streamMap) {
-				return res, fmt.Errorf("core: pending edge references stream vertex %d of %d", ed.EarlierBatchVertex, len(l.streamMap))
-			}
-		}
 		if place != nil {
 			part.Extend(place(b))
 		}
@@ -109,16 +104,10 @@ func (l *EventLog) apply(g *graph.Graph, part *graph.Partition, ev change.Event,
 		for i := 0; i < b.NumVertices; i++ {
 			l.streamMap = append(l.streamMap, int32(first+i))
 		}
-	case ev.EdgeAdds != nil:
-		n := g.NumVertices()
+	default:
 		for _, ed := range ev.EdgeAdds {
-			if ed.U < 0 || int(ed.U) >= n || ed.V < 0 || int(ed.V) >= n || ed.U == ed.V || ed.Weight <= 0 {
-				return res, fmt.Errorf("core: invalid edge addition {%d,%d,%d} on graph of %d", ed.U, ed.V, ed.Weight, n)
-			}
 			res.edges = append(res.edges, resolvedEdge{int(ed.U), int(ed.V), ed.Weight})
 		}
-	default:
-		return res, fmt.Errorf("core: event kind not supported across processes (deletions/weight changes/rebalance are single-process)")
 	}
 	kept := res.edges[:0]
 	for _, ed := range res.edges {
@@ -135,6 +124,53 @@ func (l *EventLog) apply(g *graph.Graph, part *graph.Partition, ev change.Event,
 	}
 	res.edges = kept
 	return res, nil
+}
+
+// Admit checks events bound for a graph of n vertices behind the queued
+// ones against the graph and stream map as each will find them. The
+// intake refuses the whole list rather than let one event fail every
+// runtime that applies it.
+func (l *EventLog) Admit(n int, queued, evs []change.Event) error {
+	stream := len(l.streamMap)
+	for i, ev := range append(queued[:len(queued):len(queued)], evs...) {
+		if i >= len(queued) {
+			if err := check(ev, n, stream); err != nil {
+				return err
+			}
+		}
+		if ev.Batch != nil {
+			n += ev.Batch.NumVertices
+			stream += ev.Batch.NumVertices
+		}
+	}
+	return nil
+}
+
+// check refuses an event that cannot apply to a graph of n vertices and a
+// stream map of stream vertices: an invalid batch, a Pending edge past
+// the map, an edge addition off the graph, or a kind that does not cross
+// processes.
+func check(ev change.Event, n, stream int) error {
+	switch {
+	case ev.Batch != nil:
+		if err := ev.Batch.Validate(n); err != nil {
+			return err
+		}
+		for _, ed := range ev.Batch.Pending {
+			if int(ed.EarlierBatchVertex) >= stream {
+				return fmt.Errorf("core: pending edge references stream vertex %d of %d", ed.EarlierBatchVertex, stream)
+			}
+		}
+	case ev.EdgeAdds != nil:
+		for _, ed := range ev.EdgeAdds {
+			if ed.U < 0 || int(ed.U) >= n || ed.V < 0 || int(ed.V) >= n || ed.U == ed.V || ed.Weight <= 0 {
+				return fmt.Errorf("core: invalid edge addition {%d,%d,%d} on graph of %d", ed.U, ed.V, ed.Weight, n)
+			}
+		}
+	default:
+		return fmt.Errorf("core: event kind not supported across processes (deletions/weight changes/rebalance are single-process)")
+	}
+	return nil
 }
 
 // deleted reports whether alive marks v deleted; vertices beyond it (added

@@ -370,8 +370,9 @@ func TestExactBitNeverSetWithFaultsOrWithoutRefine(t *testing.T) {
 // vertices, internal-only and external edges), edge additions and weight
 // decreases, each from a clean convergence. The counting engine and the
 // one forced to execute must agree on every step's stats, the metrics, the
-// snapshot and every row (exactPair.step), and each convergence must match
-// the oracle.
+// snapshot and every row (exactPair.step), each convergence must match the
+// oracle, and after every event each processor's cut rows must equal a
+// recomputation from the whole graph.
 func FuzzExactSteps(f *testing.F) {
 	rng := rand.New(rand.NewSource(45))
 	for i := 0; i < 24; i++ {
@@ -437,6 +438,8 @@ func FuzzExactSteps(f *testing.F) {
 			if _, kept := p.applyNext(); !kept {
 				t.Fatalf("%s: a Fig. 3 absorption from a clean convergence cleared the exact bit", label)
 			}
+			requireCutRows(t, label, p.count)
+			requireCutRows(t, label, p.exec)
 			p.run()
 		}
 	})

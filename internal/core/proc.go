@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"anytime/internal/change"
 	"anytime/internal/dv"
@@ -12,7 +13,7 @@ import (
 )
 
 // Proc is the per-processor unit of the paper's DD → IA → RC pipeline: one
-// part's sub-graph view, its DV table, and the scratch of one RC step. It is
+// part's cut rows, its DV table, and the scratch of one RC step. It is
 // the only implementation of the per-processor operations — table from the
 // local vertex set, local/global IA, boundary shipping, relax + refine,
 // failed-delivery re-mark, the two rejoin markings, shard restore and the
@@ -23,13 +24,18 @@ import (
 //
 // g and part are shared with the owner (the Engine's P units share one
 // graph and one partition) and are never mutated through the unit except by
-// ApplyEvents, the Runner-side absorption.
+// ApplyEvents, the Runner-side absorption; the unit's local vertices are
+// those part assigns to id.
 type Proc struct {
 	id   int
 	g    *graph.Graph
 	part *graph.Partition
 
-	sub   *graph.Sub
+	// cut lists the local vertices with an edge into another part,
+	// ascending; each has a row (a deleted vertex has no edges). link
+	// extends it as an edge enters the graph, findCut rebuilds it where
+	// the partition moves or edges can go.
+	cut   []int32
 	table *dv.Matrix
 
 	// per-step scratch, owned by the goroutine running this unit's step
@@ -96,14 +102,15 @@ func NewProc(id int, g *graph.Graph, part *graph.Partition) *Proc {
 // newProc builds the unit without a table (Restore installs the
 // checkpointed one).
 func newProc(id int, g *graph.Graph, part *graph.Partition) *Proc {
-	return &Proc{
+	p := &Proc{
 		id:         id,
 		g:          g,
 		part:       part,
-		sub:        graph.ExtractSub(g, part, int32(id)),
 		shipSeen:   make([]int64, part.K),
 		shipGroups: make([][]*dv.Delta, part.K),
 	}
+	p.findCut()
+	return p
 }
 
 // Table returns the unit's DV matrix (rows for local vertices only).
@@ -113,24 +120,46 @@ func (p *Proc) Table() *dv.Matrix { return p.table }
 // vote against convergence.
 func (p *Proc) HasUpdate() bool { return p.hasUpdate }
 
-// isAlive reads a liveness mask in which nil means "every vertex is alive"
-// (the Runner has no deletions).
-func isAlive(alive []bool, v int32) bool { return alive == nil || alive[v] }
+// Cut returns the local vertices with an edge into another part, in
+// ascending order. The caller must not mutate it.
+func (p *Proc) Cut() []int32 { return p.cut }
 
-// rebuild re-extracts the sub-graph view (local, boundary and
-// local-boundary sets) after a topology or partition change.
-func (p *Proc) rebuild(part *graph.Partition) {
-	p.part = part
-	p.sub = graph.ExtractSub(p.g, part, int32(p.id))
+// findCut rebuilds the cut rows from the whole graph — where the partition
+// moves or edges may have gone.
+func (p *Proc) findCut() {
+	p.cut = p.cut[:0]
+	for v, q := range p.part.Part {
+		if int(q) != p.id {
+			continue
+		}
+		for _, a := range p.g.Neighbors(v) {
+			if p.part.Part[a.To] != q {
+				p.cut = append(p.cut, int32(v))
+				break
+			}
+		}
+	}
+}
+
+// link records the edge {x, y} that just entered the graph or had its
+// weight lowered: if this unit owns x and y lies in another part, x joins
+// the cut rows, in order.
+func (p *Proc) link(x, y int) {
+	if int(p.part.Part[x]) != p.id || p.part.Part[y] == p.part.Part[x] {
+		return
+	}
+	if i, found := slices.BinarySearch(p.cut, int32(x)); !found {
+		p.cut = slices.Insert(p.cut, i, int32(x))
+	}
 }
 
 // resetTable replaces the table with a fresh one holding a row per live
 // local vertex, keeping the resize-copy accounting of the table it drops.
 func (p *Proc) resetTable(alive []bool) {
 	t := dv.NewMatrix(p.g.NumVertices())
-	for _, v := range p.sub.Local {
-		if isAlive(alive, v) {
-			t.AddRow(v)
+	for v, q := range p.part.Part {
+		if int(q) == p.id && !deleted(alive, v) {
+			t.AddRow(int32(v))
 		}
 	}
 	if p.table != nil {
@@ -169,9 +198,12 @@ func (p *Proc) IA(rows []*dv.Row, global, unitWeight bool, workers int) int64 {
 		sources[i] = r.Owner
 		slices[i] = r.D
 	}
-	mask := p.sub.IsLocal
-	if global {
-		mask = nil
+	var mask []bool
+	if !global {
+		mask = make([]bool, len(p.part.Part))
+		for v, q := range p.part.Part {
+			mask[v] = int(q) == p.id
+		}
 	}
 	if unitWeight {
 		return sssp.MultiSourceBFS(p.g, sources, slices, mask, workers)
@@ -200,11 +232,8 @@ func (p *Proc) Ship(shipAll, reuse bool) (groups [][]*dv.Delta, ops int64) {
 			p.shipGroups[q] = nil
 		}
 	}
-	for _, v := range p.sub.LocalBoundary {
+	for _, v := range p.cut {
 		r := p.table.Row(v)
-		if r == nil {
-			continue // deleted vertex
-		}
 		if !r.Dirty && !shipAll {
 			continue
 		}
@@ -292,8 +321,8 @@ func (p *Proc) skipStep() {
 // convergence vote after a relax phase or a topology change.
 func (p *Proc) refreshHasUpdate() {
 	p.hasUpdate = false
-	for _, v := range p.sub.LocalBoundary {
-		if r := p.table.Row(v); r != nil && r.Dirty {
+	for _, v := range p.cut {
+		if p.table.Row(v).Dirty {
 			p.hasUpdate = true
 			break
 		}
@@ -368,11 +397,8 @@ func (p *Proc) MarkAllShipAll() int64 {
 // entries scanned).
 func (p *Proc) MarkRejoinShipAll(pid int32) int64 {
 	var ops int64
-	for _, v := range p.sub.LocalBoundary {
+	for _, v := range p.cut {
 		r := p.table.Row(v)
-		if r == nil {
-			continue
-		}
 		for _, a := range p.g.Neighbors(int(v)) {
 			ops++
 			if p.part.Part[a.To] == pid {
@@ -416,14 +442,14 @@ func (p *Proc) ReseedDirectEdges() int64 {
 func (p *Proc) RestoreShard(shard []byte, alive []bool) (int64, error) {
 	t, _, err := DecodeShard(shard, p.g.NumVertices(), func(owner int32) bool {
 		// Deleted or migrated away since the shard: skip its values.
-		return isAlive(alive, owner) && int(p.part.Part[owner]) == p.id
+		return !deleted(alive, int(owner)) && int(p.part.Part[owner]) == p.id
 	})
 	if err != nil {
 		return 0, fmt.Errorf("core: processor %d: %w", p.id, err)
 	}
-	for _, v := range p.sub.Local {
-		if isAlive(alive, v) && !t.Has(v) {
-			t.AddRow(v)
+	for v, q := range p.part.Part {
+		if int(q) == p.id && !deleted(alive, v) && !t.Has(int32(v)) {
+			t.AddRow(int32(v))
 		}
 	}
 	p.table = t
@@ -436,9 +462,9 @@ func (p *Proc) RestoreShard(shard []byte, alive []bool) (int64, error) {
 // and every *owned* endpoint row of a new or lowered edge is re-seeded
 // with the direct edge and marked for a full re-ship — the edge-addition
 // invariant (every live edge represented in its endpoints' rows) that makes
-// the min-plus fixed point exact. The events join the log's journal and the
-// sub-graph view is rebuilt afterwards. Every live rank must call this with
-// the same events at the same step boundary.
+// the min-plus fixed point exact. The events join the log's journal and
+// each absorbed edge extends the cut rows. Every live rank must call this
+// with the same events at the same step boundary.
 func (p *Proc) ApplyEvents(log *EventLog, evs []change.Event) error {
 	if len(evs) == 0 {
 		return nil
@@ -451,17 +477,16 @@ func (p *Proc) ApplyEvents(log *EventLog, evs []change.Event) error {
 		log.journal = append(log.journal, ev)
 		p.grow(res.first, res.count)
 		for _, ed := range res.edges {
-			if r := p.table.Row(int32(ed.u)); r != nil {
-				r.Relax(int32(ed.v), graph.Dist(ed.w))
-				r.MarkShipAll()
-			}
-			if r := p.table.Row(int32(ed.v)); r != nil {
-				r.Relax(int32(ed.u), graph.Dist(ed.w))
-				r.MarkShipAll()
+			for _, end := range [2][2]int{{ed.u, ed.v}, {ed.v, ed.u}} {
+				x, y := end[0], end[1]
+				p.link(x, y)
+				if r := p.table.Row(int32(x)); r != nil {
+					r.Relax(int32(y), graph.Dist(ed.w))
+					r.MarkShipAll()
+				}
 			}
 		}
 	}
-	p.rebuild(p.part)
 	p.refreshHasUpdate()
 	return nil
 }

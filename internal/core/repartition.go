@@ -137,9 +137,8 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 	}
 	e.metrics.RowsMigrated += migCount
 
-	// 4. Install the new partition and rebuild sub-graph structures.
+	// 4. Install the new partition (each processor's unit takes it in 5).
 	e.part = newPart
-	e.rebuildSubs()
 
 	// nearDisturbed[v]: v neighbors a migrated or new vertex, so v's row
 	// must be re-shipped for the disturbed rows to re-receive it.
@@ -164,10 +163,12 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 	// closure; the disturbed rows become dirty.
 	e.mach.Parallel(func(pid int) {
 		p := e.procs[pid]
+		p.part = newPart
+		p.findCut()
 		var newRows []*dv.Row
-		for _, v := range p.sub.Local {
-			if int(v) >= first {
-				newRows = append(newRows, p.table.AddRow(v))
+		for v := first; v < len(newPart.Part); v++ {
+			if int(newPart.Part[v]) == pid {
+				newRows = append(newRows, p.table.AddRow(int32(v)))
 			}
 		}
 		ops := p.IA(newRows, false, e.unitWeight, e.opts.Workers)

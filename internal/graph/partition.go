@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Partition maps every vertex to a part (processor) in [0, K).
 type Partition struct {
@@ -90,49 +87,4 @@ func Imbalance(g *Graph, p *Partition) float64 {
 		}
 	}
 	return float64(max) * float64(p.K) / float64(n)
-}
-
-// Sub is the local sub-graph G_i = (V_i ∪ B_i, E_i) owned by one processor:
-// its own ("local") vertices V_i, the external boundary vertices B_i
-// (vertices of other parts adjacent to V_i), and every edge with at least
-// one endpoint in V_i. Vertices keep their *global* IDs; adjacency is
-// exposed through the parent graph, with membership masks here.
-type Sub struct {
-	Part          int32   // which part this sub-graph is
-	Local         []int32 // sorted global IDs of local vertices V_i
-	Boundary      []int32 // sorted global IDs of external boundary vertices B_i
-	LocalBoundary []int32 // sorted global IDs of local vertices that have a cut edge
-	// IsLocal[v] for global v: true iff v ∈ V_i. Sized to the full graph.
-	IsLocal []bool
-}
-
-// ExtractSub builds the sub-graph structure for part `part` of partition p
-// over graph g.
-func ExtractSub(g *Graph, p *Partition, part int32) *Sub {
-	n := g.NumVertices()
-	s := &Sub{Part: part, IsLocal: make([]bool, n)}
-	for v := 0; v < n; v++ {
-		if p.Part[v] == part {
-			s.IsLocal[v] = true
-			s.Local = append(s.Local, int32(v))
-		}
-	}
-	extSeen := make(map[int32]bool)
-	for _, v := range s.Local {
-		hasCut := false
-		for _, a := range g.Neighbors(int(v)) {
-			if p.Part[a.To] != part {
-				hasCut = true
-				if !extSeen[a.To] {
-					extSeen[a.To] = true
-					s.Boundary = append(s.Boundary, a.To)
-				}
-			}
-		}
-		if hasCut {
-			s.LocalBoundary = append(s.LocalBoundary, v)
-		}
-	}
-	sort.Slice(s.Boundary, func(i, j int) bool { return s.Boundary[i] < s.Boundary[j] })
-	return s
 }

@@ -55,10 +55,15 @@ const (
 
 // QueueEvents queues dynamic events for application: they ship to every
 // live rank inside the next data exchange and apply at that step boundary.
-// Events enter through rank 0 (the intake of the stream).
+// Events enter through rank 0 (the intake of the stream), which refuses
+// the whole list if one event would fail the ranks that apply it
+// (core.EventLog.Admit).
 func (r *Runner) QueueEvents(evs ...change.Event) error {
 	if r.t.Rank() != 0 {
 		return fmt.Errorf("rank %d: dynamic events enter through rank 0", r.t.Rank())
+	}
+	if err := r.log.Admit(r.g.NumVertices(), r.queued, evs); err != nil {
+		return fmt.Errorf("rank 0: %w", err)
 	}
 	r.queued = append(r.queued, evs...)
 	return nil

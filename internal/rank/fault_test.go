@@ -2,8 +2,10 @@ package rank
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,11 +17,44 @@ import (
 	"anytime/internal/transport"
 )
 
+// referenceCut recomputes part id's cut rows from scratch: its vertices,
+// ascending, with an edge into another part.
+func referenceCut(g *graph.Graph, part *graph.Partition, id int) []int32 {
+	var cut []int32
+	for v := 0; v < g.NumVertices(); v++ {
+		if int(part.Part[v]) != id {
+			continue
+		}
+		for _, a := range g.Neighbors(v) {
+			if int(part.Part[a.To]) != id {
+				cut = append(cut, int32(v))
+				break
+			}
+		}
+	}
+	return cut
+}
+
+// checkCut reports a runner whose cut rows differ from referenceCut on its
+// current graph and partition.
+func checkCut(t *testing.T, label string, r *Runner) {
+	if want := referenceCut(r.g, r.part, r.t.Rank()); !slices.Equal(r.rs.Cut(), want) {
+		t.Errorf("%s: rank %d after step %d: cut rows %v, want %v", label, r.t.Rank(), r.stats.Steps, r.rs.Cut(), want)
+	}
+}
+
+// cutCheckedConfig returns cfg with a step hook that checks the runner
+// *r's cut rows after every step — every ApplyEvents lands inside one.
+func cutCheckedConfig(t *testing.T, cfg Config, r **Runner) Config {
+	cfg.StepHook = func(Telemetry) { checkCut(t, "step hook", *r) }
+	return cfg
+}
+
 // runEventRanks runs P runners over the inproc fabric on the shared test
 // graph, queues evs at rank 0 before the first step, drives every rank to
 // convergence and returns rank 0's gathered matrix plus the runners. Each
 // rank owns a private graph copy (events mutate it), exactly like separate
-// OS processes.
+// OS processes; every rank's cut rows are checked after every step.
 func runEventRanks(t *testing.T, n, P int, seed int64, evs []change.Event) ([][]graph.Dist, []*Runner) {
 	t.Helper()
 	group := inprocGroup(P)
@@ -35,7 +70,8 @@ func runEventRanks(t *testing.T, n, P int, seed int64, evs []change.Event) ([][]
 		go func(i int) {
 			defer wg.Done()
 			err := func() error {
-				r, err := New(group[i], Config{Graph: testGraph(t, n, seed), Seed: seed})
+				var r *Runner
+				r, err := New(group[i], cutCheckedConfig(t, Config{Graph: testGraph(t, n, seed), Seed: seed}, &r))
 				if err != nil {
 					return err
 				}
@@ -354,4 +390,225 @@ func FuzzRejoinGo(f *testing.F) {
 			t.Fatalf("roundtrip mismatch: in %d bytes, out %d bytes", len(payload), len(enc))
 		}
 	})
+}
+
+// A rank that was down while events applied catches up through the
+// journal at rejoin. Its cut rows after the replay must equal a
+// recomputation on the grown graph, every rank's must hold after every
+// step, and the final matrix must equal the grown graph's oracle.
+func TestRunnerRejoinReplaysEventsIntoCutRows(t *testing.T) {
+	const n, P, seed = 90, 3, 17
+	const victim = 2
+	evs := demoEvents(n, 4, seed)
+	shardDir := t.TempDir()
+	cfg := func() Config {
+		return Config{
+			Graph: testGraph(t, n, seed), Seed: seed,
+			ShardDir:     shardDir,
+			MinSteps:     4,
+			StepThrottle: 2 * time.Millisecond,
+			RejoinWait:   20 * time.Second,
+		}
+	}
+	group := transport.NewInprocGroup(P)
+	var (
+		wg   sync.WaitGroup
+		mu   sync.Mutex
+		dist [][]graph.Dist
+		fail error
+	)
+	report := func(err error) {
+		mu.Lock()
+		if err != nil && fail == nil {
+			fail = err
+		}
+		mu.Unlock()
+	}
+	runners := make([]*Runner, P)
+	// Rank 0 steps until it holds the victim down, queues the events,
+	// steps until they apply and only then lets the victim rejoin.
+	applied := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		err := func() error {
+			var r *Runner
+			r, err := New(group[0], cutCheckedConfig(t, cfg(), &r))
+			if err != nil {
+				return err
+			}
+			runners[0] = r
+			for len(r.DownProcs()) == 0 {
+				if _, err := r.Step(); err != nil {
+					return err
+				}
+			}
+			if err := r.QueueEvents(evs...); err != nil {
+				return err
+			}
+			for r.Stats().EventsApplied < len(evs) {
+				if _, err := r.Step(); err != nil {
+					return err
+				}
+			}
+			close(applied)
+			if _, err := r.Run(); err != nil {
+				return err
+			}
+			all, err := r.GatherDistances()
+			mu.Lock()
+			dist = all
+			mu.Unlock()
+			return err
+		}()
+		report(err)
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		err := func() error {
+			var r *Runner
+			r, err := New(group[1], cutCheckedConfig(t, cfg(), &r))
+			if err != nil {
+				return err
+			}
+			runners[1] = r
+			if _, err := r.Run(); err != nil {
+				return err
+			}
+			_, err = r.GatherDistances()
+			return err
+		}()
+		report(err)
+	}()
+	// The victim steps twice (writing its shard each step), then dies.
+	crashed := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(crashed)
+		r, err := New(group[victim], cfg())
+		if err != nil {
+			report(err)
+			return
+		}
+		for s := 0; s < 2; s++ {
+			if _, err := r.Step(); err != nil {
+				report(err)
+				return
+			}
+		}
+		group[victim].Abort()
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-crashed
+		select {
+		case <-applied:
+		case <-time.After(30 * time.Second):
+			report(fmt.Errorf("rank 0 applied no events within 30 s"))
+			return
+		}
+		nt := transport.RejoinInproc(group[0], victim)
+		var r *Runner
+		r, err := Rejoin(nt, cutCheckedConfig(t, cfg(), &r))
+		if err != nil {
+			report(err)
+			return
+		}
+		if r.g.NumVertices() != n+4 {
+			report(fmt.Errorf("rejoined graph has %d vertices, want %d", r.g.NumVertices(), n+4))
+			return
+		}
+		checkCut(t, "after the journal replay", r)
+		mu.Lock()
+		runners[victim] = r
+		mu.Unlock()
+		if _, err := r.Run(); err != nil {
+			report(err)
+			return
+		}
+		_, err = r.GatherDistances()
+		report(err)
+	}()
+	wg.Wait()
+	if fail != nil {
+		t.Fatal(fail)
+	}
+	if runners[victim].Stats().EventsApplied != 0 {
+		t.Fatalf("the rejoined rank applied %d events through the exchange, want them all from the journal", runners[victim].Stats().EventsApplied)
+	}
+	grown := testGraph(t, n, seed)
+	part, err := partition.Multilevel{Seed: seed}.Partition(grown, P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := core.NewEventLog(P).Replay(grown, part, evs); err != nil {
+		t.Fatal(err)
+	}
+	if err := verifyOracle(grown, dist); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Rank 0's intake refuses, as a whole, an event list with an event that
+// would fail every rank applying it — a kind with no wire encoding, or an
+// edge to a vertex that does not exist — and queues nothing, so the mesh
+// carries on and later valid events apply. Without the refusal rank 0's
+// next step fails and its peers block in the exchange.
+func TestQueueEventsRefusesUnappliableEvents(t *testing.T) {
+	const n, P, seed = 60, 2, 5
+	good := demoEvents(n, 3, seed)
+	bad := [][]change.Event{
+		{{VertexDel: &change.VertexDel{V: 3}}},
+		{{Batch: &change.VertexBatch{NumVertices: 1, External: []change.ExternalEdge{{New: 0, Existing: 99999, Weight: 1}}}}},
+		{{EdgeAdds: []change.EdgeAdd{{U: 0, V: n + 1, Weight: 1}}}},
+		{{Batch: &change.VertexBatch{NumVertices: 1, Pending: []change.PendingEdge{{New: 0, EarlierBatchVertex: 2, Weight: 1}}}}},
+		append(append([]change.Event(nil), good...), change.Event{EdgeDels: []change.EdgeDel{{U: 0, V: 1}}}),
+	}
+	group := inprocGroup(P)
+	errs := make([]error, P)
+	runners := make([]*Runner, P)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range group {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = func() error {
+				r, err := New(group[i], Config{Graph: testGraph(t, n, seed), Seed: seed})
+				if err != nil {
+					return err
+				}
+				runners[i] = r
+				if i == 0 {
+					for k, evs := range bad {
+						if err := r.QueueEvents(evs...); err == nil {
+							t.Errorf("bad event list %d was admitted", k)
+						}
+					}
+					if err := r.QueueEvents(good...); err != nil {
+						return err
+					}
+				}
+				_, err = r.Run()
+				return err
+			}()
+		}(i)
+	}
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("ranks still running after 20 s")
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+		if got := runners[i].Stats().EventsApplied; got != len(good) {
+			t.Fatalf("rank %d applied %d events, want %d", i, got, len(good))
+		}
+	}
 }
