@@ -76,10 +76,11 @@ bench-smoke:
 	cd benchmark && $(GO) test -count=1 ./...
 
 # Developer benches: one iteration each of the warm start (NewConverged on
-# BA n=1000, P=4) and of an 8-batch CutEdge-PS absorption on it, so they
-# stay runnable. For numbers, run them with -count and a larger -benchtime.
+# BA n=1000, P=4), of an 8-batch CutEdge-PS absorption on it, and of one
+# batch's change phase at P=1 and P=4, so they stay runnable. For numbers,
+# run them with -count and a larger -benchtime.
 dev-bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkWarmStart|BenchmarkAbsorbCycle)$$' -benchtime 1x -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench '^(BenchmarkWarmStart|BenchmarkAbsorbCycle|BenchmarkAbsorbEvent)$$' -benchtime 1x -benchmem ./internal/core
 
 # Examples gate: every example runs to completion (~6 s together). Each
 # checks itself and exits non-zero on a mismatch — faulttolerance is the one

@@ -10,8 +10,11 @@ import (
 // applyBatch incorporates one dynamic vertex-addition batch using the
 // configured processor-assignment strategy (the paper's Fig. 2/3
 // recombination strategy: read changes → processor placement → vertex
-// addition).
-func (e *Engine) applyBatch(b *change.VertexBatch) {
+// addition). Under the immediate-update strategies it returns the batch's
+// edges for absorbEdges: each broadcasts its endpoint rows and relaxes
+// every processor's local rows against them (the anytime anywhere
+// edge-addition algorithm the vertex addition builds on).
+func (e *Engine) applyBatch(b *change.VertexBatch) []resolvedEdge {
 	strat := e.opts.Strategy
 	if strat == AutoPS {
 		// the paper's Fig. 5/6 insight as a policy: incremental updates for
@@ -24,7 +27,7 @@ func (e *Engine) applyBatch(b *change.VertexBatch) {
 	}
 	if strat == RepartitionS {
 		e.applyRepartition(b)
-		return
+		return nil
 	}
 	place := e.assignRoundRobin
 	if strat == CutEdgePS {
@@ -33,7 +36,7 @@ func (e *Engine) applyBatch(b *change.VertexBatch) {
 	res, err := e.log.apply(e.g, e.part, change.Event{Batch: b}, place, e.alive)
 	if err != nil {
 		e.fail(err)
-		return
+		return nil
 	}
 	// Every table widens by the new columns; owner processors create rows
 	// for their new vertices (D[v]=0, rest ∞).
@@ -41,13 +44,8 @@ func (e *Engine) applyBatch(b *change.VertexBatch) {
 	for _, p := range e.procs {
 		p.grow(res.first, res.count)
 	}
-	// Edge additions: each new edge broadcasts its endpoint rows and
-	// relaxes every processor's local rows against them (the anytime
-	// anywhere edge-addition algorithm the vertex addition builds on).
-	for _, ed := range res.edges {
-		e.absorbEdge(ed.u, ed.v, ed.w, true)
-	}
 	e.metrics.VerticesAdded += b.NumVertices
+	return res.edges
 }
 
 // growAlive marks count freshly added vertices alive.

@@ -572,3 +572,40 @@ func BenchmarkAbsorbCycle(b *testing.B) {
 	b.ReportMetric(float64(first)/1e6/float64(b.N), "first-batch-ms")
 	b.ReportMetric(float64(later)/1e6/float64(b.N*(len(batches)-1)), "later-batch-ms")
 }
+
+// BenchmarkAbsorbEvent times the change phase alone: one CutEdge-PS batch
+// of 16 applied through applyEvent (placement, table growth and the Fig. 3
+// absorption of its edges) to a warm engine rebuilt untimed per iteration,
+// at P=1 and P=4. It reports the change ops the batch charges.
+func BenchmarkAbsorbEvent(b *testing.B) {
+	g, batches, opts := absorbBenchSetup(b)
+	for _, P := range []int{1, 4} {
+		b.Run(fmt.Sprintf("p=%d", P), func(b *testing.B) {
+			opts := opts
+			opts.P = P
+			var ops int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e, err := NewConverged(g, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := e.QueueBatch(batches[0]); err != nil {
+					b.Fatal(err)
+				}
+				before := e.metrics.ChangeOps
+				b.StartTimer()
+				applyNext(e, e.absorbEdges)
+				b.StopTimer()
+				if e.Err() != nil {
+					b.Fatal(e.Err())
+				}
+				ops += e.metrics.ChangeOps - before
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(ops)/float64(b.N), "changeops/op")
+		})
+	}
+}

@@ -311,7 +311,6 @@ func Restore(r io.Reader, opts Options) (*Engine, error) {
 	if seen != want {
 		return nil, fmt.Errorf("core: checkpoint has %d rows for %d alive vertices", seen, want)
 	}
-	e.refreshWeightProfile()
 	e.refreshLoadMetrics()
 	e.writeShards() // fresh recovery shards (no-op without Options.Faults)
 	e.span(obs.KindCheckpointRestore, rm, int64(n))

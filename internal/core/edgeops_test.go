@@ -100,15 +100,16 @@ func TestPrunedEdgeScanMatchesFullScan(t *testing.T) {
 			}
 			u, v := int32(ed.u), int32(ed.v)
 			if !changed || fullM.Row(u).D[v] <= ed.w {
-				continue // absorbEdge scans only edges that improve D(u,v)
+				continue // absorbEdges scans only edges that improve D(u,v)
 			}
-			snapU, snapV := dv.CopyRow(fullM.Row(u)), dv.CopyRow(fullM.Row(v))
-			tg.build(ed.w, snapU.D, snapV.D)
+			snapU := append([]graph.Dist(nil), fullM.Row(u).D...)
+			snapV := append([]graph.Dist(nil), fullM.Row(v).D...)
+			tg.build(ed.w, snapU, snapV)
 			scans++
 			for i, x := range fullM.Rows() {
 				y := prunedM.Rows()[i]
-				opsFull := relaxViaEdge(x, u, v, ed.w, snapU.D, snapV.D, nil)
-				opsPruned := relaxViaEdge(y, u, v, ed.w, snapU.D, snapV.D, &tg)
+				opsFull := relaxViaEdge(x, u, v, ed.w, snapU, snapV, nil)
+				opsPruned := relaxViaEdge(y, u, v, ed.w, snapU, snapV, &tg)
 				if opsFull != opsPruned {
 					t.Fatalf("seed %d edge %v row %d: pruned scan charged %d ops, full %d", seed, ed, x.Owner, opsPruned, opsFull)
 				}

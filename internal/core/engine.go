@@ -36,13 +36,12 @@ type Engine struct {
 	queue []change.Event
 	log   *EventLog // new-vertex ids, placement cursor, stream map
 
-	edgeTargets edgeTargets // scratch of the pruned Fig. 3 scan (edgeops.go)
+	absorb absorption // scratch of the row-major Fig. 3 scan (edgeops.go)
 
 	step        int
 	converged   bool
 	exact       bool // the DV state is exact APSP of e.g (DESIGN.md, "Exact-state steps")
 	forceRefine bool // set once a change requires local pivoting for exactness
-	unitWeight  bool // every live edge weighs 1: IA runs BFS instead of Dijkstra
 	globalIA    bool // NewConverged: IA sweeps the whole graph (exact warm start)
 
 	// Fault-injection and recovery state (nil/empty without Options.Faults).
@@ -104,7 +103,6 @@ func newEngine(g *graph.Graph, opts Options, globalIA bool) (*Engine, error) {
 	// ablation flag.
 	e.forceRefine = opts.Strategy == RepartitionS || opts.Strategy == AutoPS
 	e.globalIA = globalIA
-	e.refreshWeightProfile()
 	start := time.Now()
 	if err := e.domainDecomposition(); err != nil {
 		return nil, err
@@ -194,12 +192,14 @@ func (e *Engine) newProc(pid int) *Proc {
 
 // initialApproximation runs the IA phase: every processor computes APSP
 // over its local sub-graph (multithreaded Dijkstra, or the bit-parallel
-// multi-source BFS on unit weights), producing the first partial results.
+// multi-source BFS when every edge of the graph it searches weighs 1),
+// producing the first partial results.
 func (e *Engine) initialApproximation() {
+	unit := graph.Stats(e.g).UnitWeights
 	e.mach.Parallel(func(pid int) {
 		im := e.markProc(pid)
 		p := e.procs[pid]
-		ops := p.IA(p.table.Rows(), e.globalIA, e.unitWeight, e.opts.Workers)
+		ops := p.IA(p.table.Rows(), e.globalIA, unit, e.opts.Workers)
 		// The paper's multithreaded IA: wall time divides over the worker
 		// threads of the processor.
 		e.mach.Charge(pid, ops/int64(e.opts.Workers))
@@ -208,14 +208,6 @@ func (e *Engine) initialApproximation() {
 	})
 	e.mach.Barrier()
 	e.converged = false
-}
-
-// refreshWeightProfile re-detects the unit-weight fast-path eligibility
-// (IA runs BFS instead of Dijkstra) from the current topology — at
-// construction and after every dynamic change; an O(m) scan, negligible
-// next to a relax phase.
-func (e *Engine) refreshWeightProfile() {
-	e.unitWeight = graph.Stats(e.g).UnitWeights
 }
 
 // partitionOps approximates the work of one multilevel partitioning run
@@ -498,7 +490,7 @@ func (e *Engine) Step() bool {
 		ev := e.queue[0]
 		e.queue = e.queue[1:]
 		stats.ChangeApplied = describeEvent(ev)
-		e.applyEvent(ev)
+		e.applyEvent(ev, e.absorbEdges)
 	}
 	if e.inj != nil && (e.step+1)%e.opts.shardEvery == 0 {
 		e.writeShards()
@@ -738,38 +730,46 @@ func (e *Engine) reduceConvergence() bool {
 }
 
 // applyEvent incorporates one dynamic change event (end of an RC step).
-func (e *Engine) applyEvent(ev change.Event) {
+// absorb takes the edges a vertex batch, an edge addition or a weight
+// decrease brought into the graph, and whether a created cut edge counts
+// into NewCutEdges; Step passes absorbEdges.
+func (e *Engine) applyEvent(ev change.Event, absorb func(edges []resolvedEdge, dynamicCut bool)) {
 	cm := e.mark()
 	defer e.span(obs.KindChange, cm, 0)
-	// The state stays exact APSP only through Fig. 3 absorptions (absorbEdge)
+	// The state stays exact APSP only through Fig. 3 absorptions (absorbEdges)
 	// that start from a clean convergence: vertex batches, edge additions and
 	// weight decreases. The paths inside those events that change the DV
 	// state any other way — Repartition-S, the IA reset of a weight
 	// increase, an edge to a deleted vertex — clear the bit themselves.
 	e.exact = e.exact && e.converged && (ev.Batch != nil || len(ev.EdgeAdds) > 0 || len(ev.WeightChanges) > 0)
+	var edges []resolvedEdge
+	reset := false
 	switch {
 	case ev.Batch != nil:
-		e.applyBatch(ev.Batch)
+		edges = e.applyBatch(ev.Batch)
 	case len(ev.EdgeAdds) > 0:
-		e.applyEdgeAdds(ev)
+		edges = e.applyEdgeAdds(ev)
 	case len(ev.EdgeDels) > 0:
 		e.applyEdgeDels(ev.EdgeDels)
 	case len(ev.WeightChanges) > 0:
-		e.applyWeightChanges(ev.WeightChanges)
+		edges, reset = e.applyWeightChanges(ev.WeightChanges)
 	case ev.VertexDel != nil:
 		e.applyVertexDel(ev.VertexDel.V)
 	case ev.Rebalance != nil:
 		e.applyRepartition(&change.VertexBatch{})
 	}
+	// A lowered weight changes an edge that is already in the cut count.
+	absorb(edges, len(ev.WeightChanges) == 0)
+	if reset {
+		e.resetDVs()
+	}
 	e.converged = false
-	e.refreshWeightProfile()
 	e.refreshLoadMetrics()
 }
 
-// refreshLoadMetrics recomputes the per-processor load snapshot.
+// refreshLoadMetrics recomputes the per-processor vertex counts.
 func (e *Engine) refreshLoadMetrics() {
 	e.metrics.ProcVertices = e.part.Sizes()
-	e.metrics.ProcCutSizes = graph.CutSizes(e.g, e.part)
 }
 
 // addOps accumulates a work counter from inside Parallel bodies, which run

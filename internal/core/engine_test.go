@@ -54,22 +54,18 @@ func defaultTestOptions(p int, seed int64) Options {
 	return o
 }
 
-// Unit-weight graphs take the heap-free BFS fast path in the IA phase. The
-// switch must be invisible in results (exact distances), and the
-// dynamic-change funnel must re-detect eligibility: adding a non-unit edge
-// turns it off, deleting that edge turns it back on — staying exact
-// throughout.
+// Unit-weight graphs take the heap-free BFS fast path in the IA phase,
+// decided from the graph the IA searches. The switch must be invisible in
+// results (exact distances) through every kind of change: adding a
+// non-unit edge turns it off, deleting that edge turns it back on —
+// staying exact throughout.
 func TestUnitWeightBFSFastPath(t *testing.T) {
-	g, err := gen.BarabasiAlbert(100, 2, gen.Weights{Min: 1, Max: 1}, 19)
+	e, err := New(unitBA(t), defaultTestOptions(4, 19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen.Connectify(g, 19)
-	e, err := New(g, defaultTestOptions(4, 19))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.unitWeight {
+	unit := func() bool { return graph.Stats(e.Graph()).UnitWeights }
+	if !unit() {
 		t.Fatal("unit-weight graph not detected")
 	}
 	e.Run()
@@ -85,7 +81,7 @@ func TestUnitWeightBFSFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run()
-	if !e.unitWeight {
+	if !unit() {
 		t.Fatal("unit-weight batch disabled the fast path")
 	}
 	requireExact(t, e)
@@ -95,7 +91,7 @@ func TestUnitWeightBFSFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run()
-	if e.unitWeight {
+	if unit() {
 		t.Fatal("non-unit edge did not disable the fast path")
 	}
 	requireExact(t, e)
@@ -105,8 +101,64 @@ func TestUnitWeightBFSFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Run()
-	if !e.unitWeight {
+	if !unit() {
 		t.Fatal("fast path did not re-enable after deletion")
+	}
+	requireExact(t, e)
+}
+
+// unitBA is the unit-weight BA graph (n=100, m=2) of the fast-path tests.
+func unitBA(t *testing.T) *graph.Graph {
+	t.Helper()
+	g, err := gen.BarabasiAlbert(100, 2, gen.Weights{Min: 1, Max: 1}, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen.Connectify(g, 19)
+	return g
+}
+
+// An event that makes a unit-weight graph weighted must not run its IA as
+// a BFS: the IA reset of a weight increase searches the graph the increase
+// left, so the raised edge's weight counts. A BFS there writes D(0,a) = 1
+// below the true distance, which no RC step can raise.
+func TestWeightIncreaseOnUnitGraphStaysExact(t *testing.T) {
+	e, err := New(unitBA(t), defaultTestOptions(4, 19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	a := e.Graph().Neighbors(0)[0].To
+	if err := e.QueueEdgeWeightChanges(change.EdgeWeight{U: 0, V: a, Weight: 50}); err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	if w, _ := e.Graph().EdgeWeight(0, int(a)); w != 50 {
+		t.Fatalf("edge {0,%d} weighs %d, want 50", a, w)
+	}
+	requireExact(t, e)
+}
+
+// The same for the IA of a Repartition-S batch: its new rows are searched
+// over the grown graph, whose new edges weigh 7-9.
+func TestWeightedBatchUnderRepartitionStaysExact(t *testing.T) {
+	o := defaultTestOptions(4, 19)
+	o.Strategy = RepartitionS
+	e, err := New(unitBA(t), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	b, err := gen.PreferentialBatch(e.Graph(), 10, 2, 1, gen.Weights{Min: 7, Max: 9}, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.QueueBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	e.Run()
+	if e.Metrics().Repartitions != 1 {
+		t.Fatalf("%d repartitions, want the batch absorbed by Repartition-S", e.Metrics().Repartitions)
 	}
 	requireExact(t, e)
 }
@@ -521,7 +573,7 @@ func TestMetricsAccounting(t *testing.T) {
 	if m1.NewCutEdges < 0 {
 		t.Fatalf("negative new cut edges for CutEdge-PS: %d", m1.NewCutEdges)
 	}
-	if len(m1.ProcVertices) != 4 || len(m1.ProcCutSizes) != 4 {
+	if len(m1.ProcVertices) != 4 {
 		t.Fatalf("load metrics not refreshed: %+v", m1)
 	}
 	total := 0

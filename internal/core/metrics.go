@@ -42,10 +42,9 @@ type Metrics struct {
 	ShardsWritten int   // recovery shards serialized
 	ShardBytes    int64 // total bytes of recovery shards written
 
-	// Per-processor load after the most recent change (vertex counts and
-	// cut sizes), for the load-balance analyses.
+	// Per-processor vertex counts after the most recent change, for the
+	// load-balance analyses.
 	ProcVertices []int
-	ProcCutSizes []int
 }
 
 // add merges o's counters into m (used by the restart comparator to
@@ -76,5 +75,4 @@ func (m *Metrics) add(o Metrics) {
 	m.ShardsWritten += o.ShardsWritten
 	m.ShardBytes += o.ShardBytes
 	m.ProcVertices = o.ProcVertices
-	m.ProcCutSizes = o.ProcCutSizes
 }

@@ -157,10 +157,12 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 		markNeighbors(v)
 	}
 
-	// 5. New vertices get fresh rows seeded by local Dijkstra (the IA
-	// algorithm applied to just the new rows); existing rows are re-seeded
-	// with their direct edges so the new topology enters the relaxation
-	// closure; the disturbed rows become dirty.
+	// 5. New vertices get fresh rows seeded by local Dijkstra, or BFS when
+	// every edge of the grown graph weighs 1 (the IA algorithm applied to
+	// just the new rows); existing rows are re-seeded with their direct
+	// edges so the new topology enters the relaxation closure; the
+	// disturbed rows become dirty.
+	unit := graph.Stats(e.g).UnitWeights
 	e.mach.Parallel(func(pid int) {
 		p := e.procs[pid]
 		p.part = newPart
@@ -171,7 +173,7 @@ func (e *Engine) applyRepartition(b *change.VertexBatch) {
 				newRows = append(newRows, p.table.AddRow(int32(v)))
 			}
 		}
-		ops := p.IA(newRows, false, e.unitWeight, e.opts.Workers)
+		ops := p.IA(newRows, false, unit, e.opts.Workers)
 		ops += p.ReseedDirectEdges() // marks dirty on improvement
 		for _, r := range p.table.Rows() {
 			if migrated[r.Owner] || nearDisturbed[r.Owner] {

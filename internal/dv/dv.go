@@ -426,16 +426,10 @@ func (m *Matrix) FrontierStats() (words int, bits int64) {
 	return words, bits
 }
 
-// CopyRow returns a deep copy of row r's shippable content — its
-// distances. The dirty/pending marks are the sender's bookkeeping and do
-// not travel with a snapshot.
-func CopyRow(r *Row) *Row {
-	return &Row{Owner: r.Owner, D: append([]graph.Dist(nil), r.D...)}
-}
-
 // Delta is the wire form of one boundary-row update: the columns
 // [Lo, Lo+len(D)) of Owner's distance vector that changed since the row
-// was last shipped. Like CopyRow snapshots, deltas carry distances only.
+// was last shipped. Deltas carry distances only: the dirty and pending
+// marks are the sender's bookkeeping.
 // A full-row ship is simply a delta with Lo == 0 spanning the whole row.
 //
 // F, when non-nil, is a snapshot of the sender row's change frontier over

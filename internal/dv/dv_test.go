@@ -369,23 +369,6 @@ func TestTableBuildAllocation(t *testing.T) {
 	}
 }
 
-func TestCopyRow(t *testing.T) {
-	tb := NewMatrix(10)
-	r := tb.AddRow(3)
-	c := CopyRow(r)
-	c.D[0] = 1
-	if r.D[0] == 1 {
-		t.Fatal("CopyRow aliases the original")
-	}
-	if c.Owner != 3 {
-		t.Fatal("owner lost")
-	}
-	// Snapshots carry distances only, never the sender's dirty bookkeeping.
-	if c.Dirty {
-		t.Fatalf("CopyRow leaked processor-local state: %+v", c)
-	}
-}
-
 func TestPendingWindowLifecycle(t *testing.T) {
 	tb := NewMatrix(8)
 	r := tb.AddRow(2)
